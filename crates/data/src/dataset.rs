@@ -110,8 +110,10 @@ impl Dataset {
 
         // §III-G q2q mining: queries sharing enough clicks on one item.
         let mut q2q = Vec::new();
-        let mut by_item: std::collections::HashMap<usize, Vec<(usize, u32)>> =
-            std::collections::HashMap::new();
+        // Items in id order: which item a pair is first mined from fixes
+        // its weight, so hash-map order would vary the data per process.
+        let mut by_item: std::collections::BTreeMap<usize, Vec<(usize, u32)>> =
+            std::collections::BTreeMap::new();
         for pair in &log.pairs {
             if is_train[pair.query] {
                 by_item.entry(pair.item).or_default().push((pair.query, pair.clicks));
@@ -225,9 +227,12 @@ mod tests {
     fn deterministic() {
         let (_l1, a) = dataset();
         let (_l2, b) = dataset();
+        let triples = |pairs: &[Pair]| -> Vec<_> {
+            pairs.iter().map(|p| (p.src.clone(), p.tgt.clone(), p.weight)).collect()
+        };
         assert_eq!(a.eval_queries, b.eval_queries);
-        assert_eq!(a.q2t.len(), b.q2t.len());
-        assert_eq!(a.q2q.len(), b.q2q.len());
+        assert_eq!(triples(&a.q2t), triples(&b.q2t));
+        assert_eq!(triples(&a.q2q), triples(&b.q2q));
     }
 
     #[test]

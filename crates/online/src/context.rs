@@ -25,31 +25,14 @@ use std::sync::Arc;
 use qrw_core::QueryRewriter;
 use qrw_nmt::{top_n_sampling, Hypothesis, Seq2Seq, TopNSampling};
 use qrw_tensor::rng::StdRng;
+use qrw_tensor::serialize::Fnv1a;
 use qrw_text::{Vocab, EOS, NUM_SPECIALS};
 
 /// FNV-1a over a session prefix and query. Token boundaries fold `0xff`
 /// and query boundaries fold `0xfe`, so `["ab","c"]` / `["a","bc"]` and
 /// context-vs-query splits all hash apart.
 fn session_hash(context: &[Vec<String>], query: &[String]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let fold = |h: &mut u64, tokens: &[String]| {
-        for t in tokens {
-            for b in t.as_bytes() {
-                *h ^= u64::from(*b);
-                *h = h.wrapping_mul(PRIME);
-            }
-            *h ^= 0xff;
-            *h = h.wrapping_mul(PRIME);
-        }
-    };
-    for q in context {
-        fold(&mut h, q);
-        h ^= 0xfe;
-        h = h.wrapping_mul(PRIME);
-    }
-    fold(&mut h, query);
-    h
+    Fnv1a::default().queries(context).tokens(query).finish()
 }
 
 /// Encodes a session as one source sequence: each context query's token
@@ -232,5 +215,18 @@ mod tests {
         assert!(rw.rewrite_with_context(&[], &toks("w2"), 0).is_empty());
         assert_eq!(rw.name(), "q2q-session");
         assert!(rw.decode_stats().is_some());
+    }
+
+    /// Pins the session hash: it seeds the per-request sampling RNG, so a
+    /// changed bit changes every session rewrite. With an empty context it
+    /// equals the plain token hash.
+    #[test]
+    fn session_hash_golden_values() {
+        assert_eq!(session_hash(&[], &toks("red shoes")), 0xDC46_F8C6_7E12_AB80);
+        assert_eq!(session_hash(&[toks("w1")], &toks("q")), 0x3952_08B7_CA8C_1A44);
+        assert_eq!(
+            session_hash(&[toks("w1 w3"), toks("x")], &toks("q r")),
+            0x670D_4DB0_FD93_67D1
+        );
     }
 }

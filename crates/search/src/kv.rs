@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use qrw_tensor::serialize::Fnv1a;
 use qrw_tensor::sync::RwLock;
 
 /// Default shard count: enough to make lock collisions rare at the worker
@@ -52,12 +53,7 @@ impl Default for RewriteCache {
 /// FNV-1a over the key bytes; only used to pick a shard, so it needs to be
 /// fast and stable, not cryptographic.
 fn shard_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv1a::default().bytes(key.as_bytes()).finish()
 }
 
 /// The namespace a cache entry is valid in.
@@ -118,21 +114,7 @@ pub fn hash_context(context: &[Vec<String>]) -> u64 {
     if context.is_empty() {
         return 0;
     }
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for query in context {
-        for token in query {
-            for b in token.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(PRIME);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0xfe;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    Fnv1a::default().queries(context).finish()
 }
 
 impl RewriteCache {
@@ -484,5 +466,20 @@ mod tests {
         }
         assert_eq!(cache.len(), 20);
         assert_eq!(cache.hits() + cache.misses(), 200);
+    }
+
+    /// Pins the stripe and scope hashes: they pick cache stripes and key
+    /// scoped entries, so a changed bit would reshuffle the cache.
+    #[test]
+    fn hash_golden_values() {
+        assert_eq!(shard_hash(""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(shard_hash("red shoes"), 0xBFEF_FCA5_28CD_CB6C);
+        assert_eq!(
+            shard_hash("@3\u{1f}00000000000000ab\u{1f}red shoes"),
+            0x6ED8_D1E1_4C4E_7846
+        );
+        assert_eq!(hash_context(&[]), 0);
+        assert_eq!(hash_context(&[toks("a b")]), 0x9EE3_532C_183C_E01C);
+        assert_eq!(hash_context(&[toks("a"), toks("b c")]), 0xD09D_2AB7_C6B2_4662);
     }
 }

@@ -31,16 +31,17 @@
 //! degradation, with healthy responses byte-identical to the monolith at
 //! every shard count.
 //!
-//! Zero-downtime model hot-swap lives in [`models`]: the same epoch-pinned
-//! slot-ring discipline applied to rewriter models, so the online
-//! training loop can publish retrained models under traffic while every
-//! request serves from exactly one pinned model epoch
+//! Zero-downtime model hot-swap lives in [`models`]: the same [`epoch`]
+//! ring that backs [`SnapshotStore`], applied to rewriter models, so the
+//! online training loop can publish retrained models under traffic while
+//! every request serves from exactly one pinned model epoch
 //! ([`SessionState`] threads the pinned model and the user's previous
 //! in-session queries through the degradation ladder).
 
 pub mod ab;
 pub mod breaker;
 pub mod deadline;
+pub mod epoch;
 pub mod error;
 pub mod eval;
 pub mod fault;

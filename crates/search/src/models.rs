@@ -10,25 +10,24 @@
 //! > degradation-ladder walk comes from exactly one immutable model
 //! > epoch, stamped into the response.
 //!
-//! [`ModelStore`] is the [`SnapshotStore`](super::SnapshotStore) slot-ring
-//! protocol applied to models instead of indexes: readers pin one epoch
-//! per request with two `SeqCst` RMWs ([`ModelStore::pin`]), the
-//! (mutex-serialised) trainer publishes frozen models as new epochs
-//! ([`ModelStore::publish`]), and superseded epochs are reclaimed only
-//! once their pin count drops to zero. A swap whose checkpoint commit
-//! fails is never published — serving degrades to the last good epoch
-//! and the failure is counted in [`SwapStats`] for `health_report()`.
+//! [`ModelStore`] is the generic [`EpochStore`] ring (shared with the
+//! catalog's [`SnapshotStore`](super::SnapshotStore); protocol and safety
+//! argument in [`crate::epoch`]) applied to models: readers pin one epoch
+//! per request ([`ModelStore::pin`]), the trainer publishes frozen models
+//! as new epochs ([`ModelStore::publish`]), and superseded epochs are
+//! reclaimed only once unpinned. A swap whose checkpoint commit fails is
+//! never published — serving degrades to the last good epoch and the
+//! failure is counted in [`SwapStats`] for `health_report()`.
 //!
 //! Epoch numbering starts at 1: a [`SearchResponse`](super::SearchResponse)
 //! with `model_epoch == 0` means "served without a model store" (the
 //! frozen single-model configuration every earlier layer uses).
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
 use qrw_core::pipeline::QueryRewriter;
-use qrw_tensor::sync::Mutex;
+
+use crate::epoch::{EpochStore, Pinned};
 
 /// A rewriter shared across serving threads.
 pub type SharedRewriter = Arc<dyn QueryRewriter + Send + Sync>;
@@ -59,17 +58,6 @@ impl std::fmt::Debug for ModelEpoch {
     }
 }
 
-/// One slot of the publication ring (see [`super::snapshot::SnapshotStore`]
-/// for the full safety argument; the protocol here is identical, only the
-/// payload differs).
-struct Slot {
-    /// Number of in-flight requests pinning this slot's model.
-    pins: AtomicU64,
-    /// The model, written only by the (mutex-serialised) publisher and
-    /// only while the slot is neither current nor pinned.
-    cell: UnsafeCell<Option<Arc<ModelEpoch>>>,
-}
-
 /// Counter snapshot of a [`ModelStore`], surfaced through the online
 /// loop's `health_report()`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -93,44 +81,14 @@ pub struct SwapStats {
     pub pinned_now: u64,
 }
 
-/// Epoch-pinned model store: single publisher, many lock-free readers.
-///
-/// # Safety protocol
-///
-/// Identical to [`SnapshotStore`](super::SnapshotStore) — all atomics are
-/// `SeqCst`; a reader announces a pin, re-checks `current`, and only then
-/// dereferences the cell; the publisher mutates a cell only under the
-/// writer mutex, only for a slot that is neither current nor pinned. See
-/// the safety comment on `SnapshotStore` for the full interleaving
-/// argument; it transfers verbatim because the payload type plays no role
-/// in it.
-pub struct ModelStore {
-    slots: Box<[Slot]>,
-    /// Index of the slot holding the current epoch.
-    current: AtomicUsize,
-    /// Serialises publish/reclaim. Readers never touch it.
-    writer: Mutex<()>,
-    /// Epoch of the current model, mirrored for lock-free reporting.
-    epoch: AtomicU64,
-    next_epoch: AtomicU64,
-    epochs_published: AtomicU64,
-    epochs_reclaimed: AtomicU64,
-    swap_failures: AtomicU64,
-    publish_stalls: AtomicU64,
-    pin_retries: AtomicU64,
-}
+/// The model hot-swap store: an [`EpochStore`] of rewriters, numbered
+/// from 1 by the store itself.
+pub type ModelStore = EpochStore<ModelEpoch>;
 
-// SAFETY: the UnsafeCell contents are only mutated under the writer mutex
-// and only for slots no reader can be dereferencing (see the protocol on
-// SnapshotStore, which this store mirrors exactly); everything else is
-// atomics and Arc.
-unsafe impl Send for ModelStore {}
-unsafe impl Sync for ModelStore {}
+/// A pinned model epoch; dereferences to its [`ModelEpoch`].
+pub type PinnedModel = Pinned<ModelEpoch>;
 
 impl ModelStore {
-    /// Default ring size, matching the catalog snapshot ring.
-    const DEFAULT_SLOTS: usize = 8;
-
     /// A store serving `initial` as epoch 1.
     pub fn new(initial: SharedRewriter) -> Arc<Self> {
         Self::with_slots(initial, Self::DEFAULT_SLOTS)
@@ -139,158 +97,44 @@ impl ModelStore {
     /// A store with an explicit ring size (clamped to at least 2: one
     /// current slot plus one to publish into).
     pub fn with_slots(initial: SharedRewriter, slots: usize) -> Arc<Self> {
-        let slots = slots.max(2);
-        let store = ModelStore {
-            slots: (0..slots)
-                .map(|_| Slot { pins: AtomicU64::new(0), cell: UnsafeCell::new(None) })
-                .collect(),
-            current: AtomicUsize::new(0),
-            writer: Mutex::new(()),
-            epoch: AtomicU64::new(1),
-            next_epoch: AtomicU64::new(2),
-            epochs_published: AtomicU64::new(0),
-            epochs_reclaimed: AtomicU64::new(0),
-            swap_failures: AtomicU64::new(0),
-            publish_stalls: AtomicU64::new(0),
-            pin_retries: AtomicU64::new(0),
-        };
-        let first = ModelEpoch { epoch: 1, rewriter: initial };
-        // SAFETY: no other thread can hold a reference yet.
-        unsafe { *store.slots[0].cell.get() = Some(Arc::new(first)) };
-        Arc::new(store)
+        Self::with_initial(1, ModelEpoch { epoch: 1, rewriter: initial }, slots)
     }
 
-    /// Pins the current model epoch for the duration of the returned
-    /// guard. Lock-free: two `SeqCst` RMWs on the happy path.
-    pub fn pin(self: &Arc<Self>) -> PinnedModel {
-        loop {
-            let idx = self.current.load(SeqCst);
-            self.slots[idx].pins.fetch_add(1, SeqCst);
-            if self.current.load(SeqCst) == idx {
-                // SAFETY: re-check passed with our pin registered, so the
-                // publisher cannot be mutating this cell (protocol above).
-                let model = unsafe { (*self.slots[idx].cell.get()).clone() }
-                    .expect("current slot always holds a model");
-                return PinnedModel { store: Arc::clone(self), slot: idx, model };
-            }
-            // Lost a race with a publish that moved `current`; unpin and
-            // retry against the new slot.
-            self.slots[idx].pins.fetch_sub(1, SeqCst);
-            self.pin_retries.fetch_add(1, SeqCst);
-        }
-    }
-
-    /// Epoch of the model a `pin()` issued now would observe.
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(SeqCst)
-    }
-
-    /// Publishes `rewriter` as the next model epoch, retiring (and
-    /// possibly reclaiming) an old slot. Returns the new epoch. Spins
-    /// (with `yield_now`, counted in `publish_stalls`) while every
-    /// non-current slot is pinned.
+    /// Publishes `rewriter` as the next model epoch and returns it. The
+    /// number is taken inside the writer's critical section, so concurrent
+    /// publishers install dense epochs in order.
     pub fn publish(&self, rewriter: SharedRewriter) -> u64 {
-        let _guard = self.writer.lock();
-        let epoch = self.next_epoch.fetch_add(1, SeqCst);
-        let arc = Arc::new(ModelEpoch { epoch, rewriter });
-        loop {
-            let cur = self.current.load(SeqCst);
-            let victim = (0..self.slots.len())
-                .find(|&i| i != cur && self.slots[i].pins.load(SeqCst) == 0);
-            let Some(v) = victim else {
-                self.publish_stalls.fetch_add(1, SeqCst);
-                std::thread::yield_now();
-                continue;
-            };
-            // SAFETY: we hold the writer mutex, slot v is not current and
-            // has zero pins; per the protocol no reader can be (or begin)
-            // dereferencing it before `current` points at it again.
-            let stale = unsafe { (*self.slots[v].cell.get()).take() };
-            if stale.is_some() {
-                self.epochs_reclaimed.fetch_add(1, SeqCst);
-            }
-            drop(stale);
-            unsafe { *self.slots[v].cell.get() = Some(arc) };
-            self.epoch.store(epoch, SeqCst);
-            self.current.store(v, SeqCst);
-            self.epochs_published.fetch_add(1, SeqCst);
-            return epoch;
-        }
-    }
-
-    /// Eagerly drops superseded models whose slots are unpinned. Returns
-    /// how many were reclaimed.
-    pub fn reclaim(&self) -> usize {
-        let _guard = self.writer.lock();
-        let cur = self.current.load(SeqCst);
-        let mut freed = 0;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if i == cur || slot.pins.load(SeqCst) != 0 {
-                continue;
-            }
-            // SAFETY: writer mutex held, slot not current, zero pins.
-            let stale = unsafe { (*slot.cell.get()).take() };
-            if stale.is_some() {
-                freed += 1;
-                self.epochs_reclaimed.fetch_add(1, SeqCst);
-            }
-        }
-        freed
+        self.publish_with(|current| {
+            let epoch = current + 1;
+            (epoch, ModelEpoch { epoch, rewriter })
+        })
     }
 
     /// Records a swap that failed before publication (checkpoint commit
     /// error, freeze failure); serving stays on the last good epoch.
     pub fn record_swap_failure(&self) {
-        self.swap_failures.fetch_add(1, SeqCst);
-    }
-
-    /// Total pins currently held across all slots.
-    pub fn pinned_now(&self) -> u64 {
-        self.slots.iter().map(|s| s.pins.load(SeqCst)).sum()
+        self.record_failed_publish();
     }
 
     /// Counter snapshot for `health_report()`.
     pub fn swap_stats(&self) -> SwapStats {
+        let s = self.stats();
         SwapStats {
-            current_epoch: self.epoch.load(SeqCst),
-            epochs_published: self.epochs_published.load(SeqCst),
-            epochs_reclaimed: self.epochs_reclaimed.load(SeqCst),
-            swap_failures: self.swap_failures.load(SeqCst),
-            publish_stalls: self.publish_stalls.load(SeqCst),
-            pin_retries: self.pin_retries.load(SeqCst),
-            pinned_now: self.pinned_now(),
+            current_epoch: s.current_epoch,
+            epochs_published: s.published,
+            epochs_reclaimed: s.reclaimed,
+            swap_failures: s.failed_publishes,
+            publish_stalls: s.publish_stalls,
+            pin_retries: s.pin_retries,
+            pinned_now: s.pinned_now,
         }
-    }
-}
-
-/// A pinned model epoch: holds the slot's pin until dropped, keeping the
-/// model alive and un-recyclable for the whole request.
-pub struct PinnedModel {
-    store: Arc<ModelStore>,
-    slot: usize,
-    model: Arc<ModelEpoch>,
-}
-
-impl PinnedModel {
-    pub fn epoch(&self) -> u64 {
-        self.model.epoch
-    }
-
-    pub fn rewriter(&self) -> &(dyn QueryRewriter + Send + Sync) {
-        self.model.rewriter()
-    }
-}
-
-impl Drop for PinnedModel {
-    fn drop(&mut self) {
-        self.store.slots[self.slot].pins.fetch_sub(1, SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
     /// A rewriter whose single rewrite names the epoch it was built for,
     /// so a torn swap would be visible as an epoch/output mismatch.
@@ -321,104 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn pin_sees_the_published_epoch() {
-        let store = ModelStore::new(TagRewriter::shared(1));
-        let pin1 = store.pin();
-        assert_eq!(pin1.epoch(), 1);
-        assert_eq!(tag_of(&pin1), 1);
-
-        let e2 = store.publish(TagRewriter::shared(2));
-        assert_eq!(e2, 2);
-        // The old pin still sees epoch 1.
-        assert_eq!(pin1.epoch(), 1);
-        assert_eq!(tag_of(&pin1), 1);
-        let pin2 = store.pin();
-        assert_eq!(pin2.epoch(), 2);
-        assert_eq!(tag_of(&pin2), 2);
-        assert_eq!(store.current_epoch(), 2);
-    }
-
-    #[test]
-    fn pinned_epochs_survive_until_unpinned() {
-        let store = ModelStore::new(TagRewriter::shared(1));
-        let pin = store.pin();
-        for t in 2..20 {
-            store.publish(TagRewriter::shared(t));
-        }
-        assert_eq!(pin.epoch(), 1);
-        assert_eq!(tag_of(&pin), 1);
-        assert_eq!(store.current_epoch(), 19);
-        assert_eq!(store.pinned_now(), 1);
-        drop(pin);
-        assert_eq!(store.pinned_now(), 0);
-        let stats = store.swap_stats();
-        assert_eq!(stats.epochs_published, 18);
-        assert!(store.reclaim() > 0 || stats.epochs_reclaimed > 0);
-    }
-
-    #[test]
-    fn publish_waits_for_pins_instead_of_tearing() {
-        // A 2-slot ring: publishing while both slots are pinned must
-        // stall, not overwrite a pinned slot.
-        let store = ModelStore::with_slots(TagRewriter::shared(1), 2);
-        let pin1 = store.pin();
-        store.publish(TagRewriter::shared(2));
-        let pin2 = store.pin();
-        assert_eq!(pin2.epoch(), 2);
-
-        let s2 = Arc::clone(&store);
-        let publisher = std::thread::spawn(move || {
-            s2.publish(TagRewriter::shared(3));
-        });
-        while store.swap_stats().publish_stalls == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(store.current_epoch(), 2, "stalled publish must not be visible");
-        drop(pin1);
-        publisher.join().unwrap();
-        assert_eq!(store.current_epoch(), 3);
-        assert_eq!(pin2.epoch(), 2, "held pin unaffected by the publish");
-        assert_eq!(tag_of(&pin2), 2);
-    }
-
-    #[test]
-    fn concurrent_pins_always_see_a_whole_model() {
-        // Hammer pin/publish from many threads; every pinned model must
-        // agree with its stamped epoch (tag == epoch by construction).
-        let store = ModelStore::new(TagRewriter::shared(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut readers = Vec::new();
-        for _ in 0..4 {
-            let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            readers.push(std::thread::spawn(move || {
-                let mut seen = 0u64;
-                while !stop.load(SeqCst) {
-                    let pin = store.pin();
-                    assert_eq!(
-                        tag_of(&pin),
-                        pin.epoch(),
-                        "epoch {} paired with the wrong model",
-                        pin.epoch()
-                    );
-                    seen += 1;
-                }
-                seen
-            }));
-        }
-        for t in 2..200 {
-            store.publish(TagRewriter::shared(t));
-        }
-        stop.store(true, SeqCst);
-        let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(total > 0);
-        let stats = store.swap_stats();
-        assert_eq!(stats.epochs_published, 198);
-        assert!(stats.epochs_reclaimed > 0, "ring must recycle superseded models");
-        assert_eq!(stats.pinned_now, 0);
-    }
-
-    #[test]
     fn swap_failures_are_counted_without_changing_the_epoch() {
         let store = ModelStore::new(TagRewriter::shared(1));
         store.record_swap_failure();
@@ -428,5 +174,69 @@ mod tests {
         assert_eq!(stats.current_epoch, 1);
         assert_eq!(stats.epochs_published, 0);
         assert_eq!(tag_of(&store.pin()), 1);
+    }
+
+    #[test]
+    fn concurrent_publishers_stay_ordered() {
+        // Several publishers race while a reader pins in a loop. The store
+        // must hand out distinct, dense epochs, install them in order (so
+        // `current_epoch()` never goes back and ends on the last one), and
+        // pair every pinned model with the epoch it was published under.
+        const PUBLISHERS: u64 = 8;
+        const EACH: u64 = 2000;
+        let store = ModelStore::new(TagRewriter::shared(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (store, stop) = (Arc::clone(&store), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let (mut last, mut seen) = (0, Vec::new());
+                while !stop.load(SeqCst) {
+                    let current = store.current_epoch();
+                    assert!(current >= last, "current epoch went back from {last} to {current}");
+                    last = current;
+                    let pin = store.pin();
+                    seen.push((pin.epoch(), tag_of(&pin)));
+                }
+                seen
+            })
+        };
+        let start = Arc::new(std::sync::Barrier::new(PUBLISHERS as usize));
+        let publishers: Vec<_> = (0..PUBLISHERS)
+            .map(|p| {
+                let (store, start) = (Arc::clone(&store), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut floor = 0;
+                    let mut published = Vec::new();
+                    for tag in (1..=EACH).map(|i| p * 10_000 + i) {
+                        let before = store.current_epoch();
+                        assert!(before >= floor, "current epoch {before} fell below {floor}");
+                        let epoch = store.publish(TagRewriter::shared(tag));
+                        // Nothing older may be installed over this epoch.
+                        floor = floor.max(epoch);
+                        let current = store.current_epoch();
+                        assert!(current >= floor, "current epoch {current} fell below {floor}");
+                        floor = current;
+                        published.push((epoch, tag));
+                    }
+                    published
+                })
+            })
+            .collect();
+        let mut tag_of_epoch: std::collections::BTreeMap<u64, u64> = [(1, 0)].into();
+        for h in publishers {
+            for (epoch, tag) in h.join().unwrap() {
+                assert!(tag_of_epoch.insert(epoch, tag).is_none(), "epoch {epoch} assigned twice");
+            }
+        }
+        stop.store(true, SeqCst);
+        let seen = reader.join().unwrap();
+        let last = 1 + PUBLISHERS * EACH;
+        assert!(tag_of_epoch.keys().copied().eq(1..=last), "epochs must be dense");
+        assert_eq!(store.current_epoch(), last);
+        assert_eq!(store.pin().epoch(), last);
+        for (epoch, tag) in seen {
+            assert_eq!(tag_of_epoch[&epoch], tag, "epoch {epoch} pinned the wrong model");
+        }
     }
 }

@@ -62,6 +62,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qrw_obs::Histogram;
+use qrw_tensor::serialize::Fnv1a;
 use qrw_tensor::sync::Mutex;
 
 use crate::breaker::{BreakerConfig, BreakerSet};
@@ -76,12 +77,7 @@ use crate::tree::{QueryTree, RetrievalCost};
 /// family (and constants) the `RewriteCache` uses for its 16-way lock
 /// sharding, applied to doc ids instead of query strings.
 fn route_hash(doc: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in doc.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv1a::default().bytes(&doc.to_le_bytes()).finish()
 }
 
 /// Where each document lives: FNV-1a routing over a fixed shard count,
@@ -842,5 +838,14 @@ mod tests {
         let c = cat.pin_shards(&pin);
         assert!(!Arc::ptr_eq(&a, &c), "plan bump must rebuild");
         assert_eq!(c.plan_version(), 1);
+    }
+
+    /// Pins the routing hash: it decides which shard owns each document.
+    #[test]
+    fn route_hash_golden_values() {
+        assert_eq!(route_hash(0), 0xA8C7_F832_281A_39C5);
+        assert_eq!(route_hash(1), 0x89CD_3129_1D2A_EFA4);
+        assert_eq!(route_hash(12345), 0xE71E_B185_E2ED_CC4C);
+        assert_eq!(route_hash(u64::MAX), 0x8CF5_1A8B_FCA3_883D);
     }
 }

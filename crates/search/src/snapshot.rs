@@ -18,11 +18,10 @@
 //!   the durable catalog), then publish the result as a new immutable
 //!   [`IndexSnapshot`] epoch.
 //! * Readers pin one epoch for the whole request via
-//!   [`SnapshotStore::pin`]: a lock-free slot-ring protocol (epoch
-//!   counters, two atomic RMWs per request, no mutex on the hot path).
-//! * Old epochs are reclaimed only when their pin count drops to zero —
-//!   a slot is recycled exclusively by the (mutex-serialised) writer, and
-//!   only when it is not current *and* unpinned.
+//!   [`SnapshotStore::pin`], and old epochs are reclaimed only once
+//!   unpinned. [`SnapshotStore`] is the generic [`EpochStore`] ring over
+//!   index snapshots; its lock-free protocol and safety argument live in
+//!   [`crate::epoch`].
 //! * Persistence rides the PR-3 `CheckpointStore` discipline: each epoch
 //!   commit writes the sealed segment set + FNV-sealed `MANIFEST` +
 //!   `LATEST` pointer via temp+fsync+rename, so a kill at **any byte**
@@ -38,17 +37,16 @@
 //! kill-at-byte during a segment commit, writer panic at a chosen batch,
 //! and a publish gate for reclaim/publish race schedules.
 
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use qrw_core::fault::FaultPlan;
 use qrw_core::{CheckpointStore, ResumeError, TrainFaultInjector, WriteSink};
 use qrw_obs::Tracer;
-use qrw_tensor::sync::Mutex;
 
+use crate::epoch::{EpochStore, Pinned};
 use crate::health::ChurnStats;
 use crate::index::InvertedIndex;
 use crate::kv::RewriteCache;
@@ -75,85 +73,14 @@ impl IndexSnapshot {
     }
 }
 
-/// One slot of the publication ring.
-///
-/// The `UnsafeCell` is the price of a lock-free reader path: std has no
-/// atomic `Arc` load, so the cell is guarded by protocol instead of by a
-/// lock (see the safety argument on [`SnapshotStore`]).
-struct Slot {
-    /// Number of in-flight requests pinning this slot's snapshot.
-    pins: AtomicU64,
-    /// The snapshot, written only by the (mutex-serialised) writer and
-    /// only while the slot is neither current nor pinned.
-    cell: UnsafeCell<Option<Arc<IndexSnapshot>>>,
-}
+/// The live catalog's epoch store: an [`EpochStore`] of index snapshots,
+/// stamped with the writer's epoch.
+pub type SnapshotStore = EpochStore<IndexSnapshot>;
 
-/// Epoch-pinned snapshot store: single-writer, many lock-free readers.
-///
-/// # Safety protocol
-///
-/// All atomics use `SeqCst`, so every thread agrees on one total order of
-/// the operations below.
-///
-/// Reader ([`pin`](Self::pin)):
-/// 1. `idx = current.load()`
-/// 2. `slots[idx].pins.fetch_add(1)`         (announce)
-/// 3. re-check `current.load() == idx` — retry from 1 on mismatch
-/// 4. clone the `Arc` out of `slots[idx].cell`
-///
-/// Writer ([`publish`](Self::publish)), under the writer mutex:
-/// 1. pick a victim slot `v != current` with `pins == 0`
-/// 2. mutate `slots[v].cell` (drop the stale Arc, store the new one)
-/// 3. `current.store(v)`                      (publication point)
-///
-/// Why the reader's step 4 never races the writer's step 2: the writer
-/// mutates a cell only while that slot is **not current** and **unpinned**
-/// (checked after the reader's announce would be visible, because both
-/// sides are `SeqCst`). A reader dereferences a cell only after its
-/// re-check passed, i.e. its pin was registered while the slot *was*
-/// current — and from that point the slot's pin count stays nonzero until
-/// the reader unpins, so no writer will select it as a victim. If the
-/// reader's announce lands *after* the writer began recycling the slot,
-/// then the writer's `current.store` to some other slot (or to this slot,
-/// step 3, which happens strictly after step 2 completed) is ordered
-/// before the reader's re-check load, so the re-check either still sees
-/// `idx` current — meaning the cell mutation had already completed and
-/// the reader clones the *new* valid Arc — or fails and the reader
-/// retries. Either way the cell is never read mid-mutation.
-///
-/// Reclamation: dropping the stale `Arc` in writer step 2 *is* the
-/// reclaim (the snapshot deallocates when the last reader's pinned clone
-/// drops). [`reclaim`](Self::reclaim) additionally sweeps non-current
-/// unpinned slots eagerly so memory is not held hostage by ring slots
-/// that publishing happens not to revisit.
-pub struct SnapshotStore {
-    slots: Box<[Slot]>,
-    /// Index of the slot holding the current epoch.
-    current: AtomicUsize,
-    /// Serialises publish/reclaim. Readers never touch it.
-    writer: Mutex<()>,
-    /// Epoch of the current snapshot, mirrored for lock-free reporting.
-    epoch: AtomicU64,
-    epochs_published: AtomicU64,
-    epochs_reclaimed: AtomicU64,
-    publish_stalls: AtomicU64,
-    pin_retries: AtomicU64,
-    writer_panics: AtomicU64,
-    publish_failures: AtomicU64,
-}
-
-// SAFETY: the UnsafeCell contents are only mutated under the writer mutex
-// and only for slots no reader can be dereferencing (see the protocol
-// above); everything else is atomics and Arc.
-unsafe impl Send for SnapshotStore {}
-unsafe impl Sync for SnapshotStore {}
+/// A pinned catalog epoch; dereferences to its [`IndexSnapshot`].
+pub type PinnedSnapshot = Pinned<IndexSnapshot>;
 
 impl SnapshotStore {
-    /// Default ring size: enough slots that a writer rarely stalls on
-    /// slow readers, small enough that at most a handful of superseded
-    /// epochs linger.
-    const DEFAULT_SLOTS: usize = 8;
-
     /// A store serving `initial` as its first epoch.
     pub fn new(initial: IndexSnapshot) -> Arc<Self> {
         Self::with_slots(initial, Self::DEFAULT_SLOTS)
@@ -162,157 +89,36 @@ impl SnapshotStore {
     /// A store with an explicit ring size (clamped to at least 2: one
     /// current slot plus one to publish into).
     pub fn with_slots(initial: IndexSnapshot, slots: usize) -> Arc<Self> {
-        let slots = slots.max(2);
-        let store = SnapshotStore {
-            slots: (0..slots)
-                .map(|_| Slot { pins: AtomicU64::new(0), cell: UnsafeCell::new(None) })
-                .collect(),
-            current: AtomicUsize::new(0),
-            writer: Mutex::new(()),
-            epoch: AtomicU64::new(initial.epoch),
-            epochs_published: AtomicU64::new(0),
-            epochs_reclaimed: AtomicU64::new(0),
-            publish_stalls: AtomicU64::new(0),
-            pin_retries: AtomicU64::new(0),
-            writer_panics: AtomicU64::new(0),
-            publish_failures: AtomicU64::new(0),
-        };
-        // SAFETY: no other thread can hold a reference yet.
-        unsafe { *store.slots[0].cell.get() = Some(Arc::new(initial)) };
-        Arc::new(store)
+        Self::with_initial(initial.epoch, initial, slots)
     }
 
-    /// Pins the current epoch for the duration of the returned guard.
-    /// Lock-free: two `SeqCst` RMWs on the happy path.
-    pub fn pin(self: &Arc<Self>) -> PinnedSnapshot {
-        loop {
-            let idx = self.current.load(SeqCst);
-            self.slots[idx].pins.fetch_add(1, SeqCst);
-            if self.current.load(SeqCst) == idx {
-                // SAFETY: re-check passed with our pin registered, so the
-                // writer cannot be mutating this cell (protocol above).
-                let snap = unsafe { (*self.slots[idx].cell.get()).clone() }
-                    .expect("current slot always holds a snapshot");
-                return PinnedSnapshot { store: Arc::clone(self), slot: idx, snap };
-            }
-            // Lost a race with a publish that moved `current`; unpin and
-            // retry against the new slot.
-            self.slots[idx].pins.fetch_sub(1, SeqCst);
-            self.pin_retries.fetch_add(1, SeqCst);
-        }
-    }
-
-    /// Epoch of the snapshot a `pin()` issued now would observe.
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(SeqCst)
-    }
-
-    /// Publishes a new epoch, retiring (and possibly reclaiming) an old
-    /// slot. Spins (with `yield_now`, counted in `publish_stalls`) while
-    /// every non-current slot is pinned.
+    /// Publishes `snapshot` under its own epoch, retiring (and possibly
+    /// reclaiming) an old slot. Waits while every non-current slot is
+    /// pinned.
     pub fn publish(&self, snapshot: IndexSnapshot) -> u64 {
-        let _guard = self.writer.lock();
-        let epoch = snapshot.epoch;
-        let arc = Arc::new(snapshot);
-        loop {
-            let cur = self.current.load(SeqCst);
-            let victim = (0..self.slots.len())
-                .find(|&i| i != cur && self.slots[i].pins.load(SeqCst) == 0);
-            let Some(v) = victim else {
-                self.publish_stalls.fetch_add(1, SeqCst);
-                std::thread::yield_now();
-                continue;
-            };
-            // SAFETY: we hold the writer mutex, slot v is not current and
-            // has zero pins; per the protocol no reader can be (or begin)
-            // dereferencing it before `current` points at it again.
-            let stale = unsafe { (*self.slots[v].cell.get()).take() };
-            if stale.is_some() {
-                self.epochs_reclaimed.fetch_add(1, SeqCst);
-            }
-            drop(stale);
-            unsafe { *self.slots[v].cell.get() = Some(arc) };
-            self.epoch.store(epoch, SeqCst);
-            self.current.store(v, SeqCst);
-            self.epochs_published.fetch_add(1, SeqCst);
-            return epoch;
-        }
-    }
-
-    /// Eagerly drops superseded snapshots whose slots are unpinned.
-    /// Returns how many were reclaimed.
-    pub fn reclaim(&self) -> usize {
-        let _guard = self.writer.lock();
-        let cur = self.current.load(SeqCst);
-        let mut freed = 0;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if i == cur || slot.pins.load(SeqCst) != 0 {
-                continue;
-            }
-            // SAFETY: writer mutex held, slot not current, zero pins.
-            let stale = unsafe { (*slot.cell.get()).take() };
-            if stale.is_some() {
-                freed += 1;
-                self.epochs_reclaimed.fetch_add(1, SeqCst);
-            }
-        }
-        freed
-    }
-
-    /// Total pins currently held across all slots.
-    pub fn pinned_now(&self) -> u64 {
-        self.slots.iter().map(|s| s.pins.load(SeqCst)).sum()
+        self.publish_with(|_| (snapshot.epoch, snapshot))
     }
 
     /// Counter snapshot for `health_report()`.
     pub fn churn_stats(&self) -> ChurnStats {
+        let s = self.stats();
         ChurnStats {
             live_catalog: true,
-            current_epoch: self.epoch.load(SeqCst),
-            epochs_published: self.epochs_published.load(SeqCst),
-            epochs_reclaimed: self.epochs_reclaimed.load(SeqCst),
-            publish_stalls: self.publish_stalls.load(SeqCst),
-            pin_retries: self.pin_retries.load(SeqCst),
-            pinned_now: self.pinned_now(),
-            writer_panics: self.writer_panics.load(SeqCst),
-            publish_failures: self.publish_failures.load(SeqCst),
+            current_epoch: s.current_epoch,
+            epochs_published: s.published,
+            epochs_reclaimed: s.reclaimed,
+            publish_stalls: s.publish_stalls,
+            pin_retries: s.pin_retries,
+            pinned_now: s.pinned_now,
+            writer_panics: s.writer_panics,
+            publish_failures: s.failed_publishes,
         }
     }
-
-    fn record_writer_panic(&self) {
-        self.writer_panics.fetch_add(1, SeqCst);
-    }
-
-    fn record_publish_failure(&self) {
-        self.publish_failures.fetch_add(1, SeqCst);
-    }
-}
-
-/// A pinned epoch: holds the slot's pin until dropped, keeping the
-/// snapshot alive and un-recyclable for the whole request.
-pub struct PinnedSnapshot {
-    store: Arc<SnapshotStore>,
-    slot: usize,
-    snap: Arc<IndexSnapshot>,
 }
 
 impl PinnedSnapshot {
-    pub fn epoch(&self) -> u64 {
-        self.snap.epoch
-    }
-
-    pub fn index(&self) -> &InvertedIndex {
-        &self.snap.index
-    }
-
     pub fn snapshot(&self) -> &IndexSnapshot {
-        &self.snap
-    }
-}
-
-impl Drop for PinnedSnapshot {
-    fn drop(&mut self) {
-        self.store.slots[self.slot].pins.fetch_sub(1, SeqCst);
+        self
     }
 }
 
@@ -610,7 +416,7 @@ impl CatalogWriter {
         self.segments.push(seg);
         if let Err(e) = self.persist(epoch) {
             self.segments.pop();
-            self.store.record_publish_failure();
+            self.store.record_failed_publish();
             return Err(e);
         }
 
@@ -663,7 +469,7 @@ impl CatalogWriter {
         let saved = std::mem::replace(&mut self.segments, vec![base]);
         if let Err(e) = self.persist(epoch) {
             self.segments = saved;
-            self.store.record_publish_failure();
+            self.store.record_failed_publish();
             return Err(e);
         }
         let mut span = self.tracer.as_ref().map(|t| {
@@ -743,68 +549,6 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
-    }
-
-    #[test]
-    fn pin_sees_the_published_epoch() {
-        let (store, mut writer) = CatalogWriter::bootstrap(docs());
-        let pin0 = store.pin();
-        assert_eq!(pin0.epoch(), 0);
-        assert_eq!(pin0.index().live_len(), 3);
-
-        let e1 = writer.apply(MutationBatch::new().add_doc(toks("blue hat"))).unwrap();
-        assert_eq!(e1, 1);
-        // The old pin still sees epoch 0.
-        assert_eq!(pin0.index().live_len(), 3);
-        let pin1 = store.pin();
-        assert_eq!(pin1.epoch(), 1);
-        assert_eq!(pin1.index().live_len(), 4);
-        assert_eq!(store.current_epoch(), 1);
-    }
-
-    #[test]
-    fn pinned_epochs_survive_until_unpinned() {
-        let (store, mut writer) = CatalogWriter::bootstrap(docs());
-        let pin = store.pin();
-        for i in 0..20 {
-            writer.apply(MutationBatch::new().add_doc(toks(&format!("doc number{i}")))).unwrap();
-        }
-        // The pinned epoch is immutable regardless of churn.
-        assert_eq!(pin.epoch(), 0);
-        assert_eq!(pin.index().live_len(), 3);
-        assert_eq!(store.current_epoch(), 20);
-        assert_eq!(store.pinned_now(), 1);
-        drop(pin);
-        assert_eq!(store.pinned_now(), 0);
-        assert!(store.reclaim() > 0 || store.churn_stats().epochs_reclaimed > 0);
-    }
-
-    #[test]
-    fn publish_waits_for_pins_instead_of_tearing() {
-        // A 2-slot ring: publishing twice while the middle epoch is
-        // pinned must stall, not overwrite the pinned slot.
-        let index = InvertedIndex::build(docs());
-        let store = SnapshotStore::with_slots(IndexSnapshot::new(0, index.clone()), 2);
-        let pin0 = store.pin();
-        store.publish(IndexSnapshot::new(1, index.clone()));
-        let pin1 = store.pin();
-        assert_eq!(pin1.epoch(), 1);
-
-        let s2 = Arc::clone(&store);
-        let idx2 = index.clone();
-        let publisher = std::thread::spawn(move || {
-            // Both slots occupied by pinned epochs: this blocks until one
-            // unpins.
-            s2.publish(IndexSnapshot::new(2, idx2));
-        });
-        while store.churn_stats().publish_stalls == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(store.current_epoch(), 1, "stalled publish must not be visible");
-        drop(pin0);
-        publisher.join().unwrap();
-        assert_eq!(store.current_epoch(), 2);
-        assert_eq!(pin1.epoch(), 1, "held pin unaffected by the publish");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use qrw_core::QueryRewriter;
 use qrw_nmt::{top_n_sampling_batch, Hypothesis, QuantStudent, Seq2Seq, TopNSampling};
 use qrw_tensor::rng::StdRng;
+use qrw_tensor::serialize::Fnv1a;
 use qrw_text::{Vocab, NUM_SPECIALS};
 
 /// FNV-1a over the query tokens, with a separator fold per token so
@@ -31,17 +32,7 @@ use qrw_text::{Vocab, NUM_SPECIALS};
 /// routing in [`AdmissionQueue`](crate::AdmissionQueue), so identical
 /// in-flight queries always meet on one shard and coalesce locally.
 pub fn fnv1a_tokens(tokens: &[String]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for t in tokens {
-        for b in t.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    Fnv1a::default().tokens(tokens).finish()
 }
 
 /// A thread-safe, batch-capable q2q rewriter sharing its model and vocab
@@ -350,5 +341,16 @@ mod tests {
     fn token_hash_separates_token_boundaries() {
         assert_ne!(fnv1a_tokens(&toks("ab c")), fnv1a_tokens(&toks("a bc")));
         assert_eq!(fnv1a_tokens(&toks("a b")), fnv1a_tokens(&toks("a b")));
+    }
+
+    /// Pins the hash's output: it seeds the per-query sampling RNG and
+    /// routes mailboxes, so any changed bit changes responses.
+    #[test]
+    fn token_hash_golden_values() {
+        assert_eq!(fnv1a_tokens(&toks("")), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a_tokens(&toks("red")), 0x4CF0_E81F_BFE7_27B9);
+        assert_eq!(fnv1a_tokens(&toks("red shoes")), 0xDC46_F8C6_7E12_AB80);
+        assert_eq!(fnv1a_tokens(&toks("ab c")), 0x20BA_9B30_25A8_B421);
+        assert_eq!(fnv1a_tokens(&toks("chaussures été")), 0xB2E1_66BD_1C01_6E33);
     }
 }

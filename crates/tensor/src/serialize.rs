@@ -164,12 +164,47 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// valid file swapped for another. FNV-1a's multiply is non-linear, so
 /// it has no such degeneracy.
 pub fn fnv1a64(tag: &[u8], bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in tag.iter().chain(bytes) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    Fnv1a::default().bytes(tag).bytes(bytes).finish()
+}
+
+/// Streaming FNV-1a 64: the one hash the whole stack keys on — MANIFEST
+/// seals ([`fnv1a64`]), rewrite-cache stripes and session scopes,
+/// document and mailbox routing, and the per-query sampling seeds. Each
+/// caller folds its input through the same byte step; the token and query
+/// folds add separators so differently split inputs hash apart.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    pub fn byte(self, b: u8) -> Self {
+        Fnv1a((self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+    }
+
+    pub fn bytes(self, bytes: &[u8]) -> Self {
+        bytes.iter().fold(self, |h, &b| h.byte(b))
+    }
+
+    /// Each token's bytes then a `0xff` separator, so `["ab","c"]` and
+    /// `["a","bc"]` hash apart.
+    pub fn tokens(self, tokens: &[String]) -> Self {
+        tokens.iter().fold(self, |h, t| h.bytes(t.as_bytes()).byte(0xff))
+    }
+
+    /// Each query's [`tokens`](Self::tokens) then a `0xfe` separator, so
+    /// `[["a","b"]]` and `[["a"],["b"]]` hash apart.
+    pub fn queries(self, queries: &[Vec<String>]) -> Self {
+        queries.iter().fold(self, |h, q| h.tokens(q).byte(0xfe))
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 fn put_u32_le(buf: &mut Vec<u8>, x: u32) {
@@ -697,5 +732,14 @@ mod tests {
         // Standard FNV-1a 64 check value, and tag ∥ bytes concatenation.
         assert_eq!(fnv1a64(b"", b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_eq!(fnv1a64(b"ab", b"c"), fnv1a64(b"", b"abc"));
+    }
+
+    /// Pins `fnv1a64`'s output: it seals every MANIFEST, so a changed bit
+    /// would make existing checkpoints unreadable.
+    #[test]
+    fn fnv1a64_golden_values() {
+        assert_eq!(fnv1a64(b"", b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a64(b"IDX1", b"hello"), 0x918D_1801_AD3F_89E9);
+        assert_eq!(fnv1a64(b"tag", &[0, 1, 2, 255]), 0x65BD_A180_C9B4_7803);
     }
 }
