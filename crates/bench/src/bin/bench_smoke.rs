@@ -243,6 +243,17 @@ fn bench_matmul() -> BenchRecord {
     });
     record.push("naive_256", s);
 
+    // The two transposed layouts at the same size: one GEMM serves all
+    // three, so they should sit near blocked_256.
+    let s = bench("transpose_a_256", 1, 7, || {
+        std::hint::black_box(a.matmul_transpose_a(&b));
+    });
+    record.push("transpose_a_256", s);
+    let s = bench("transpose_b_256", 1, 7, || {
+        std::hint::black_box(a.matmul_transpose_b(&b));
+    });
+    record.push("transpose_b_256", s);
+
     // Fused epilogue at the decoder's per-step shape (1 row x d_ff).
     let x = random(1, 64);
     let w = random(64, 128);

@@ -117,10 +117,30 @@ impl ClickLog {
     }
 }
 
+/// Consecutive draws without a new distinct query after which
+/// [`generate_queries`] gives up: the catalog's query space holds fewer
+/// distinct queries than were asked for. A space with a query left whose
+/// draw probability is `p` survives the budget with odds `(1 - p)^budget`,
+/// negligible for every query the generator can draw at a useful rate:
+/// drawing all 529 distinct queries of the default catalog never took
+/// more than 6 557 consecutive misses.
+const QUERY_DRAW_BUDGET: usize = 1 << 16;
+
+/// # Panics
+/// Panics when [`QUERY_DRAW_BUDGET`] consecutive draws repeat queries
+/// already generated, i.e. the catalog cannot supply `n` distinct queries.
 fn generate_queries(catalog: &Catalog, n: usize, rng: &mut StdRng) -> Vec<GeneratedQuery> {
     let mut queries = Vec::with_capacity(n);
+    let mut misses = 0;
     let n_cats = catalog.categories.len();
     while queries.len() < n {
+        assert!(
+            misses < QUERY_DRAW_BUDGET,
+            "query space exhausted: {} distinct queries over {n_cats} categories, \
+             {n} asked for (no new query in {QUERY_DRAW_BUDGET} draws)",
+            queries.len()
+        );
+        misses += 1;
         // Zipf-ish category pick: flagships (low ids) get more traffic.
         let cat_id = zipf(rng, n_cats);
         let cat = catalog.category(cat_id);
@@ -208,6 +228,7 @@ fn generate_queries(catalog: &Catalog, n: usize, rng: &mut StdRng) -> Vec<Genera
         // Dedup identical token sequences (they'd be the same log query).
         if !queries.iter().any(|e: &GeneratedQuery| e.tokens == q.tokens) {
             queries.push(q);
+            misses = 0;
         }
     }
     // Zipf head/tail frequency skew: earlier queries are heads. The head
@@ -394,6 +415,14 @@ mod tests {
 
     fn log() -> ClickLog {
         ClickLog::generate(&LogConfig::default())
+    }
+
+    /// The default catalog holds 529 distinct queries: asking for more
+    /// must fail fast with a message, not spin forever.
+    #[test]
+    #[should_panic(expected = "query space exhausted")]
+    fn exhausted_query_space_panics_instead_of_hanging() {
+        ClickLog::generate(&LogConfig { n_queries: 2000, ..LogConfig::default() });
     }
 
     #[test]

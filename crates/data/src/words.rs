@@ -13,6 +13,14 @@ const ONSETS: &[&str] = &[
 ];
 const VOWELS: &[&str] = &["a", "e", "i", "o", "u", "ai", "ou"];
 
+/// Draws a uniform space of `space` strings may take before it counts as
+/// used up. With one string left, `64 * space` draws all miss it with odds
+/// `(1 - 1/space)^(64 * space) < e^-64`, so a space with room left never
+/// trips the budget in practice.
+fn draw_budget(space: usize) -> usize {
+    space.saturating_mul(64)
+}
+
 /// Generates unique pronounceable pseudo-words.
 pub struct WordMaker {
     rng: StdRng,
@@ -25,9 +33,14 @@ impl WordMaker {
     }
 
     /// A fresh word of `syllables` syllables, never returned before.
+    ///
+    /// # Panics
+    /// Panics when no fresh word turns up within the draw budget (see
+    /// [`draw_budget`]): the space of `syllables`-syllable words is used up.
     pub fn word(&mut self, syllables: usize) -> String {
         assert!(syllables > 0, "word needs at least one syllable");
-        loop {
+        let space = (ONSETS.len() * VOWELS.len()).saturating_pow(syllables as u32);
+        for _ in 0..draw_budget(space) {
             let mut w = String::new();
             for _ in 0..syllables {
                 w.push_str(ONSETS[self.rng.gen_range(0..ONSETS.len())]);
@@ -37,19 +50,27 @@ impl WordMaker {
                 return w;
             }
         }
+        panic!("{syllables}-syllable word space exhausted: all {space} words are used");
     }
 
     /// A fresh alphanumeric model code like `x78s`.
+    ///
+    /// # Panics
+    /// Panics when no fresh code turns up within the draw budget: the
+    /// model-code space is used up.
     pub fn model_code(&mut self) -> String {
-        loop {
+        const SUFFIXES: [&str; 5] = ["", "s", "x", "pro", "plus"];
+        let space = 26 * 90 * SUFFIXES.len();
+        for _ in 0..draw_budget(space) {
             let letter = (b'a' + self.rng.gen_range(0..26u8)) as char;
             let num = self.rng.gen_range(10..100u32);
-            let suffix = ["", "s", "x", "pro", "plus"][self.rng.gen_range(0..5)];
+            let suffix = SUFFIXES[self.rng.gen_range(0..SUFFIXES.len())];
             let w = format!("{letter}{num}{suffix}");
             if self.used.insert(w.clone()) {
                 return w;
             }
         }
+        panic!("model-code space exhausted: all {space} codes are used");
     }
 
     /// Marks an externally-chosen word as used so procedural words never
@@ -83,6 +104,15 @@ mod tests {
         let next = probe.word(2);
         m.reserve(&next);
         assert_ne!(m.word(2), next);
+    }
+
+    #[test]
+    #[should_panic(expected = "1-syllable word space exhausted: all 154 words are used")]
+    fn exhausted_word_space_panics_instead_of_hanging() {
+        let mut m = WordMaker::new(StdRng::seed_from_u64(4));
+        for _ in 0..=ONSETS.len() * VOWELS.len() {
+            m.word(1);
+        }
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!
 //! * [`Tensor`] — dense row-major `f32` matrices with the usual kernels
 //!   (matmul, softmax, layer norm building blocks).
+//! * [`gemm`] — the one register-tiled f32 GEMM behind all three matmul
+//!   layouts, bitwise identical to the naive triple loop.
 //! * [`Tape`] / [`Var`] — an eager autodiff tape with a closed op set; every
 //!   backward rule is finite-difference tested.
 //! * [`Param`] / [`ParamSet`] — shared trainable parameters; gradients
@@ -25,6 +27,7 @@
 //!   external `rand`).
 //! * [`sync`] — poison-recovering locks over `std::sync`.
 
+pub mod gemm;
 pub mod init;
 pub mod optim;
 pub mod param;
@@ -39,4 +42,20 @@ pub use param::{Param, ParamSet};
 pub use quant::{dot_i8, quantize_row, QuantizedMatrix, QuantizedRows};
 pub use rng::StdRng;
 pub use tape::{Gradients, Tape, Var};
-pub use tensor::{log_sum_exp, Activation, Tensor, PAR_MIN_WORK};
+pub use gemm::PAR_MIN_WORK;
+pub use tensor::{log_sum_exp, Activation, Tensor};
+
+/// True when the CPU supports AVX2, the one probe behind every SIMD
+/// dispatch in this crate (the f32 [`gemm`] and the i8 [`quant`]
+/// kernels). Always false off x86-64; the detection macro caches it.
+#[inline]
+pub fn avx2_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}

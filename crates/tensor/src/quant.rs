@@ -1,7 +1,7 @@
 //! Quantized (i8, per-row scaled) matrices and their integer microkernels.
 //!
 //! The distilled q2q student decodes through these kernels instead of the
-//! f32 blocked-tile path in [`crate::tensor`]. The design choices are all
+//! f32 register-tiled GEMM in [`crate::gemm`]. The design choices are all
 //! in service of two bars: speed (≥2× tokens/s over the f32 KV-cached
 //! teacher) and bitwise determinism across runs *and* thread counts.
 //!
@@ -30,21 +30,9 @@
 //!   results, only speed. The scalar [`dot_i8`] stays the reference the
 //!   property tests pin the SIMD path against.
 
-use crate::tensor::{Tensor, PAR_MIN_WORK};
-
-/// True when the AVX2 integer kernels are compiled in and the CPU
-/// supports them (cached by the feature-detection macro).
-#[inline]
-fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
+use crate::avx2_available;
+use crate::gemm::PAR_MIN_WORK;
+use crate::tensor::Tensor;
 
 /// AVX2 row kernels. Everything here computes bit-identical `i32`
 /// accumulators to the scalar loops: `vpmaddwd` sums adjacent i16
@@ -101,9 +89,48 @@ mod avx2 {
         sum
     }
 
-    /// The full matvec row loop: one dot + f32 epilogue per output row,
-    /// entirely inside the `target_feature` region so nothing is paid
-    /// per row but the kernel itself.
+    /// Four integer dot products at once: `x` against the rows at `w`,
+    /// `w + stride`, `w + 2 * stride` and `w + 3 * stride`, each over
+    /// `len` elements, as the four i32 lanes — exact, each equal to the
+    /// scalar loop. One widened load of `x` feeds all four rows, and one
+    /// `vphaddd` tree reduces the four accumulators together instead of
+    /// four separate [`hsum`]s.
+    ///
+    /// # Safety
+    /// Requires AVX2; `x` must be readable for `len` bytes and `w` for
+    /// `3 * stride + len` bytes.
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot4(x: *const i8, w: *const i8, stride: usize, len: usize) -> __m128i {
+        let chunks = len / 16;
+        let mut acc = [_mm256_setzero_si256(); 4];
+        for c in 0..chunks {
+            let wx = _mm256_cvtepi8_epi16(_mm_loadu_si128(x.add(c * 16).cast()));
+            for (r, a) in acc.iter_mut().enumerate() {
+                let ww = _mm256_cvtepi8_epi16(_mm_loadu_si128(w.add(r * stride + c * 16).cast()));
+                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(wx, ww));
+            }
+        }
+        // Lane r of both 128-bit halves holds row r's partial sums.
+        let s = _mm256_hadd_epi32(
+            _mm256_hadd_epi32(acc[0], acc[1]),
+            _mm256_hadd_epi32(acc[2], acc[3]),
+        );
+        let mut tail = [0i32; 4];
+        for i in chunks * 16..len {
+            for (r, t) in tail.iter_mut().enumerate() {
+                *t += i32::from(*x.add(i)) * i32::from(*w.add(r * stride + i));
+            }
+        }
+        let s = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
+        _mm_add_epi32(s, _mm_loadu_si128(tail.as_ptr().cast()))
+    }
+
+    /// The full matvec row loop, entirely inside the `target_feature`
+    /// region so nothing is paid per row but the kernel itself: four rows
+    /// at a time through [`dot4`] with the epilogue in four f32 lanes, the
+    /// last `rows % 4` through [`dot`] with a scalar epilogue. Each lane
+    /// computes `acc as f32 * x_scale * scale_j + bias_j` with the same
+    /// operations in the same order as the scalar path, so the bits match.
     ///
     /// # Safety
     /// Requires AVX2; `data` must hold `out.len()` rows of `cols` bytes
@@ -119,7 +146,18 @@ mod avx2 {
         bias: Option<&[f32]>,
         out: &mut [f32],
     ) {
-        for (j, slot) in out.iter_mut().enumerate() {
+        let blocked = out.len() / 4 * 4;
+        let xs = _mm_set1_ps(x_scale);
+        for j in (0..blocked).step_by(4) {
+            let acc = dot4(xq.as_ptr(), data.as_ptr().add(j * cols), cols, cols);
+            let y = _mm_mul_ps(_mm_cvtepi32_ps(acc), xs);
+            let mut y = _mm_mul_ps(y, _mm_loadu_ps(scales.as_ptr().add(j)));
+            if let Some(b) = bias {
+                y = _mm_add_ps(y, _mm_loadu_ps(b.as_ptr().add(j)));
+            }
+            _mm_storeu_ps(out.as_mut_ptr().add(j), y);
+        }
+        for (j, slot) in out.iter_mut().enumerate().skip(blocked) {
             let acc = dot(xq.as_ptr(), data.as_ptr().add(j * cols), cols);
             let mut y = acc as f32 * x_scale * scales[j];
             if let Some(b) = bias {
@@ -568,16 +606,24 @@ mod tests {
         // result must equal the scalar dot_i8 + fixed-order epilogue
         // exactly — aligned widths, ragged tails, and sub-chunk widths.
         for cols in [8usize, 16, 31, 32, 48, 100] {
-            let w = random_tensor(cols, 20, cols as u64);
-            let q = QuantizedMatrix::from_weight(&w);
             let x = random_tensor(1, cols, 1000 + cols as u64);
             let (xq, xs) = quantize_row(x.row_slice(0));
-            let bias: Vec<f32> = (0..20).map(|i| i as f32 * 0.25 - 2.0).collect();
-            let mut out = vec![0.0f32; 20];
-            q.matvec_quantized(&xq, xs, Some(&bias), &mut out);
-            for (j, &got) in out.iter().enumerate() {
-                let want = dot_i8(&xq, q.row(j)) as f32 * xs * q.scales()[j] + bias[j];
-                assert_eq!(got.to_bits(), want.to_bits(), "matvec cols {cols}, row {j}");
+            // Row counts around the four-row blocks of the AVX2 matvec.
+            for rows in [1usize, 3, 4, 20, 23] {
+                let w = random_tensor(cols, rows, cols as u64);
+                let q = QuantizedMatrix::from_weight(&w);
+                let bias: Vec<f32> = (0..rows).map(|i| i as f32 * 0.25 - 2.0).collect();
+                let mut out = vec![0.0f32; rows];
+                q.matvec_quantized(&xq, xs, Some(&bias), &mut out);
+                for (j, &got) in out.iter().enumerate() {
+                    let want = dot_i8(&xq, q.row(j)) as f32 * xs * q.scales()[j] + bias[j];
+                    assert_eq!(got.to_bits(), want.to_bits(), "matvec {rows}x{cols}, row {j}");
+                }
+                q.matvec_quantized(&xq, xs, None, &mut out);
+                for (j, &got) in out.iter().enumerate() {
+                    let want = dot_i8(&xq, q.row(j)) as f32 * xs * q.scales()[j];
+                    assert_eq!(got.to_bits(), want.to_bits(), "no-bias {rows}x{cols}, row {j}");
+                }
             }
 
             let keys = QuantizedRows::from_tensor(&random_tensor(9, cols, 7 + cols as u64));

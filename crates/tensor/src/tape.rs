@@ -430,39 +430,56 @@ impl<'t> Var<'t> {
         self.value().item()
     }
 
-    fn binary(&self, other: Var<'t>, value: Tensor, op: Op) -> Var<'t> {
+    /// Records `op` with the value `f` computes from this node's value,
+    /// borrowed in place rather than copied.
+    fn unary(&self, f: impl FnOnce(&Tensor) -> Tensor, op: Op) -> Var<'t> {
+        let v = f(&self.tape.nodes.borrow()[self.idx].value);
+        self.tape.push(v, op)
+    }
+
+    /// Records `op` with the value `f` computes from both operands'
+    /// values, borrowed in place under one borrow of the tape.
+    fn binary(
+        &self,
+        other: Var<'t>,
+        f: impl FnOnce(&Tensor, &Tensor) -> Tensor,
+        op: Op,
+    ) -> Var<'t> {
         debug_assert!(std::ptr::eq(self.tape, other.tape), "vars from different tapes");
-        self.tape.push(value, op)
+        let v = {
+            let nodes = self.tape.nodes.borrow();
+            f(&nodes[self.idx].value, &nodes[other.idx].value)
+        };
+        self.tape.push(v, op)
     }
 
     pub fn add(&self, other: Var<'t>) -> Var<'t> {
-        let v = self.value().add(&other.value());
-        self.binary(other, v, Op::Add(self.idx, other.idx))
+        self.binary(other, Tensor::add, Op::Add(self.idx, other.idx))
     }
 
     /// Adds a `1 x cols` row vector (e.g. a bias) to every row.
     pub fn add_broadcast_row(&self, row: Var<'t>) -> Var<'t> {
-        let v = self.value().add_row_broadcast(&row.value());
-        self.binary(row, v, Op::AddBroadcastRow(self.idx, row.idx))
+        self.binary(row, Tensor::add_row_broadcast, Op::AddBroadcastRow(self.idx, row.idx))
     }
 
     pub fn sub(&self, other: Var<'t>) -> Var<'t> {
-        let v = self.value().sub(&other.value());
-        self.binary(other, v, Op::Sub(self.idx, other.idx))
+        self.binary(other, Tensor::sub, Op::Sub(self.idx, other.idx))
     }
 
     pub fn mul(&self, other: Var<'t>) -> Var<'t> {
-        let v = self.value().mul(&other.value());
-        self.binary(other, v, Op::Mul(self.idx, other.idx))
+        self.binary(other, Tensor::mul, Op::Mul(self.idx, other.idx))
     }
 
     /// `alpha * x + beta` elementwise.
     pub fn affine(&self, alpha: f32, beta: f32) -> Var<'t> {
-        let mut v = self.value().scale(alpha);
-        for x in v.data_mut() {
-            *x += beta;
-        }
-        self.tape.push(v, Op::Affine { x: self.idx, alpha })
+        let f = |x: &Tensor| {
+            let mut v = x.scale(alpha);
+            for x in v.data_mut() {
+                *x += beta;
+            }
+            v
+        };
+        self.unary(f, Op::Affine { x: self.idx, alpha })
     }
 
     pub fn scale(&self, alpha: f32) -> Var<'t> {
@@ -476,19 +493,16 @@ impl<'t> Var<'t> {
 
     /// Adds a constant tensor (mask / positional encoding); no gradient to it.
     pub fn add_const(&self, c: &Tensor) -> Var<'t> {
-        let v = self.value().add(c);
-        self.tape.push(v, Op::AddConst(self.idx))
+        self.unary(|x| x.add(c), Op::AddConst(self.idx))
     }
 
     pub fn matmul(&self, other: Var<'t>) -> Var<'t> {
-        let v = self.value().matmul(&other.value());
-        self.binary(other, v, Op::MatMul(self.idx, other.idx))
+        self.binary(other, Tensor::matmul, Op::MatMul(self.idx, other.idx))
     }
 
     /// `self @ other^T`.
     pub fn matmul_transpose_b(&self, other: Var<'t>) -> Var<'t> {
-        let v = self.value().matmul_transpose_b(&other.value());
-        self.binary(other, v, Op::MatMulTransB(self.idx, other.idx))
+        self.binary(other, Tensor::matmul_transpose_b, Op::MatMulTransB(self.idx, other.idx))
     }
 
     pub fn transpose(&self) -> Var<'t> {
@@ -497,13 +511,11 @@ impl<'t> Var<'t> {
     }
 
     pub fn row_softmax(&self) -> Var<'t> {
-        let v = self.value().row_softmax();
-        self.tape.push(v, Op::RowSoftmax(self.idx))
+        self.unary(Tensor::row_softmax, Op::RowSoftmax(self.idx))
     }
 
     pub fn row_log_softmax(&self) -> Var<'t> {
-        let v = self.value().row_log_softmax();
-        self.tape.push(v, Op::RowLogSoftmax(self.idx))
+        self.unary(Tensor::row_log_softmax, Op::RowLogSoftmax(self.idx))
     }
 
     /// Weighted token-level negative log-likelihood, summed:
@@ -625,13 +637,11 @@ impl<'t> Var<'t> {
     }
 
     pub fn slice_cols(&self, start: usize, len: usize) -> Var<'t> {
-        let v = self.value().slice_cols(start, len);
-        self.tape.push(v, Op::SliceCols { x: self.idx, start, len })
+        self.unary(|x| x.slice_cols(start, len), Op::SliceCols { x: self.idx, start, len })
     }
 
     pub fn slice_rows(&self, start: usize, len: usize) -> Var<'t> {
-        let v = self.value().slice_rows(start, len);
-        self.tape.push(v, Op::SliceRows { x: self.idx, start, len })
+        self.unary(|x| x.slice_rows(start, len), Op::SliceRows { x: self.idx, start, len })
     }
 
     /// Stacks nodes top-to-bottom (RNN step outputs into a sequence).
@@ -645,8 +655,7 @@ impl<'t> Var<'t> {
     }
 
     pub fn mean_rows(&self) -> Var<'t> {
-        let v = self.value().mean_rows();
-        self.tape.push(v, Op::MeanRows(self.idx))
+        self.unary(Tensor::mean_rows, Op::MeanRows(self.idx))
     }
 
     /// Sum of same-shaped nodes.

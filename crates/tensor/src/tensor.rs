@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use crate::gemm::{self, Layout};
+
 /// A dense row-major matrix of `f32` values.
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
@@ -195,61 +197,31 @@ impl Tensor {
 
     /// Matrix product `self[m,k] @ other[k,n] -> [m,n]`.
     ///
-    /// Runs a blocked kernel, row-parallel over `std::thread::scope` above
-    /// [`PAR_MIN_WORK`] multiply-accumulates. Every output row is computed
-    /// by exactly one thread with the same accumulation order as the naive
-    /// triple loop, so results are bitwise identical to the serial path.
+    /// Runs the register-tiled kernel of [`crate::gemm`], row-parallel
+    /// over `std::thread::scope` above [`crate::PAR_MIN_WORK`] multiply-accumulates.
+    /// Every output is accumulated from `+0.0` in ascending k, so results
+    /// are bitwise identical to the naive triple loop and to the serial path.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(m, n);
-        parallel_rows(m, m * k * n, &mut out.data, n, |row0, a_rows, out_chunk| {
-            matmul_kernel(&self.data[row0 * k..(row0 + a_rows) * k], &other.data, out_chunk, k, n);
-        });
-        out
+        gemm::product(self, other, Layout::Plain)
     }
 
     /// Matrix product with the second operand transposed:
     /// `self[m,k] @ other[n,k]^T -> [m,n]`.
     ///
     /// This is the natural layout for attention scores `Q K^T` where both
-    /// `Q` and `K` are stored row-major per token. Parallelizes over output
-    /// rows like [`Tensor::matmul`].
+    /// `Q` and `K` are stored row-major per token. Bitwise identical to
+    /// `self.matmul(&other.transpose())`.
     pub fn matmul_transpose_b(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose_b: {}x{} @ ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Tensor::zeros(m, n);
-        parallel_rows(m, m * k * n, &mut out.data, n, |row0, a_rows, out_chunk| {
-            matmul_tb_kernel(&self.data[row0 * k..(row0 + a_rows) * k], &other.data, out_chunk, k, n);
-        });
-        out
+        gemm::product(self, other, Layout::TransposeB)
     }
 
     /// Matrix product with the first operand transposed:
     /// `self[k,m]^T @ other[k,n] -> [m,n]`.
     ///
-    /// Used by matmul backward passes (`dW = X^T dY`). Parallelizes over
-    /// output rows (columns of `self`) like [`Tensor::matmul`].
+    /// Used by matmul backward passes (`dW = X^T dY`). Bitwise identical to
+    /// `self.transpose().matmul(other)`.
     pub fn matmul_transpose_a(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_transpose_a: ({}x{})^T @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(m, n);
-        parallel_rows(m, m * k * n, &mut out.data, n, |row0, a_cols, out_chunk| {
-            matmul_ta_kernel(&self.data, &other.data, out_chunk, row0, a_cols, m, k, n);
-        });
-        out
+        gemm::product(self, other, Layout::TransposeA)
     }
 
     /// Fused `act(self @ w + bias)`: one output allocation, bias add and
@@ -416,131 +388,6 @@ pub enum Activation {
     Relu,
 }
 
-/// Multiply-accumulate count above which matmuls fan out over threads.
-/// Below it, thread-spawn overhead (~tens of µs) exceeds the arithmetic —
-/// the serving-time single-row vocabulary projections stay serial.
-pub const PAR_MIN_WORK: usize = 1 << 21;
-
-/// Output-row tile height of the blocked kernel: `TILE_I x TILE_J` output
-/// values (4 KiB at 8x128) plus one `TILE_J` stripe of `b` stay resident
-/// in L1 while the k-loop streams over `b` rows.
-const TILE_I: usize = 8;
-/// Output-column tile width (one 512-byte stripe of `b` per k-step).
-const TILE_J: usize = 128;
-
-fn matmul_threads(rows: usize, work: usize) -> usize {
-    if rows < 2 || work < PAR_MIN_WORK {
-        return 1;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get()).min(rows)
-}
-
-/// Runs `f(first_row, row_count, out_rows)` over disjoint row chunks of
-/// `out`, in parallel when the work justifies it. Each output row is
-/// written by exactly one invocation, so the split cannot change results.
-fn parallel_rows(
-    m: usize,
-    work: usize,
-    out: &mut [f32],
-    n: usize,
-    f: impl Fn(usize, usize, &mut [f32]) + Sync,
-) {
-    let threads = matmul_threads(m, work);
-    if threads <= 1 || n == 0 {
-        f(0, m, out);
-        return;
-    }
-    let chunk_rows = m.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (ti, out_chunk) in out.chunks_mut(chunk_rows * n).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                f(ti * chunk_rows, out_chunk.len() / n, out_chunk);
-            });
-        }
-    });
-}
-
-/// Blocked `out += a[m,k] @ b[k,n]` over row-major slices (`out` starts
-/// zeroed). For every output element the k-accumulation runs ascending
-/// from zero — the naive triple loop's order — so results are bitwise
-/// identical to it; blocking only reorders *which element* is updated
-/// next, never the terms within one element.
-fn matmul_kernel(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    if k == 0 || n == 0 {
-        return;
-    }
-    let m = a.len() / k;
-    for i0 in (0..m).step_by(TILE_I) {
-        let i1 = (i0 + TILE_I).min(m);
-        for j0 in (0..n).step_by(TILE_J) {
-            let j1 = (j0 + TILE_J).min(n);
-            for p in 0..k {
-                let b_seg = &b[p * n + j0..p * n + j1];
-                for i in i0..i1 {
-                    let aip = a[i * k + p];
-                    let o = &mut out[i * n + j0..i * n + j1];
-                    for (ov, &bv) in o.iter_mut().zip(b_seg) {
-                        *ov += aip * bv;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `out[m,n] = a[m,k] @ b[n,k]^T`: each output value is one row-row dot
-/// product, accumulated ascending over k exactly like the naive loop.
-fn matmul_tb_kernel(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    if n == 0 {
-        return;
-    }
-    let m = out.len() / n;
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            // Explicit +0.0-seeded fold: `iter::sum::<f32>` seeds with
-            // -0.0, which breaks bitwise equality with the naive loop on
-            // empty / all-negative-zero reductions.
-            let mut sum = 0.0f32;
-            for (x, y) in a_row.iter().zip(b_row) {
-                sum += x * y;
-            }
-            *o = sum;
-        }
-    }
-}
-
-/// `out[ncols,n] = a[k,m]^T @ b[k,n]` restricted to `a` columns
-/// `[col0, col0+ncols)`. The p-loop ascends, matching the naive order.
-#[allow(clippy::too_many_arguments)] // flat BLAS-style dims beat a one-off struct here
-fn matmul_ta_kernel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    col0: usize,
-    ncols: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if n == 0 {
-        return;
-    }
-    for p in 0..k {
-        let a_seg = &a[p * m + col0..p * m + col0 + ncols];
-        let b_row = &b[p * n..(p + 1) * n];
-        for (i, &av) in a_seg.iter().enumerate() {
-            let o = &mut out[i * n..(i + 1) * n];
-            for (ov, &bv) in o.iter_mut().zip(b_row) {
-                *ov += av * bv;
-            }
-        }
-    }
-}
-
 /// Dot product of two equal-length slices.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -627,22 +474,18 @@ mod tests {
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn matmul_transpose_variants_agree_with_plain_matmul() {
         let a = Tensor::from_vec(2, 3, vec![1., -2., 3., 0.5, 5., -6.]);
         let b = Tensor::from_vec(4, 3, vec![1., 0., 2., -1., 3., 1., 0., 0.5, 2., 2., 1., 1.]);
-        let via_t = a.matmul(&b.transpose());
-        let direct = a.matmul_transpose_b(&b);
-        for (x, y) in via_t.data().iter().zip(direct.data()) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        assert_eq!(bits(&a.matmul(&b.transpose())), bits(&a.matmul_transpose_b(&b)));
         let c = Tensor::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let d = Tensor::from_vec(3, 4, vec![0.; 12]).add(&Tensor::full(3, 4, 1.0));
-        let via_t2 = c.transpose().matmul(&d);
-        let direct2 = c.matmul_transpose_a(&d);
-        for (x, y) in via_t2.data().iter().zip(direct2.data()) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        assert_eq!(bits(&c.transpose().matmul(&d)), bits(&c.matmul_transpose_a(&d)));
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Property tests: the blocked / row-parallel matmul kernels must equal
-//! the naive triple loop *exactly* (bitwise), across random shapes
-//! including degenerate (0-row, 1-row, zero inner dimension) and
-//! non-multiple-of-tile sizes. The kernels keep the per-element
-//! k-accumulation in ascending order precisely so this holds; a tolerance
-//! here would let accumulation-order drift creep into the KV-cache
-//! equivalence guarantees upstream.
+//! Property tests: the register-tiled, row-parallel GEMM (`qrw_tensor::gemm`)
+//! must equal the naive triple loop *exactly* (bitwise) in all three
+//! layouts, across random shapes including degenerate (0-row, 1-row, zero
+//! inner dimension) and non-multiple-of-tile sizes, and on IEEE special
+//! values; and its AVX2 copy must equal its portable copy bit for bit.
+//! The kernel keeps the per-element k-accumulation in ascending order
+//! precisely so this holds; a tolerance here would let accumulation-order
+//! drift creep into the KV-cache equivalence guarantees upstream.
 
+use qrw_tensor::gemm::{product_portable, Layout};
 use qrw_tensor::rng::StdRng;
-use qrw_tensor::{Activation, Tensor, PAR_MIN_WORK};
+use qrw_tensor::{avx2_available, Activation, Tensor, PAR_MIN_WORK};
 
 fn random(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
     let data = (0..rows * cols).map(|_| rng.gen::<f32>() * 4.0 - 2.0).collect();
@@ -76,10 +78,14 @@ fn assert_bitwise_eq(got: &Tensor, want: &Tensor, what: &str) {
     }
 }
 
-/// Shapes chosen to straddle the 8x128 tile: degenerate rows, single
-/// rows/cols, tile-exact sizes, and off-by-one around tile boundaries.
+/// `(m, k, n)` shapes: degenerate rows, single rows/cols, and a grid that
+/// straddles the 4x16 microkernel tile — row counts below, at and above
+/// one tile height (so 1-, 2- and 3-row remainders), column counts one
+/// short of, at, one past and a multiple of one tile width (the
+/// zero-padded fringe panel), and empty or single-step k loops. The
+/// wide single-row tiles (4 panels) run on `n >= 64`.
 fn shapes() -> Vec<(usize, usize, usize)> {
-    vec![
+    let mut shapes = vec![
         (0, 3, 4),
         (3, 0, 4),
         (3, 4, 0),
@@ -91,7 +97,42 @@ fn shapes() -> Vec<(usize, usize, usize)> {
         (9, 17, 129),
         (16, 8, 256),
         (33, 31, 65),
+    ];
+    for m in [1, 2, 3, 4, 5, 6] {
+        for n in [15, 16, 17, 48] {
+            for k in [0, 1, 13] {
+                shapes.push((m, k, n));
+            }
+        }
+    }
+    shapes
+}
+
+/// The three products of `(m, k, n)` on `rng` draws, as
+/// `(layout, a, b, naive result)`.
+fn products(
+    rng: &mut StdRng,
+    (m, k, n): (usize, usize, usize),
+    draw: impl Fn(&mut StdRng, usize, usize) -> Tensor,
+) -> Vec<(Layout, Tensor, Tensor, Tensor)> {
+    let (a, b) = (draw(rng, m, k), draw(rng, k, n));
+    let plain = naive_matmul(&a, &b);
+    let (at, bt) = (draw(rng, k, m), draw(rng, n, k));
+    let ta = naive_ta(&at, &b);
+    let tb = naive_tb(&a, &bt);
+    vec![
+        (Layout::Plain, a.clone(), b.clone(), plain),
+        (Layout::TransposeA, at, b, ta),
+        (Layout::TransposeB, a, bt, tb),
     ]
+}
+
+fn dispatched(a: &Tensor, b: &Tensor, layout: Layout) -> Tensor {
+    match layout {
+        Layout::Plain => a.matmul(b),
+        Layout::TransposeA => a.matmul_transpose_a(b),
+        Layout::TransposeB => a.matmul_transpose_b(b),
+    }
 }
 
 #[test]
@@ -152,6 +193,80 @@ fn fuzzed_shapes_match_naive() {
         let a = random(&mut rng, m, k);
         let b = random(&mut rng, k, n);
         assert_bitwise_eq(&a.matmul(&b), &naive_matmul(&a, &b), &format!("fuzz {m}x{k}x{n}"));
+    }
+}
+
+/// Signed zeros, infinities, NaN and subnormals go through the kernel's
+/// plain `acc += a * b` like any other value: `-0.0` products vanish into
+/// the `+0.0` seed, `inf * 0` makes NaN, subnormals are neither flushed nor
+/// treated as zero. Compared by bits against the naive loop.
+///
+/// The NaN input is the one the hardware itself produces (`inf * 0`), so
+/// every NaN in a sum carries the same bits: which operand's payload an add
+/// of two different NaNs keeps is left open by IEEE 754 and by the compiler.
+#[test]
+fn special_values_match_naive_bitwise() {
+    let nan = std::hint::black_box(f32::INFINITY) * std::hint::black_box(0.0f32);
+    assert!(nan.is_nan());
+    let specials = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        nan,
+        f32::MIN_POSITIVE / 4.0,
+        -f32::MIN_POSITIVE / 3.0,
+        f32::from_bits(1),
+        f32::MAX,
+        1.5,
+        -2.25,
+    ];
+    let draw = |rng: &mut StdRng, rows: usize, cols: usize| {
+        let data = (0..rows * cols)
+            .map(|_| {
+                if rng.gen::<f32>() < 0.5 {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    rng.gen::<f32>() * 4.0 - 2.0
+                }
+            })
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    };
+    // All-negative-zero operands: every product is -0.0 and the sum must
+    // keep the +0.0 seed.
+    let neg = Tensor::full(5, 7, -0.0);
+    let pos = Tensor::full(7, 17, 1.0);
+    assert!(neg.matmul(&pos).data().iter().all(|v| v.to_bits() == 0));
+    let mut rng = StdRng::seed_from_u64(7);
+    for shape in shapes() {
+        for (layout, a, b, want) in products(&mut rng, shape, draw) {
+            let what = format!("special {layout:?} {shape:?}");
+            assert_bitwise_eq(&dispatched(&a, &b, layout), &want, &what);
+            assert_bitwise_eq(&product_portable(&a, &b, layout), &want, &what);
+        }
+    }
+}
+
+/// The AVX2 copy of the kernel (taken by every product on a CPU with
+/// AVX2) against the portable copy, on every shape and layout, bit for
+/// bit — the way `dot_i8` pins the i8 kernels.
+#[test]
+fn avx2_copy_matches_portable_copy_bitwise() {
+    if !avx2_available() {
+        eprintln!("no AVX2 on this CPU: both sides run the portable copy");
+    }
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut all = shapes();
+    all.push((64, 96, 512)); // the threaded path
+    for shape in all {
+        for (layout, a, b, _) in products(&mut rng, shape, random) {
+            assert_bitwise_eq(
+                &dispatched(&a, &b, layout),
+                &product_portable(&a, &b, layout),
+                &format!("avx2 vs portable {layout:?} {shape:?}"),
+            );
+        }
     }
 }
 

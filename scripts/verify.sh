@@ -72,6 +72,10 @@
 # BENCH_online.json at the repo root. When QRW_VERIFY_BUDGET is set to
 # "full", the run extends to 5 days with a 2x per-tick step budget.
 #
+# Always runs the bitwise-oracle suites (matmul_props, quant_props,
+# kv_equivalence) a second time in release mode, on the optimised SIMD
+# code the benchmarks execute.
+#
 # Always runs the test-inventory guard: every crates/*/src module must
 # either contain #[test]s or be exercised by that crate's integration
 # tests (re-export-only entry points are whitelisted below).
@@ -152,6 +156,13 @@ cargo build --release --offline --workspace
 
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
+
+echo "== bit-exactness suites (release, offline) =="
+# The debug run above does not optimise the vectorised kernels or their
+# #[target_feature] copies; the benchmarks run the release machine code,
+# so the bitwise oracles run against it too.
+cargo test --release --offline -p qrw-tensor --test matmul_props --test quant_props
+cargo test --release --offline -p qrw-nmt --test kv_equivalence
 
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
