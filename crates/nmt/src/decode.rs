@@ -234,17 +234,12 @@ pub fn top_n_sampling_batch(
         .iter()
         .zip(&start_states)
         .map(|(first_lp, start_state)| {
-            let mut order: Vec<usize> = (0..first_lp.len())
-                .filter(|&t| t != EOS && first_lp[t].is_finite())
-                .collect();
-            order.sort_by(|&a, &b| first_lp[b].total_cmp(&first_lp[a]));
-            order.truncate(cfg.k);
-            order
+            top_pool(first_lp, cfg.k, &[EOS], |_| {})
                 .into_iter()
-                .map(|tok| Candidate {
+                .map(|(log_prob, tok)| Candidate {
                     prefix: vec![BOS, tok],
                     state: start_state.clone(),
-                    log_prob: first_lp[tok],
+                    log_prob,
                     finished: false,
                 })
                 .collect()
@@ -395,31 +390,83 @@ fn argmax(lp: &[f32]) -> (usize, f32) {
     (best, lp[best])
 }
 
-/// Samples one token among the `n` most likely, proportionally to their
-/// renormalized probabilities.
-fn sample_top_n(lp: &[f32], n: usize, rng: &mut StdRng) -> usize {
-    let mut order: Vec<usize> = (0..lp.len()).filter(|&t| lp[t].is_finite()).collect();
-    if order.is_empty() {
-        // Fully degenerate distribution (every log-prob is NaN/-inf, e.g.
-        // a poisoned model). Emit PAD, which downstream special-token
-        // filters drop; the serve path must not panic.
-        return 0;
+/// The one top-n selection behind every sampler: a single pass over
+/// `values` that insertion-keeps the best `cap` finite entries whose token
+/// is not in `skip`, as `(value, token)` pairs best-first with ties in
+/// ascending token order — exactly a stable descending sort of the finite
+/// entries truncated to `cap`, without sorting the vocabulary.
+/// `each_finite` sees every finite value in token order, skipped tokens
+/// included (the fused epilogues fold it into their log-sum-exp).
+fn top_pool(
+    values: &[f32],
+    cap: usize,
+    skip: &[usize],
+    mut each_finite: impl FnMut(f32),
+) -> Vec<(f32, usize)> {
+    let mut pool: Vec<(f32, usize)> = Vec::with_capacity(cap.min(values.len()) + 1);
+    for (t, &v) in values.iter().enumerate() {
+        if !v.is_finite() {
+            continue;
+        }
+        each_finite(v);
+        if skip.contains(&t) {
+            continue;
+        }
+        // A full pool whose worst entry is >= `v` keeps `v` out (the
+        // common case once the pool fills: one compare, no search).
+        if pool.len() == cap && pool.last().is_none_or(|&(p, _)| p.total_cmp(&v).is_ge()) {
+            continue;
+        }
+        // First index whose value is strictly below `v`: equal values stay
+        // ahead, preserving the stable ascending-token tie order.
+        let pos = pool.partition_point(|&(p, _)| p.total_cmp(&v).is_ge());
+        pool.insert(pos, (v, t));
+        pool.truncate(cap);
     }
-    order.sort_by(|&a, &b| lp[b].total_cmp(&lp[a]));
-    order.truncate(n.max(1));
-    let max = lp[order[0]];
-    let weights: Vec<f32> = order.iter().map(|&t| (lp[t] - max).exp()).collect();
-    let total: f32 = weights.iter().sum();
+    pool
+}
+
+/// [`top_pool`] plus the streaming log-sum-exp of *every* finite value
+/// (softmax normalizes over the full vocabulary, specials included,
+/// before masking) — the fused epilogues' single pass over raw logits.
+fn top_pool_with_lse(logits: &[f32], cap: usize, skip: &[usize]) -> (Vec<(f32, usize)>, f32) {
+    let mut max = f32::NEG_INFINITY;
+    let mut sum = 0.0f32;
+    let pool = top_pool(logits, cap, skip, |l| {
+        if l > max {
+            sum = sum * (max - l).exp() + 1.0;
+            max = l;
+        } else {
+            sum += (l - max).exp();
+        }
+    });
+    (pool, max + sum.ln())
+}
+
+/// Draws one pooled entry proportionally to its probability renormalized
+/// against the pool maximum. `None`, without touching `rng`, for an empty
+/// pool.
+fn sample_pool(pool: &[(f32, usize)], rng: &mut StdRng) -> Option<(f32, usize)> {
+    let &(max, _) = pool.first()?;
+    let total: f32 = pool.iter().map(|&(v, _)| (v - max).exp()).sum();
     let mut draw = rng.gen::<f32>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        draw -= w;
+    for &(v, t) in pool {
+        draw -= (v - max).exp();
         if draw <= 0.0 {
-            return order[i];
+            return Some((v, t));
         }
     }
     // Rounding left `draw` positive past the last weight (or every weight
     // was zero): the least-likely pooled token is the consistent choice.
-    order[order.len() - 1]
+    pool.last().copied()
+}
+
+/// Samples one token among the `n` most likely, proportionally to their
+/// renormalized probabilities. A fully degenerate distribution (every
+/// log-prob NaN/inf, e.g. a poisoned model) yields PAD, which downstream
+/// special-token filters drop: the serve path must not panic.
+pub(crate) fn sample_top_n(lp: &[f32], n: usize, rng: &mut StdRng) -> usize {
+    sample_pool(&top_pool(lp, n.max(1), &[], |_| {}), rng).map_or(PAD, |(_, t)| t)
 }
 
 /// Outcome of one fused decode step: the sampled token and its true model
@@ -433,12 +480,11 @@ pub struct FusedStep {
 /// Fused softmax + top-n-sampling epilogue over raw output *logits*.
 ///
 /// The unfused decode path materializes a full log-softmax vector
-/// (`rows_to_log_probs`), masks the special tokens, sorts the whole
-/// vocabulary, and only then samples. The distilled student instead hands
-/// its raw logits straight here: one pass over the vocabulary maintains a
-/// streaming log-sum-exp (for the true log-prob of whatever gets sampled)
-/// and an insertion-sorted top-`n` pool, then samples from the pool —
-/// no intermediate vocab-sized allocation, no full sort.
+/// (`rows_to_log_probs`), masks the special tokens, and only then selects
+/// its top-`n` pool. The distilled student instead hands its raw logits
+/// straight here: the same [`top_pool`] pass also maintains a streaming
+/// log-sum-exp (for the true log-prob of whatever gets sampled), then
+/// samples from the pool — no intermediate vocab-sized allocation.
 ///
 /// Semantics mirror the unfused pair exactly: PAD/BOS/UNK are excluded
 /// from the pool (they are masked to `-inf` before [`sample_top_n`] on
@@ -446,54 +492,13 @@ pub struct FusedStep {
 /// order), weights renormalize against the pool maximum, and a fully
 /// degenerate input degrades to PAD instead of panicking.
 pub fn fused_top_n_from_logits(logits: &[f32], n: usize, rng: &mut StdRng) -> FusedStep {
-    let cap = n.max(1);
-    // Streaming log-sum-exp over *all* finite logits (softmax normalizes
-    // over the full vocabulary, specials included, before masking).
-    let mut lse_max = f32::NEG_INFINITY;
-    let mut lse_sum = 0.0f32;
-    // Top-n pool of (logit, token), sorted descending, ties in ascending
-    // token order — identical to a stable descending sort.
-    let mut pool: Vec<(f32, usize)> = Vec::with_capacity(cap + 1);
-    for (t, &l) in logits.iter().enumerate() {
-        if !l.is_finite() {
-            continue;
-        }
-        if l > lse_max {
-            lse_sum = lse_sum * (lse_max - l).exp() + 1.0;
-            lse_max = l;
-        } else {
-            lse_sum += (l - lse_max).exp();
-        }
-        if t == PAD || t == BOS || t == UNK {
-            continue;
-        }
-        // First index whose value is strictly below `l`: equal values stay
-        // ahead, preserving the stable ascending-token tie order.
-        let pos = pool.partition_point(|&(v, _)| v.total_cmp(&l).is_ge());
-        if pos == cap {
-            continue;
-        }
-        pool.insert(pos, (l, t));
-        pool.truncate(cap);
-    }
-    if pool.is_empty() {
+    let (pool, lse) = top_pool_with_lse(logits, n.max(1), &[PAD, BOS, UNK]);
+    match sample_pool(&pool, rng) {
+        Some((l, token)) => FusedStep { token, log_prob: l - lse },
         // Fully degenerate logits (every entry NaN/inf, or nothing but
-        // specials survives). Emit PAD, which downstream special-token
-        // filters drop; the serve path must not panic.
-        return FusedStep { token: PAD, log_prob: f32::NEG_INFINITY };
+        // specials survives).
+        None => FusedStep { token: PAD, log_prob: f32::NEG_INFINITY },
     }
-    let lse = lse_max + lse_sum.ln();
-    let max = pool[0].0;
-    let total: f32 = pool.iter().map(|&(l, _)| (l - max).exp()).sum();
-    let mut draw = rng.gen::<f32>() * total;
-    for &(l, t) in &pool {
-        draw -= (l - max).exp();
-        if draw <= 0.0 {
-            return FusedStep { token: t, log_prob: l - lse };
-        }
-    }
-    let &(l, t) = pool.last().expect("pool checked non-empty");
-    FusedStep { token: t, log_prob: l - lse }
 }
 
 /// First-step companion of [`fused_top_n_from_logits`]: the `k` most
@@ -502,30 +507,7 @@ pub fn fused_top_n_from_logits(logits: &[f32], n: usize, rng: &mut StdRng) -> Fu
 /// the fused mirror of the first step of [`top_n_sampling_batch`].
 /// Returns `(token, log_prob)` best-first, ties in ascending token order.
 pub fn top_k_first_tokens_from_logits(logits: &[f32], k: usize) -> Vec<(usize, f32)> {
-    let mut lse_max = f32::NEG_INFINITY;
-    let mut lse_sum = 0.0f32;
-    let mut pool: Vec<(f32, usize)> = Vec::with_capacity(k + 1);
-    for (t, &l) in logits.iter().enumerate() {
-        if !l.is_finite() {
-            continue;
-        }
-        if l > lse_max {
-            lse_sum = lse_sum * (lse_max - l).exp() + 1.0;
-            lse_max = l;
-        } else {
-            lse_sum += (l - lse_max).exp();
-        }
-        if t == PAD || t == BOS || t == UNK || t == EOS {
-            continue;
-        }
-        let pos = pool.partition_point(|&(v, _)| v.total_cmp(&l).is_ge());
-        if pos == k {
-            continue;
-        }
-        pool.insert(pos, (l, t));
-        pool.truncate(k);
-    }
-    let lse = lse_max + lse_sum.ln();
+    let (pool, lse) = top_pool_with_lse(logits, k, &[PAD, BOS, UNK, EOS]);
     pool.into_iter().map(|(l, t)| (t, l - lse)).collect()
 }
 
@@ -664,6 +646,64 @@ mod tests {
         for _ in 0..50 {
             let t = sample_top_n(&lp, 2, &mut rng);
             assert!(t == 0 || t == 2);
+        }
+    }
+
+    /// The full stable sort every selection site ran before the shared
+    /// pool, kept as the oracle [`top_pool`] is pinned against.
+    fn full_sort_pool(lp: &[f32], cap: usize, skip: &[usize]) -> Vec<usize> {
+        let mut order: Vec<usize> =
+            (0..lp.len()).filter(|&t| !skip.contains(&t) && lp[t].is_finite()).collect();
+        order.sort_by(|&a, &b| lp[b].total_cmp(&lp[a]));
+        order.truncate(cap);
+        order
+    }
+
+    /// The full-sort sampler over [`full_sort_pool`], draw for draw.
+    fn full_sort_sample_top_n(lp: &[f32], n: usize, rng: &mut StdRng) -> usize {
+        let order = full_sort_pool(lp, n.max(1), &[]);
+        let Some(&best) = order.first() else { return PAD };
+        let weights: Vec<f32> = order.iter().map(|&t| (lp[t] - lp[best]).exp()).collect();
+        let total: f32 = weights.iter().sum();
+        let mut draw = rng.gen::<f32>() * total;
+        for (i, &w) in weights.iter().enumerate() {
+            draw -= w;
+            if draw <= 0.0 {
+                return order[i];
+            }
+        }
+        order[order.len() - 1]
+    }
+
+    #[test]
+    fn pooled_selection_is_bitwise_the_full_sort() {
+        // Rows over a small palette, so duplicates, ±0.0, ±inf and NaN
+        // all show up next to a few distinct finite entries.
+        const PALETTE: [f32; 7] =
+            [f32::NAN, f32::NEG_INFINITY, f32::INFINITY, 0.0, -0.0, -1.5, -0.25];
+        let mut gen = StdRng::seed_from_u64(0x5eed);
+        for case in 0..3000u64 {
+            let lp: Vec<f32> = (0..gen.gen_range(1..13usize))
+                .map(|_| match PALETTE.get(gen.gen_range(0..10usize)) {
+                    Some(&v) => v,
+                    None => -6.0 * gen.gen::<f32>(),
+                })
+                .collect();
+            let v = lp.len();
+            for n in [1, 3, v - 1, v, v + 5] {
+                let mut want_rng = StdRng::seed_from_u64(case);
+                let mut got_rng = want_rng.clone();
+                let want = full_sort_sample_top_n(&lp, n, &mut want_rng);
+                assert_eq!(sample_top_n(&lp, n, &mut got_rng), want, "case {case} n={n} lp={lp:?}");
+                assert_eq!(got_rng.state(), want_rng.state(), "case {case} n={n}: rng drift");
+            }
+            // The first step's k distinct tokens, k = 0 included.
+            for k in [0, 1, 3, v - 1, v, v + 5] {
+                let got = top_pool(&lp, k, &[EOS], |_| {});
+                let toks: Vec<usize> = got.iter().map(|&(_, t)| t).collect();
+                assert_eq!(toks, full_sort_pool(&lp, k, &[EOS]), "case {case} k={k} lp={lp:?}");
+                assert!(got.iter().all(|&(l, t)| l.to_bits() == lp[t].to_bits()), "case {case}");
+            }
         }
     }
 

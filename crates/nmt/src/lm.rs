@@ -13,6 +13,7 @@ use qrw_tensor::rng::StdRng;
 use qrw_tensor::{ParamSet, Tape, Tensor, Var};
 use qrw_text::BOS;
 
+use crate::decode::sample_top_n;
 use crate::layers::{
     causal_mask, maybe_dropout, positional_encoding, Embedding, FeedForward, LayerNorm, Linear,
     MultiHeadAttention, TrainCtx,
@@ -214,25 +215,6 @@ impl CausalLm {
     }
 }
 
-/// Samples one token among the `n` most likely (shared with the seq2seq
-/// decoders' §III-F behaviour).
-fn sample_top_n(lp: &[f32], n: usize, rng: &mut StdRng) -> usize {
-    let mut order: Vec<usize> = (0..lp.len()).filter(|&t| lp[t].is_finite()).collect();
-    order.sort_by(|&a, &b| lp[b].total_cmp(&lp[a]));
-    order.truncate(n.max(1));
-    let max = lp[order[0]];
-    let weights: Vec<f32> = order.iter().map(|&t| (lp[t] - max).exp()).collect();
-    let total: f32 = weights.iter().sum();
-    let mut draw = rng.gen::<f32>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        draw -= w;
-        if draw <= 0.0 {
-            return order[i];
-        }
-    }
-    *order.last().expect("non-empty pool")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +269,24 @@ mod tests {
         let (cont, stop) = m.sample_until(&[5], &all, 5, 4, &mut rng);
         assert!(cont.is_empty());
         assert!(stop.is_some());
+    }
+
+    #[test]
+    fn sampling_degenerate_log_probs_returns_pad() {
+        // Every weight NaN: every next-token log-prob is non-finite. The
+        // sampler degrades to PAD at each step instead of panicking.
+        let m = lm();
+        for p in m.params().iter() {
+            p.update(|v, _| v.fill(f32::NAN));
+        }
+        assert!(m.next_log_probs(&[5]).iter().all(|v| !v.is_finite()));
+        let mut rng = StdRng::seed_from_u64(2);
+        let (cont, stop) = m.sample_until(&[5], &[], 3, 4, &mut rng);
+        assert_eq!(cont, vec![qrw_text::PAD; 3]);
+        assert_eq!(stop, None);
+        for lp in [vec![f32::NAN; 24], vec![f32::NEG_INFINITY; 24]] {
+            assert_eq!(sample_top_n(&lp, 4, &mut rng), qrw_text::PAD);
+        }
     }
 
     #[test]

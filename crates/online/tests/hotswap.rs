@@ -10,7 +10,7 @@
 //! swap — half old model, half new — some response's rewrites (and hence
 //! its whole Debug rendering) would diverge from the replay.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use qrw_nmt::{ModelConfig, Seq2Seq};
@@ -60,11 +60,30 @@ fn model_pool(vocab: &Arc<Vocab>) -> Vec<SharedRewriter> {
         .collect()
 }
 
+/// Yields until `ready` holds. Panics after a minute instead of hanging
+/// when the other side of the handshake died.
+fn wait_until(ready: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !ready() {
+        assert!(start.elapsed() < std::time::Duration::from_secs(60), "handshake stalled");
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn concurrent_swaps_serve_byte_identical_to_serial_replay() {
     const THREADS: usize = 4;
     const REQUESTS: usize = 24;
     const SWAPS: usize = 20;
+    // Swap `i` (1-based) waits for `i * PACE` served requests, and each
+    // server's last `TAIL` requests wait for the final swap: the first
+    // PACE requests are served from epoch 1 and the last THREADS * TAIL
+    // from the final epoch, so every run straddles swaps by construction.
+    // No deadlock: the final swap needs SWAPS * PACE completions, fewer
+    // than the THREADS * (REQUESTS - TAIL) requests that never wait.
+    const PACE: usize = 4;
+    const TAIL: usize = 2;
+    const _: () = assert!(SWAPS * PACE <= THREADS * (REQUESTS - TAIL));
 
     let (engine, vocab) = world();
     let pool = model_pool(&vocab);
@@ -75,7 +94,8 @@ fn concurrent_swaps_serve_byte_identical_to_serial_replay() {
     let contexts: [Vec<Vec<String>>; 3] =
         [vec![], vec![toks("w1 w9")], vec![toks("w3"), toks("w5 w6")]];
 
-    let stop = AtomicBool::new(false);
+    let completed = AtomicUsize::new(0);
+    let swaps_done = AtomicUsize::new(0);
     // (epoch, model index) in publish order — epoch 1 is pool[0].
     let mut published: Vec<(u64, usize)> = Vec::new();
     // Per-thread: (stamped epoch, context idx, query idx, Debug bytes).
@@ -85,14 +105,12 @@ fn concurrent_swaps_serve_byte_identical_to_serial_replay() {
         let writer = scope.spawn(|| {
             let mut log = Vec::new();
             for i in 0..SWAPS {
+                wait_until(|| completed.load(Ordering::SeqCst) >= (i + 1) * PACE);
                 let which = (i + 1) % 2;
                 let epoch = store.publish(Arc::clone(&pool[which]));
                 log.push((epoch, which));
-                for _ in 0..3 {
-                    std::thread::yield_now();
-                }
+                swaps_done.fetch_add(1, Ordering::SeqCst);
             }
-            stop.store(true, Ordering::SeqCst);
             log
         });
 
@@ -103,9 +121,13 @@ fn concurrent_swaps_serve_byte_identical_to_serial_replay() {
                 let config = &config;
                 let queries = &queries;
                 let contexts = &contexts;
+                let (completed, swaps_done) = (&completed, &swaps_done);
                 scope.spawn(move || {
                     let mut out = Vec::with_capacity(REQUESTS);
                     for r in 0..REQUESTS {
+                        if r >= REQUESTS - TAIL {
+                            wait_until(|| swaps_done.load(Ordering::SeqCst) == SWAPS);
+                        }
                         let qi = (t + r) % queries.len();
                         let ci = (t * 5 + r) % contexts.len();
                         let pin = store.pin();
@@ -122,6 +144,7 @@ fn concurrent_swaps_serve_byte_identical_to_serial_replay() {
                         );
                         assert_eq!(resp.model_epoch, pin.epoch(), "stamp == pinned epoch");
                         out.push((resp.model_epoch, ci, qi, format!("{resp:?}")));
+                        completed.fetch_add(1, Ordering::SeqCst);
                     }
                     out
                 })

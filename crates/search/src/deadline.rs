@@ -109,40 +109,34 @@ impl DeadlineBudget {
     }
 
     /// True when the budget runs on the synthetic clock (only explicit
-    /// charges advance it). The scatter-gather tier uses this to decide
-    /// whether per-shard synthetic charges must be folded back into the
-    /// parent budget after the join.
+    /// charges advance it). Slices inherit their parent's clock kind.
     pub fn is_synthetic(&self) -> bool {
         matches!(self.clock, Clock::Synthetic)
     }
 
     /// A fresh budget covering this budget's remaining time, on the same
-    /// *kind* of clock, with no synthetic charges carried over. Scatter
-    /// workers get one slice each: `DeadlineBudget` is deliberately not
-    /// `Sync` (the synthetic counter is a `Cell`), so each worker owns its
-    /// slice and the parent is charged back at the join.
+    /// *kind* of clock, with no synthetic charges carried over (a
+    /// [`slice_with`](Self::slice_with) of the whole remainder).
     pub fn slice(&self) -> DeadlineBudget {
-        let clock =
-            if self.is_synthetic() { Clock::synthetic() } else { Clock::monotonic() };
-        DeadlineBudget::with_clock(clock, self.remaining())
+        self.slice_with(self.remaining())
     }
 
-    /// Synthetic charges accumulated so far (what `slice()` consumers
-    /// report back to the parent budget).
+    /// Synthetic charges accumulated so far (what slice consumers report
+    /// back to the parent budget).
     pub fn synthetic_spent(&self) -> Duration {
         self.synthetic.get()
     }
 
-    /// A slice covering `1/divisor` of the remaining time (unlimited
-    /// stays unlimited). The scatter tier hands first attempts half the
-    /// remaining budget so a straggler that blows its slice leaves
-    /// headroom for the hedged retry; the parent is charged back at most
-    /// the slice's allowance (a worker is abandoned at its slice
-    /// deadline, however long it would have stalled).
-    pub fn slice_div(&self, divisor: u32) -> DeadlineBudget {
+    /// A fresh budget of `allowance` (`None` never expires) on the same
+    /// *kind* of clock, starting now, with no synthetic charges. Each
+    /// scatter shard gets its own slice — the allowance fixed once per
+    /// phase, so shards run one after another still get equal slices —
+    /// and the parent is charged back at most that allowance: a shard is
+    /// cut off at its slice deadline, however long it would have stalled.
+    pub fn slice_with(&self, allowance: Option<Duration>) -> DeadlineBudget {
         let clock =
             if self.is_synthetic() { Clock::synthetic() } else { Clock::monotonic() };
-        DeadlineBudget::with_clock(clock, self.remaining().map(|r| r / divisor))
+        DeadlineBudget::with_clock(clock, allowance)
     }
 }
 
@@ -200,6 +194,11 @@ mod tests {
         s.charge(Duration::from_millis(50));
         assert_eq!(b.remaining(), Some(Duration::from_millis(70)));
         assert_eq!(s.synthetic_spent(), Duration::from_millis(50));
+
+        // An explicit allowance ignores the parent's remainder.
+        let s = b.slice_with(Some(Duration::from_millis(35)));
+        assert!(s.is_synthetic());
+        assert_eq!(s.remaining(), Some(Duration::from_millis(35)));
 
         let unlimited = DeadlineBudget::unlimited();
         let s = unlimited.slice();

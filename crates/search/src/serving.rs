@@ -22,11 +22,11 @@
 //! Engines built with [`SearchEngine::sharded`] /
 //! [`SearchEngine::sharded_live`] serve retrieval and ranking through the
 //! document-sharded tier in [`crate::shard`]: per-shard tree traversals
-//! run on scoped worker threads under per-shard [`DeadlineBudget`]
-//! slices, a slow shard is hedged once, a panicking / stalled /
-//! breaker-open shard is excluded wholly and the request degrades to
-//! **partial results** (`shards_ok < shards_total`, recorded as
-//! [`ServeError::PartialResults`]) instead of failing. A healthy sharded
+//! run in shard order on the serving thread under per-shard
+//! [`DeadlineBudget`] slices, a slow shard is hedged once, a panicking /
+//! stalled / breaker-open shard is excluded wholly and the request
+//! degrades to **partial results** (`shards_ok < shards_total`, recorded
+//! as [`ServeError::PartialResults`]) instead of failing. A healthy sharded
 //! response is byte-identical to the monolithic response at every shard
 //! count; a partial response is byte-identical (modulo `cost`) to a
 //! monolith whose failed shards' documents were tombstoned.
@@ -188,6 +188,27 @@ pub struct SearchResponse {
     /// of the query, the session context and this one model epoch (the
     /// torn-swap invariant).
     pub model_epoch: u64,
+}
+
+impl SearchResponse {
+    /// A well-formed response that retrieved nothing (an empty query, or
+    /// the last resort after an engine panic), served against `epoch`.
+    fn empty(epoch: u64) -> Self {
+        SearchResponse {
+            ranked: Vec::new(),
+            candidates: Vec::new(),
+            base_candidates: 0,
+            extra_candidates: 0,
+            rewrites_used: Vec::new(),
+            rewrite_source: RewriteSource::None,
+            cost: RetrievalCost::default(),
+            degradations: Vec::new(),
+            shards_ok: 1,
+            shards_total: 1,
+            epoch,
+            model_epoch: 0,
+        }
+    }
 }
 
 /// Manual `Debug`: field order matches the declaration, but the shard
@@ -505,20 +526,7 @@ impl SearchEngine {
         if query.is_empty() {
             // An empty AND tree would match the whole index; an empty
             // query retrieves nothing instead.
-            return SearchResponse {
-                ranked: Vec::new(),
-                candidates: Vec::new(),
-                base_candidates: 0,
-                extra_candidates: 0,
-                rewrites_used: Vec::new(),
-                rewrite_source: RewriteSource::None,
-                cost: RetrievalCost::default(),
-                degradations: Vec::new(),
-                shards_ok: 1,
-                shards_total: 1,
-                epoch,
-                model_epoch: 0,
-            };
+            return SearchResponse::empty(epoch);
         }
         let index = pinned.index();
         let (docs, cost) = QueryTree::and_of_tokens(query).evaluate(index);
@@ -669,20 +677,7 @@ impl SearchEngine {
                     let (query, _) = sanitize_query(query, config);
                     self.search_baseline_pinned(&query, config, &pinned)
                 }))
-                .unwrap_or_else(|_| SearchResponse {
-                    ranked: Vec::new(),
-                    candidates: Vec::new(),
-                    base_candidates: 0,
-                    extra_candidates: 0,
-                    rewrites_used: Vec::new(),
-                    rewrite_source: RewriteSource::None,
-                    cost: RetrievalCost::default(),
-                    degradations: Vec::new(),
-                    shards_ok: 1,
-                    shards_total: 1,
-                    epoch: pinned.epoch(),
-                    model_epoch: 0,
-                });
+                .unwrap_or_else(|_| SearchResponse::empty(pinned.epoch()));
                 resp.degradations.push(err);
                 resp
             }
@@ -1016,20 +1011,8 @@ impl SearchEngine {
         if query.is_empty() {
             // An empty AND tree matches the whole index; an empty query
             // must instead retrieve nothing (well-formed, never a panic).
-            return SearchResponse {
-                ranked: Vec::new(),
-                candidates: Vec::new(),
-                base_candidates: 0,
-                extra_candidates: 0,
-                rewrites_used: Vec::new(),
-                rewrite_source: RewriteSource::None,
-                cost: RetrievalCost::default(),
-                degradations: std::mem::take(events),
-                shards_ok: 1,
-                shards_total: 1,
-                epoch,
-                model_epoch: 0,
-            };
+            let degradations = std::mem::take(events);
+            return SearchResponse { degradations, ..SearchResponse::empty(epoch) };
         }
         if let PinnedCatalog::Sharded { shards, .. } = pinned {
             if let Catalog::Sharded(cat) = &self.catalog {
@@ -1127,16 +1110,17 @@ impl SearchEngine {
     }
 
     /// Scatter-gather retrieval + ranking over the sharded tier. Two
-    /// parallel phases on scoped worker threads, both replicating the
-    /// monolithic `retrieve_and_rank` flow exactly:
+    /// phases, both run shard by shard in shard order on the serving
+    /// thread and both replicating the monolithic `retrieve_and_rank` flow
+    /// exactly:
     ///
     /// 1. **Scatter/traverse** — every admitted shard evaluates the base
     ///    tree plus the merged (or per-rewrite) trees against its local
     ///    index under its own [`DeadlineBudget`] slice, returning
     ///    globally-sorted doc lists, partition-additive costs and local
-    ///    BM25 statistics. A panicking shard is caught per-worker; a
-    ///    stalled/expired shard is hedged once (sequentially, so retries
-    ///    are deterministic) while the parent budget allows.
+    ///    BM25 statistics. A panicking shard is caught per shard; a
+    ///    stalled/expired shard is hedged once while the parent budget
+    ///    allows.
     /// 2. **Gather + rank** — per-tree doc lists are k-way-unioned, costs
     ///    recombined, and global BM25 statistics (doc count, average
     ///    length, per-term idf) computed from the *surviving* shards
@@ -1145,6 +1129,13 @@ impl SearchEngine {
     ///    is merged under the monolith tie-break. A shard that fails in
     ///    phase 2 is excluded wholly and the gather re-runs over the
     ///    smaller survivor set (terminates: each round removes a shard).
+    ///
+    /// No per-request threads: the serving runtime already runs requests
+    /// in parallel on its workers, so fanning one request out would only
+    /// add OS-thread spawns (tens of µs each) and threads beyond the core
+    /// count. The budget still accounts shards as if concurrent — every
+    /// shard's slice gets the same allowance and the parent is charged the
+    /// *maximum* per-shard synthetic charge, not the sum.
     ///
     /// Failed shards degrade the response to partial results
     /// ([`ServeError::PartialResults`], `shards_ok < shards_total`) —
@@ -1206,10 +1197,10 @@ impl SearchEngine {
             }
         }
 
-        // ---- Phase 1: parallel per-shard traversals -----------------
+        // ---- Phase 1: per-shard traversals ---------------------------
         let injector = cat.injector();
-        // One breaker consult per shard per request, in shard order on
-        // this thread — the cooldown schedule stays deterministic.
+        // One breaker consult per shard per request, in shard order —
+        // the cooldown schedule stays deterministic.
         let admitted: Vec<bool> = (0..n).map(|i| cat.breakers().allow(i)).collect();
 
         #[derive(Clone, Copy, PartialEq, Eq)]
@@ -1251,58 +1242,37 @@ impl SearchEngine {
         let mut failure_counts: Vec<u64> = vec![0; n];
         let mut hedged: Vec<bool> = vec![false; n];
 
-        // First attempts get *half* the remaining budget each: a shard
-        // that blows its slice is abandoned at the slice deadline, which
-        // leaves headroom for the hedged retry below. The parent is
-        // charged back at most the slice allowance — a worker cannot
-        // consume more time than it was given.
+        // First attempts get *half* the remaining budget each, fixed here
+        // once so a later shard's slice is not shortened by an earlier
+        // shard's wall time. A shard that blows its slice is cut off at
+        // the slice deadline, which leaves headroom for the hedged retry
+        // below. The parent is charged the *maximum* synthetic charge
+        // across shards, each capped at the slice allowance — a stalled
+        // shard costs its stall once, and never more than it was given.
         let phase1_cap = budget.remaining().map(|r| r / 2);
         let mut max_spent = Duration::ZERO;
-        std::thread::scope(|scope| {
-            let worker = &traverse_one;
-            let handles: Vec<_> = (0..n)
-                .filter(|&i| admitted[i])
-                .map(|i| {
-                    let slice = budget.slice_div(2);
-                    scope.spawn(move || {
-                        let out = worker(i, &slice);
-                        (i, out, slice.synthetic_spent(), slice.elapsed())
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Worker bodies are panic-proof (catch_unwind inside), so
-                // a join error cannot name its shard; it is unreachable
-                // and safely ignored.
-                if let Ok((i, out, spent, latency)) = h.join() {
-                    // Workers ran in parallel: the parent is charged the
-                    // *maximum* synthetic charge across slices, not the
-                    // sum — a stalled shard costs its stall once.
-                    let spent = match phase1_cap {
-                        Some(cap) => spent.min(cap),
-                        None => spent,
-                    };
-                    max_spent = max_spent.max(spent);
-                    latencies[i] = latency;
-                    match out {
-                        Ok(tr) => traversals[i] = Some(tr),
-                        Err(phase) => {
-                            statuses[i] = phase;
-                            failure_counts[i] += 1;
-                        }
-                    }
+        for i in (0..n).filter(|&i| admitted[i]) {
+            let slice = budget.slice_with(phase1_cap);
+            let out = traverse_one(i, &slice);
+            let spent = slice.synthetic_spent().min(phase1_cap.unwrap_or(Duration::MAX));
+            max_spent = max_spent.max(spent);
+            latencies[i] = slice.elapsed();
+            match out {
+                Ok(tr) => traversals[i] = Some(tr),
+                Err(phase) => {
+                    statuses[i] = phase;
+                    failure_counts[i] += 1;
                 }
             }
-        });
+        }
         if max_spent > Duration::ZERO {
             budget.charge(max_spent);
         }
 
-        // Straggler hedging: one sequential retry for each deadline- or
-        // stall-failed shard (not panics — a panicked traversal gets no
-        // second chance to poison the request) while the parent budget
-        // still has time. Sequential and in shard order, so retry counts
-        // are deterministic.
+        // Straggler hedging: one retry for each deadline- or stall-failed
+        // shard (not panics — a panicked traversal gets no second chance
+        // to poison the request) while the parent budget still has time.
+        // In shard order, so retry counts are deterministic.
         for i in 0..n {
             if statuses[i] == ShardPhase::Deadline && !budget.expired() {
                 // The hedge also gets half the remaining budget (and is
@@ -1310,14 +1280,11 @@ impl SearchEngine {
                 // stalled shard cannot drain the whole request: the
                 // gather/rank phases still run on whatever survived.
                 let hedge_cap = budget.remaining().map(|r| r / 2);
-                let slice = budget.slice_div(2);
+                let slice = budget.slice_with(hedge_cap);
                 hedged[i] = true;
                 attempts[i] += 1;
                 let out = traverse_one(i, &slice);
-                let spent = match hedge_cap {
-                    Some(cap) => slice.synthetic_spent().min(cap),
-                    None => slice.synthetic_spent(),
-                };
+                let spent = slice.synthetic_spent().min(hedge_cap.unwrap_or(Duration::MAX));
                 budget.charge(spent);
                 latencies[i] = slice.elapsed();
                 match out {
@@ -1432,31 +1399,16 @@ impl SearchEngine {
                 parts[sharded.route(d)].push(d);
             }
 
-            let score_one = |i: usize| -> Result<Vec<(f64, usize)>, ()> {
-                catch_unwind(AssertUnwindSafe(|| {
-                    sharded.shard(i).rank_candidates(&terms, avg, &parts[i], config.top_k)
-                }))
-                .map_err(|_| ())
-            };
             let mut round_failures: Vec<usize> = Vec::new();
             let mut streams: Vec<Vec<(f64, usize)>> = Vec::new();
-            std::thread::scope(|scope| {
-                let worker = &score_one;
-                let handles: Vec<_> = survivors
-                    .iter()
-                    .copied()
-                    .filter(|&i| !parts[i].is_empty())
-                    .map(|i| scope.spawn(move || (i, worker(i))))
-                    .collect();
-                for h in handles {
-                    if let Ok((i, out)) = h.join() {
-                        match out {
-                            Ok(s) => streams.push(s),
-                            Err(()) => round_failures.push(i),
-                        }
-                    }
+            for &i in survivors.iter().filter(|&&i| !parts[i].is_empty()) {
+                match catch_unwind(AssertUnwindSafe(|| {
+                    sharded.shard(i).rank_candidates(&terms, avg, &parts[i], config.top_k)
+                })) {
+                    Ok(stream) => streams.push(stream),
+                    Err(_) => round_failures.push(i),
                 }
-            });
+            }
             if !round_failures.is_empty() {
                 // A shard died between phases: exclude it wholly (its
                 // phase-1 contribution too) and re-gather.
@@ -1484,10 +1436,9 @@ impl SearchEngine {
             s.attr("merged", use_merged);
             s.attr("outcome", if shards_ok < n { "partial" } else { "complete" });
         }
-        // Gather children: exactly one per shard, created sequentially in
-        // shard order on this thread (workers never touch the tracer), so
-        // the canonical trace structure is identical under any worker
-        // interleaving or shard count.
+        // Gather children: exactly one per shard, created in shard order
+        // after the traversals (which never touch the tracer), so the
+        // canonical trace structure is identical at every shard count.
         if let (Some(c), Some(parent)) = (ctx, scatter_span.as_ref()) {
             for i in 0..n {
                 let mut g = c.tracer.span(c.trace, Some(parent.id()), "gather");

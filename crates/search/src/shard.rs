@@ -388,7 +388,7 @@ impl ShardFaultInjector {
 
     /// Scatter hook, called at the start of every per-shard traversal
     /// (hedged retries included). May panic (panic/poison faults) or
-    /// charge the worker's deadline slice (stall faults).
+    /// charge the shard's deadline slice (stall faults).
     pub fn on_traverse(&self, shard: usize, slice: &DeadlineBudget) {
         match &self.plan {
             ShardFault::PanicOnShard { shard: s, times }

@@ -378,23 +378,33 @@ fn shard_tier_report_is_never_torn_under_concurrent_load() {
     let (store, mut writer) = CatalogWriter::bootstrap(docs.clone());
     let engine = Arc::new(SearchEngine::sharded_live(Arc::clone(&store), 4));
 
+    const READERS: usize = 3;
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Every reader is sampling before the load starts, so none can miss
+    // it however the threads are scheduled.
+    let started = Arc::new(std::sync::Barrier::new(READERS + 1));
     std::thread::scope(|scope| {
         let mut readers = Vec::new();
-        for _ in 0..3 {
+        for _ in 0..READERS {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             readers.push(scope.spawn(move || {
                 let mut reports = Vec::new();
-                while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                let mut first = true;
+                while first || !stop.load(std::sync::atomic::Ordering::SeqCst) {
                     let report = engine.health_report();
                     reports.push(report.shard_tier.expect("sharded tier present"));
+                    if std::mem::take(&mut first) {
+                        started.wait();
+                    }
                     std::thread::yield_now();
                 }
                 reports
             }));
         }
 
+        started.wait();
         for step in 0..20u64 {
             for q in &queries {
                 serve_resp(&engine, &cache, q, &DeadlineBudget::unlimited());

@@ -73,8 +73,9 @@
 # "full", the run extends to 5 days with a 2x per-tick step budget.
 #
 # Always runs the bitwise-oracle suites (matmul_props, quant_props,
-# kv_equivalence) a second time in release mode, on the optimised SIMD
-# code the benchmarks execute.
+# kv_equivalence, decode_props) and the shard byte-transparency and
+# fault-isolation suites (shard_equivalence, shard_resilience) a second
+# time in release mode, on the optimised code the benchmarks execute.
 #
 # Always runs the test-inventory guard: every crates/*/src module must
 # either contain #[test]s or be exercised by that crate's integration
@@ -158,11 +159,12 @@ echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
 echo "== bit-exactness suites (release, offline) =="
-# The debug run above does not optimise the vectorised kernels or their
-# #[target_feature] copies; the benchmarks run the release machine code,
-# so the bitwise oracles run against it too.
+# The run above uses the test profile (opt-level 1, debug assertions on);
+# the benchmarks run the opt-level 3 release machine code, so the bitwise
+# oracles and the shard tier's equivalence suites run against it too.
 cargo test --release --offline -p qrw-tensor --test matmul_props --test quant_props
-cargo test --release --offline -p qrw-nmt --test kv_equivalence
+cargo test --release --offline -p qrw-nmt --test kv_equivalence --test decode_props
+cargo test --release --offline -p qrw-search --test shard_equivalence --test shard_resilience
 
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
