@@ -93,14 +93,18 @@ impl Segment {
 
     /// The base segment of a catalog: pure adds reproducing `docs` in
     /// order. Compaction collapses a segment chain into one of these.
-    pub fn base_of<'a, I>(docs: I) -> Self
+    pub fn base_of<I, D>(docs: I) -> Self
     where
-        I: IntoIterator<Item = &'a [String]>,
+        I: IntoIterator<Item = D>,
+        D: IntoIterator,
+        D::Item: AsRef<str>,
     {
         Segment {
             ops: docs
                 .into_iter()
-                .map(|d| CatalogOp::Add { tokens: d.to_vec() })
+                .map(|d| CatalogOp::Add {
+                    tokens: d.into_iter().map(|t| t.as_ref().to_owned()).collect(),
+                })
                 .collect(),
         }
     }
@@ -115,14 +119,14 @@ impl Segment {
         for op in &self.ops {
             match op {
                 CatalogOp::Add { tokens } => {
-                    index.add_doc(tokens.clone());
+                    index.add_doc(tokens);
                 }
                 CatalogOp::Remove { doc } => {
                     index.remove_doc(*doc as usize);
                 }
                 CatalogOp::Update { doc, tokens } => {
                     index.remove_doc(*doc as usize);
-                    index.add_doc(tokens.clone());
+                    index.add_doc(tokens);
                 }
             }
         }
@@ -367,9 +371,7 @@ mod tests {
         let mut idx = InvertedIndex::build(vec![toks("a b"), toks("c d"), toks("e f")]);
         idx.remove_doc(1);
         idx.compact();
-        let live: Vec<&[String]> =
-            (0..idx.len()).map(|i| idx.doc(i).tokens.as_slice()).collect();
-        let base = Segment::base_of(live);
+        let base = Segment::base_of((0..idx.len()).map(|i| idx.doc_tokens(i)));
         let rebuilt = replay(std::slice::from_ref(&base));
         assert_eq!(rebuilt.fingerprint(), idx.fingerprint());
     }

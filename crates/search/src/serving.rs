@@ -44,14 +44,15 @@ use crate::deadline::DeadlineBudget;
 use crate::error::{ServeError, Stage};
 use crate::fault::{Fault, FaultInjector};
 use crate::health::{ChurnStats, HealthCounters, HealthReport};
-use crate::index::{union_sorted, InvertedIndex};
+use crate::index::{difference_sorted, idf, union_sorted, InvertedIndex};
 use crate::kv::{CacheScope, RewriteCache};
 use crate::models::PinnedModel;
 use crate::shard::{
-    combine_costs, idf, RebalanceError, RebalancePlan, ShardFaultInjector, ShardOutcome,
+    combine_costs, RebalanceError, RebalancePlan, ShardFaultInjector, ShardOutcome,
     ShardTraversal, ShardedCatalog, ShardedIndex,
 };
 use crate::snapshot::{IndexSnapshot, PinnedSnapshot, SnapshotStore};
+use crate::topk::select_top_k;
 use crate::tree::{QueryTree, RetrievalCost};
 
 /// Serving knobs mirroring the paper's online setup.
@@ -1043,7 +1044,7 @@ impl SearchEngine {
                 all.extend(rewrites.iter().cloned());
                 let (docs, c) = QueryTree::merge_factored(&all).evaluate(index);
                 cost = c; // the merged tree replaces the single-query tree
-                extra = docs.into_iter().filter(|d| !base_docs.contains(d)).collect();
+                extra = difference_sorted(&docs, &base_docs);
             } else {
                 for rw in &rewrites {
                     let (docs, c) = QueryTree::and_of_tokens(rw).evaluate(index);
@@ -1348,7 +1349,7 @@ impl SearchEngine {
                 if use_merged {
                     let docs = std::mem::take(&mut tree_docs[1]);
                     cost = tree_costs[1]; // merged tree replaces the base tree
-                    extra = docs.into_iter().filter(|d| !base_docs.contains(d)).collect();
+                    extra = difference_sorted(&docs, &base_docs);
                 } else {
                     for r in 0..rewrites.len() {
                         let docs = std::mem::take(&mut tree_docs[1 + r]);
@@ -1424,8 +1425,8 @@ impl SearchEngine {
             // (score descending, doc id ascending — a total order, so the
             // merged prefix is exactly the monolith's).
             let mut scored: Vec<(f64, usize)> = streams.into_iter().flatten().collect();
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            ranked = scored.into_iter().take(config.top_k).map(|(_, d)| d).collect();
+            select_top_k(&mut scored, config.top_k);
+            ranked = scored.into_iter().map(|(_, d)| d).collect();
             break;
         }
 
@@ -1514,10 +1515,9 @@ impl SearchEngine {
 }
 
 /// BM25-ranks `candidates` against one pinned index. Query statistics
-/// (live df, avg length, doc count) are frozen once via
-/// [`InvertedIndex::bm25_scorer`] — scores are bit-identical to per-doc
-/// `bm25` calls but cost O(|doc|·|query|) per candidate instead of
-/// rescanning postings for each.
+/// (live df, avg length, doc count) and term ids are frozen once via
+/// [`InvertedIndex::bm25_scorer`], so each candidate costs one pass over
+/// its term-id span per query term; only the top `top_k` are sorted.
 fn rank_at(
     index: &InvertedIndex,
     query: &[String],
@@ -1527,8 +1527,8 @@ fn rank_at(
     let scorer = index.bm25_scorer(query);
     let mut scored: Vec<(f64, usize)> =
         candidates.iter().map(|&d| (scorer.score(d), d)).collect();
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    scored.into_iter().take(top_k).map(|(_, d)| d).collect()
+    select_top_k(&mut scored, top_k);
+    scored.into_iter().map(|(_, d)| d).collect()
 }
 
 /// Stable label for the ladder rung that served a request, used as a span

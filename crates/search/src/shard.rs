@@ -29,8 +29,8 @@
 //! * **Scores.** BM25 statistics are *global*: the gather step sums
 //!   per-shard live-doc counts, live-token counts and document
 //!   frequencies, computes each term's idf once with the monolith
-//!   formula ([`idf`]), and hands every shard the same frozen
-//!   `(token, idf)` table and average length
+//!   formula ([`idf`](crate::index::idf)), and hands every shard the
+//!   same frozen `(token, idf)` table and average length
 //!   (`InvertedIndex::bm25_scorer_from_stats`). Only `tf` and `dl` are
 //!   read locally, and those are per-document facts — so per-shard
 //!   scores are bit-identical to monolith scores.
@@ -40,9 +40,9 @@
 //!
 //! Epochs carry over from the PR-6 live catalog: a [`ShardedIndex`] is
 //! built from one pinned [`SnapshotStore`](crate::snapshot::SnapshotStore)
-//! epoch (each shard reconstructed through [`segment`](crate::segment)
-//! replay, so the replay-determinism guarantee applies per shard) and is
-//! immutable; churn publishes a new epoch and the next request's pin
+//! epoch (each shard a term-id subset of that epoch's index, equal to
+//! replaying its members' tokens and tombstones onto an empty index) and
+//! is immutable; churn publishes a new epoch and the next request's pin
 //! rebuilds. [`RebalancePlan`] moves documents between shards through
 //! routing overrides — results are routing-independent, so serving is
 //! byte-identical across the rebalance boundary, and a kill mid-plan
@@ -69,8 +69,8 @@ use crate::breaker::{BreakerConfig, BreakerSet};
 use crate::deadline::DeadlineBudget;
 use crate::health::{ShardStatReport, ShardTierReport};
 use crate::index::InvertedIndex;
-use crate::segment::{replay, MutationBatch, Segment};
 use crate::snapshot::{PinnedSnapshot, SnapshotStore};
+use crate::topk::select_top_k;
 use crate::tree::{QueryTree, RetrievalCost};
 
 /// FNV-1a over the document id's 8 little-endian bytes — the same hash
@@ -229,8 +229,7 @@ impl Shard {
                 (scorer.score(local), g)
             })
             .collect();
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        scored.truncate(k);
+        select_top_k(&mut scored, k);
         scored
     }
 }
@@ -259,11 +258,6 @@ pub fn combine_costs(costs: &[RetrievalCost]) -> RetrievalCost {
     }
 }
 
-/// BM25 idf with the exact monolith formula (`InvertedIndex::bm25`).
-pub fn idf(n: f64, df: f64) -> f64 {
-    ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
-}
-
 /// An immutable shard set built from one catalog epoch under one routing
 /// plan. Rebuilt (lazily, at pin time) whenever either changes.
 #[derive(Debug)]
@@ -276,10 +270,11 @@ pub struct ShardedIndex {
 
 impl ShardedIndex {
     /// Partitions `index` (one epoch's monolithic view) by `plan`. Each
-    /// shard is reconstructed through segment replay — a base segment of
-    /// its member documents in global-id order, then one sealed batch of
-    /// tombstones — so the shard carries the same replay-determinism
-    /// guarantee as the epoch it came from.
+    /// shard is the [`subset`](InvertedIndex::subset) of its member
+    /// documents in global-id order: spans copied as term ids under the
+    /// shared dictionary, tombstones carried over — the same index a
+    /// replay of the members' tokens and then their tombstones would
+    /// build, without reading a token string.
     pub fn build(epoch: u64, index: &InvertedIndex, plan: RoutingPlan, plan_version: u64) -> Self {
         let n = plan.shard_count();
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -288,18 +283,7 @@ impl ShardedIndex {
         }
         let shards = members
             .into_iter()
-            .map(|globals| {
-                let base =
-                    Segment::base_of(globals.iter().map(|&g| index.doc(g).tokens.as_slice()));
-                let mut removes = MutationBatch::new();
-                for (local, &g) in globals.iter().enumerate() {
-                    if !index.is_alive(g) {
-                        removes = removes.remove_doc(local);
-                    }
-                }
-                let local = replay(&[base, Segment::seal(removes)]);
-                Shard { index: local, globals }
-            })
+            .map(|globals| Shard { index: index.subset(&globals), globals })
             .collect();
         ShardedIndex { epoch, plan_version, plan, shards }
     }
@@ -659,6 +643,7 @@ impl ShardedCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{replay, MutationBatch, Segment};
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -728,9 +713,21 @@ mod tests {
                     seen[g] = true;
                     assert_eq!(sharded.route(g), i);
                     assert_eq!(shard.to_local(g), Some(local));
-                    assert_eq!(shard.index().doc(local).tokens, idx.doc(g).tokens);
+                    assert!(shard.index().doc_tokens(local).eq(idx.doc_tokens(g)));
                     assert_eq!(shard.index().is_alive(local), idx.is_alive(g));
                 }
+                // The term-id subset is the index a replay of the members'
+                // tokens, then their tombstones, builds.
+                let base =
+                    Segment::base_of(shard.globals().iter().map(|&g| idx.doc_tokens(g)));
+                let mut removes = MutationBatch::new();
+                for (local, &g) in shard.globals().iter().enumerate() {
+                    if !idx.is_alive(g) {
+                        removes = removes.remove_doc(local);
+                    }
+                }
+                let replayed = replay(&[base, Segment::seal(removes)]);
+                assert_eq!(shard.index().fingerprint(), replayed.fingerprint());
                 alive_total += shard.index().live_len() as u64;
                 token_total += shard.index().live_tokens() as u64;
             }

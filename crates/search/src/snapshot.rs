@@ -464,8 +464,7 @@ impl CatalogWriter {
         let epoch = self.next_epoch;
         let mut index = self.store.pin().index().clone();
         let remap = index.compact();
-        let base =
-            Segment::base_of((0..index.len()).map(|i| index.doc(i).tokens.as_slice()));
+        let base = Segment::base_of((0..index.len()).map(|i| index.doc_tokens(i)));
         let saved = std::mem::replace(&mut self.segments, vec![base]);
         if let Err(e) = self.persist(epoch) {
             self.segments = saved;

@@ -11,7 +11,7 @@
 //! The exhaustive scorer is kept as the reference; a property test pins
 //! the two to identical results.
 
-use crate::index::InvertedIndex;
+use crate::index::{union_sorted, InvertedIndex};
 
 /// A scored document.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -20,22 +20,43 @@ pub struct ScoredDoc {
     pub score: f64,
 }
 
+/// The ranking order every top-k in the crate uses: score descending,
+/// then doc id ascending. Total over unique ids, so any selection
+/// strategy yields the same prefix.
+pub(crate) fn rank_order(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// Keeps the best `k` of `scored` under [`rank_order`], sorted. Selects
+/// the `k`-th first and sorts only the prefix, so ranking `n` candidates
+/// costs O(n + k log k) rather than a full sort — with the identical
+/// output, because the order is total.
+pub(crate) fn select_top_k(scored: &mut Vec<(f64, usize)>, k: usize) {
+    if k == 0 {
+        scored.clear();
+        return;
+    }
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k - 1, rank_order);
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(rank_order);
+}
+
 /// Exhaustive reference: scores every document containing at least one
 /// query term. Duplicate query terms are deduplicated (set-of-terms
 /// semantics, matching the MaxScore path).
 pub fn bm25_topk_exhaustive(index: &InvertedIndex, query: &[String], k: usize) -> Vec<ScoredDoc> {
     let terms = dedup(query);
     let mut candidates: Vec<usize> = Vec::new();
-    for tok in &terms {
-        for &d in index.postings(tok) {
-            if index.is_alive(d) && !candidates.contains(&d) {
-                candidates.push(d);
-            }
-        }
+    for t in &terms {
+        candidates = union_sorted(&candidates, index.postings(t));
     }
+    index.filter_alive(&mut candidates);
+    let scorer = index.bm25_scorer(&terms);
     let mut scored: Vec<ScoredDoc> = candidates
         .into_iter()
-        .map(|doc| ScoredDoc { doc, score: index.bm25(&terms, doc) })
+        .map(|doc| ScoredDoc { doc, score: scorer.score(doc) })
         .collect();
     sort_topk(&mut scored, k);
     scored
@@ -48,7 +69,6 @@ pub fn bm25_topk_maxscore(index: &InvertedIndex, query: &[String], k: usize) -> 
     if k == 0 || index.is_empty() {
         return Vec::new();
     }
-    let terms = dedup(query);
     // Per-term upper bound on its BM25 contribution:
     // idf * (k1 + 1) bounds tf*(k1+1)/(tf+K) since the fraction < k1+1;
     // we use the tight per-term bound computed from the term's best tf.
@@ -56,29 +76,34 @@ pub fn bm25_topk_maxscore(index: &InvertedIndex, query: &[String], k: usize) -> 
     // letting a dead doc's tf inflate a bound would only loosen pruning
     // (the live-statistics discipline of `InvertedIndex::bm25` applies to
     // the bounds too).
-    let mut infos: Vec<(String, f64)> = terms
+    let mut infos: Vec<(String, &[usize], f64)> = dedup(query)
         .into_iter()
         .filter(|t| index.doc_freq(t) > 0)
         .map(|t| {
-            let ub = index
-                .postings(&t)
+            let postings = index.postings(&t);
+            let alone = index.bm25_scorer(std::slice::from_ref(&t));
+            let ub = postings
                 .iter()
                 .filter(|&&d| index.is_alive(d))
-                .map(|&d| index.bm25(std::slice::from_ref(&t), d))
+                .map(|&d| alone.score(d))
                 .fold(0.0f64, f64::max);
-            (t, ub)
+            (t, postings, ub)
         })
         .collect();
     if infos.is_empty() {
         return Vec::new();
     }
     // Ascending upper bound: the prefix is the "optional" set.
-    infos.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    infos.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
     // Suffix sums of upper bounds: bound_from[i] = sum of ub over terms i..
     let mut bound_from = vec![0.0f64; infos.len() + 1];
     for i in (0..infos.len()).rev() {
-        bound_from[i] = bound_from[i + 1] + infos[i].1;
+        bound_from[i] = bound_from[i + 1] + infos[i].2;
     }
+    // Documents score over the terms in bound order.
+    let ordered: Vec<String> = infos.iter().map(|(t, _, _)| t.clone()).collect();
+    let scorer = index.bm25_scorer(&ordered);
+    let lists: Vec<&[usize]> = infos.iter().map(|(_, p, _)| *p).collect();
 
     let mut heap: Vec<ScoredDoc> = Vec::with_capacity(k + 1); // small k: sorted vec as heap
     let mut threshold = f64::NEG_INFINITY;
@@ -90,17 +115,13 @@ pub fn bm25_topk_maxscore(index: &InvertedIndex, query: &[String], k: usize) -> 
 
     // Document-at-a-time over the union of required-term postings, plus
     // (until a threshold forms) all postings.
-    let mut cursors: Vec<usize> = vec![0; infos.len()];
+    let mut cursors: Vec<usize> = vec![0; lists.len()];
     loop {
         // Next candidate doc: the minimum current posting among terms that
         // can still introduce new competitive documents (the non-skipped
         // set: required terms; while threshold is -inf, all terms).
         let mut next_doc = usize::MAX;
-        for (i, (term, _)) in infos.iter().enumerate() {
-            if i < first_required {
-                continue;
-            }
-            let list = index.postings(term);
+        for (i, list) in lists.iter().enumerate().skip(first_required) {
             if cursors[i] < list.len() {
                 next_doc = next_doc.min(list[cursors[i]]);
             }
@@ -114,10 +135,10 @@ pub fn bm25_topk_maxscore(index: &InvertedIndex, query: &[String], k: usize) -> 
             break;
         }
         if !index.is_alive(next_doc) {
-            advance_past(index, &infos, &mut cursors, next_doc);
+            advance_past(&lists, &mut cursors, next_doc);
             continue;
         }
-        let score = score_doc(index, &infos, next_doc);
+        let score = scorer.score(next_doc);
         if heap.len() < k {
             heap.push(ScoredDoc { doc: next_doc, score });
             if heap.len() == k {
@@ -130,7 +151,7 @@ pub fn bm25_topk_maxscore(index: &InvertedIndex, query: &[String], k: usize) -> 
             sort_topk(&mut heap, k);
             threshold = heap.last().map(|s| s.score).unwrap_or(threshold);
         }
-        advance_past(index, &infos, &mut cursors, next_doc);
+        advance_past(&lists, &mut cursors, next_doc);
         // Grow the optional set: terms whose collective bound can no
         // longer reach the threshold on their own are no longer allowed
         // to introduce candidates.
@@ -151,27 +172,16 @@ pub fn bm25_topk_maxscore(index: &InvertedIndex, query: &[String], k: usize) -> 
     heap
 }
 
-fn advance_past(
-    index: &InvertedIndex,
-    infos: &[(String, f64)],
-    cursors: &mut [usize],
-    doc: usize,
-) {
-    for (i, (term, _)) in infos.iter().enumerate() {
-        let list = index.postings(term);
-        while cursors[i] < list.len() && list[cursors[i]] <= doc {
-            cursors[i] += 1;
+fn advance_past(lists: &[&[usize]], cursors: &mut [usize], doc: usize) {
+    for (list, cursor) in lists.iter().zip(cursors.iter_mut()) {
+        while *cursor < list.len() && list[*cursor] <= doc {
+            *cursor += 1;
         }
     }
 }
 
-fn score_doc(index: &InvertedIndex, infos: &[(String, f64)], doc: usize) -> f64 {
-    let terms: Vec<String> = infos.iter().map(|(t, _)| t.clone()).collect();
-    index.bm25(&terms, doc)
-}
-
 fn sort_topk(scored: &mut Vec<ScoredDoc>, k: usize) {
-    scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+    scored.sort_by(|a, b| rank_order(&(a.score, a.doc), &(b.score, b.doc)));
     scored.truncate(k);
 }
 

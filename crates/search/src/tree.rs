@@ -15,12 +15,13 @@
 //!   recall-preserving (retrieves precisely the union).
 //!
 //! Under a live catalog (`crate::snapshot`), a tree evaluation must run
-//! against a single pinned epoch's index: the leaf cache assumes every
-//! posting lookup for one evaluation observes the same immutable catalog
-//! (the torn-read invariant). `SearchEngine` guarantees this by pinning
-//! once per request and threading that epoch's `&InvertedIndex` here.
+//! against a single pinned epoch's index: leaves borrow posting lists
+//! from it, so every posting lookup for one evaluation observes the same
+//! immutable catalog (the torn-read invariant). `SearchEngine` guarantees
+//! this by pinning once per request and threading that epoch's
+//! `&InvertedIndex` here.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 use crate::index::{intersect_sorted, union_sorted, InvertedIndex};
 
@@ -36,10 +37,10 @@ pub enum QueryTree {
 /// Work counters of one tree evaluation, the quantities §III-H optimizes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetrievalCost {
-    /// Posting-list entries scanned (unique leaf evaluations; repeated
-    /// tokens are fetched once thanks to the leaf cache).
+    /// Posting-list entries scanned (unique leaf evaluations; a repeated
+    /// token's postings are charged once).
     pub postings_scanned: usize,
-    /// Leaf lookups issued (before caching).
+    /// Leaf lookups issued (repeats included).
     pub leaf_lookups: usize,
     /// Set-merge element operations performed.
     pub merge_ops: usize,
@@ -179,67 +180,69 @@ impl QueryTree {
     }
 
     /// Evaluates against the index, returning sorted matching doc ids and
-    /// the work counters. Posting lists are fetched once per distinct
-    /// token (the leaf cache models the paper's shared-token saving).
+    /// the work counters. Leaves borrow their posting lists from the
+    /// index; only `&`/`|` nodes allocate. A repeated token is looked up
+    /// again (a borrow is free) but its postings are charged once (the
+    /// paper's shared-token saving).
     pub fn evaluate(&self, index: &InvertedIndex) -> (Vec<usize>, RetrievalCost) {
-        let mut cache: HashMap<&str, Vec<usize>> = HashMap::new();
+        let mut seen: Vec<u32> = Vec::new();
         let mut cost = RetrievalCost::default();
-        let mut docs = self.eval_inner(index, &mut cache, &mut cost);
+        let mut docs = self.eval_inner(index, &mut seen, &mut cost).into_owned();
         index.filter_alive(&mut docs);
         (docs, cost)
     }
 
-    fn eval_inner<'s>(
-        &'s self,
-        index: &InvertedIndex,
-        cache: &mut HashMap<&'s str, Vec<usize>>,
+    fn eval_inner<'i>(
+        &self,
+        index: &'i InvertedIndex,
+        seen: &mut Vec<u32>,
         cost: &mut RetrievalCost,
-    ) -> Vec<usize> {
+    ) -> Cow<'i, [usize]> {
         match self {
             QueryTree::Token(tok) => {
                 cost.leaf_lookups += 1;
-                if let Some(hit) = cache.get(tok.as_str()) {
-                    return hit.clone();
+                // A token no document uses has no postings to charge.
+                let Some(term) = index.term_id(tok) else { return Cow::Borrowed(&[]) };
+                let list = index.term_postings(term);
+                if !seen.contains(&term) {
+                    seen.push(term);
+                    cost.postings_scanned += list.len();
                 }
-                let list = index.postings(tok).to_vec();
-                cost.postings_scanned += list.len();
-                cache.insert(tok.as_str(), list.clone());
-                list
+                Cow::Borrowed(list)
             }
             QueryTree::And(children) => {
-                if children.is_empty() {
+                let Some((first, rest)) = children.split_first() else {
                     // Empty AND = everything (used by merge_factored).
-                    return (0..index.len()).collect();
-                }
-                let lists: Vec<Vec<usize>> = children
-                    .iter()
-                    .map(|c| c.eval_inner(index, cache, cost))
-                    .collect();
+                    return Cow::Owned((0..index.len()).collect());
+                };
                 // Intersect in tree order and charge merge_ops for every
                 // child even once the accumulator is empty (the actual
-                // intersect is skipped — it would be a no-op). Tree-order
-                // evaluation plus charge-through-empty makes the counters
-                // *partition-additive*: evaluated over any disjoint split
-                // of the documents, the per-partition costs sum exactly to
-                // the monolithic cost. The sharded scatter-gather tier
-                // (`crate::shard`) relies on this for byte-identical
-                // response costs at every shard count.
-                let mut iter = lists.into_iter();
-                let mut acc = iter.next().expect("non-empty children");
-                for l in iter {
+                // intersect is skipped — it would be a no-op). Every child
+                // is still evaluated, so its leaves are charged too.
+                // Tree-order evaluation plus charge-through-empty makes the
+                // counters *partition-additive*: evaluated over any
+                // disjoint split of the documents, the per-partition costs
+                // sum exactly to the monolithic cost. The sharded
+                // scatter-gather tier (`crate::shard`) relies on this for
+                // byte-identical response costs at every shard count.
+                let mut acc = first.eval_inner(index, seen, cost);
+                for c in rest {
+                    let l = c.eval_inner(index, seen, cost);
                     cost.merge_ops += acc.len() + l.len();
                     if !acc.is_empty() {
-                        acc = intersect_sorted(&acc, &l);
+                        acc = Cow::Owned(intersect_sorted(&acc, &l));
                     }
                 }
                 acc
             }
             QueryTree::Or(children) => {
-                let mut acc: Vec<usize> = Vec::new();
+                let mut acc: Cow<'i, [usize]> = Cow::Borrowed(&[]);
                 for c in children {
-                    let l = c.eval_inner(index, cache, cost);
+                    let l = c.eval_inner(index, seen, cost);
                     cost.merge_ops += acc.len() + l.len();
-                    acc = union_sorted(&acc, &l);
+                    // The union with an empty accumulator is the child
+                    // itself: keep its borrow.
+                    acc = if acc.is_empty() { l } else { Cow::Owned(union_sorted(&acc, &l)) };
                 }
                 acc
             }

@@ -51,7 +51,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use qrw_core::QueryRewriter;
@@ -324,19 +324,37 @@ impl Runtime {
     /// Runs the worker pool while `driver` produces load (submitting via
     /// [`submit`](Self::submit) / [`call`](Self::call) from this thread or
     /// its own), then drains the queue, joins the workers, and returns
-    /// every record sorted by request id.
+    /// every record sorted by request id. The driver starts only once
+    /// every worker is up and holds its reusable buffers, so thread
+    /// start-up (which allocates) never overlaps served traffic. If
+    /// `driver` panics, the queue still closes, the workers drain and
+    /// exit, and the panic resumes from `run`.
     pub fn run(&self, driver: impl FnOnce(&Self)) -> Vec<ServedRecord> {
+        /// Closes the queue when dropped — on return and on unwind alike.
+        /// Workers exit only once the queue is closed and drained, and the
+        /// scope joins them before a driver panic can propagate, so
+        /// without this a panicking driver would hang `run` forever.
+        struct CloseOnDrop<'q>(&'q AdmissionQueue);
+        impl Drop for CloseOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.close();
+            }
+        }
+
         self.queue.reopen();
         let shards = self.queue.shards();
         let stall_shards = self.faults.lock().stall_shards.clone();
+        let workers = self.config.workers.max(1);
+        let ready = &Barrier::new(workers + 1);
         std::thread::scope(|scope| {
-            for w in 0..self.config.workers.max(1) {
+            for w in 0..workers {
                 let home = w % shards;
                 let stalled = stall_shards.contains(&home);
-                scope.spawn(move || self.worker(w, home, stalled));
+                scope.spawn(move || self.worker(w, home, stalled, ready));
             }
+            let _close = CloseOnDrop(&self.queue);
+            ready.wait();
             driver(self);
-            self.queue.close();
         });
         let mut records = std::mem::take(&mut *self.results.lock());
         records.sort_by_key(|r| r.id);
@@ -353,8 +371,11 @@ impl Runtime {
         self.run(|_| {})
     }
 
-    fn worker(&self, index: usize, home: usize, stalled: bool) {
+    /// One worker's loop. Waits on `ready` once its start-up allocations
+    /// are done, releasing `run`'s driver when every worker has.
+    fn worker(&self, index: usize, home: usize, stalled: bool, ready: &Barrier) {
         if stalled {
+            ready.wait();
             // Fault drill: a wedged core never takes work. It still
             // heartbeats the queue so it exits once everything (stolen by
             // siblings) has drained.
@@ -365,6 +386,7 @@ impl Runtime {
         // partition allocate once here, never per batch.
         let mut buf = BatchBuf::new(self.config.max_batch);
         let mut live: Vec<Pending> = Vec::with_capacity(self.config.max_batch.max(1));
+        ready.wait();
         while self.queue.next_batch(
             home,
             self.config.max_batch,

@@ -271,6 +271,43 @@ fn closed_loop_call_returns_the_request_record() {
     assert!(matches!(records[0].outcome, Outcome::Served(_)));
 }
 
+/// A panicking driver must not hang `run`: the queue closes on unwind,
+/// the workers exit, and the panic reaches the caller within a bounded
+/// time. The runtime stays usable afterwards.
+#[test]
+fn driver_panic_unwinds_run_and_stops_the_workers() {
+    let vocab = vocab();
+    let w = workload(&vocab);
+    let runtime = Arc::new(Runtime::new(
+        stack(&vocab, &w.head),
+        RuntimeConfig { workers: 2, ..RuntimeConfig::default() },
+    ));
+    let query = w.requests[0].clone();
+
+    let (done, finished) = std::sync::mpsc::channel();
+    let rt = Arc::clone(&runtime);
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.run(|rt| {
+                rt.submit(query, DeadlineBudget::unlimited()).expect("under capacity");
+                panic!("injected driver fault");
+            })
+        }));
+        let _ = done.send(outcome.is_err());
+    });
+    let panicked = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("run hung after its driver panicked");
+    assert!(panicked, "the driver's panic must propagate out of run");
+
+    // The workers are gone and the queue reopens for the next run.
+    let records = runtime.run(|rt| {
+        let record = rt.call(w.requests[1].clone(), DeadlineBudget::unlimited());
+        assert!(record.response().is_some());
+    });
+    assert!(records.iter().any(|r| matches!(r.outcome, Outcome::Served(_))));
+}
+
 #[test]
 fn duplicate_in_flight_queries_coalesce_without_changing_responses() {
     let vocab = vocab();

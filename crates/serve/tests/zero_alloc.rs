@@ -34,7 +34,7 @@
 //! engine's exempted stages in the way.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,19 +51,48 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// While set, the first allocation records its kind and layout into
+/// [`FIRST`] (a flag and plain atomics — nothing that could allocate),
+/// so a failing window names what it allocated.
+static WATCH: AtomicBool = AtomicBool::new(false);
+/// `kind << 48 | align << 32 | size` of the first watched allocation;
+/// kind 1 = alloc, 2 = alloc_zeroed, 3 = realloc.
+static FIRST: AtomicU64 = AtomicU64::new(0);
+
+fn count(kind: u64, layout: Layout, size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if WATCH.swap(false, Ordering::Relaxed) {
+        FIRST.store(kind << 48 | (layout.align() as u64) << 32 | size as u64, Ordering::Relaxed);
+    }
+}
+
+/// Counts allocations from here on, watching for the first one.
+fn watch() -> u64 {
+    FIRST.store(0, Ordering::SeqCst);
+    WATCH.store(true, Ordering::SeqCst);
+    allocations()
+}
+
+/// Renders what [`watch`] saw first, for assertion messages.
+fn first_allocation() -> String {
+    let v = FIRST.load(Ordering::SeqCst);
+    let kind = ["none", "alloc", "alloc_zeroed", "realloc"][(v >> 48) as usize];
+    format!("first: {kind} of {} bytes, align {}", v & 0xffff_ffff, (v >> 32) & 0xffff)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(1, layout, layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(2, layout, layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(3, layout, new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -182,7 +211,7 @@ fn steady_state_runtime_path_is_allocation_free() {
             std::thread::yield_now();
         }
 
-        let before = allocations();
+        let before = watch();
         for _ in 0..MEASURED {
             rt.submit(queries.next().unwrap(), DeadlineBudget::synthetic(Duration::ZERO))
                 .expect("under capacity");
@@ -192,8 +221,10 @@ fn steady_state_runtime_path_is_allocation_free() {
         }
         let delta = allocations() - before;
         assert_eq!(
-            delta, 0,
-            "steady-state serve path allocated {delta} times across {MEASURED} requests"
+            delta,
+            0,
+            "steady-state serve path allocated {delta} times across {MEASURED} requests ({})",
+            first_allocation()
         );
     });
 

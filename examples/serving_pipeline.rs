@@ -155,7 +155,8 @@ fn main() {
             with_rw.extra_candidates
         );
         for &doc in with_rw.ranked.iter().take(3) {
-            println!("    hit: {}", engine.index().doc(doc).tokens.join(" "));
+            let title: Vec<&str> = engine.index().doc_tokens(doc).collect();
+            println!("    hit: {}", title.join(" "));
         }
     }
 

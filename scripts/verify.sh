@@ -73,9 +73,12 @@
 # "full", the run extends to 5 days with a 2x per-tick step budget.
 #
 # Always runs the bitwise-oracle suites (matmul_props, quant_props,
-# kv_equivalence, decode_props) and the shard byte-transparency and
-# fault-isolation suites (shard_equivalence, shard_resilience) a second
-# time in release mode, on the optimised code the benchmarks execute.
+# kv_equivalence, decode_props), the shard byte-transparency and
+# fault-isolation suites (shard_equivalence, shard_resilience), and the
+# qrw-search unit suites (the interned index against its string-scan
+# oracle, BM25 bit-equality, fingerprint golden values) with the
+# live-catalog mutation suite a second time in release mode, on the
+# optimised code the benchmarks execute.
 #
 # Always runs the test-inventory guard: every crates/*/src module must
 # either contain #[test]s or be exercised by that crate's integration
@@ -165,6 +168,7 @@ echo "== bit-exactness suites (release, offline) =="
 cargo test --release --offline -p qrw-tensor --test matmul_props --test quant_props
 cargo test --release --offline -p qrw-nmt --test kv_equivalence --test decode_props
 cargo test --release --offline -p qrw-search --test shard_equivalence --test shard_resilience
+cargo test --release --offline -p qrw-search --lib --test mutation
 
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
