@@ -20,7 +20,9 @@ use std::process::ExitCode;
 use qrw_bench::harness::{
     bench, group, median_regressions, validate_bench_json, BenchRecord, Derived,
 };
-use qrw_nmt::{ComponentKind, ModelConfig, QuantStudent, Seq2Seq, TransformerDecodeMode};
+use qrw_nmt::{
+    ComponentKind, DecodeArena, ModelConfig, QuantStudent, Seq2Seq, TransformerDecodeMode,
+};
 use qrw_tensor::rng::StdRng;
 use qrw_tensor::Tensor;
 use qrw_text::BOS;
@@ -168,14 +170,15 @@ fn bench_decode() -> BenchRecord {
         ModelConfig::latency_bench(ComponentKind::Transformer, ComponentKind::Transformer).vocab;
     let student =
         QuantStudent::from_seq2seq(&Seq2Seq::new(ModelConfig::student(vocab), 99)).unwrap();
-    let memory = student.encode(&src);
+    let mut arena = DecodeArena::default();
+    student.encode(&src, &mut arena);
     let max_len = student.max_tgt_len();
     let s = bench("student_quantized", 1, 9, || {
-        let mut cache = student.start_cache(&memory);
+        let mut cache = student.start_cache(&mut arena);
         let mut token = BOS;
         for step in 0..max_len {
-            let logits = student.step_logits(&mut cache, token);
-            std::hint::black_box(&logits);
+            let logits = student.step_into(&mut cache, token, &mut arena);
+            std::hint::black_box(logits);
             token = 10 + (step % 12);
         }
     });

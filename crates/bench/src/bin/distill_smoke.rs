@@ -32,7 +32,7 @@ use qrw_core::{
     distill_student, DistillConfig, QueryRewriter, RewritePipeline, StudentRewriter, TrainMode,
 };
 use qrw_metrics::oracle;
-use qrw_nmt::{QuantStudent, TransformerDecodeMode};
+use qrw_nmt::{DecodeArena, QuantStudent, TransformerDecodeMode};
 use qrw_text::BOS;
 
 /// The distilled fast path's acceptance bar: student tokens/s over the
@@ -179,14 +179,15 @@ fn run(out_dir: &Path, work: &Path, budget: &Budget) -> Result<(), String> {
         }
     });
 
-    let smem = student.encode(src);
+    let mut arena = DecodeArena::default();
+    student.encode(src, &mut arena);
     let student_steps = student.max_tgt_len();
     let student_sample = bench("student/decode_maxlen", 1, 9, || {
-        let mut cache = student.start_cache(&smem);
+        let mut cache = student.start_cache(&mut arena);
         let mut token = BOS;
         for step in 0..student_steps {
-            let logits = student.step_logits(&mut cache, token);
-            std::hint::black_box(&logits);
+            let logits = student.step_into(&mut cache, token, &mut arena);
+            std::hint::black_box(logits);
             token = 4 + (step % 8);
         }
     });
@@ -251,12 +252,13 @@ fn run(out_dir: &Path, work: &Path, budget: &Budget) -> Result<(), String> {
 /// Greedy max-length logits trace — the bitwise fingerprint used to pin
 /// the artifact round trip.
 fn step_logits_trace(student: &QuantStudent, src: &[usize]) -> Vec<u32> {
-    let memory = student.encode(src);
-    let mut cache = student.start_cache(&memory);
+    let mut arena = DecodeArena::default();
+    student.encode(src, &mut arena);
+    let mut cache = student.start_cache(&mut arena);
     let mut out = Vec::new();
     let mut token = BOS;
     for _ in 0..student.max_tgt_len() {
-        let logits = student.step_logits(&mut cache, token);
+        let logits = student.step_into(&mut cache, token, &mut arena);
         let (best, lp) = logits
             .iter()
             .enumerate()

@@ -197,7 +197,7 @@ impl QueryRewriter for StudentRewriter<'_> {
 mod tests {
     use super::*;
     use crate::persist::testutil::TestDir;
-    use qrw_nmt::ComponentKind;
+    use qrw_nmt::{ComponentKind, DecodeArena};
 
     fn tiny_world() -> (JointModel, Vocab, Vec<Vec<usize>>) {
         let mut vocab = Vocab::new();
@@ -269,8 +269,9 @@ mod tests {
         // from the same committed bytes.
         let requantized = QuantStudent::from_seq2seq(&fresh.forward).unwrap();
         let src = vec![5usize, 7];
-        let mem_a = out.student.encode(&src);
-        let mem_b = requantized.encode(&src);
+        let (mut arena_a, mut arena_b) = (DecodeArena::default(), DecodeArena::default());
+        let mem_a = out.student.encode(&src, &mut arena_a);
+        let mem_b = requantized.encode(&src, &mut arena_b);
         assert_eq!(mem_a, mem_b, "checkpointed weights must requantize bit-identically");
     }
 

@@ -8,6 +8,7 @@
 //! Diverse beam search (the paper's §V future-work pointer) is also
 //! implemented for the ablation benches.
 
+use qrw_tensor::quant::sum_exp;
 use qrw_tensor::rng::StdRng;
 use qrw_tensor::Tensor;
 
@@ -234,8 +235,9 @@ pub fn top_n_sampling_batch(
         .iter()
         .zip(&start_states)
         .map(|(first_lp, start_state)| {
-            top_pool(first_lp, cfg.k, &[EOS], |_| {})
-                .into_iter()
+            let mut pool = Vec::with_capacity(cfg.k.min(first_lp.len()) + 1);
+            top_pool(first_lp, cfg.k, &[EOS], &mut pool);
+            pool.into_iter()
                 .map(|(log_prob, tok)| Candidate {
                     prefix: vec![BOS, tok],
                     state: start_state.clone(),
@@ -391,30 +393,36 @@ fn argmax(lp: &[f32]) -> (usize, f32) {
 }
 
 /// The one top-n selection behind every sampler: a single pass over
-/// `values` that insertion-keeps the best `cap` finite entries whose token
-/// is not in `skip`, as `(value, token)` pairs best-first with ties in
-/// ascending token order — exactly a stable descending sort of the finite
-/// entries truncated to `cap`, without sorting the vocabulary.
-/// `each_finite` sees every finite value in token order, skipped tokens
-/// included (the fused epilogues fold it into their log-sum-exp).
-fn top_pool(
-    values: &[f32],
-    cap: usize,
-    skip: &[usize],
-    mut each_finite: impl FnMut(f32),
-) -> Vec<(f32, usize)> {
-    let mut pool: Vec<(f32, usize)> = Vec::with_capacity(cap.min(values.len()) + 1);
+/// `values` that insertion-keeps in `pool` the best `cap` finite entries
+/// whose token is not in `skip`, as `(value, token)` pairs best-first
+/// with ties in ascending token order — exactly a stable descending sort
+/// of the finite entries truncated to `cap`, without sorting the
+/// vocabulary. Returns the maximum finite value, skipped tokens included
+/// (the fused epilogues' log-sum-exp normalizes over every token), or
+/// `-inf` when there is none.
+fn top_pool(values: &[f32], cap: usize, skip: &[usize], pool: &mut Vec<(f32, usize)>) -> f32 {
+    pool.clear();
+    let mut max = f32::NEG_INFINITY;
+    // The worst pooled value once the pool is full; until then `-inf`,
+    // which admits every finite value.
+    let mut floor = f32::NEG_INFINITY;
     for (t, &v) in values.iter().enumerate() {
         if !v.is_finite() {
             continue;
         }
-        each_finite(v);
-        if skip.contains(&t) {
+        if v > max {
+            max = v;
+        }
+        // Strictly below a full pool's worst entry: out on one float
+        // compare, the common case once the pool fills. `v < floor`
+        // implies `floor.total_cmp(&v)` is `Greater`, so this agrees
+        // with the exact test below.
+        if v < floor || cap == 0 || skip.contains(&t) {
             continue;
         }
-        // A full pool whose worst entry is >= `v` keeps `v` out (the
-        // common case once the pool fills: one compare, no search).
-        if pool.len() == cap && pool.last().is_none_or(|&(p, _)| p.total_cmp(&v).is_ge()) {
+        // A full pool whose worst entry is >= `v` in the total order
+        // (equal values, or -0.0 against +0.0) keeps `v` out.
+        if pool.len() == cap && pool[cap - 1].0.total_cmp(&v).is_ge() {
             continue;
         }
         // First index whose value is strictly below `v`: equal values stay
@@ -422,25 +430,25 @@ fn top_pool(
         let pos = pool.partition_point(|&(p, _)| p.total_cmp(&v).is_ge());
         pool.insert(pos, (v, t));
         pool.truncate(cap);
+        if pool.len() == cap {
+            floor = pool[cap - 1].0;
+        }
     }
-    pool
+    max
 }
 
-/// [`top_pool`] plus the streaming log-sum-exp of *every* finite value
-/// (softmax normalizes over the full vocabulary, specials included,
-/// before masking) — the fused epilogues' single pass over raw logits.
-fn top_pool_with_lse(logits: &[f32], cap: usize, skip: &[usize]) -> (Vec<(f32, usize)>, f32) {
-    let mut max = f32::NEG_INFINITY;
-    let mut sum = 0.0f32;
-    let pool = top_pool(logits, cap, skip, |l| {
-        if l > max {
-            sum = sum * (max - l).exp() + 1.0;
-            max = l;
-        } else {
-            sum += (l - max).exp();
-        }
-    });
-    (pool, max + sum.ln())
+/// [`top_pool`] plus the log-sum-exp of *every* finite logit (softmax
+/// normalizes over the full vocabulary, specials included, before
+/// masking): the exact selection pass yields the maximum, then one
+/// vectorised [`sum_exp`] pass yields `max + ln Σ e^(l - max)`.
+fn top_pool_with_lse(
+    logits: &[f32],
+    cap: usize,
+    skip: &[usize],
+    pool: &mut Vec<(f32, usize)>,
+) -> f32 {
+    let max = top_pool(logits, cap, skip, pool);
+    max + sum_exp(logits, max).ln()
 }
 
 /// Draws one pooled entry proportionally to its probability renormalized
@@ -466,7 +474,9 @@ fn sample_pool(pool: &[(f32, usize)], rng: &mut StdRng) -> Option<(f32, usize)> 
 /// log-prob NaN/inf, e.g. a poisoned model) yields PAD, which downstream
 /// special-token filters drop: the serve path must not panic.
 pub(crate) fn sample_top_n(lp: &[f32], n: usize, rng: &mut StdRng) -> usize {
-    sample_pool(&top_pool(lp, n.max(1), &[], |_| {}), rng).map_or(PAD, |(_, t)| t)
+    let mut pool = Vec::with_capacity(n.max(1).min(lp.len()) + 1);
+    top_pool(lp, n.max(1), &[], &mut pool);
+    sample_pool(&pool, rng).map_or(PAD, |(_, t)| t)
 }
 
 /// Outcome of one fused decode step: the sampled token and its true model
@@ -482,18 +492,27 @@ pub struct FusedStep {
 /// The unfused decode path materializes a full log-softmax vector
 /// (`rows_to_log_probs`), masks the special tokens, and only then selects
 /// its top-`n` pool. The distilled student instead hands its raw logits
-/// straight here: the same [`top_pool`] pass also maintains a streaming
-/// log-sum-exp (for the true log-prob of whatever gets sampled), then
-/// samples from the pool — no intermediate vocab-sized allocation.
+/// straight here: one exact [`top_pool`] pass selects the pool (into the
+/// caller's `pool` buffer, so a warm step allocates nothing) and finds
+/// the maximum, one vectorised [`sum_exp`] pass gives the log-sum-exp for
+/// the true log-prob of whatever gets sampled, then it samples from the
+/// pool — no intermediate vocab-sized allocation.
 ///
 /// Semantics mirror the unfused pair exactly: PAD/BOS/UNK are excluded
 /// from the pool (they are masked to `-inf` before [`sample_top_n`] on
 /// the teacher path), ties keep ascending token order (the stable-sort
 /// order), weights renormalize against the pool maximum, and a fully
-/// degenerate input degrades to PAD instead of panicking.
-pub fn fused_top_n_from_logits(logits: &[f32], n: usize, rng: &mut StdRng) -> FusedStep {
-    let (pool, lse) = top_pool_with_lse(logits, n.max(1), &[PAD, BOS, UNK]);
-    match sample_pool(&pool, rng) {
+/// degenerate input degrades to PAD instead of panicking. Sampling reads
+/// only the pool, so the token and every RNG draw are exact; the
+/// log-prob is within 1e-5 of the float-exact log-softmax.
+pub fn fused_top_n_from_logits(
+    logits: &[f32],
+    n: usize,
+    rng: &mut StdRng,
+    pool: &mut Vec<(f32, usize)>,
+) -> FusedStep {
+    let lse = top_pool_with_lse(logits, n.max(1), &[PAD, BOS, UNK], pool);
+    match sample_pool(pool, rng) {
         Some((l, token)) => FusedStep { token, log_prob: l - lse },
         // Fully degenerate logits (every entry NaN/inf, or nothing but
         // specials survives).
@@ -505,10 +524,13 @@ pub fn fused_top_n_from_logits(logits: &[f32], n: usize, rng: &mut StdRng) -> Fu
 /// likely *distinct* first tokens from raw logits, excluding EOS (so no
 /// candidate decodes empty) on top of the usual PAD/BOS/UNK mask —
 /// the fused mirror of the first step of [`top_n_sampling_batch`].
-/// Returns `(token, log_prob)` best-first, ties in ascending token order.
-pub fn top_k_first_tokens_from_logits(logits: &[f32], k: usize) -> Vec<(usize, f32)> {
-    let (pool, lse) = top_pool_with_lse(logits, k, &[PAD, BOS, UNK, EOS]);
-    pool.into_iter().map(|(l, t)| (t, l - lse)).collect()
+/// Leaves `pool` holding `(log_prob, token)` best-first, ties in
+/// ascending token order.
+pub fn top_k_first_tokens_from_logits(logits: &[f32], k: usize, pool: &mut Vec<(f32, usize)>) {
+    let lse = top_pool_with_lse(logits, k, &[PAD, BOS, UNK, EOS], pool);
+    for (l, _) in pool.iter_mut() {
+        *l -= lse;
+    }
 }
 
 #[cfg(test)]
@@ -699,7 +721,10 @@ mod tests {
             }
             // The first step's k distinct tokens, k = 0 included.
             for k in [0, 1, 3, v - 1, v, v + 5] {
-                let got = top_pool(&lp, k, &[EOS], |_| {});
+                let mut got = Vec::new();
+                let max = top_pool(&lp, k, &[EOS], &mut got);
+                let finite = lp.iter().copied().filter(|v| v.is_finite());
+                assert_eq!(max, finite.fold(f32::NEG_INFINITY, f32::max), "case {case} k={k}");
                 let toks: Vec<usize> = got.iter().map(|&(_, t)| t).collect();
                 assert_eq!(toks, full_sort_pool(&lp, k, &[EOS]), "case {case} k={k} lp={lp:?}");
                 assert!(got.iter().all(|&(l, t)| l.to_bits() == lp[t].to_bits()), "case {case}");
@@ -729,10 +754,12 @@ mod tests {
     fn fused_epilogue_matches_unfused_sampler() {
         let logits = vec![0.5, 3.0, -1.0, 9.0, 1.5, 1.5, -0.25, 0.75, 2.5, -4.0];
         let lp = masked_log_probs(&logits);
+        let mut pool = Vec::new();
         for n in [1usize, 2, 3, 5, 40] {
             for seed in 0..60u64 {
                 let want = sample_top_n(&lp, n, &mut StdRng::seed_from_u64(seed));
-                let got = fused_top_n_from_logits(&logits, n, &mut StdRng::seed_from_u64(seed));
+                let mut rng = StdRng::seed_from_u64(seed);
+                let got = fused_top_n_from_logits(&logits, n, &mut rng, &mut pool);
                 assert_eq!(got.token, want, "n={n} seed={seed}");
                 assert!(
                     (got.log_prob - lp[want]).abs() < 1e-5,
@@ -748,9 +775,11 @@ mod tests {
     fn fused_epilogue_is_shift_invariant_in_token_choice() {
         let logits = vec![0.0, 1.0, 2.0, -0.5, 4.0, 3.0, 1.0];
         let shifted: Vec<f32> = logits.iter().map(|v| v + 16.0).collect();
+        let mut pool = Vec::new();
         for seed in 0..20u64 {
-            let a = fused_top_n_from_logits(&logits, 3, &mut StdRng::seed_from_u64(seed));
-            let b = fused_top_n_from_logits(&shifted, 3, &mut StdRng::seed_from_u64(seed));
+            let rng = StdRng::seed_from_u64(seed);
+            let a = fused_top_n_from_logits(&logits, 3, &mut rng.clone(), &mut pool);
+            let b = fused_top_n_from_logits(&shifted, 3, &mut rng.clone(), &mut pool);
             assert_eq!(a.token, b.token, "seed {seed}");
             assert!((a.log_prob - b.log_prob).abs() < 1e-4);
         }
@@ -764,7 +793,7 @@ mod tests {
         {
             // The last case has finite logits only at maskable special
             // positions (PAD/BOS/UNK; EOS itself stays sampleable).
-            let got = fused_top_n_from_logits(&logits, 3, &mut rng);
+            let got = fused_top_n_from_logits(&logits, 3, &mut rng, &mut Vec::new());
             assert_eq!(got.token, PAD, "{logits:?}");
             assert_eq!(got.log_prob, f32::NEG_INFINITY);
         }
@@ -780,21 +809,23 @@ mod tests {
         logits[4] = 1.0;
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10 {
-            assert_eq!(fused_top_n_from_logits(&logits, 1, &mut rng).token, 5);
+            assert_eq!(fused_top_n_from_logits(&logits, 1, &mut rng, &mut Vec::new()).token, 5);
         }
     }
 
     #[test]
     fn top_k_first_tokens_excludes_specials_and_ranks_desc() {
         let logits = vec![10.0, 10.0, 10.0, 10.0, 1.0, 3.0, 2.0, f32::NAN, 0.0];
-        let got = top_k_first_tokens_from_logits(&logits, 3);
-        let toks: Vec<usize> = got.iter().map(|&(t, _)| t).collect();
+        let mut got = Vec::new();
+        top_k_first_tokens_from_logits(&logits, 3, &mut got);
+        let toks: Vec<usize> = got.iter().map(|&(_, t)| t).collect();
         assert_eq!(toks, vec![5, 6, 4]);
         let lp = masked_log_probs(&logits);
-        for &(t, l) in &got {
+        for &(l, t) in &got {
             assert!((l - lp[t]).abs() < 1e-5, "token {t}: {l} vs {}", lp[t]);
         }
         // k larger than the eligible set returns everything eligible.
-        assert_eq!(top_k_first_tokens_from_logits(&logits, 10).len(), 4);
+        top_k_first_tokens_from_logits(&logits, 10, &mut got);
+        assert_eq!(got.len(), 4);
     }
 }

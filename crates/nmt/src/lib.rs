@@ -23,5 +23,5 @@ pub use decode::{
 };
 pub use lm::{CausalLm, CausalLmConfig};
 pub use seq2seq::{DecodeState, DecodeStats, Seq2Seq, TransformerDecodeMode};
-pub use student::{QuantStudent, StudentKvCache};
+pub use student::{DecodeArena, QuantStudent, StudentKvCache};
 pub use transformer::KvCache;

@@ -23,11 +23,11 @@
 //! rides in an ordinary v2 blob. [`QuantStudent::from_artifacts`] rebuilds
 //! the student from the pair, bit-identically.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use qrw_tensor::quant::{quantize_row, QuantizedMatrix, QuantizedRows};
+use qrw_tensor::quant::{quantize_row_into, QuantizedMatrix, QuantizedRows};
 use qrw_tensor::rng::StdRng;
 use qrw_tensor::serialize;
 use qrw_tensor::tensor::softmax_in_place;
@@ -41,6 +41,9 @@ use crate::decode::{
 use crate::layers::positional_encoding;
 use crate::seq2seq::{DecodeStats, Seq2Seq};
 
+#[cfg(test)]
+mod oracle;
+
 /// A dense layer with an i8-quantized weight and an f32 bias.
 struct QuantLinear {
     /// Stored transposed (`d_out x d_in`): inner products are contiguous.
@@ -53,14 +56,8 @@ impl QuantLinear {
         self.w.matvec_quantized(xq, x_scale, Some(&self.b), out);
     }
 
-    fn matvec(&self, xq: &[i8], x_scale: f32) -> Vec<f32> {
-        let mut out = vec![0.0; self.w.rows()];
-        self.matvec_into(xq, x_scale, &mut out);
-        out
-    }
-
-    fn matmul(&self, x: &Tensor) -> Tensor {
-        self.w.matmul(x, Some(&self.b))
+    fn matmul_into(&self, x: &Tensor, out: &mut Tensor, xq: &mut Vec<i8>) {
+        self.w.matmul_into(x, Some(&self.b), out, xq);
     }
 }
 
@@ -85,6 +82,14 @@ impl Norm {
     }
 }
 
+/// `x += delta`, then the layer norm — every residual block's epilogue.
+fn residual_norm(x: &mut [f32], delta: &[f32], norm: &Norm) {
+    for (o, &d) in x.iter_mut().zip(delta) {
+        *o += d;
+    }
+    norm.apply(x);
+}
+
 struct QuantAttention {
     wq: QuantLinear,
     wk: QuantLinear,
@@ -95,77 +100,76 @@ struct QuantAttention {
 }
 
 impl QuantAttention {
-    /// Full (unmasked) self-attention over `x`, quantized projections,
-    /// f32 score/softmax/context — the encoder runs once per query, so
-    /// only its matmuls need the fast path.
-    fn attend_full(&self, x: &Tensor) -> Tensor {
-        let q = self.wq.matmul(x);
-        let k = self.wk.matmul(x);
-        let v = self.wv.matmul(x);
+    /// Full (unmasked) self-attention over `x` into `s.sa`, quantized
+    /// projections, f32 score/softmax/context — the encoder runs once per
+    /// query, so only its matmuls need the fast path.
+    fn attend_full(&self, x: &Tensor, s: &mut EncoderScratch, xq: &mut Vec<i8>) {
+        self.wq.matmul_into(x, &mut s.q, xq);
+        self.wk.matmul_into(x, &mut s.k, xq);
+        self.wv.matmul_into(x, &mut s.v, xq);
         let scale = 1.0 / (self.d_head as f32).sqrt();
-        let d_model = self.heads * self.d_head;
-        let mut merged = Tensor::zeros(x.rows(), d_model);
-        let mut scores: Vec<f32> = Vec::new();
+        s.merged.resize_zeroed(x.rows(), self.heads * self.d_head);
         for r in 0..x.rows() {
-            let q_row = q.row_slice(r).to_vec();
-            let out_row = merged.row_slice_mut(r);
+            let q_row = s.q.row_slice(r);
+            let out_row = s.merged.row_slice_mut(r);
             for h in 0..self.heads {
                 let off = h * self.d_head;
                 let qh = &q_row[off..off + self.d_head];
-                scores.clear();
-                for j in 0..k.rows() {
-                    let kh = &k.row_slice(j)[off..off + self.d_head];
-                    let mut s = 0.0f32;
+                s.scores.clear();
+                for j in 0..s.k.rows() {
+                    let kh = &s.k.row_slice(j)[off..off + self.d_head];
+                    let mut dot = 0.0f32;
                     for (a, b) in qh.iter().zip(kh) {
-                        s += a * b;
+                        dot += a * b;
                     }
-                    scores.push(s * scale);
+                    s.scores.push(dot * scale);
                 }
-                softmax_in_place(&mut scores);
+                softmax_in_place(&mut s.scores);
                 let ctx = &mut out_row[off..off + self.d_head];
-                for (j, &w) in scores.iter().enumerate() {
-                    let vh = &v.row_slice(j)[off..off + self.d_head];
+                for (j, &w) in s.scores.iter().enumerate() {
+                    let vh = &s.v.row_slice(j)[off..off + self.d_head];
                     for (o, &vv) in ctx.iter_mut().zip(vh) {
                         *o += w * vv;
                     }
                 }
             }
         }
-        self.wo.matmul(&merged)
+        self.wo.matmul_into(&s.merged, &mut s.sa, xq);
     }
 
-    /// Incremental attention for the newest row: query projected from the
-    /// already-quantized `(xq, x_scale)`, scores as integer dots against
-    /// the per-head quantized key cache, context in f32 over the cached
-    /// values, all in ascending key order (fixed-order epilogue →
-    /// deterministic bits).
+    /// Incremental attention for the newest row into `out`: query
+    /// projected from the already-quantized `(xq, x_scale)`, scores as
+    /// integer dots against the per-head quantized key cache, context in
+    /// f32 over the cached values (row-major, `heads * d_head` wide), all
+    /// in ascending key order (fixed-order epilogue → deterministic bits).
     fn attend_cached(
         &self,
         xq: &[i8],
         x_scale: f32,
         keys: &[QuantizedRows],
-        values: &Tensor,
-    ) -> Vec<f32> {
+        values: &[f32],
+        s: &mut AttnScratch,
+        out: &mut [f32],
+    ) {
         let d_model = self.heads * self.d_head;
-        let q = self.wq.matvec(xq, x_scale);
+        self.wq.matvec_into(xq, x_scale, &mut s.q);
         let scale = 1.0 / (self.d_head as f32).sqrt();
-        let mut merged = vec![0.0f32; d_model];
-        let mut scores: Vec<f32> = Vec::new();
+        s.merged.fill(0.0);
         for (h, kh) in keys.iter().enumerate() {
             let off = h * self.d_head;
-            let (qh, qs) = quantize_row(&q[off..off + self.d_head]);
-            kh.scores_into(&qh, qs, scale, &mut scores);
-            softmax_in_place(&mut scores);
-            let ctx = &mut merged[off..off + self.d_head];
-            for (j, &w) in scores.iter().enumerate() {
-                let vh = &values.row_slice(j)[off..off + self.d_head];
+            let qs = quantize_row_into(&s.q[off..off + self.d_head], &mut s.qh);
+            kh.scores_into(&s.qh, qs, scale, &mut s.scores);
+            softmax_in_place(&mut s.scores);
+            let ctx = &mut s.merged[off..off + self.d_head];
+            for (j, &w) in s.scores.iter().enumerate() {
+                let vh = &values[j * d_model + off..j * d_model + off + self.d_head];
                 for (o, &vv) in ctx.iter_mut().zip(vh) {
                     *o += w * vv;
                 }
             }
         }
-        let (mq, ms) = quantize_row(&merged);
-        self.wo.matvec(&mq, ms)
+        let ms = quantize_row_into(&s.merged, &mut s.mq);
+        self.wo.matvec_into(&s.mq, ms, out);
     }
 }
 
@@ -178,29 +182,20 @@ struct QuantEncoderLayer {
 }
 
 impl QuantEncoderLayer {
-    fn forward(&self, x: &Tensor) -> Tensor {
-        let sa = self.self_attn.attend_full(x);
-        let mut out = Tensor::zeros(x.rows(), x.cols());
+    /// One encoder layer over `x`, in place.
+    fn forward(&self, x: &mut Tensor, s: &mut EncoderScratch, xq: &mut Vec<i8>) {
+        self.self_attn.attend_full(x, s, xq);
         for r in 0..x.rows() {
-            let row = out.row_slice_mut(r);
-            for ((o, &a), &b) in row.iter_mut().zip(x.row_slice(r)).zip(sa.row_slice(r)) {
-                *o = a + b;
-            }
-            self.norm1.apply(row);
+            residual_norm(x.row_slice_mut(r), s.sa.row_slice(r), &self.norm1);
         }
-        let mut h1 = self.ff1.matmul(&out);
-        for v in h1.data_mut() {
+        self.ff1.matmul_into(x, &mut s.h1, xq);
+        for v in s.h1.data_mut() {
             *v = v.max(0.0);
         }
-        let ff = self.ff2.matmul(&h1);
-        for r in 0..out.rows() {
-            let row = out.row_slice_mut(r);
-            for (o, &f) in row.iter_mut().zip(ff.row_slice(r)) {
-                *o += f;
-            }
-            self.norm2.apply(row);
+        self.ff2.matmul_into(&s.h1, &mut s.ff, xq);
+        for r in 0..x.rows() {
+            residual_norm(x.row_slice_mut(r), s.ff.row_slice(r), &self.norm2);
         }
-        out
     }
 }
 
@@ -214,23 +209,46 @@ struct QuantDecoderLayer {
     norm3: Norm,
 }
 
-/// Per-layer cache state: growable per-head quantized self-attention keys
-/// plus f32 values, and `Arc`-shared cross-attention keys/values projected
-/// once per source (cloning a cache for a candidate fork copies only the
-/// per-token rows).
-#[derive(Clone)]
+/// Per-layer self-attention cache: growable per-head quantized keys plus
+/// f32 values (row-major, `d_model` wide). The cross-attention K/V are
+/// per request, not per candidate, and live in the [`DecodeArena`].
+#[derive(Default)]
 struct StudentLayerKv {
     self_k: Vec<QuantizedRows>,
-    self_v: Tensor,
-    cross_k: Arc<Vec<QuantizedRows>>,
-    cross_v: Arc<Tensor>,
+    self_v: Vec<f32>,
 }
 
-/// Incremental decode state for [`QuantStudent`].
-#[derive(Clone)]
+/// `clone_from` reuses every buffer: forking the first-step cache into a
+/// warm candidate allocates nothing.
+impl Clone for StudentLayerKv {
+    fn clone(&self) -> Self {
+        StudentLayerKv { self_k: self.self_k.clone(), self_v: self.self_v.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.self_k.clone_from(&source.self_k);
+        self.self_v.clone_from(&source.self_v);
+    }
+}
+
+/// Incremental decode state for [`QuantStudent`]: one candidate's
+/// self-attention rows. It pairs with the [`DecodeArena`] whose cross K/V
+/// [`QuantStudent::start_cache`] projected.
+#[derive(Default)]
 pub struct StudentKvCache {
     layers: Vec<StudentLayerKv>,
     pos: usize,
+}
+
+impl Clone for StudentKvCache {
+    fn clone(&self) -> Self {
+        StudentKvCache { layers: self.layers.clone(), pos: self.pos }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+        self.pos = source.pos;
+    }
 }
 
 impl StudentKvCache {
@@ -238,6 +256,129 @@ impl StudentKvCache {
     pub fn pos(&self) -> usize {
         self.pos
     }
+}
+
+/// Empties `rows` into `heads` key lists of width `d_head`, keeping every
+/// allocation that already has that shape.
+fn reset_heads(rows: &mut Vec<QuantizedRows>, heads: usize, d_head: usize, capacity: usize) {
+    rows.truncate(heads);
+    rows.resize_with(heads, || QuantizedRows::with_capacity(d_head, capacity));
+    for r in rows.iter_mut() {
+        if r.cols() == d_head {
+            r.clear();
+        } else {
+            *r = QuantizedRows::with_capacity(d_head, capacity);
+        }
+    }
+}
+
+/// The encoder's per-layer temporaries.
+#[derive(Default)]
+struct EncoderScratch {
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    merged: Tensor,
+    sa: Tensor,
+    h1: Tensor,
+    ff: Tensor,
+    scores: Vec<f32>,
+}
+
+/// The incremental attention's temporaries: query, its per-head
+/// quantization, the merged context and its quantization, and scores.
+#[derive(Default)]
+struct AttnScratch {
+    q: Vec<f32>,
+    qh: Vec<i8>,
+    merged: Vec<f32>,
+    mq: Vec<i8>,
+    scores: Vec<f32>,
+}
+
+/// One decoder layer's cross-attention keys (quantized per head) and
+/// values, projected once per request and read by every candidate.
+#[derive(Default)]
+struct CrossKv {
+    k: Vec<QuantizedRows>,
+    v: Tensor,
+}
+
+/// Every buffer a student decode step and its encoder touch, reused
+/// request after request: the source memory and encoder temporaries,
+/// this request's cross-attention K/V, and the step's activations, their
+/// quantizations, attention scratch, FFN rows and logits. Once warm (a
+/// request of the same shape has run through it), [`QuantStudent::encode`],
+/// [`QuantStudent::start_cache`] and [`QuantStudent::step_into`] allocate
+/// nothing. [`QuantStudent::top_n_sampling`] keeps one per thread.
+#[derive(Default)]
+pub struct DecodeArena {
+    memory: Tensor,
+    enc: EncoderScratch,
+    /// Projected cross keys before their per-head quantization.
+    ck: Tensor,
+    cross: Vec<CrossKv>,
+    /// One quantized activation row (`d_model` wide).
+    xq: Vec<i8>,
+    /// The quantized FFN hidden row (`d_ff` wide).
+    hq: Vec<i8>,
+    attn: AttnScratch,
+    x: Vec<f32>,
+    k_new: Vec<f32>,
+    v_new: Vec<f32>,
+    /// A residual block's output, added back into `x`.
+    delta: Vec<f32>,
+    h1: Vec<f32>,
+    logits: Vec<f32>,
+}
+
+impl DecodeArena {
+    /// Sizes every step buffer for `c` (a no-op once it already fits).
+    fn fit(&mut self, c: &ModelConfig) {
+        let d_head = c.d_model / c.heads;
+        for v in [
+            &mut self.x,
+            &mut self.k_new,
+            &mut self.v_new,
+            &mut self.delta,
+            &mut self.attn.q,
+            &mut self.attn.merged,
+        ] {
+            v.resize(c.d_model, 0.0);
+        }
+        self.h1.resize(c.d_ff, 0.0);
+        self.logits.resize(c.vocab, 0.0);
+        self.xq.resize(c.d_model, 0);
+        self.attn.mq.resize(c.d_model, 0);
+        self.attn.qh.resize(d_head, 0);
+        self.hq.resize(c.d_ff, 0);
+        // Room for the longest key list either attention scores against.
+        let keys = (c.max_src_len + 1).max(c.max_tgt_len + 2);
+        self.attn.scores.reserve(keys.saturating_sub(self.attn.scores.len()));
+    }
+}
+
+/// One top-n candidate: its prefix (BOS first), cache and running score.
+struct Cand {
+    prefix: Vec<usize>,
+    cache: StudentKvCache,
+    log_prob: f32,
+    finished: bool,
+}
+
+/// The per-thread state behind [`QuantStudent::top_n_sampling`]: the
+/// step arena, the first-step cache, the candidates (their prefixes and
+/// caches re-forked through `clone_from`) and the sampling pool.
+#[derive(Default)]
+struct RequestArena {
+    step: DecodeArena,
+    first: StudentKvCache,
+    cands: Vec<Cand>,
+    pool: Vec<(f32, usize)>,
+}
+
+thread_local! {
+    static ARENA: RefCell<RequestArena> = RefCell::new(RequestArena::default());
 }
 
 /// The weight names [`QuantStudent`] quantizes; everything else stays f32.
@@ -522,7 +663,9 @@ impl QuantStudent {
     }
 
     /// Snapshot of the cumulative decode counters (relaxed atomics: the
-    /// student may serve from multiple threads).
+    /// student may serve from multiple threads). Each
+    /// [`QuantStudent::top_n_sampling`] request publishes its counts once,
+    /// when it finishes.
     pub fn decode_stats(&self) -> DecodeStats {
         DecodeStats {
             steps: self.steps.load(Ordering::Relaxed),
@@ -531,22 +674,15 @@ impl QuantStudent {
         }
     }
 
-    /// Truncates and appends EOS to raw source token ids (the teacher's
-    /// `prep_src` discipline).
-    pub fn prep_src(&self, src: &[usize]) -> Vec<usize> {
-        let cut = src.len().min(self.config.max_src_len);
-        let mut out = Vec::with_capacity(cut + 1);
-        out.extend_from_slice(&src[..cut]);
-        out.push(EOS);
-        out
-    }
-
-    /// Encodes raw source ids into a `len x d_model` memory.
-    pub fn encode(&self, src: &[usize]) -> Tensor {
-        let src = self.prep_src(src);
+    /// Encodes raw source ids (truncated to `max_src_len`, EOS appended —
+    /// the teacher's `prep_src` discipline) into the arena's
+    /// `len x d_model` memory and returns it.
+    pub fn encode<'a>(&self, src: &[usize], arena: &'a mut DecodeArena) -> &'a Tensor {
+        let src = &src[..src.len().min(self.config.max_src_len)];
         let scale = (self.config.d_model as f32).sqrt();
-        let mut x = Tensor::zeros(src.len(), self.config.d_model);
-        for (r, &id) in src.iter().enumerate() {
+        let DecodeArena { memory: x, enc, xq, .. } = arena;
+        x.resize_zeroed(src.len() + 1, self.config.d_model);
+        for (r, id) in src.iter().copied().chain([EOS]).enumerate() {
             assert!(id < self.config.vocab, "token id {id} out of vocabulary");
             let pe = self.enc_pe.row_slice(r);
             for ((o, &e), &p) in
@@ -556,146 +692,173 @@ impl QuantStudent {
             }
         }
         for layer in &self.enc {
-            x = layer.forward(&x);
+            layer.forward(x, enc, xq);
         }
         x
     }
 
-    /// Fresh incremental decode cache: cross-attention keys are projected
-    /// and quantized once per source, values stay f32; both are `Arc`d.
-    pub fn start_cache(&self, memory: &Tensor) -> StudentKvCache {
-        let d_head = self.config.d_head();
-        let layers = self
-            .dec
-            .iter()
-            .map(|layer| {
-                let ck = layer.cross_attn.wk.matmul(memory);
-                let cv = layer.cross_attn.wv.matmul(memory);
-                let mut per_head: Vec<QuantizedRows> =
-                    (0..self.config.heads).map(|_| QuantizedRows::new(d_head)).collect();
-                for r in 0..ck.rows() {
-                    let row = ck.row_slice(r);
-                    for (h, rows) in per_head.iter_mut().enumerate() {
-                        rows.push_row(&row[h * d_head..(h + 1) * d_head]);
-                    }
-                }
-                StudentLayerKv {
-                    self_k: (0..self.config.heads).map(|_| QuantizedRows::new(d_head)).collect(),
-                    self_v: Tensor::with_row_capacity(
-                        self.config.max_tgt_len + 2,
-                        self.config.d_model,
-                    ),
-                    cross_k: Arc::new(per_head),
-                    cross_v: Arc::new(cv),
-                }
-            })
-            .collect();
-        StudentKvCache { layers, pos: 0 }
+    /// Projects the arena's memory into this request's cross-attention
+    /// K/V (keys quantized per head, values f32), held in the arena for
+    /// every candidate to read, and returns a fresh cache.
+    pub fn start_cache(&self, arena: &mut DecodeArena) -> StudentKvCache {
+        self.project_cross(arena);
+        let mut cache = StudentKvCache::default();
+        self.reset_cache(&mut cache);
+        cache
     }
 
-    /// Consumes one token and returns the raw next-token *logits* — the
-    /// caller finishes the step with [`fused_top_n_from_logits`], so the
-    /// per-step epilogue is one fused pass instead of
-    /// log-softmax + mask + sort + sample.
-    pub fn step_logits(&self, cache: &mut StudentKvCache, token: usize) -> Vec<f32> {
+    fn project_cross(&self, arena: &mut DecodeArena) {
+        let (heads, d_head) = (self.config.heads, self.config.d_head());
+        let DecodeArena { memory, ck, cross, xq, .. } = arena;
+        cross.resize_with(self.dec.len(), CrossKv::default);
+        for (layer, c) in self.dec.iter().zip(cross.iter_mut()) {
+            layer.cross_attn.wk.matmul_into(memory, ck, xq);
+            layer.cross_attn.wv.matmul_into(memory, &mut c.v, xq);
+            reset_heads(&mut c.k, heads, d_head, self.config.max_src_len + 1);
+            for r in 0..ck.rows() {
+                let row = ck.row_slice(r);
+                for (h, rows) in c.k.iter_mut().enumerate() {
+                    rows.push_row(&row[h * d_head..(h + 1) * d_head]);
+                }
+            }
+        }
+    }
+
+    /// Empties `cache` to position 0 for this student, with room for a
+    /// full-length decode, keeping every allocation of the right shape.
+    fn reset_cache(&self, cache: &mut StudentKvCache) {
+        let rows = self.config.max_tgt_len + 2;
+        cache.layers.resize_with(self.dec.len(), StudentLayerKv::default);
+        for kv in &mut cache.layers {
+            reset_heads(&mut kv.self_k, self.config.heads, self.config.d_head(), rows);
+            kv.self_v.clear();
+            kv.self_v.reserve(rows * self.config.d_model);
+        }
+        cache.pos = 0;
+    }
+
+    /// Consumes one token and returns the raw next-token *logits*, held in
+    /// the arena — the caller finishes the step with
+    /// [`fused_top_n_from_logits`], so the per-step epilogue is one fused
+    /// pass instead of log-softmax + mask + sort + sample. `cache` must
+    /// come from [`QuantStudent::start_cache`] on this `arena` (or be a
+    /// fork of one). Allocation-free once the arena and cache are warm.
+    pub fn step_into<'a>(
+        &self,
+        cache: &mut StudentKvCache,
+        token: usize,
+        arena: &'a mut DecodeArena,
+    ) -> &'a [f32] {
         assert_eq!(cache.layers.len(), self.dec.len(), "cache belongs to a different student");
+        assert_eq!(arena.cross.len(), self.dec.len(), "arena holds no cross K/V for this student");
         assert!(cache.pos < self.dec_pe.rows(), "decode past the positional table");
         assert!(token < self.config.vocab, "token id {token} out of vocabulary");
         let d_head = self.config.d_head();
         let scale = (self.config.d_model as f32).sqrt();
-        let mut x: Vec<f32> = self
-            .tgt_emb
-            .row_slice(token)
-            .iter()
-            .zip(self.dec_pe.row_slice(cache.pos))
-            .map(|(&e, &p)| e * scale + p)
-            .collect();
-        for (layer, kv) in self.dec.iter().zip(cache.layers.iter_mut()) {
+        arena.fit(&self.config);
+        let DecodeArena { cross, xq, hq, attn, x, k_new, v_new, delta, h1, logits, .. } = arena;
+        let emb = self.tgt_emb.row_slice(token).iter().zip(self.dec_pe.row_slice(cache.pos));
+        for (o, (&e, &p)) in x.iter_mut().zip(emb) {
+            *o = e * scale + p;
+        }
+        for ((layer, kv), cross) in self.dec.iter().zip(&mut cache.layers).zip(cross.iter()) {
             // Project and append the newest self-attention K/V rows, then
             // attend — K quantized per head, V kept f32.
-            let (xq, xs) = quantize_row(&x);
-            let k_new = layer.self_attn.wk.matvec(&xq, xs);
-            let v_new = layer.self_attn.wv.matvec(&xq, xs);
+            let xs = quantize_row_into(x, xq);
+            layer.self_attn.wk.matvec_into(xq, xs, k_new);
+            layer.self_attn.wv.matvec_into(xq, xs, v_new);
             for (h, rows) in kv.self_k.iter_mut().enumerate() {
                 rows.push_row(&k_new[h * d_head..(h + 1) * d_head]);
             }
-            kv.self_v.push_row(&v_new);
-            let sa = layer.self_attn.attend_cached(&xq, xs, &kv.self_k, &kv.self_v);
-            for (o, &s) in x.iter_mut().zip(&sa) {
-                *o += s;
-            }
-            layer.norm1.apply(&mut x);
+            kv.self_v.extend_from_slice(v_new);
+            layer.self_attn.attend_cached(xq, xs, &kv.self_k, &kv.self_v, attn, delta);
+            residual_norm(x, delta, &layer.norm1);
 
-            let (xq, xs) = quantize_row(&x);
-            let ca = layer.cross_attn.attend_cached(&xq, xs, &kv.cross_k, &kv.cross_v);
-            for (o, &c) in x.iter_mut().zip(&ca) {
-                *o += c;
-            }
-            layer.norm2.apply(&mut x);
+            let xs = quantize_row_into(x, xq);
+            layer.cross_attn.attend_cached(xq, xs, &cross.k, cross.v.data(), attn, delta);
+            residual_norm(x, delta, &layer.norm2);
 
-            let (xq, xs) = quantize_row(&x);
-            let mut h1 = layer.ff1.matvec(&xq, xs);
-            for v in &mut h1 {
+            let xs = quantize_row_into(x, xq);
+            layer.ff1.matvec_into(xq, xs, h1);
+            for v in h1.iter_mut() {
                 *v = v.max(0.0);
             }
-            let (hq, hs) = quantize_row(&h1);
-            let ff = layer.ff2.matvec(&hq, hs);
-            for (o, &f) in x.iter_mut().zip(&ff) {
-                *o += f;
-            }
-            layer.norm3.apply(&mut x);
+            let hs = quantize_row_into(h1, hq);
+            layer.ff2.matvec_into(hq, hs, delta);
+            residual_norm(x, delta, &layer.norm3);
         }
-        self.steps.fetch_add(1, Ordering::Relaxed);
-        self.tokens.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(cache.pos as u64, Ordering::Relaxed);
         cache.pos += 1;
-        let (xq, xs) = quantize_row(&x);
-        self.out.matvec(&xq, xs)
+        let xs = quantize_row_into(x, xq);
+        self.out.matvec_into(xq, xs, logits);
+        logits
     }
 
     /// The paper's top-n sampling decoder on the quantized fast path:
     /// `k` distinct most-likely first tokens, then one fused
     /// softmax+top-n pass per step per candidate. RNG draws happen in
-    /// candidate order per step, mirroring the teacher decoder.
+    /// candidate order per step, mirroring the teacher decoder. Decodes
+    /// through this thread's arena, so a warm request allocates only the
+    /// returned hypotheses.
     pub fn top_n_sampling(
         &self,
         src: &[usize],
         cfg: TopNSampling,
         rng: &mut StdRng,
     ) -> Vec<Hypothesis> {
-        struct Cand {
-            prefix: Vec<usize>,
-            cache: StudentKvCache,
-            log_prob: f32,
-            finished: bool,
+        ARENA.with_borrow_mut(|arena| self.decode_request(src, cfg, rng, arena))
+    }
+
+    fn decode_request(
+        &self,
+        src: &[usize],
+        cfg: TopNSampling,
+        rng: &mut StdRng,
+        arena: &mut RequestArena,
+    ) -> Vec<Hypothesis> {
+        let RequestArena { step, first, cands, pool } = arena;
+        // Re-initialise everything this request reads before reading it:
+        // a request that panicked mid-decode leaves nothing behind.
+        self.encode(src, step);
+        self.project_cross(step);
+        self.reset_cache(first);
+        // Counted here, published once: (steps, cache hits).
+        let (mut steps, mut cache_hits) = (1u64, 0u64);
+        let logits = self.step_into(first, BOS, step);
+        top_k_first_tokens_from_logits(logits, cfg.k, pool);
+        cands.truncate(pool.len());
+        while cands.len() < pool.len() {
+            let mut cache = StudentKvCache::default();
+            self.reset_cache(&mut cache);
+            let prefix = Vec::with_capacity(self.config.max_tgt_len + 2);
+            cands.push(Cand { prefix, cache, log_prob: 0.0, finished: false });
         }
-        let memory = self.encode(src);
-        let mut first_cache = self.start_cache(&memory);
-        let logits = self.step_logits(&mut first_cache, BOS);
-        let mut cands: Vec<Cand> = top_k_first_tokens_from_logits(&logits, cfg.k)
-            .into_iter()
-            .map(|(tok, lp)| Cand {
-                prefix: vec![BOS, tok],
-                cache: first_cache.clone(),
-                log_prob: lp,
-                finished: false,
-            })
-            .collect();
+        for (cand, &(log_prob, tok)) in cands.iter_mut().zip(pool.iter()) {
+            cand.prefix.clear();
+            cand.prefix.extend([BOS, tok]);
+            cand.cache.clone_from(first);
+            cand.log_prob = log_prob;
+            cand.finished = false;
+        }
         while cands.iter().any(|c| !c.finished) {
             for cand in cands.iter_mut().filter(|c| !c.finished) {
                 let last = *cand.prefix.last().expect("non-empty prefix");
-                let logits = self.step_logits(&mut cand.cache, last);
-                let step = fused_top_n_from_logits(&logits, cfg.n, rng);
-                cand.log_prob += step.log_prob;
-                if step.token == EOS || cand.prefix.len() > self.config.max_tgt_len {
+                steps += 1;
+                cache_hits += cand.cache.pos as u64;
+                let logits = self.step_into(&mut cand.cache, last, step);
+                let next = fused_top_n_from_logits(logits, cfg.n, rng, pool);
+                cand.log_prob += next.log_prob;
+                if next.token == EOS || cand.prefix.len() > self.config.max_tgt_len {
                     cand.finished = true;
                 } else {
-                    cand.prefix.push(step.token);
+                    cand.prefix.push(next.token);
                 }
             }
         }
+        self.steps.fetch_add(steps, Ordering::Relaxed);
+        self.tokens.fetch_add(steps, Ordering::Relaxed);
+        self.cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
         let mut hyps: Vec<Hypothesis> = cands
-            .into_iter()
+            .iter()
             .map(|c| Hypothesis { tokens: c.prefix[1..].to_vec(), log_prob: c.log_prob })
             .collect();
         hyps.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
@@ -739,9 +902,10 @@ mod tests {
         let mem = m.encode(&src);
         let mut st = m.start_state(&mem);
         let want = m.next_log_probs(&mem, &mut st, &[BOS]);
-        let s_mem = s.encode(&src);
-        let mut cache = s.start_cache(&s_mem);
-        let got = masked_log_probs(&s.step_logits(&mut cache, BOS));
+        let mut arena = DecodeArena::default();
+        s.encode(&src, &mut arena);
+        let mut cache = s.start_cache(&mut arena);
+        let got = masked_log_probs(s.step_into(&mut cache, BOS, &mut arena));
         let argmax = |v: &[f32]| {
             v.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap()
         };
@@ -763,15 +927,14 @@ mod tests {
         let m = teacher(30, 3);
         let a = QuantStudent::from_seq2seq(&m).unwrap();
         let b = QuantStudent::from_seq2seq(&m).unwrap();
-        let mem_a = a.encode(&[4, 9, 12]);
-        let mem_b = b.encode(&[4, 9, 12]);
-        assert_eq!(mem_a, mem_b);
-        let mut ca = a.start_cache(&mem_a);
-        let mut cb = b.start_cache(&mem_b);
+        let (mut arena_a, mut arena_b) = (DecodeArena::default(), DecodeArena::default());
+        assert_eq!(a.encode(&[4, 9, 12], &mut arena_a), b.encode(&[4, 9, 12], &mut arena_b));
+        let mut ca = a.start_cache(&mut arena_a);
+        let mut cb = b.start_cache(&mut arena_b);
         let mut tok = BOS;
         for _ in 0..8 {
-            let la = a.step_logits(&mut ca, tok);
-            let lb = b.step_logits(&mut cb, tok);
+            let la = a.step_into(&mut ca, tok, &mut arena_a);
+            let lb = b.step_into(&mut cb, tok, &mut arena_b);
             assert_eq!(la, lb);
             tok = la
                 .iter()
@@ -807,6 +970,41 @@ mod tests {
         assert!(stats.steps > 0 && stats.tokens > 0);
     }
 
+    /// The per-thread arena is re-initialised by every request: after a
+    /// request panics half-way through the arena (an out-of-vocabulary
+    /// source token) and after a student of another shape used it, a
+    /// request decodes exactly as on a fresh thread.
+    #[test]
+    fn arena_reinitialises_after_a_panic_and_across_students() {
+        let a = QuantStudent::from_seq2seq(&teacher(30, 5)).unwrap();
+        let mut wide = ModelConfig::student(50);
+        (wide.d_model, wide.heads, wide.d_ff) = (48, 3, 96);
+        (wide.max_tgt_len, wide.dec_layers) = (9, 2);
+        let b = QuantStudent::from_seq2seq(&Seq2Seq::new(wide, 6)).unwrap();
+        let cfg = TopNSampling { k: 3, n: 5 };
+        let run = |s: &QuantStudent, src: &[usize]| {
+            s.top_n_sampling(src, cfg, &mut StdRng::seed_from_u64(4))
+        };
+        let fresh = |s: &QuantStudent, src: &[usize]| {
+            std::thread::scope(|sc| sc.spawn(|| run(s, src)).join().unwrap())
+        };
+        let (want_a, want_b) = (fresh(&a, &[6, 7, 8]), fresh(&b, &[9, 10, 11, 12]));
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                assert_eq!(run(&b, &[9, 10, 11, 12]), want_b);
+                let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run(&a, &[6, 7, 8, 9, 99])
+                }));
+                assert!(poisoned.is_err(), "out-of-vocabulary source must panic");
+                assert_eq!(run(&a, &[6, 7, 8]), want_a);
+                assert_eq!(run(&b, &[9, 10, 11, 12]), want_b);
+                assert_eq!(run(&a, &[6, 7, 8]), want_a);
+            })
+            .join()
+            .unwrap()
+        });
+    }
+
     /// Export → import round-trips bitwise: the rebuilt student produces
     /// identical logits and identical sampled hypotheses.
     #[test]
@@ -816,12 +1014,12 @@ mod tests {
         let q = s.export_quantized();
         let f = s.export_f32();
         let r = QuantStudent::from_artifacts(s.config().clone(), &q, &f).unwrap();
-        let mem_s = s.encode(&[5, 8]);
-        let mem_r = r.encode(&[5, 8]);
-        assert_eq!(mem_s, mem_r);
-        let mut cs = s.start_cache(&mem_s);
-        let mut cr = r.start_cache(&mem_r);
-        assert_eq!(s.step_logits(&mut cs, BOS), r.step_logits(&mut cr, BOS));
+        let (mut arena_s, mut arena_r) = (DecodeArena::default(), DecodeArena::default());
+        assert_eq!(s.encode(&[5, 8], &mut arena_s), r.encode(&[5, 8], &mut arena_r));
+        let mut cs = s.start_cache(&mut arena_s);
+        let mut cr = r.start_cache(&mut arena_r);
+        let logits_s = s.step_into(&mut cs, BOS, &mut arena_s);
+        assert_eq!(logits_s, r.step_into(&mut cr, BOS, &mut arena_r));
         let cfg = TopNSampling::default();
         assert_eq!(
             s.top_n_sampling(&[5, 8], cfg, &mut StdRng::seed_from_u64(2)),

@@ -143,9 +143,10 @@ impl QueryRewriter for BatchedQ2Q {
 
 /// The quantized-student serving rung: thread-safe like [`BatchedQ2Q`]
 /// (per-query RNG derived from the query tokens, shared weights behind
-/// `Arc`s), but decoding one request at a time — the student's integer
-/// microkernels are fast enough that cross-request batching buys nothing
-/// at serving batch sizes.
+/// `Arc`s), but decoding one request at a time. Each worker thread
+/// decodes through the student's per-thread arena, so a warm request
+/// allocates only its returned hypotheses; the k candidates still step
+/// one at a time (stacking them, and requests, into one pass is open).
 pub struct StudentOnline {
     student: Arc<QuantStudent>,
     vocab: Arc<Vocab>,

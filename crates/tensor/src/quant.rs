@@ -28,7 +28,10 @@
 //!   the same exact `i32` sum — pair sums of two `127 × 127` products
 //!   are nowhere near `i32` range — so the dispatch never changes
 //!   results, only speed. The scalar [`dot_i8`] stays the reference the
-//!   property tests pin the SIMD path against.
+//!   property tests pin the SIMD path against. The row quantizer
+//!   ([`quantize_row_into`]) and the sampling epilogue's [`sum_exp`] have
+//!   AVX2 kernels too, each bitwise equal to a scalar twin: the same f32
+//!   operations per lane in the same order, with no FMA.
 
 use crate::avx2_available;
 use crate::gemm::PAR_MIN_WORK;
@@ -187,30 +190,241 @@ mod avx2 {
             out.push(acc as f32 * q_scale * ks * factor);
         }
     }
+
+    /// `p.round().clamp(-127.0, 127.0) as i8` in eight lanes, as i32:
+    /// round half away from zero is `trunc(p)` plus `±1` where the
+    /// (exact) fraction `|p - trunc(p)|` is at least one half; `vminps` /
+    /// `vmaxps` clamp, and a NaN lane is zeroed before the truncating
+    /// convert (`NaN as i8` is 0). ±inf truncate to themselves with a NaN
+    /// fraction, so they clamp to ±127 unbumped.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn round_clamp8(p: __m256) -> __m256i {
+        let sign = _mm256_set1_ps(-0.0);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(p);
+        let frac = _mm256_andnot_ps(sign, _mm256_sub_ps(p, t));
+        let half_up = _mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5));
+        let unit = _mm256_or_ps(_mm256_and_ps(p, sign), _mm256_set1_ps(1.0));
+        let r = _mm256_add_ps(t, _mm256_and_ps(half_up, unit));
+        let c = _mm256_min_ps(_mm256_max_ps(r, _mm256_set1_ps(-127.0)), _mm256_set1_ps(127.0));
+        let c = _mm256_and_ps(c, _mm256_cmp_ps::<_CMP_ORD_Q>(p, p));
+        _mm256_cvttps_epi32(c)
+    }
+
+    /// `out[i] = (x[i] * inv).round().clamp(-127.0, 127.0) as i8`, eight
+    /// lanes at a time through [`round_clamp8`], the ragged tail through
+    /// the scalar expression itself.
+    ///
+    /// # Safety
+    /// Requires AVX2; `out.len() == x.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn scale_round_clamp(x: &[f32], inv: f32, out: &mut [i8]) {
+        let chunks = x.len() / 8;
+        let vinv = _mm256_set1_ps(inv);
+        for c in 0..chunks {
+            let q = round_clamp8(_mm256_mul_ps(_mm256_loadu_ps(x.as_ptr().add(c * 8)), vinv));
+            // Codes are within ±127, so neither saturating pack clips.
+            let w = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+            _mm_storel_epi64(out.as_mut_ptr().add(c * 8).cast(), _mm_packs_epi16(w, w));
+        }
+        for (o, &v) in out[chunks * 8..].iter_mut().zip(&x[chunks * 8..]) {
+            *o = (v * inv).round().clamp(-127.0, 127.0) as i8;
+        }
+    }
+
+    /// The row quantizer, bitwise equal to [`super::quantize_row_scalar`]:
+    /// the max-abs runs as `vmaxps(|v|, m)` — `vmaxps` returns its second
+    /// operand when either is NaN, so a NaN entry leaves the running
+    /// maximum untouched exactly as `f32::max` skips it — and the lanes
+    /// reduce by `f32::max`, order-free on non-NaN non-negative values.
+    ///
+    /// # Safety
+    /// Requires AVX2; `out.len() == x.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn quantize_row(x: &[f32], out: &mut [i8]) -> f32 {
+        let chunks = x.len() / 8;
+        let abs = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+        let mut m = _mm256_setzero_ps();
+        for c in 0..chunks {
+            let v = _mm256_loadu_ps(x.as_ptr().add(c * 8));
+            m = _mm256_max_ps(_mm256_and_ps(v, abs), m);
+        }
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), m);
+        let max_abs =
+            x[chunks * 8..].iter().chain(&lanes).fold(0.0f32, |m, &v| m.max(v.abs()));
+        if max_abs == 0.0 {
+            out.fill(0);
+            return 0.0;
+        }
+        scale_round_clamp(x, 127.0 / max_abs, out);
+        max_abs / 127.0
+    }
+
+    /// [`super::exp_term`] in eight lanes, the same operations in the same
+    /// order (no FMA), with masked lanes forced to `+0.0`.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exp_terms8(v: __m256, max: __m256) -> __m256 {
+        use super::{EXP_FLOOR, EXP_POLY, LN2_HI, LN2_LO, LOG2E, ROUND_MAGIC};
+        let x = _mm256_sub_ps(v, max);
+        let abs = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+        let inf = _mm256_set1_ps(f32::INFINITY);
+        let finite = _mm256_cmp_ps::<_CMP_LT_OQ>(_mm256_and_ps(v, abs), inf);
+        let above = _mm256_cmp_ps::<_CMP_GE_OQ>(x, _mm256_set1_ps(EXP_FLOOR));
+        let keep = _mm256_and_ps(finite, above);
+        let magic = _mm256_set1_ps(ROUND_MAGIC);
+        let n = _mm256_sub_ps(_mm256_add_ps(_mm256_mul_ps(x, _mm256_set1_ps(LOG2E)), magic), magic);
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI))),
+            _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)),
+        );
+        let mut p = _mm256_set1_ps(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+        }
+        let p = _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r);
+        let p = _mm256_add_ps(p, _mm256_set1_ps(1.0));
+        let biased = _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127));
+        let pow2 = _mm256_slli_epi32::<23>(biased);
+        _mm256_and_ps(keep, _mm256_mul_ps(p, _mm256_castsi256_ps(pow2)))
+    }
+
+    /// [`super::sum_exp_scalar`] in eight lanes: lane `l` accumulates
+    /// entries `l, l + 8, …`, the ragged tail is padded with `-inf`
+    /// (contributing `+0.0`, which leaves a non-negative lane unchanged),
+    /// and the lanes reduce in the scalar twin's fixed tree.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sum_exp(xs: &[f32], max: f32) -> f32 {
+        let chunks = xs.len() / 8;
+        let vmax = _mm256_set1_ps(max);
+        let mut acc = _mm256_setzero_ps();
+        for c in 0..chunks {
+            acc = _mm256_add_ps(acc, exp_terms8(_mm256_loadu_ps(xs.as_ptr().add(c * 8)), vmax));
+        }
+        let mut tail = [f32::NEG_INFINITY; 8];
+        tail[..xs.len() - chunks * 8].copy_from_slice(&xs[chunks * 8..]);
+        acc = _mm256_add_ps(acc, exp_terms8(_mm256_loadu_ps(tail.as_ptr()), vmax));
+        // [l0+l4, l1+l5, l2+l6, l3+l7] → [(l0+l4)+(l2+l6), (l1+l5)+(l3+l7)] → sum.
+        let s = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps::<1>(acc));
+        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+        let s = _mm_add_ss(s, _mm_shuffle_ps::<0b01>(s, s));
+        _mm_cvtss_f32(s)
+    }
 }
 
-/// Quantizes one f32 row symmetrically to i8: `scale = max|x| / 127`,
-/// `q = round(x / scale)` clamped to `[-127, 127]` (the -128 slot is
-/// unused so negation is always exact). An all-zero row gets scale 0 and
-/// an all-zero payload. Returns the scale.
-pub fn quantize_row_into(x: &[f32], out: &mut Vec<i8>) -> f32 {
-    out.clear();
+/// Quantizes one f32 row symmetrically to i8 into `out` (same length):
+/// `scale = max|x| / 127`, `q = round(x / scale)` (half away from zero)
+/// clamped to `[-127, 127]` (the -128 slot is unused so negation is
+/// always exact). NaN entries are skipped by the max and quantize to 0;
+/// an all-zero row gets scale 0 and an all-zero payload. Returns the
+/// scale. Dispatches to the AVX2 row kernel when available — bitwise
+/// identical to the scalar twin by construction.
+pub fn quantize_row_into(x: &[f32], out: &mut [i8]) -> f32 {
+    assert_eq!(out.len(), x.len(), "quantized row width mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 verified at runtime; the assert pins `out`'s length.
+        return unsafe { avx2::quantize_row(x, out) };
+    }
+    quantize_row_scalar(x, out)
+}
+
+/// The scalar twin of the AVX2 row quantizer — the reference the
+/// dispatch is pinned against.
+fn quantize_row_scalar(x: &[f32], out: &mut [i8]) -> f32 {
     let max_abs = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
     if max_abs == 0.0 {
-        out.resize(x.len(), 0);
+        out.fill(0);
         return 0.0;
     }
-    let scale = max_abs / 127.0;
     let inv = 127.0 / max_abs;
-    out.extend(x.iter().map(|&v| (v * inv).round().clamp(-127.0, 127.0) as i8));
-    scale
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = (v * inv).round().clamp(-127.0, 127.0) as i8;
+    }
+    max_abs / 127.0
 }
 
 /// [`quantize_row_into`] returning a fresh buffer.
 pub fn quantize_row(x: &[f32]) -> (Vec<i8>, f32) {
-    let mut q = Vec::with_capacity(x.len());
+    let mut q = vec![0; x.len()];
     let scale = quantize_row_into(x, &mut q);
     (q, scale)
+}
+
+/// Entries more than this far below the maximum contribute 0 to
+/// [`sum_exp`] (`e^-87` is below 2^-125; it keeps `2^n` a normal float).
+const EXP_FLOOR: f32 = -87.0;
+const LOG2E: f32 = std::f32::consts::LOG2_E;
+/// `1.5 * 2^23`: adding and subtracting it rounds to the nearest integer.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+/// `ln 2` split Cody–Waite style: `LN2_HI` has 9 significant bits, so
+/// `n * LN2_HI` is exact for every `n` [`EXP_FLOOR`] admits.
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// Minimax coefficients of `(e^r - 1 - r) / r^2` on `|r| <= ln2 / 2`
+/// (Cephes `expf`), highest degree first.
+const EXP_POLY: [f32; 6] =
+    [1.987_569_1e-4, 1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_6e-1, 0.5];
+
+/// `e^(v - max)` for one entry, 0 for a non-finite `v` or one below
+/// [`EXP_FLOOR`]: range reduction `x = n ln2 + r`, a degree-7 polynomial
+/// in `r`, and `2^n` built in the exponent bits. Plain multiplies and
+/// adds in a fixed order — no FMA — so the AVX2 lanes reproduce it bit
+/// for bit.
+fn exp_term(v: f32, max: f32) -> f32 {
+    let x = v - max;
+    if !(v.is_finite() && x >= EXP_FLOOR) {
+        return 0.0;
+    }
+    let n = (x * LOG2E + ROUND_MAGIC) - ROUND_MAGIC;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let p = EXP_POLY[1..].iter().fold(EXP_POLY[0], |p, &c| p * r + c);
+    let p = p * (r * r) + r + 1.0;
+    p * f32::from_bits(((n as i32 + 127) as u32) << 23)
+}
+
+/// `Σ e^(x - max)` over the finite entries of `xs` — the log-sum-exp
+/// body of the student's sampling epilogue (`lse = max + ln(sum_exp)`).
+/// `max` must be at least every finite entry (the row maximum).
+/// Non-finite entries contribute 0; each term is within a few ulps of
+/// `exp`. The sum runs in a fixed 8-lane order, and the AVX2 path is
+/// bitwise equal to the scalar twin, so the result is the same on every
+/// machine.
+pub fn sum_exp(xs: &[f32], max: f32) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 verified at runtime; the kernel reads only `xs`.
+        return unsafe { avx2::sum_exp(xs, max) };
+    }
+    sum_exp_scalar(xs, max)
+}
+
+/// The scalar twin of the AVX2 [`sum_exp`]: lane `l` accumulates entries
+/// `l, l + 8, …` in order, then the lanes reduce as
+/// `((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))`.
+fn sum_exp_scalar(xs: &[f32], max: f32) -> f32 {
+    let mut l = [0.0f32; 8];
+    let chunks = xs.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &v) in l.iter_mut().zip(chunk) {
+            *lane += exp_term(v, max);
+        }
+    }
+    for (lane, &v) in l.iter_mut().zip(tail) {
+        *lane += exp_term(v, max);
+    }
+    ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
 }
 
 /// Integer dot product, `i8 × i8 → i32`, exact (no saturation: the
@@ -256,13 +470,10 @@ impl QuantizedMatrix {
     /// Quantizes each row of `t` independently.
     pub fn from_rows(t: &Tensor) -> Self {
         let (rows, cols) = t.shape();
-        let mut data = Vec::with_capacity(rows * cols);
-        let mut scales = Vec::with_capacity(rows);
-        let mut q = Vec::with_capacity(cols);
-        for r in 0..rows {
-            scales.push(quantize_row_into(t.row_slice(r), &mut q));
-            data.extend_from_slice(&q);
-        }
+        let mut data = vec![0; rows * cols];
+        let scales = (0..rows)
+            .map(|r| quantize_row_into(t.row_slice(r), &mut data[r * cols..(r + 1) * cols]))
+            .collect();
         QuantizedMatrix { rows, cols, data, scales }
     }
 
@@ -272,22 +483,21 @@ impl QuantizedMatrix {
     pub fn from_weight(w: &Tensor) -> Self {
         let (d_in, d_out) = w.shape();
         let mut col = vec![0.0f32; d_in];
-        let mut data = Vec::with_capacity(d_in * d_out);
+        let mut data = vec![0; d_in * d_out];
         let mut scales = Vec::with_capacity(d_out);
-        let mut q = Vec::with_capacity(d_in);
         for j in 0..d_out {
             for (i, slot) in col.iter_mut().enumerate() {
                 *slot = w.get(i, j);
             }
-            scales.push(quantize_row_into(&col, &mut q));
-            data.extend_from_slice(&q);
+            scales.push(quantize_row_into(&col, &mut data[j * d_in..(j + 1) * d_in]));
         }
         QuantizedMatrix { rows: d_out, cols: d_in, data, scales }
     }
 
     /// Rebuilds a matrix from its serialized parts (see
-    /// [`crate::serialize`]'s v3 records). Rejects mismatched lengths and
-    /// non-finite or negative scales.
+    /// [`crate::serialize`]'s v3 records). Rejects mismatched lengths,
+    /// non-finite or negative scales, and `-128` payload bytes (the
+    /// quantizer's codes are `[-127, 127]`).
     pub fn from_parts(
         rows: usize,
         cols: usize,
@@ -303,6 +513,9 @@ impl QuantizedMatrix {
         }
         if let Some(s) = scales.iter().find(|s| !s.is_finite() || **s < 0.0) {
             return Err(format!("invalid row scale {s}"));
+        }
+        if let Some(i) = data.iter().position(|&q| q == i8::MIN) {
+            return Err(format!("payload byte {i} is -128, outside [-127, 127]"));
         }
         Ok(QuantizedMatrix { rows, cols, data, scales })
     }
@@ -389,6 +602,40 @@ impl QuantizedMatrix {
         std::thread::available_parallelism().map_or(1, |p| p.get()).min(m)
     }
 
+    /// [`QuantizedMatrix::matmul`] on one thread into caller-owned
+    /// buffers: `out` is reshaped to `x.rows() x self.rows()` and `xq`
+    /// holds each quantized activation row, both reusing their
+    /// allocations — the student's encoder and cross-attention
+    /// projections run through this allocation-free once warm.
+    pub fn matmul_into(
+        &self,
+        x: &Tensor,
+        bias: Option<&[f32]>,
+        out: &mut Tensor,
+        xq: &mut Vec<i8>,
+    ) {
+        assert_eq!(x.cols(), self.cols, "input width mismatch");
+        out.resize_zeroed(x.rows(), self.rows);
+        xq.resize(self.cols, 0);
+        self.matmul_rows(x, 0..x.rows(), bias, out.data_mut(), xq);
+    }
+
+    /// Rows `rows` of `x` into the matching `out_rows` (row-major
+    /// `rows.len() x self.rows`), quantizing each through `xq`.
+    fn matmul_rows(
+        &self,
+        x: &Tensor,
+        rows: std::ops::Range<usize>,
+        bias: Option<&[f32]>,
+        out_rows: &mut [f32],
+        xq: &mut [i8],
+    ) {
+        for (chunk, r) in out_rows.chunks_mut(self.rows).zip(rows) {
+            let s = quantize_row_into(x.row_slice(r), xq);
+            self.matvec_quantized(xq, s, bias, chunk);
+        }
+    }
+
     /// [`QuantizedMatrix::matmul`] with an explicit thread count — the
     /// determinism property tests drive 1 vs N directly through this.
     pub fn matmul_with_threads(&self, x: &Tensor, bias: Option<&[f32]>, threads: usize) -> Tensor {
@@ -396,11 +643,7 @@ impl QuantizedMatrix {
         assert_eq!(x.cols(), self.cols, "input width mismatch");
         let mut out = Tensor::zeros(m, self.rows);
         let run_rows = |rows: std::ops::Range<usize>, out_rows: &mut [f32]| {
-            let mut xq = Vec::with_capacity(self.cols);
-            for (chunk, r) in out_rows.chunks_mut(self.rows).zip(rows) {
-                let s = quantize_row_into(x.row_slice(r), &mut xq);
-                self.matvec_quantized(&xq, s, bias, chunk);
-            }
+            self.matmul_rows(x, rows, bias, out_rows, &mut vec![0; self.cols]);
         };
         if threads <= 1 || m < 2 {
             run_rows(0..m, out.data_mut());
@@ -432,16 +675,42 @@ impl QuantizedMatrix {
 /// A growable list of quantized rows — the student decoder's attention
 /// key cache. Keys are quantized once when appended; every subsequent
 /// attention score against them is an integer dot.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct QuantizedRows {
     cols: usize,
     data: Vec<i8>,
     scales: Vec<f32>,
 }
 
+/// `clone_from` reuses both buffers, so re-forking a decode cache into a
+/// warm one allocates nothing.
+impl Clone for QuantizedRows {
+    fn clone(&self) -> Self {
+        QuantizedRows { cols: self.cols, data: self.data.clone(), scales: self.scales.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+        self.scales.clone_from(&source.scales);
+    }
+}
+
 impl QuantizedRows {
     pub fn new(cols: usize) -> Self {
-        QuantizedRows { cols, data: Vec::new(), scales: Vec::new() }
+        QuantizedRows::with_capacity(cols, 0)
+    }
+
+    /// An empty list with room for `rows` rows before reallocating.
+    pub fn with_capacity(cols: usize, rows: usize) -> Self {
+        let (data, scales) = (Vec::with_capacity(rows * cols), Vec::with_capacity(rows));
+        QuantizedRows { cols, data, scales }
+    }
+
+    /// Drops every row, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.data.clear();
+        self.scales.clear();
     }
 
     /// Quantizes each row of `t` (e.g. projected cross-attention keys).
@@ -465,11 +734,12 @@ impl QuantizedRows {
         self.cols
     }
 
+    /// Quantizes `row` straight into the payload's new tail.
     pub fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.cols, "row width mismatch");
-        let mut q = Vec::with_capacity(self.cols);
-        let s = quantize_row_into(row, &mut q);
-        self.data.extend_from_slice(&q);
+        let start = self.data.len();
+        self.data.resize(start + self.cols, 0);
+        let s = quantize_row_into(row, &mut self.data[start..]);
         self.scales.push(s);
     }
 
@@ -633,7 +903,142 @@ mod tests {
                 let want = dot_i8(&xq, keys.row(j)) as f32 * xs * keys.scale(j) * 0.125;
                 assert_eq!(got.to_bits(), want.to_bits(), "scores cols {cols}, row {j}");
             }
+
+            let row = random_tensor(1, cols, 50 + cols as u64);
+            assert_quantizer_matches_scalar(row.row_slice(0));
+            let logits: Vec<f32> = row.row_slice(0).iter().map(|v| v * 12.0).collect();
+            let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            assert_eq!(sum_exp(&logits, max).to_bits(), sum_exp_scalar(&logits, max).to_bits());
         }
+    }
+
+    /// The dispatching row quantizer (AVX2 where available) against its
+    /// scalar twin: scale and payload bit for bit.
+    fn assert_quantizer_matches_scalar(x: &[f32]) {
+        let (mut got, mut want) = (vec![0i8; x.len()], vec![0i8; x.len()]);
+        let got_scale = quantize_row_into(x, &mut got);
+        let want_scale = quantize_row_scalar(x, &mut want);
+        assert_eq!((got_scale.to_bits(), &got), (want_scale.to_bits(), &want), "row {x:?}");
+    }
+
+    /// Values the quantizer's edge cases hinge on: signed zeros,
+    /// subnormals (as entries and as the row maximum), the smallest
+    /// normal, exact halves, infinities and NaN.
+    const SPECIALS: [f32; 12] = [
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(0x007f_ffff),
+        f32::MIN_POSITIVE,
+        0.5,
+        -2.5,
+        63.5,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::MAX,
+    ];
+
+    #[test]
+    fn row_quantizer_matches_scalar_twin_bitwise() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for width in 1..=100usize {
+            assert_quantizer_matches_scalar(&vec![0.0; width]);
+            assert_quantizer_matches_scalar(&vec![-0.0; width]);
+            let random: Vec<f32> = (0..width).map(|_| rng.gen::<f32>() * 8.0 - 4.0).collect();
+            assert_quantizer_matches_scalar(&random);
+            // Random rows salted with specials: each special alone in a
+            // small-valued row, and rows drawn wholly from the palette.
+            for &special in &SPECIALS {
+                let mut row: Vec<f32> = (0..width).map(|_| rng.gen::<f32>() * 1e-3).collect();
+                row[rng.gen_range(0..width)] = special;
+                assert_quantizer_matches_scalar(&row);
+            }
+            let palette: Vec<f32> =
+                (0..width).map(|_| SPECIALS[rng.gen_range(0..SPECIALS.len())]).collect();
+            assert_quantizer_matches_scalar(&palette);
+            let subnormal: Vec<f32> = (0..width)
+                .map(|i| f32::from_bits(i as u32 * 37 + 1) * if i % 2 == 0 { 1.0 } else { -1.0 })
+                .collect();
+            assert_quantizer_matches_scalar(&subnormal);
+            // Max-abs 127 makes the scale exactly 1, so these exact halves
+            // reach the rounding step as ties (2.5 must round to 3, not 2).
+            let halves: Vec<f32> =
+                (0..width).map(|i| if i == 0 { -127.0 } else { i as f32 - 50.5 }).collect();
+            assert_quantizer_matches_scalar(&halves);
+        }
+    }
+
+    /// Every f32 bit pattern through the AVX2 per-element core (scaled by
+    /// 1.0, which is exact for every non-NaN input and keeps NaN NaN)
+    /// against `round().clamp(-127, 127) as i8`. Release-only: run with
+    /// `cargo test --release -p qrw-tensor --lib -- --ignored`.
+    #[test]
+    #[ignore = "walks all 2^32 f32 bit patterns; run in release with --ignored"]
+    fn round_clamp_core_matches_scalar_on_every_f32() {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            let mut x = vec![0.0f32; 1 << 16];
+            let mut got = vec![0i8; 1 << 16];
+            for hi in 0..1u32 << 16 {
+                for (lo, v) in x.iter_mut().enumerate() {
+                    *v = f32::from_bits(hi << 16 | lo as u32);
+                }
+                // SAFETY: AVX2 verified above; `got` and `x` have equal lengths.
+                unsafe { avx2::scale_round_clamp(&x, 1.0, &mut got) };
+                for (&v, &g) in x.iter().zip(&got) {
+                    let want = v.round().clamp(-127.0, 127.0) as i8;
+                    assert_eq!(g, want, "bits {:#010x}", v.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_exp_matches_scalar_twin_bitwise() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for width in 0..=100usize {
+            let mut row: Vec<f32> = (0..width).map(|_| rng.gen::<f32>() * 30.0 - 20.0).collect();
+            if width > 2 {
+                for &special in &SPECIALS[..4] {
+                    row[rng.gen_range(0..width)] = special;
+                }
+                row[rng.gen_range(0..width)] = f32::NAN;
+                row[rng.gen_range(0..width)] = f32::NEG_INFINITY;
+                row[rng.gen_range(0..width)] = f32::INFINITY;
+                row[rng.gen_range(0..width)] = -150.0;
+            }
+            let max =
+                row.iter().copied().filter(|v| v.is_finite()).fold(f32::NEG_INFINITY, f32::max);
+            let (got, want) = (sum_exp(&row, max), sum_exp_scalar(&row, max));
+            assert_eq!(got.to_bits(), want.to_bits(), "{row:?}");
+        }
+    }
+
+    /// Each term tracks f64 `exp` to a few ulps over the whole range the
+    /// kernel evaluates, and a row sum tracks the f64 sum.
+    #[test]
+    fn sum_exp_tracks_f64_exp() {
+        let steps = 87 << 12;
+        let mut worst = 0.0f64;
+        for i in 0..=steps {
+            let x = -87.0 + i as f32 / 4096.0;
+            let want = f64::from(x).exp();
+            let got = f64::from(sum_exp(&[x], 0.0));
+            worst = worst.max(((got - want) / want).abs());
+        }
+        assert!(worst < 3.0 * f64::from(f32::EPSILON), "worst relative error {worst:e}");
+
+        let row: Vec<f32> =
+            random_tensor(1, 499, 47).row_slice(0).iter().map(|v| v * 15.0).collect();
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let want: f64 = row.iter().map(|&v| f64::from(v - max).exp()).sum();
+        let got = f64::from(sum_exp(&row, max));
+        assert!(((got - want) / want).abs() < 1e-6, "{got} vs {want}");
+        // Non-finite entries and entries below the floor contribute 0.
+        assert_eq!(sum_exp(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -100.0], 0.0), 0.0);
+        assert_eq!(sum_exp(&[], 0.0), 0.0);
+        assert_eq!(sum_exp(&[0.0, f32::NAN], 0.0), 1.0);
     }
 
     #[test]
@@ -644,6 +1049,8 @@ mod tests {
         assert!(QuantizedMatrix::from_parts(2, 2, vec![0; 4], vec![1.0, f32::NAN]).is_err());
         assert!(QuantizedMatrix::from_parts(2, 2, vec![0; 4], vec![1.0, -1.0]).is_err());
         assert!(QuantizedMatrix::from_parts(usize::MAX, 2, vec![], vec![]).is_err());
+        assert!(QuantizedMatrix::from_parts(2, 2, vec![0, 127, -127, 1], vec![1.0, 1.0]).is_ok());
+        assert!(QuantizedMatrix::from_parts(2, 2, vec![0, 1, -128, 1], vec![1.0, 1.0]).is_err());
     }
 
     #[test]

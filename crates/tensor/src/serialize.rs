@@ -75,6 +75,9 @@ pub enum CheckpointError {
     },
     /// Trailing bytes after the file trailer (framing is exact in v2).
     TrailingBytes,
+    /// A well-framed quantized record whose contents the matrix rejects
+    /// (a `-128` payload byte); the reason says which check fired.
+    InvalidRecord { name: String, reason: String },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -108,6 +111,9 @@ impl std::fmt::Display for CheckpointError {
                 "shape mismatch for '{name}': checkpoint {checkpoint:?}, model {model:?}"
             ),
             CheckpointError::TrailingBytes => write!(f, "trailing bytes after checkpoint"),
+            CheckpointError::InvalidRecord { name, reason } => {
+                write!(f, "invalid quantized record '{name}': {reason}")
+            }
         }
     }
 }
@@ -463,7 +469,7 @@ pub fn parse_quantized(buf: &[u8]) -> Result<Vec<(String, QuantizedMatrix)>, Che
             return Err(CheckpointError::RecordChecksum { index });
         }
         let matrix = QuantizedMatrix::from_parts(rows, cols, data, scales)
-            .map_err(|_| CheckpointError::ShapeOverflow)?;
+            .map_err(|reason| CheckpointError::InvalidRecord { name: name.clone(), reason })?;
         out.push((name, matrix));
     }
     if r.remaining() != 4 {
@@ -703,6 +709,26 @@ mod tests {
             parse_quantized(&evil).unwrap_err(),
             CheckpointError::NonFinite { name: "w".into() }
         );
+    }
+
+    /// A `-128` payload byte in a v3 blob with re-sealed CRCs: the code
+    /// range check itself must fire (the quantizer never emits -128).
+    #[test]
+    fn quantized_rejects_minus_128_payload() {
+        let m = QuantizedMatrix::from_rows(&Tensor::row(vec![1.0, 2.0]));
+        let mut evil = save_quantized(&[("w", &m)]);
+        let off = 12 + 4 + 1 + 8 + 4; // header, name_len, "w", rows+cols, one scale
+        evil[off] = 0x80;
+        let rec_end = evil.len() - 8;
+        let rec_crc = crc32(&evil[12..rec_end]);
+        evil[rec_end..rec_end + 4].copy_from_slice(&rec_crc.to_le_bytes());
+        let body_len = evil.len() - 4;
+        let file_crc = crc32(&evil[..body_len]);
+        evil[body_len..].copy_from_slice(&file_crc.to_le_bytes());
+        assert!(matches!(
+            parse_quantized(&evil).unwrap_err(),
+            CheckpointError::InvalidRecord { name, .. } if name == "w"
+        ));
     }
 
     #[test]

@@ -28,6 +28,13 @@ impl fmt::Debug for Tensor {
     }
 }
 
+/// The empty `0 x 0` tensor (a buffer to [`Tensor::resize_zeroed`] later).
+impl Default for Tensor {
+    fn default() -> Self {
+        Tensor::zeros(0, 0)
+    }
+}
+
 impl Tensor {
     /// A `rows x cols` tensor filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -376,6 +383,15 @@ impl Tensor {
     /// Fills with zeros, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
+    }
+
+    /// Reshapes in place to a `rows x cols` zero matrix, reusing the
+    /// allocation (no reallocation once it has held that many values).
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
     }
 }
 

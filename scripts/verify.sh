@@ -72,8 +72,10 @@
 # BENCH_online.json at the repo root. When QRW_VERIFY_BUDGET is set to
 # "full", the run extends to 5 days with a 2x per-tick step budget.
 #
-# Always runs the bitwise-oracle suites (matmul_props, quant_props,
-# kv_equivalence, decode_props), the shard byte-transparency and
+# Always runs the bitwise-oracle suites (matmul_props, quant_props, the
+# exhaustive quantizer-core sweep, kv_equivalence, decode_props, the
+# student's frozen-oracle unit tests and the decode_alloc counting-
+# allocator proof), the shard byte-transparency and
 # fault-isolation suites (shard_equivalence, shard_resilience), and the
 # qrw-search unit suites (the interned index against its string-scan
 # oracle, BM25 bit-equality, fingerprint golden values) with the
@@ -166,7 +168,11 @@ echo "== bit-exactness suites (release, offline) =="
 # the benchmarks run the opt-level 3 release machine code, so the bitwise
 # oracles and the shard tier's equivalence suites run against it too.
 cargo test --release --offline -p qrw-tensor --test matmul_props --test quant_props
+# The exhaustive quantizer-core sweep (every f32 bit pattern) is too slow
+# for the opt-level 1 run, so it is #[ignore]d there and runs here.
+cargo test --release --offline -p qrw-tensor --lib -- --ignored
 cargo test --release --offline -p qrw-nmt --test kv_equivalence --test decode_props
+cargo test --release --offline -p qrw-nmt --lib --test decode_alloc
 cargo test --release --offline -p qrw-search --test shard_equivalence --test shard_resilience
 cargo test --release --offline -p qrw-search --lib --test mutation
 
