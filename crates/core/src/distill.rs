@@ -21,7 +21,7 @@ use qrw_text::Vocab;
 use crate::checkpoint::CheckpointStore;
 use crate::config::TrainConfig;
 use crate::cyclic::{CyclicTrainer, JointModel, TrainMode, TrainingCurve};
-use crate::pipeline::{QueryRewriter, RewritePipeline};
+use crate::pipeline::{hypotheses_to_rewrites, QueryRewriter, RewritePipeline};
 
 /// Knobs for one distillation run.
 #[derive(Clone, Debug)]
@@ -165,23 +165,7 @@ impl QueryRewriter for StudentRewriter<'_> {
         let ids = self.vocab.encode(query);
         let rng = &mut *self.rng.borrow_mut();
         let hyps = self.student.top_n_sampling(&ids, TopNSampling { k, n: self.top_n }, rng);
-        let mut out: Vec<Vec<String>> = Vec::new();
-        for h in hyps {
-            let tokens: Vec<String> = h
-                .tokens
-                .iter()
-                .filter(|&&id| id >= qrw_text::NUM_SPECIALS)
-                .map(|&id| self.vocab.token(id).to_string())
-                .collect();
-            if tokens.is_empty() || tokens == query || out.contains(&tokens) {
-                continue;
-            }
-            out.push(tokens);
-            if out.len() == k {
-                break;
-            }
-        }
-        out
+        hypotheses_to_rewrites(self.vocab, &hyps, query, k)
     }
 
     fn name(&self) -> &str {

@@ -45,6 +45,6 @@ pub use embed::{cosine, EmbeddingModel, SgnsConfig};
 pub use fault::TrainFaultInjector;
 pub use lm_rewriter::{make_lm, train_lm, LmCorpus, LmPoint, LmRewriter, LmTrainConfig};
 pub use persist::{load_joint, load_model, save_joint, save_model, DiskSink, WriteSink};
-pub use pipeline::{QueryRewriter, RewritePipeline, ScoredRewrite};
+pub use pipeline::{hypotheses_to_rewrites, QueryRewriter, RewritePipeline, ScoredRewrite};
 pub use qrw_nmt::DecodeStats;
 pub use q2q::{evaluate_q2q, train_q2q, Q2QPoint, Q2QRewriter, Q2QTrainConfig};

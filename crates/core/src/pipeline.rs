@@ -16,7 +16,7 @@ use std::cell::RefCell;
 
 use qrw_tensor::rng::StdRng;
 
-use qrw_nmt::{top_n_sampling, DecodeStats, TopNSampling};
+use qrw_nmt::{top_n_sampling, DecodeStats, Hypothesis, TopNSampling};
 use qrw_text::Vocab;
 
 use crate::cyclic::JointModel;
@@ -167,6 +167,29 @@ fn ids_to_tokens(vocab: &Vocab, ids: &[usize]) -> Vec<String> {
         .collect()
 }
 
+/// Decoded hypotheses → token rewrites, the post-processing every
+/// sampling rewriter shares: strip specials, drop empty, identity and
+/// duplicate rewrites, keep the first `k` in hypothesis order.
+pub fn hypotheses_to_rewrites(
+    vocab: &Vocab,
+    hyps: &[Hypothesis],
+    query: &[String],
+    k: usize,
+) -> Vec<Vec<String>> {
+    let mut out: Vec<Vec<String>> = Vec::new();
+    for h in hyps {
+        let tokens = ids_to_tokens(vocab, &h.tokens);
+        if tokens.is_empty() || tokens == query || out.contains(&tokens) {
+            continue;
+        }
+        out.push(tokens);
+        if out.len() == k {
+            break;
+        }
+    }
+    out
+}
+
 impl QueryRewriter for RewritePipeline<'_> {
     fn rewrite(&self, query: &[String], k: usize) -> Vec<Vec<String>> {
         let ids = self.vocab.encode(query);
@@ -267,6 +290,25 @@ mod tests {
             }
         }
         assert_eq!(p.name(), "neural-pipeline");
+    }
+
+    #[test]
+    fn hypotheses_become_filtered_capped_rewrites() {
+        let v = vocab();
+        let id = |t: &str| v.id(t).unwrap();
+        let hyp = |tokens: Vec<usize>| Hypothesis { tokens, log_prob: 0.0 };
+        let query: Vec<String> = vec!["w1".into(), "w2".into()];
+        let hyps = [
+            hyp(vec![qrw_text::EOS]), // only specials: empty
+            hyp(vec![id("w1"), id("w2"), qrw_text::EOS]), // identity once stripped
+            hyp(vec![id("w3"), qrw_text::EOS]), // kept
+            hyp(vec![id("w3")]), // duplicate
+            hyp(vec![id("w4"), id("w5")]), // kept, reaches k
+            hyp(vec![id("w6")]), // past the cap
+        ];
+        let want: Vec<Vec<String>> = vec![vec!["w3".into()], vec!["w4".into(), "w5".into()]];
+        assert_eq!(hypotheses_to_rewrites(&v, &hyps, &query, 2), want);
+        assert_eq!(hypotheses_to_rewrites(&v, &hyps, &query, 8).len(), 3);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use qrw_tensor::optim::{Adam, AdamConfig, NoamSchedule};
 use qrw_tensor::Tape;
 use qrw_text::Vocab;
 
-use crate::pipeline::QueryRewriter;
+use crate::pipeline::{hypotheses_to_rewrites, QueryRewriter};
 
 /// A point on a q2q training curve (Figure 9 metrics).
 #[derive(Clone, Copy, Debug)]
@@ -180,23 +180,7 @@ impl QueryRewriter for Q2QRewriter<'_> {
         let ids = self.vocab.encode(query);
         let rng = &mut *self.rng.borrow_mut();
         let hyps = top_n_sampling(self.model, &ids, TopNSampling { k, n: self.top_n }, rng);
-        let mut out: Vec<Vec<String>> = Vec::new();
-        for h in hyps {
-            let tokens: Vec<String> = h
-                .tokens
-                .iter()
-                .filter(|&&id| id >= qrw_text::NUM_SPECIALS)
-                .map(|&id| self.vocab.token(id).to_string())
-                .collect();
-            if tokens.is_empty() || tokens == query || out.contains(&tokens) {
-                continue;
-            }
-            out.push(tokens);
-            if out.len() == k {
-                break;
-            }
-        }
-        out
+        hypotheses_to_rewrites(self.vocab, &hyps, query, k)
     }
 
     fn name(&self) -> &str {

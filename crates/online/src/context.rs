@@ -22,11 +22,11 @@
 
 use std::sync::Arc;
 
-use qrw_core::QueryRewriter;
-use qrw_nmt::{top_n_sampling, Hypothesis, Seq2Seq, TopNSampling};
+use qrw_core::{hypotheses_to_rewrites, QueryRewriter};
+use qrw_nmt::{top_n_sampling, Seq2Seq, TopNSampling};
 use qrw_tensor::rng::StdRng;
 use qrw_tensor::serialize::Fnv1a;
-use qrw_text::{Vocab, EOS, NUM_SPECIALS};
+use qrw_text::{Vocab, EOS};
 
 /// FNV-1a over a session prefix and query. Token boundaries fold `0xff`
 /// and query boundaries fold `0xfe`, so `["ab","c"]` / `["a","bc"]` and
@@ -75,29 +75,6 @@ impl ContextQ2Q {
     pub fn model(&self) -> &Seq2Seq {
         &self.model
     }
-
-    /// Hypotheses → token rewrites, mirroring the serving rewriters
-    /// exactly: strip specials, drop empty / identity / duplicate
-    /// rewrites, cap at `k`.
-    fn postprocess(&self, hyps: &[Hypothesis], query: &[String], k: usize) -> Vec<Vec<String>> {
-        let mut out: Vec<Vec<String>> = Vec::new();
-        for h in hyps {
-            let tokens: Vec<String> = h
-                .tokens
-                .iter()
-                .filter(|&&id| id >= NUM_SPECIALS)
-                .map(|&id| self.vocab.token(id).to_string())
-                .collect();
-            if tokens.is_empty() || tokens == query || out.contains(&tokens) {
-                continue;
-            }
-            out.push(tokens);
-            if out.len() == k {
-                break;
-            }
-        }
-        out
-    }
 }
 
 impl QueryRewriter for ContextQ2Q {
@@ -118,7 +95,7 @@ impl QueryRewriter for ContextQ2Q {
         let ids = encode_session(&self.vocab, context, query);
         let mut rng = StdRng::seed_from_u64(self.seed ^ session_hash(context, query));
         let hyps = top_n_sampling(&self.model, &ids, TopNSampling { k, n: self.top_n }, &mut rng);
-        self.postprocess(&hyps, query, k)
+        hypotheses_to_rewrites(&self.vocab, &hyps, query, k)
     }
 
     fn name(&self) -> &str {

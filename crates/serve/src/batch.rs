@@ -17,11 +17,11 @@
 
 use std::sync::Arc;
 
-use qrw_core::QueryRewriter;
-use qrw_nmt::{top_n_sampling_batch, Hypothesis, QuantStudent, Seq2Seq, TopNSampling};
+use qrw_core::{hypotheses_to_rewrites, QueryRewriter};
+use qrw_nmt::{top_n_sampling_batch, QuantStudent, Seq2Seq, TopNSampling};
 use qrw_tensor::rng::StdRng;
 use qrw_tensor::serialize::Fnv1a;
-use qrw_text::{Vocab, NUM_SPECIALS};
+use qrw_text::Vocab;
 
 /// FNV-1a over the query tokens, with a separator fold per token so
 /// `["ab","c"]` and `["a","bc"]` hash apart.
@@ -96,30 +96,7 @@ impl BatchedQ2Q {
         let cfg = TopNSampling { k, n: self.top_n };
         let hyp_sets = top_n_sampling_batch(&self.model, &srcs, cfg, &mut rngs);
         for (&i, hyps) in idxs.iter().zip(&hyp_sets) {
-            out[i] = self.postprocess(hyps, queries[i], k);
-        }
-        out
-    }
-
-    /// Hypotheses → token rewrites, mirroring `Q2QRewriter::rewrite`
-    /// exactly: strip specials, drop empty / identity / duplicate
-    /// rewrites, cap at `k`.
-    fn postprocess(&self, hyps: &[Hypothesis], query: &[String], k: usize) -> Vec<Vec<String>> {
-        let mut out: Vec<Vec<String>> = Vec::new();
-        for h in hyps {
-            let tokens: Vec<String> = h
-                .tokens
-                .iter()
-                .filter(|&&id| id >= NUM_SPECIALS)
-                .map(|&id| self.vocab.token(id).to_string())
-                .collect();
-            if tokens.is_empty() || tokens == query || out.contains(&tokens) {
-                continue;
-            }
-            out.push(tokens);
-            if out.len() == k {
-                break;
-            }
+            out[i] = hypotheses_to_rewrites(&self.vocab, hyps, queries[i], k);
         }
         out
     }
@@ -182,23 +159,7 @@ impl QueryRewriter for StudentOnline {
         let mut rng = StdRng::seed_from_u64(self.seed ^ fnv1a_tokens(query));
         let hyps =
             self.student.top_n_sampling(&ids, TopNSampling { k, n: self.top_n }, &mut rng);
-        let mut out: Vec<Vec<String>> = Vec::new();
-        for h in &hyps {
-            let tokens: Vec<String> = h
-                .tokens
-                .iter()
-                .filter(|&&id| id >= NUM_SPECIALS)
-                .map(|&id| self.vocab.token(id).to_string())
-                .collect();
-            if tokens.is_empty() || tokens == query || out.contains(&tokens) {
-                continue;
-            }
-            out.push(tokens);
-            if out.len() == k {
-                break;
-            }
-        }
-        out
+        hypotheses_to_rewrites(&self.vocab, &hyps, query, k)
     }
 
     fn name(&self) -> &str {

@@ -10,15 +10,15 @@
 //! * [`queue`] — sharded admission control with backpressure: one global
 //!   budget (reject-on-full at submit, drop-expired-at-dequeue, both
 //!   recorded as typed [`ServeError`](qrw_search::ServeError)s in
-//!   `health_report()`) over per-shard bounded [`mailbox`]es fed from a
-//!   [`slab`] of reusable request slots — the steady-state submit →
-//!   dequeue path allocates nothing (`tests/zero_alloc.rs`);
-//! * [`runtime`] — the actor-style mailbox scheduler: workers homed to
-//!   shards (FNV-1a query routing, the `RewriteCache`/`ShardedIndex`
-//!   family) form dynamic micro-batches locally
-//!   (max-batch-size / max-wait-ticks policy per shard) and steal the
-//!   oldest backlog from sibling mailboxes when their home runs dry
-//!   (`std::thread::scope`, model shared read-only via `Arc`);
+//!   `health_report()`) over one bounded, preallocated FIFO of requests
+//!   per shard; requests move through it by value, and the steady-state
+//!   submit → dequeue path allocates nothing (`tests/zero_alloc.rs`);
+//! * [`runtime`] — the sharded scheduler: workers homed to shards
+//!   (FNV-1a query routing, the `RewriteCache`/`ShardedIndex` family)
+//!   form dynamic micro-batches locally (max-batch-size /
+//!   max-wait-ticks policy per shard) and steal the oldest backlog from
+//!   sibling shards when their home runs dry (`std::thread::scope`,
+//!   model shared read-only via `Arc`);
 //! * [`batch`] — [`BatchedQ2Q`], the cross-request online rewriter: all
 //!   KV-cache-miss requests of a batch decode *together* through one
 //!   stacked [`next_log_probs_multi`](qrw_nmt::seq2seq::Seq2Seq::next_log_probs_multi)
@@ -55,17 +55,13 @@
 //! `search_resilient`, byte-for-byte via `Debug` formatting).
 
 pub mod batch;
-pub mod mailbox;
 pub mod queue;
 pub mod runtime;
-pub mod slab;
 pub mod workload;
 
 pub use batch::{fnv1a_tokens, BatchedQ2Q, StudentOnline};
-pub use mailbox::Mailbox;
 pub use queue::{AdmissionQueue, BatchBuf, Pending, ResponseSlot};
 pub use runtime::{Outcome, Runtime, RuntimeConfig, SchedFaults, ServeStack, ServedRecord};
-pub use slab::{SlotArena, SlotRef};
 pub use workload::{
     mutation_batches, skewed_shard_plan, synthetic_docs, ChurnMix, MixConfig, SessionMix, SkewMix,
     Workload,

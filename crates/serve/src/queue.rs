@@ -1,4 +1,4 @@
-//! Sharded admission control: a global budget over per-shard mailboxes.
+//! Sharded admission control: a global budget over per-shard FIFOs.
 //!
 //! Overload policy follows the Tail-at-Scale playbook: a full queue
 //! **rejects at submit** (`ServeError::QueueFull`) instead of queueing
@@ -7,27 +7,29 @@
 //! served dead on arrival. Both are typed errors the runtime records into
 //! the engine's `health_report()`.
 //!
-//! Since the mailbox-scheduler refactor, [`AdmissionQueue`] is no longer
-//! one FIFO: it is the front-end over `shards` bounded
-//! [`Mailbox`](crate::mailbox::Mailbox)es plus a
-//! [`SlotArena`](crate::slab::SlotArena) of reusable request slots.
+//! [`AdmissionQueue`] is the front-end over `shards` bounded FIFOs, one
+//! `Mutex<VecDeque<Pending>>` per scheduler shard. Requests move through
+//! them by value: `push` moves a [`Pending`] into its shard's FIFO and
+//! `next_batch` moves it out into the worker's [`BatchBuf`], so a request
+//! can be dequeued at most once by construction.
 //!
-//! * **Admission** is still a single global budget (`capacity`): one
-//!   atomic counter admits or rejects, so backpressure semantics — and the
+//! * **Admission** is a single global budget (`capacity`): one atomic
+//!   counter admits or rejects, so backpressure semantics — and the
 //!   deterministic "exactly the overflow is rejected" replay contract —
-//!   are identical to the old single-queue runtime regardless of shard
-//!   count. Every mailbox ring is sized to the full budget, so an
-//!   admitted request can never find its mailbox full.
+//!   do not depend on the shard count. Every shard FIFO is preallocated
+//!   to the full budget, so an admitted request can never find its FIFO
+//!   full and a push never reallocates.
 //! * **Routing** hashes the query tokens with the same FNV-1a family used
 //!   by `RewriteCache` and `ShardedIndex`
 //!   ([`fnv1a_tokens`](crate::batch::fnv1a_tokens)), so identical
 //!   in-flight queries land on the same shard and decode-slot coalescing
 //!   stays shard-local.
-//! * **Dequeue** is per-shard: a worker drains its home mailbox into a
-//!   micro-batch (same `max_batch`/`max_wait_ticks` policy as before, now
-//!   applied per shard) and **steals** from sibling mailboxes only when
-//!   its home runs dry — oldest refs first, so a stalled shard's backlog
-//!   migrates before it expires.
+//! * **Dequeue** is per-shard and strictly FIFO: a worker drains its home
+//!   shard's oldest requests into a micro-batch (the
+//!   `max_batch`/`max_wait_ticks` policy, applied per shard) and
+//!   **steals** the oldest requests of the first non-empty sibling only
+//!   when its home runs dry, so a stalled shard's backlog migrates before
+//!   it expires.
 //!
 //! The queue depth is decremented *at the dequeue event itself* (the same
 //! atomic that admits), and the depth/peak gauge pair lives in one packed
@@ -35,10 +37,11 @@
 //! observe a torn `depth > peak` pair while another worker sheds
 //! (the PR-8 `ShardTierReport` single-snapshot discipline, applied here).
 //!
-//! Nothing on this path allocates in steady state: refs are `u64`s, the
-//! rings and the arena are preallocated, and batch buffers are reused
-//! across batches (`tests/zero_alloc.rs`).
+//! Nothing on this path allocates in steady state: the FIFOs are
+//! preallocated and batch buffers are reused across batches
+//! (`tests/zero_alloc.rs`).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Duration;
@@ -47,9 +50,7 @@ use qrw_search::{DeadlineBudget, ServeError};
 use qrw_tensor::sync::Mutex;
 
 use crate::batch::fnv1a_tokens;
-use crate::mailbox::Mailbox;
 use crate::runtime::ServedRecord;
-use crate::slab::{SlotArena, SlotRef};
 
 /// One admitted request waiting to be scheduled.
 pub struct Pending {
@@ -82,11 +83,10 @@ impl std::fmt::Debug for Pending {
 /// A worker's reusable batch-formation buffers. Allocated once per worker
 /// (capacity `max_batch`), reused for every batch it forms.
 pub struct BatchBuf {
-    refs: Vec<SlotRef>,
     /// The formed batch, in dequeue order.
     pub items: Vec<Pending>,
     /// `Some(victim)` when this batch was stolen from another shard's
-    /// mailbox (a batch is either all-home or all-stolen-from-one-victim).
+    /// FIFO (a batch is either all-home or all-stolen-from-one-victim).
     pub stolen_from: Option<usize>,
     /// Queue depth right after this batch was dequeued — the value the
     /// runtime reports to the depth gauge, captured at the event instead
@@ -98,7 +98,6 @@ impl BatchBuf {
     pub fn new(max_batch: usize) -> Self {
         let cap = max_batch.max(1);
         BatchBuf {
-            refs: Vec::with_capacity(cap),
             items: Vec::with_capacity(cap),
             stolen_from: None,
             depth_after: 0,
@@ -108,8 +107,9 @@ impl BatchBuf {
 
 /// The bounded, sharded front-end between submitters and the workers.
 pub struct AdmissionQueue {
-    arena: SlotArena,
-    mailboxes: Box<[Mailbox]>,
+    /// One bounded FIFO per scheduler shard, each preallocated to the
+    /// full budget.
+    shards: Box<[Mutex<VecDeque<Pending>>]>,
     /// Requests admitted but not yet dequeued — the global budget.
     queued: AtomicU64,
     capacity: usize,
@@ -121,13 +121,14 @@ impl AdmissionQueue {
     pub fn new(capacity: usize, shards: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         let shards = shards.max(1);
-        // Every ring holds the full budget: routing skew can never
-        // overflow a mailbox that admission let through.
-        let mailboxes =
-            (0..shards).map(|_| Mailbox::new(capacity)).collect::<Vec<_>>().into_boxed_slice();
+        // Every FIFO holds the full budget: routing skew can never
+        // overflow a shard that admission let through.
+        let shards = (0..shards)
+            .map(|_| Mutex::new(VecDeque::with_capacity(capacity)))
+            .collect::<Vec<_>>()
+            .into_boxed_slice();
         AdmissionQueue {
-            arena: SlotArena::new(capacity),
-            mailboxes,
+            shards,
             queued: AtomicU64::new(0),
             capacity,
             control: Mutex::new(false),
@@ -140,7 +141,7 @@ impl AdmissionQueue {
     }
 
     pub fn shards(&self) -> usize {
-        self.mailboxes.len()
+        self.shards.len()
     }
 
     /// Requests currently queued (admitted, not yet dequeued).
@@ -152,7 +153,7 @@ impl AdmissionQueue {
     /// family `RewriteCache` and `ShardedIndex` key on — modulo the shard
     /// count.
     pub fn route(&self, query: &[String]) -> usize {
-        (fnv1a_tokens(query) % self.mailboxes.len() as u64) as usize
+        (fnv1a_tokens(query) % self.shards.len() as u64) as usize
     }
 
     /// Admits a request onto its home shard, returning `(shard, depth)`
@@ -165,10 +166,10 @@ impl AdmissionQueue {
     }
 
     /// [`push`](Self::push) with explicit routing — tests and fault drills
-    /// use it to aim load at a specific mailbox.
+    /// use it to aim load at a specific shard.
     #[allow(clippy::result_large_err)] // see `push`
     pub fn push_to(&self, shard: usize, pending: Pending) -> Result<usize, (Pending, ServeError)> {
-        debug_assert!(shard < self.mailboxes.len());
+        debug_assert!(shard < self.shards.len());
         // The single global budget: admission does not depend on routing,
         // so rejection behaviour is byte-identical to the pre-shard queue.
         let admitted = self.queued.fetch_update(Ordering::AcqRel, Ordering::Acquire, |q| {
@@ -182,16 +183,11 @@ impl AdmissionQueue {
             return Err((pending, ServeError::QueueFull { capacity: self.capacity }));
         }
         let depth = admitted.unwrap() as usize + 1;
-        let r = match self.arena.checkout(pending) {
-            Ok(r) => r,
-            Err(pending) => {
-                // Unreachable while budget == arena capacity; keep the
-                // accounting straight anyway.
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                return Err((pending, ServeError::QueueFull { capacity: self.capacity }));
-            }
-        };
-        self.mailboxes[shard].push(r);
+        {
+            let mut fifo = self.shards[shard].lock();
+            debug_assert!(fifo.len() < self.capacity, "admission budget must bound the FIFO");
+            fifo.push_back(pending);
+        }
         self.wake.notify_all();
         Ok(depth)
     }
@@ -232,14 +228,23 @@ impl AdmissionQueue {
         self.is_closed() && self.depth() == 0
     }
 
+    /// Moves up to `n` of `shard`'s oldest requests onto `out`, returning
+    /// how many moved.
+    fn take_oldest(&self, shard: usize, n: usize, out: &mut Vec<Pending>) -> usize {
+        let mut fifo = self.shards[shard].lock();
+        let got = n.min(fifo.len());
+        out.extend(fifo.drain(..got));
+        got
+    }
+
     /// Blocks for the next micro-batch on `home`, filling `buf`. A batch
-    /// comes from the home mailbox (LIFO slot + FIFO ring) when it has
-    /// work; after the first request is available, the worker waits at
-    /// most `max_wait_ticks` ticks for the batch to fill before
-    /// dispatching what it has. When home is dry the worker **steals** the
-    /// oldest refs from the first non-empty sibling mailbox instead.
-    /// Returns `false` once the queue is closed and drained — the
-    /// worker's signal to exit.
+    /// comes from the home FIFO, oldest first, when it has work; after
+    /// the first request is available, the worker waits at most
+    /// `max_wait_ticks` ticks for the batch to fill before dispatching
+    /// what it has. When home is dry the worker **steals** the oldest
+    /// requests from the first non-empty sibling FIFO instead. Returns
+    /// `false` once the queue is closed and drained — the worker's signal
+    /// to exit.
     pub fn next_batch(
         &self,
         home: usize,
@@ -250,21 +255,20 @@ impl AdmissionQueue {
     ) -> bool {
         let max_batch = max_batch.max(1);
         buf.items.clear();
-        buf.refs.clear();
         buf.stolen_from = None;
         loop {
-            self.mailboxes[home].fill(max_batch, &mut buf.refs);
-            if buf.refs.is_empty() {
-                let shards = self.mailboxes.len();
+            self.take_oldest(home, max_batch, &mut buf.items);
+            if buf.items.is_empty() {
+                let shards = self.shards.len();
                 for off in 1..shards {
                     let victim = (home + off) % shards;
-                    if self.mailboxes[victim].steal(max_batch, &mut buf.refs) > 0 {
+                    if self.take_oldest(victim, max_batch, &mut buf.items) > 0 {
                         buf.stolen_from = Some(victim);
                         break;
                     }
                 }
             }
-            if !buf.refs.is_empty() {
+            if !buf.items.is_empty() {
                 if buf.stolen_from.is_none() {
                     // Dynamic batching: something is ready; trade a
                     // bounded wait for a fuller (cheaper per request)
@@ -272,28 +276,20 @@ impl AdmissionQueue {
                     // back. Stolen batches dispatch immediately — rescue
                     // is urgent.
                     let mut waited = 0;
-                    while buf.refs.len() < max_batch && waited < max_wait_ticks && !self.is_closed()
+                    while buf.items.len() < max_batch
+                        && waited < max_wait_ticks
+                        && !self.is_closed()
                     {
                         self.wait_tick(tick);
-                        self.mailboxes[home].fill(max_batch - buf.refs.len(), &mut buf.refs);
+                        self.take_oldest(home, max_batch - buf.items.len(), &mut buf.items);
                         waited += 1;
-                    }
-                }
-                for r in buf.refs.drain(..) {
-                    // Generation-checked: a stale ref (double-pop bug)
-                    // skips instead of double-serving.
-                    if let Some(p) = self.arena.take(r) {
-                        buf.items.push(p);
                     }
                 }
                 // Depth drops at the dequeue event; the gauge value the
                 // runtime reports is captured here, not re-read later.
                 self.queued.fetch_sub(buf.items.len() as u64, Ordering::AcqRel);
                 buf.depth_after = self.depth();
-                if !buf.items.is_empty() {
-                    return true;
-                }
-                continue;
+                return true;
             }
             if self.is_closed() && self.depth() == 0 {
                 return false;
@@ -404,13 +400,45 @@ mod tests {
         }
         let mut buf = BatchBuf::new(2);
         // Worker homed on shard 0 finds it dry and steals from shard 1:
-        // the ring head (oldest backlog) before the LIFO slot.
+        // the oldest backlog goes first.
         assert!(q.next_batch(0, 2, 0, TICK, &mut buf));
         assert_eq!(buf.stolen_from, Some(1));
-        assert_eq!(ids(&mut buf), vec![1, 2]);
+        assert_eq!(ids(&mut buf), vec![0, 1]);
         assert!(q.next_batch(1, 4, 0, TICK, &mut buf));
         assert_eq!(buf.stolen_from, None);
-        assert_eq!(ids(&mut buf), vec![0, 3]);
+        assert_eq!(ids(&mut buf), vec![2, 3]);
+    }
+
+    #[test]
+    fn backlog_drains_in_arrival_order() {
+        let q = AdmissionQueue::new(8, 1);
+        for i in 0..4 {
+            q.push_to(0, pending(i)).unwrap();
+        }
+        let mut buf = BatchBuf::new(3);
+        assert!(q.next_batch(0, 2, 0, TICK, &mut buf));
+        assert_eq!(ids(&mut buf), vec![0, 1]);
+        // A new arrival queues behind the older backlog, never ahead of it.
+        q.push_to(0, pending(4)).unwrap();
+        assert!(q.next_batch(0, 3, 0, TICK, &mut buf));
+        assert_eq!(ids(&mut buf), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn shard_fifos_never_grow_past_the_budget() {
+        let q = AdmissionQueue::new(4, 2);
+        let preallocated: Vec<usize> = q.shards.iter().map(|f| f.lock().capacity()).collect();
+        let mut buf = BatchBuf::new(4);
+        for round in 0..64u64 {
+            // Everything onto one shard: routing skew up to the full budget.
+            for i in 0..4 {
+                q.push_to((round % 2) as usize, pending(round * 4 + i)).unwrap();
+            }
+            assert!(q.next_batch(0, 4, 0, TICK, &mut buf));
+            assert_eq!(ids(&mut buf), (round * 4..round * 4 + 4).collect::<Vec<_>>());
+        }
+        let after: Vec<usize> = q.shards.iter().map(|f| f.lock().capacity()).collect();
+        assert_eq!(preallocated, after);
     }
 
     #[test]

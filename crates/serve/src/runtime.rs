@@ -1,22 +1,21 @@
-//! The serving runtime: an actor-style mailbox scheduler over a shared
-//! engine.
+//! The serving runtime: a sharded scheduler over a shared engine.
 //!
-//! Each of `config.shards` scheduler shards owns a bounded MPSC mailbox
-//! inside the [`AdmissionQueue`](crate::AdmissionQueue); submissions route
-//! to shards by FNV-1a of the query tokens (the family `RewriteCache` and
-//! `ShardedIndex` key on), so identical in-flight queries meet on one
-//! shard and decode-slot coalescing stays shard-local. Workers are homed
-//! to shards round-robin; each drains its home mailbox into dynamic
-//! micro-batches (the `max_batch`/`max_wait_ticks` policy, applied per
-//! shard) and **steals the oldest backlog** from sibling mailboxes when
-//! its home runs dry — the only cross-shard traffic besides the shared
-//! teacher decode.
+//! Each of `config.shards` scheduler shards owns a bounded FIFO of
+//! requests inside the [`AdmissionQueue`](crate::AdmissionQueue);
+//! submissions route to shards by FNV-1a of the query tokens (the family
+//! `RewriteCache` and `ShardedIndex` key on), so identical in-flight
+//! queries meet on one shard and decode-slot coalescing stays
+//! shard-local. Workers are homed to shards round-robin; each drains its
+//! home FIFO into dynamic micro-batches (the `max_batch`/`max_wait_ticks`
+//! policy, applied per shard) and **steals the oldest backlog** from
+//! sibling shards when its home runs dry — the only cross-shard traffic
+//! besides the shared teacher decode.
 //!
 //! Per batch: expired requests are shed, cache-miss requests are decoded
 //! *together* through one [`BatchedQ2Q::rewrite_batch`] call, and then
 //! **every** request — hit or miss, home or stolen — is served through
-//! `SearchEngine::search_resilient` itself, with the batch-decode output
-//! replayed as the online rung. The engine path, rung attribution,
+//! `SearchEngine::search_session_traced` itself, with the batch-decode
+//! output replayed as the online rung. The engine path, rung attribution,
 //! degradation events, and breaker bookkeeping are therefore identical to
 //! a standalone serve, which is what makes batching — and scheduling —
 //! byte-transparent: rewrites are a pure function of the query, so shard
@@ -26,10 +25,10 @@
 //!
 //! # Steady state allocates nothing
 //!
-//! The scheduler data plane — admission budget, slot arena, mailbox
-//! rings, batch buffers, shed/fulfil accounting — is preallocated and
-//! reused; after warm-up a request travels submit → mailbox → batch →
-//! outcome without a single heap allocation (`tests/zero_alloc.rs`
+//! The scheduler data plane — admission budget, shard FIFOs, batch
+//! buffers, shed/fulfil accounting — is preallocated and reused; after
+//! warm-up a request travels submit → shard FIFO → batch → outcome
+//! without a single heap allocation (`tests/zero_alloc.rs`
 //! enforces 0 allocations per steady-state request with a counting
 //! `#[global_allocator]`). The documented escape hatches are the cold or
 //! caller-side paths: model epoch swaps, the closed-loop rendezvous
@@ -68,7 +67,7 @@ use crate::queue::{AdmissionQueue, BatchBuf, Pending, ResponseSlot};
 /// Scheduler and pool knobs.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
-    /// Admission budget across all mailboxes; submissions beyond it are
+    /// Admission budget across all shards; submissions beyond it are
     /// rejected.
     pub queue_capacity: usize,
     /// Largest micro-batch a worker will assemble.
@@ -80,7 +79,7 @@ pub struct RuntimeConfig {
     /// Worker-pool size. Workers are homed to shards round-robin
     /// (worker *w* owns shard *w* mod `shards`) and all of them steal.
     pub workers: usize,
-    /// Scheduler shards (one bounded mailbox each). Shard choice never
+    /// Scheduler shards (one bounded FIFO each). Shard choice never
     /// affects response bytes — only locality and contention.
     pub shards: usize,
     pub serving: ServingConfig,
@@ -105,7 +104,7 @@ impl Default for RuntimeConfig {
 #[derive(Clone, Debug, Default)]
 pub struct SchedFaults {
     /// Workers homed to these shards take no work (a wedged core): their
-    /// mailbox backlog must be rescued by sibling stealers. The stalled
+    /// FIFO backlog must be rescued by sibling stealers. The stalled
     /// worker still exits cleanly once the queue is closed and drained.
     pub stall_shards: Vec<usize>,
     /// Request ids whose serve call panics *inside the worker*, past the
@@ -343,14 +342,16 @@ impl Runtime {
 
         self.queue.reopen();
         let shards = self.queue.shards();
-        let stall_shards = self.faults.lock().stall_shards.clone();
+        // Faults are armed before a run and read once here, not per request.
+        let faults = self.faults.lock().clone();
+        let panic_ids = faults.panic_on_ids.as_slice();
         let workers = self.config.workers.max(1);
         let ready = &Barrier::new(workers + 1);
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let home = w % shards;
-                let stalled = stall_shards.contains(&home);
-                scope.spawn(move || self.worker(w, home, stalled, ready));
+                let stalled = faults.stall_shards.contains(&home);
+                scope.spawn(move || self.worker(w, home, stalled, panic_ids, ready));
             }
             let _close = CloseOnDrop(&self.queue);
             ready.wait();
@@ -373,7 +374,8 @@ impl Runtime {
 
     /// One worker's loop. Waits on `ready` once its start-up allocations
     /// are done, releasing `run`'s driver when every worker has.
-    fn worker(&self, index: usize, home: usize, stalled: bool, ready: &Barrier) {
+    /// `panic_ids` are the fault drill's doomed request ids.
+    fn worker(&self, index: usize, home: usize, stalled: bool, panic_ids: &[u64], ready: &Barrier) {
         if stalled {
             ready.wait();
             // Fault drill: a wedged core never takes work. It still
@@ -394,16 +396,18 @@ impl Runtime {
             self.config.tick,
             &mut buf,
         ) {
-            self.process_batch(index, home, &mut buf, &mut live);
+            self.process_batch(index, home, panic_ids, &mut buf, &mut live);
         }
     }
 
-    /// True when the fault drill wants this request's serve to panic.
-    fn injected_panic(&self, id: u64) -> bool {
-        self.faults.lock().panic_on_ids.contains(&id)
-    }
-
-    fn process_batch(&self, worker: usize, home: usize, buf: &mut BatchBuf, live: &mut Vec<Pending>) {
+    fn process_batch(
+        &self,
+        worker: usize,
+        home: usize,
+        panic_ids: &[u64],
+        buf: &mut BatchBuf,
+        live: &mut Vec<Pending>,
+    ) {
         let tracer = self.stack.engine.tracer();
         // Batch-level spans go in a minted trace of their own: batch
         // composition depends on scheduling, while per-request traces must
@@ -461,35 +465,10 @@ impl Runtime {
         // (context, query, epoch), so per-request decode is already
         // coalescing-transparent). Cache lookups are scoped by
         // (epoch, context) and the response is stamped with the epoch.
-        if let Some(models) = &self.stack.models {
+        if self.stack.models.is_some() {
+            let student = self.stack.student.as_deref().map(|s| s as &dyn QueryRewriter);
             for p in live.drain(..) {
-                let id = p.id;
-                let served = catch_unwind(AssertUnwindSafe(|| {
-                    if self.injected_panic(id) {
-                        panic!("injected scheduler fault: request {id}");
-                    }
-                    let pin = models.pin();
-                    let session = SessionState { context: &p.context, model: Some(&pin) };
-                    let ladder = RewriteLadder {
-                        cache: self.stack.cache.as_deref(),
-                        student: self.stack.student.as_deref().map(|s| s as &dyn QueryRewriter),
-                        online: None,
-                        baseline: self.stack.baseline.as_deref().map(|b| b as &dyn QueryRewriter),
-                    };
-                    self.stack.engine.search_session_traced(
-                        &p.query,
-                        session,
-                        ladder,
-                        &self.config.serving,
-                        &p.budget,
-                        None,
-                        Some(p.id),
-                    )
-                }));
-                match served {
-                    Ok(response) => self.fulfill(p, Outcome::Served(response)),
-                    Err(_) => self.fulfill(p, Outcome::Failed(ServeError::EnginePanic)),
-                }
+                self.serve_one(p, panic_ids, student, None);
             }
             return;
         }
@@ -515,7 +494,7 @@ impl Runtime {
         // sampling RNG is derived from the query tokens), so sharing one
         // decode across duplicates returns bit-for-bit what each would
         // have produced alone. FNV shard routing sends duplicates to the
-        // same mailbox, so coalescing is shard-local by construction.
+        // same shard, so coalescing is shard-local by construction.
         let mut miss_queries: Vec<&[String]> = Vec::new();
         let mut miss_slot: Vec<Option<usize>> = Vec::with_capacity(plans.len());
         for plan in &plans {
@@ -609,61 +588,57 @@ impl Runtime {
 
         // Serve every request through the engine itself. Misses replay the
         // batch-decode output (or re-panic inside the ladder's guard) under
-        // the online rewriter's name; hits take rung 1 as usual. A panic
-        // that escapes even the engine's guards (the fault drill injects
-        // one) is contained here: the request fails, the batch's other
-        // requests and the worker itself are untouched.
+        // the online rewriter's name; hits take rung 1 as usual.
         for (p, slot) in live.drain(..).zip(miss_slot) {
-            let student_rung: Option<Box<dyn QueryRewriter>> = match (student, &student_out, slot)
-            {
-                (Some(st), Some(Ok(all)), Some(slot)) => {
-                    Some(Box::new(PrecomputedOnline::new(st.name().to_string(), all[slot].clone())))
-                }
-                (Some(st), Some(Err(())), Some(_)) => {
-                    Some(Box::new(PanicOnline::new(st.name().to_string())))
-                }
-                _ => None,
-            };
+            let student_rung = student.and_then(|st| replayed_rung(st.name(), &student_out, slot));
             let t_slot = slot.and_then(|s| teacher_slot[s]);
-            let online_rung: Option<Box<dyn QueryRewriter>> = match (&decoded, t_slot) {
-                (Some(Ok(all)), Some(slot)) => {
-                    let name = online.expect("decoded implies online").name().to_string();
-                    Some(Box::new(PrecomputedOnline::new(name, all[slot].clone())))
-                }
-                (Some(Err(())), Some(_)) => {
-                    let name = online.expect("decoded implies online").name().to_string();
-                    Some(Box::new(PanicOnline::new(name)))
-                }
-                _ => None,
-            };
-            let id = p.id;
-            let served = catch_unwind(AssertUnwindSafe(|| {
-                if self.injected_panic(id) {
-                    panic!("injected scheduler fault: request {id}");
-                }
-                let ladder = RewriteLadder {
-                    cache: self.stack.cache.as_deref(),
-                    student: student_rung.as_deref(),
-                    online: online_rung.as_deref(),
-                    baseline: self
-                        .stack
-                        .baseline
-                        .as_deref()
-                        .map(|b| b as &dyn QueryRewriter),
-                };
-                self.stack.engine.search_resilient_traced(
-                    &p.query,
-                    ladder,
-                    &self.config.serving,
-                    &p.budget,
-                    None,
-                    Some(p.id),
-                )
-            }));
-            match served {
-                Ok(response) => self.fulfill(p, Outcome::Served(response)),
-                Err(_) => self.fulfill(p, Outcome::Failed(ServeError::EnginePanic)),
+            let online_rung = online.and_then(|o| replayed_rung(o.name(), &decoded, t_slot));
+            self.serve_one(p, panic_ids, student_rung.as_deref(), online_rung.as_deref());
+        }
+    }
+
+    /// Serves one live request through the engine with the given student
+    /// and online rungs. With a model store the request pins one model
+    /// epoch and serves as a session; without one it serves under the
+    /// default session, which ignores its context. A panic that escapes
+    /// even the engine's guards (the fault drill injects one) is
+    /// contained here: the request fails, the batch's other requests and
+    /// the worker itself are untouched.
+    fn serve_one(
+        &self,
+        p: Pending,
+        panic_ids: &[u64],
+        student: Option<&dyn QueryRewriter>,
+        online: Option<&dyn QueryRewriter>,
+    ) {
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            if panic_ids.contains(&p.id) {
+                panic!("injected scheduler fault: request {}", p.id);
             }
+            let pin = self.stack.models.as_ref().map(|m| m.pin());
+            let session = match &pin {
+                Some(pin) => SessionState { context: &p.context, model: Some(pin) },
+                None => SessionState::default(),
+            };
+            let ladder = RewriteLadder {
+                cache: self.stack.cache.as_deref(),
+                student,
+                online,
+                baseline: self.stack.baseline.as_deref().map(|b| b as &dyn QueryRewriter),
+            };
+            self.stack.engine.search_session_traced(
+                &p.query,
+                session,
+                ladder,
+                &self.config.serving,
+                &p.budget,
+                None,
+                Some(p.id),
+            )
+        }));
+        match served {
+            Ok(response) => self.fulfill(p, Outcome::Served(response)),
+            Err(_) => self.fulfill(p, Outcome::Failed(ServeError::EnginePanic)),
         }
     }
 
@@ -684,6 +659,24 @@ impl Runtime {
             slot.complete(record.clone());
         }
         self.results.lock().push(record);
+    }
+}
+
+/// The rung that replays a pre-pass decode for one request: its
+/// precomputed rewrites, or a panicking stand-in when the decode
+/// panicked. `None` when the pre-pass did not run or the request had no
+/// decode slot in it.
+fn replayed_rung(
+    name: &str,
+    decoded: &Option<Result<Vec<Vec<Vec<String>>>, ()>>,
+    slot: Option<usize>,
+) -> Option<Box<dyn QueryRewriter>> {
+    match (decoded, slot) {
+        (Some(Ok(all)), Some(slot)) => {
+            Some(Box::new(PrecomputedOnline::new(name.to_string(), all[slot].clone())))
+        }
+        (Some(Err(())), Some(_)) => Some(Box::new(PanicOnline::new(name.to_string()))),
+        _ => None,
     }
 }
 

@@ -1,4 +1,4 @@
-//! Scheduler-invariant tests: the mailbox-sharded scheduler proven
+//! Scheduler-invariant tests: the sharded FIFO scheduler proven
 //! byte-transparent. Seeded property-style runs assert, across the
 //! {1, 2, 4} shards × {1, 4} workers matrix:
 //!
@@ -12,7 +12,7 @@
 //!   (every shard but one stalled, so siblings' backlogs are rescued by
 //!   work-stealing) are byte-identical to all-home execution;
 //! * **submit-time backpressure** — a full admission budget rejects with
-//!   `ServeError::QueueFull` at submit, before any mailbox is touched,
+//!   `ServeError::QueueFull` at submit, before any shard FIFO is touched,
 //!   and the overflow set is deterministic;
 //! * **closed-loop rendezvous** — a blocking `call` returns the same
 //!   record the runtime publishes, exactly once.
@@ -202,7 +202,7 @@ fn stolen_responses_are_byte_identical_to_home_shard_execution() {
 }
 
 /// A full admission budget rejects at submit with the typed error — the
-/// request never reaches a mailbox — and the runtime still publishes a
+/// request never reaches a shard FIFO — and the runtime still publishes a
 /// `Rejected` record for it.
 #[test]
 fn full_mailboxes_reject_at_submit_with_queue_full() {

@@ -860,7 +860,7 @@ fn ids_attr(s: &SpanRecord) -> Vec<u64> {
 
 /// Every admitted request records exactly one minted `mailbox_enqueue`
 /// span (the routing decision), with a shard in range; rejected requests
-/// never reach a mailbox, so they record none.
+/// never reach a shard FIFO, so they record none.
 #[test]
 fn every_admitted_request_records_exactly_one_mailbox_enqueue() {
     let vocab = vocab();

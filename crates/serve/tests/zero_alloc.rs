@@ -2,12 +2,12 @@
 //! serve path, enforced by a counting `#[global_allocator]`.
 //!
 //! The claim under test (see `runtime.rs` module docs): after warm-up, a
-//! request travels submit → mailbox → batch formation → shed/fulfil
+//! request travels submit → shard FIFO → batch formation → shed/fulfil
 //! without a single heap allocation. Everything on that path is
 //! preallocated and reused — the admission budget is an atomic, requests
-//! park in the [`SlotArena`] and travel as `u64` refs through bounded
-//! mailbox rings, workers reuse one [`BatchBuf`], and the results vec is
-//! pre-reserved.
+//! move by value through per-shard FIFOs preallocated to the full budget
+//! (a push within capacity never reallocates), workers reuse one
+//! [`BatchBuf`], and the results vec is pre-reserved.
 //!
 //! Because a `#[global_allocator]` is process-wide, this lives in its own
 //! test binary with exactly **one** `#[test]`, so no parallel test can
@@ -29,7 +29,7 @@
 //!
 //! The end-to-end drill below therefore drives the *shed* path — real
 //! `Runtime`, real workers, born-expired synthetic budgets — which
-//! exercises the complete scheduler loop (admit, route, mailbox, steal,
+//! exercises the complete scheduler loop (admit, route, shard FIFO, steal,
 //! batch formation, depth gauge, typed shed, fulfilment) with none of the
 //! engine's exempted stages in the way.
 
@@ -121,8 +121,8 @@ fn pending(id: u64, query: Vec<String>) -> Pending {
 
 const TICK: Duration = Duration::from_micros(50);
 
-/// Part 1: the queue primitives alone. Push → route → mailbox → batch →
-/// arena take cycles are allocation-free once the query strings exist
+/// Part 1: the queue primitives alone. Push → route → shard FIFO → batch
+/// cycles are allocation-free once the query strings exist
 /// (queries are recycled between rounds, as the runtime recycles nothing
 /// *but* lets the caller own them).
 fn primitive_cycles_are_allocation_free() {
@@ -161,7 +161,7 @@ fn primitive_cycles_are_allocation_free() {
 
 /// Part 2: the full runtime, end to end. Open-loop submits with
 /// born-expired budgets drive the complete scheduler loop — admission,
-/// FNV routing, mailbox enqueue, wakeup, batch formation (home and
+/// FNV routing, shard FIFO enqueue, wakeup, batch formation (home and
 /// stolen), depth gauge, typed shed, fulfilment, result publish — and
 /// after a warm-up wave the measured wave allocates exactly nothing.
 fn steady_state_runtime_path_is_allocation_free() {

@@ -79,7 +79,8 @@
 # fault-isolation suites (shard_equivalence, shard_resilience), and the
 # qrw-search unit suites (the interned index against its string-scan
 # oracle, BM25 bit-equality, fingerprint golden values) with the
-# live-catalog mutation suite a second time in release mode, on the
+# live-catalog mutation suite, and the serve scheduler's zero_alloc and
+# scheduler_invariants suites a second time in release mode, on the
 # optimised code the benchmarks execute.
 #
 # Always runs the test-inventory guard: every crates/*/src module must
@@ -175,6 +176,9 @@ cargo test --release --offline -p qrw-nmt --test kv_equivalence --test decode_pr
 cargo test --release --offline -p qrw-nmt --lib --test decode_alloc
 cargo test --release --offline -p qrw-search --test shard_equivalence --test shard_resilience
 cargo test --release --offline -p qrw-search --lib --test mutation
+# Scheduler races can show only under optimised code (one zero-alloc race
+# did), so the allocation proof and the exactly-once suite run here too.
+cargo test --release --offline -p qrw-serve --test zero_alloc --test scheduler_invariants
 
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
