@@ -23,9 +23,11 @@
 //! The `sched_scaling/*` section sweeps the mailbox scheduler at shard
 //! counts {1, 2, 4} (wired as `scripts/verify.sh --sched-smoke`):
 //! responses must stay byte-identical to the sequential baseline at every
-//! count, and the deterministic virtual-cost p99 (computed from the
-//! scheduler's own minted `batch_form` spans — see [`virtual_p99`]) at 4
-//! shards must not exceed the 1-shard value on the burst mix.
+//! count, and the virtual-cost p99 (computed from the scheduler's own
+//! minted `batch_form` spans — see [`virtual_p99`]) at 4 shards must not
+//! exceed the 1-shard value on the burst mix. The virtual p99 is one
+//! sample per shard count and moves run to run: batch composition
+//! depends on worker start timing.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -200,7 +202,7 @@ fn main() -> ExitCode {
 
     // --- Scheduler-scaling sweep: the mailbox scheduler at shard counts
     // {1, 2, 4} (byte-identical to the sequential baseline at every
-    // count) plus the deterministic virtual-cost p99 scaling bar.
+    // count) plus the virtual-cost p99 scaling bar.
     if let Err(e) = sched_scaling(&vocab, &tail, &mut record) {
         eprintln!("load_smoke: {e}");
         return ExitCode::FAILURE;
@@ -454,15 +456,18 @@ fn build_traced_stack(vocab: &Arc<Vocab>, head: &[Vec<String>], tracer: &Tracer)
     ServeStack { engine, cache: Some(cache), student: None, online: Some(online), baseline: None, models: None }
 }
 
-/// Deterministic virtual p99 from the scheduler's minted `batch_form`
-/// spans: per worker, the cumulative service cost (`size +
-/// DECODE_VCOST_WEIGHT × decode_requests` per batch) in batch-formation
-/// order; every request in a batch completes at its worker's cumulative
-/// cost after that batch; p99 over requests. Per-request costs are
-/// scheduling-invariant (each request contributes `1 + weight` or `1`
-/// wherever it runs), so the per-worker sums are a pure partition of a
-/// fixed workload — the metric measures how evenly the scheduler spreads
-/// work, independent of host core count or wall-clock noise.
+/// Virtual p99 from the scheduler's minted `batch_form` spans: per
+/// worker, the cumulative service cost (`size + DECODE_VCOST_WEIGHT ×
+/// decode_requests` per batch) in batch-formation order; every request in
+/// a batch completes at its worker's cumulative cost after that batch;
+/// p99 over requests. Per-request costs are scheduling-invariant (each
+/// request contributes `1 + weight` or `1` wherever it runs), so the
+/// per-worker sums are a partition of a fixed workload — the metric
+/// measures how evenly the scheduler spreads work, independent of host
+/// core count. The partition itself is not deterministic: which requests
+/// share a batch and which worker takes it depend on worker start timing
+/// (the `max_wait_ticks` fill window, steals), so identical code gives
+/// 144–384 at 4 shards run to run.
 fn virtual_p99(spans: &[SpanRecord]) -> u128 {
     let mut cum: std::collections::BTreeMap<i64, u128> = std::collections::BTreeMap::new();
     let mut completions: Vec<u128> = Vec::new();
@@ -487,10 +492,10 @@ fn virtual_p99(spans: &[SpanRecord]) -> u128 {
 /// Sweeps the mailbox scheduler over shard counts {1, 2, 4} (workers ==
 /// shards) on the decode-heavy burst mix, requiring byte-identical
 /// responses to the sequential baseline at every count, and records both
-/// wall-clock ns/req (informational) and the deterministic virtual-cost
-/// p99. Fails unless virtual p99 at 4 shards ≤ virtual p99 at 1 shard —
-/// the scheduler-scaling bar, re-enforced at read time by
-/// `validate_sched_json`.
+/// wall-clock ns/req (informational) and the virtual-cost p99 (one
+/// timing-dependent sample per count). Fails unless virtual p99 at 4
+/// shards ≤ virtual p99 at 1 shard — the scheduler-scaling bar,
+/// re-enforced at read time by `validate_sched_json`.
 fn sched_scaling(
     vocab: &Arc<Vocab>,
     tail: &Workload,

@@ -451,15 +451,18 @@ pub fn validate_shard_json(text: &str) -> Result<BenchRecord, String> {
 /// Entry names the mailbox-scheduler scaling section of
 /// `BENCH_serve.json` must carry: wall-clock per-request serve time at
 /// scheduler shard counts {1, 2, 4} (informational — it depends on host
-/// core count) and the **deterministic virtual-cost p99** at the same
-/// counts. The virtual p99 is computed from the scheduler's own minted
-/// `batch_form` spans under the logical clock: each worker's completion
-/// cost accumulates `batch size + DECODE weight × decode slots` per
-/// batch, every request completes at its worker's cumulative cost, and
-/// the p99 is taken over requests. It measures scheduling *structure*
-/// (how evenly work spreads across workers), so the scaling bar holds on
-/// any machine — including single-core CI, where wall-clock parallel
-/// speedup is physically unavailable.
+/// core count) and the **virtual-cost p99** at the same counts. The
+/// virtual p99 is computed from the scheduler's own minted `batch_form`
+/// spans under the logical clock: each worker's completion cost
+/// accumulates `batch size + DECODE weight × decode requests` per batch,
+/// every request completes at its worker's cumulative cost, and the p99
+/// is taken over requests. It measures scheduling *structure* (how evenly
+/// work spreads across workers) and needs no parallel hardware, so the
+/// bar also runs on single-core CI. It is not deterministic: batch
+/// composition and the worker each batch lands on depend on worker start
+/// timing (the `max_wait_ticks` fill window, steals), so identical code
+/// gives 144–384 at 4 shards run to run, and each committed row is one
+/// sample.
 pub const SCHED_REQUIRED_ENTRIES: [&str; 6] = [
     "sched_scaling/s1_ns_per_req",
     "sched_scaling/s2_ns_per_req",

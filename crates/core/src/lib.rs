@@ -46,5 +46,5 @@ pub use fault::TrainFaultInjector;
 pub use lm_rewriter::{make_lm, train_lm, LmCorpus, LmPoint, LmRewriter, LmTrainConfig};
 pub use persist::{load_joint, load_model, save_joint, save_model, DiskSink, WriteSink};
 pub use pipeline::{hypotheses_to_rewrites, QueryRewriter, RewritePipeline, ScoredRewrite};
-pub use qrw_nmt::DecodeStats;
+pub use qrw_nmt::{thread_decode_stats, DecodeStats};
 pub use q2q::{evaluate_q2q, train_q2q, Q2QPoint, Q2QRewriter, Q2QTrainConfig};

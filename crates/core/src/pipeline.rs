@@ -50,8 +50,10 @@ pub trait QueryRewriter {
     fn name(&self) -> &str;
 
     /// Cumulative decode telemetry of the underlying model(s), if this
-    /// rewriter decodes neurally. Serving layers diff two snapshots around
-    /// a call to report decode throughput next to fault counters.
+    /// rewriter decodes neurally. `Some` marks a neural rewriter: the
+    /// serving ladder then diffs the calling thread's counters
+    /// ([`thread_decode_stats`](crate::thread_decode_stats)) around the
+    /// call, which stays exact while other threads decode the same model.
     fn decode_stats(&self) -> Option<DecodeStats> {
         None
     }

@@ -22,6 +22,6 @@ pub use decode::{
     top_n_sampling, top_n_sampling_batch, Hypothesis, TopNSampling,
 };
 pub use lm::{CausalLm, CausalLmConfig};
-pub use seq2seq::{DecodeState, DecodeStats, Seq2Seq, TransformerDecodeMode};
+pub use seq2seq::{thread_decode_stats, DecodeState, DecodeStats, Seq2Seq, TransformerDecodeMode};
 pub use student::{DecodeArena, QuantStudent, StudentKvCache};
 pub use transformer::KvCache;

@@ -5,6 +5,7 @@
 //! pure transformer (the main models), attention-RNN (Figure 8 baseline),
 //! GRU (Table V), and the §III-G hybrid (transformer encoder + RNN decoder).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qrw_tensor::rng::StdRng;
@@ -92,6 +93,31 @@ impl DecodeStats {
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
         }
     }
+}
+
+thread_local! {
+    /// Every decode run on this thread, across all models.
+    static THREAD_DECODES: Cell<DecodeStats> =
+        const { Cell::new(DecodeStats { steps: 0, tokens: 0, cache_hits: 0 }) };
+}
+
+/// Cumulative decode counters of every model decode (teacher or
+/// quantized student) run on the calling thread. A model's own counters
+/// are shared by every thread that decodes it, so diffing them around
+/// one call also counts other threads' concurrent decodes; diffing these
+/// counts exactly the calling thread's decodes in between.
+pub fn thread_decode_stats() -> DecodeStats {
+    THREAD_DECODES.get()
+}
+
+/// Adds one decode's counts to the calling thread's counters.
+pub(crate) fn count_thread_decode(steps: u64, tokens: u64, cache_hits: u64) {
+    let t = THREAD_DECODES.get();
+    THREAD_DECODES.set(DecodeStats {
+        steps: t.steps + steps,
+        tokens: t.tokens + tokens,
+        cache_hits: t.cache_hits + cache_hits,
+    });
 }
 
 /// An encoder-decoder translation model with an output vocabulary
@@ -187,6 +213,7 @@ impl Seq2Seq {
     }
 
     fn record_decode(&self, steps: u64, tokens: u64, cache_hits: u64) {
+        count_thread_decode(steps, tokens, cache_hits);
         self.telemetry.steps.fetch_add(steps, Ordering::Relaxed);
         self.telemetry.tokens.fetch_add(tokens, Ordering::Relaxed);
         self.telemetry.cache_hits.fetch_add(cache_hits, Ordering::Relaxed);

@@ -39,7 +39,7 @@ use crate::decode::{
     fused_top_n_from_logits, top_k_first_tokens_from_logits, Hypothesis, TopNSampling,
 };
 use crate::layers::positional_encoding;
-use crate::seq2seq::{DecodeStats, Seq2Seq};
+use crate::seq2seq::{count_thread_decode, DecodeStats, Seq2Seq};
 
 #[cfg(test)]
 mod oracle;
@@ -857,6 +857,7 @@ impl QuantStudent {
         self.steps.fetch_add(steps, Ordering::Relaxed);
         self.tokens.fetch_add(steps, Ordering::Relaxed);
         self.cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
+        count_thread_decode(steps, steps, cache_hits);
         let mut hyps: Vec<Hypothesis> = cands
             .iter()
             .map(|c| Hypothesis { tokens: c.prefix[1..].to_vec(), log_prob: c.log_prob })

@@ -5,8 +5,8 @@
 //! [`TransformerDecodeMode::PrefixRecompute`].
 
 use qrw_nmt::{
-    beam_search_normalized, greedy, top_n_sampling, top_n_sampling_batch, ComponentKind,
-    ModelConfig, Seq2Seq, TopNSampling, TransformerDecodeMode,
+    beam_search_normalized, greedy, thread_decode_stats, top_n_sampling, top_n_sampling_batch,
+    ComponentKind, ModelConfig, Seq2Seq, TopNSampling, TransformerDecodeMode,
 };
 use qrw_tensor::StdRng;
 use qrw_text::BOS;
@@ -205,9 +205,12 @@ fn batch_matches_single_source_decoding() {
 }
 
 /// Telemetry: the cached path reports cache hits and linear token work;
-/// the recompute path reports quadratic token work and no hits.
+/// the recompute path reports quadratic token work and no hits. The
+/// calling thread's counters add up both models' work, and a decode on
+/// another thread leaves them alone.
 #[test]
 fn decode_stats_reflect_cache_usage() {
+    let before = thread_decode_stats();
     let cached = model(
         ComponentKind::Transformer,
         ComponentKind::Transformer,
@@ -237,4 +240,15 @@ fn decode_stats_reflect_cache_usage() {
     // Step s sees s already-cached positions: 0 + 1 + 2 + 3.
     assert_eq!(sc.cache_hits, 6);
     assert_eq!(sr.cache_hits, 0);
+
+    let mine = thread_decode_stats().since(&before);
+    assert_eq!((mine.steps, mine.tokens, mine.cache_hits), (8, 4 + 10, 6));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mem = cached.encode(&SRC);
+            cached.next_log_probs(&mem, &mut cached.start_state(&mem), &[BOS]);
+        });
+    });
+    assert_eq!(cached.decode_stats().steps, 5);
+    assert_eq!(thread_decode_stats().since(&before), mine);
 }

@@ -34,7 +34,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use qrw_core::QueryRewriter;
+use qrw_core::{thread_decode_stats, QueryRewriter};
 use qrw_obs::{Histogram, Tracer};
 
 use std::sync::Arc;
@@ -330,14 +330,9 @@ impl SearchEngine {
     /// concurrent [`CatalogWriter`](crate::snapshot::CatalogWriter) never
     /// tears a response.
     pub fn live(store: Arc<SnapshotStore>) -> Self {
-        Self::live_with_breaker(store, BreakerConfig::default())
-    }
-
-    /// [`live`](Self::live) with custom circuit-breaker tuning.
-    pub fn live_with_breaker(store: Arc<SnapshotStore>, breaker: BreakerConfig) -> Self {
         SearchEngine {
             catalog: Catalog::Live(store),
-            breaker: CircuitBreaker::new(breaker),
+            breaker: CircuitBreaker::new(BreakerConfig::default()),
             health: HealthCounters::default(),
             tracer: None,
         }
@@ -369,16 +364,7 @@ impl SearchEngine {
     /// set for that epoch is built once and cached until the epoch or the
     /// routing plan changes.
     pub fn sharded_live(store: Arc<SnapshotStore>, shards: usize) -> Self {
-        Self::sharded_live_with_breaker(store, shards, BreakerConfig::default())
-    }
-
-    /// [`sharded_live`](Self::sharded_live) with custom breaker tuning
-    /// (applied to the online-rewriter breaker and the per-shard set).
-    pub fn sharded_live_with_breaker(
-        store: Arc<SnapshotStore>,
-        shards: usize,
-        breaker: BreakerConfig,
-    ) -> Self {
+        let breaker = BreakerConfig::default();
         SearchEngine {
             catalog: Catalog::Sharded(ShardedCatalog::new(store, shards, breaker, true)),
             breaker: CircuitBreaker::new(breaker),
@@ -452,8 +438,8 @@ impl SearchEngine {
     /// Attaches a span tracer. Every resilient request then records a
     /// `serve` span with ladder-rung / retrieval / rank children; callers
     /// that own a request id pass it via
-    /// [`search_resilient_traced`](Self::search_resilient_traced) so
-    /// engine spans join the caller's trace.
+    /// [`search_session_traced`](Self::search_session_traced) so engine
+    /// spans join the caller's trace.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
         self
@@ -586,34 +572,21 @@ impl SearchEngine {
         budget: &DeadlineBudget,
         faults: Option<&FaultInjector>,
     ) -> SearchResponse {
-        self.search_resilient_traced(query, ladder, config, budget, faults, None)
+        let session = SessionState::default();
+        self.search_session_traced(query, session, ladder, config, budget, faults, None)
     }
 
-    /// [`search_resilient`](Self::search_resilient), joined to an
-    /// existing trace. When a tracer is attached, the request records a
+    /// Session-aware serving:
+    /// [`search_resilient`](Self::search_resilient) with a
+    /// [`SessionState`] threaded through the whole ladder walk, joined to
+    /// an existing trace. When a tracer is attached, the request records a
     /// `serve` span (ladder rungs, retrieval and ranking nest under it)
     /// into trace `trace` — the concurrent runtime passes the request id
     /// so engine spans land in the request's trace. With `trace = None` a
     /// fresh trace id is minted. End-to-end latency (per the deadline
     /// budget, synthetic charges included) feeds the health histogram
-    /// either way.
-    pub fn search_resilient_traced(
-        &self,
-        query: &[String],
-        ladder: RewriteLadder<'_>,
-        config: &ServingConfig,
-        budget: &DeadlineBudget,
-        faults: Option<&FaultInjector>,
-        trace: Option<u64>,
-    ) -> SearchResponse {
-        self.search_session_traced(query, SessionState::default(), ladder, config, budget, faults, trace)
-    }
-
-    /// Session-aware serving:
-    /// [`search_resilient_traced`](Self::search_resilient_traced) with a
-    /// [`SessionState`] threaded through the whole ladder walk. With the
-    /// default session this **is** `search_resilient_traced`, byte for
-    /// byte. With a session:
+    /// either way. With the default session this **is**
+    /// `search_resilient`, byte for byte. With a session:
     ///
     /// * the cache rung looks entries up under the session's
     ///   [`CacheScope`] (model epoch + context hash), so a hot-swap never
@@ -786,12 +759,12 @@ impl SearchEngine {
                 events.push(ServeError::DeadlineExceeded { stage: Stage::Rewrite });
                 outcome = "deadline";
             } else {
-                let decode_before = student.decode_stats();
+                let decode_before = student.decode_stats().map(|_| thread_decode_stats());
                 let t_call = budget.elapsed();
                 let result = self.call_rewriter(student, session.context, query, config, Fault::None);
-                if let (Some(before), Some(after)) = (decode_before, student.decode_stats()) {
+                if let Some(before) = decode_before {
                     self.health.record_student_decode(
-                        after.since(&before),
+                        thread_decode_stats().since(&before),
                         budget.elapsed().saturating_sub(t_call),
                     );
                 }
@@ -849,14 +822,15 @@ impl SearchEngine {
                     self.breaker.record_failure();
                     outcome = "deadline";
                 } else {
-                    // Snapshot decode counters around the call so the
-                    // health report carries throughput next to faults.
-                    let decode_before = online.decode_stats();
+                    // Snapshot this thread's decode counters around the
+                    // call so the health report carries throughput next
+                    // to faults.
+                    let decode_before = online.decode_stats().map(|_| thread_decode_stats());
                     let t_call = budget.elapsed();
                     let result = self.call_rewriter(online, session.context, query, config, fault);
-                    if let (Some(before), Some(after)) = (decode_before, online.decode_stats()) {
+                    if let Some(before) = decode_before {
                         self.health.record_decode(
-                            after.since(&before),
+                            thread_decode_stats().since(&before),
                             budget.elapsed().saturating_sub(t_call),
                         );
                     }
@@ -964,21 +938,12 @@ impl SearchEngine {
     }
 
     /// Folds one batched decode's telemetry delta into the health report.
-    /// The concurrent runtime decodes cache-miss requests *together*, so
-    /// the per-call accounting inside `acquire_rewrites` never sees the
-    /// model run; the runtime records the batch-level delta here instead.
+    /// The concurrent runtime's teacher pre-pass decodes a batch's cache
+    /// misses *together*, so the per-call accounting inside
+    /// `acquire_rewrites` never sees the model run; the runtime records
+    /// the batch-level delta here instead.
     pub fn record_decode(&self, delta: qrw_core::DecodeStats, elapsed: std::time::Duration) {
         self.health.record_decode(delta, elapsed);
-    }
-
-    /// Folds one student decode's telemetry delta into the health report.
-    /// The concurrent runtime answers decode-misses with the quantized
-    /// student *before* the teacher's batched decode, so (as with
-    /// [`record_decode`](Self::record_decode)) the per-call accounting in
-    /// `acquire_rewrites` never sees the student run; the runtime records
-    /// the pre-pass delta here instead.
-    pub fn record_student_decode(&self, delta: qrw_core::DecodeStats, elapsed: std::time::Duration) {
-        self.health.record_student_decode(delta, elapsed);
     }
 
     /// Records an admission-control event (queue rejection or in-queue
@@ -1025,68 +990,28 @@ impl SearchEngine {
         let index = pinned.index();
         let t0 = budget.elapsed();
         let mut retrieve_span = ctx.map(|c| c.child("retrieve"));
-        // Original-query candidates always survive in full.
-        let (base_docs, base_cost) = QueryTree::and_of_tokens(query).evaluate(index);
-        let mut cost = base_cost;
-        let mut extra: Vec<usize> = Vec::new();
-
-        let mut use_merged = config.merged_tree;
-        if !rewrites.is_empty() && !use_merged && budget.expired() {
-            // Out of time for one tree per rewrite: the §III-H merged tree
-            // is the cheaper evaluation, so degrade to it.
-            events.push(ServeError::DeadlineExceeded { stage: Stage::Retrieval });
-            use_merged = true;
-        }
-
-        if !rewrites.is_empty() {
-            if use_merged {
-                let mut all = vec![query.to_vec()];
-                all.extend(rewrites.iter().cloned());
-                let (docs, c) = QueryTree::merge_factored(&all).evaluate(index);
-                cost = c; // the merged tree replaces the single-query tree
-                extra = difference_sorted(&docs, &base_docs);
-            } else {
-                for rw in &rewrites {
-                    let (docs, c) = QueryTree::and_of_tokens(rw).evaluate(index);
-                    cost = cost + c;
-                    for d in docs {
-                        if !base_docs.contains(&d) && !extra.contains(&d) {
-                            extra.push(d);
-                        }
-                    }
-                }
-            }
-            extra.truncate(config.max_extra_candidates * rewrites.len());
-        }
+        let plan = RetrievalPlan::new(query, &rewrites, config, budget, events);
+        let gathered = plan.combine(plan.trees.iter().map(|t| t.evaluate(index)).collect());
         if let Some(s) = retrieve_span.as_mut() {
-            s.attr("base", base_docs.len());
-            s.attr("extra", extra.len());
-            s.attr("merged", use_merged);
+            s.attr("base", gathered.base);
+            s.attr("extra", gathered.extra);
+            s.attr("merged", plan.merged);
         }
         drop(retrieve_span);
         self.health.record_stage_latency(Stage::Retrieval, budget.elapsed().saturating_sub(t0));
 
-        // Rank the union with BM25 against the original query, extended by
-        // the rewrites' vocabulary so semantically-matched docs can score.
+        // Rank the union with BM25 against the plan's rank vocabulary, so
+        // semantically-matched docs can score.
         let t1 = budget.elapsed();
         let mut rank_span = ctx.map(|c| c.child("rank"));
-        let mut rank_query: Vec<String> = query.to_vec();
-        for rw in &rewrites {
-            for tok in rw {
-                if !rank_query.contains(tok) {
-                    rank_query.push(tok.clone());
-                }
-            }
-        }
-        let mut candidates = base_docs.clone();
-        candidates.extend(extra.iter().copied());
+        let candidates = gathered.candidates;
         let ranked = if budget.expired() && !candidates.is_empty() {
             // No time for BM25: return an unranked prefix rather than
             // overrun the deadline.
             events.push(ServeError::DeadlineExceeded { stage: Stage::Rank });
             candidates.iter().take(config.top_k).copied().collect()
         } else {
-            rank_at(index, &rank_query, &candidates, config.top_k)
+            rank_at(index, &plan.rank_query, &candidates, config.top_k)
         };
         if let Some(s) = rank_span.as_mut() {
             s.attr("candidates", candidates.len());
@@ -1095,13 +1020,13 @@ impl SearchEngine {
         self.health.record_stage_latency(Stage::Rank, budget.elapsed().saturating_sub(t1));
 
         SearchResponse {
-            base_candidates: base_docs.len(),
-            extra_candidates: extra.len(),
+            base_candidates: gathered.base,
+            extra_candidates: gathered.extra,
             ranked,
             candidates,
             rewrites_used: rewrites,
             rewrite_source: source,
-            cost,
+            cost: gathered.cost,
             degradations: std::mem::take(events),
             shards_ok: 1,
             shards_total: 1,
@@ -1164,39 +1089,11 @@ impl SearchEngine {
             s.attr("shards", n);
         }
 
-        // Degradation decision mirrors the monolith exactly: out of time
-        // for one tree per rewrite means falling back to the merged tree.
-        let mut use_merged = config.merged_tree;
-        if !rewrites.is_empty() && !use_merged && budget.expired() {
-            events.push(ServeError::DeadlineExceeded { stage: Stage::Retrieval });
-            use_merged = true;
-        }
-
-        // Tree slot 0 is the base query; then the merged tree, or one
-        // tree per rewrite.
-        let mut trees = vec![QueryTree::and_of_tokens(query)];
-        if !rewrites.is_empty() {
-            if use_merged {
-                let mut all = vec![query.to_vec()];
-                all.extend(rewrites.iter().cloned());
-                trees.push(QueryTree::merge_factored(&all));
-            } else {
-                for rw in &rewrites {
-                    trees.push(QueryTree::and_of_tokens(rw));
-                }
-            }
-        }
-        // The rank vocabulary (query + rewrite tokens, deduplicated,
-        // order preserved — exactly the monolith's `rank_query`) is known
-        // up front so phase 1 returns per-shard dfs in the same pass.
-        let mut rank_query: Vec<String> = query.to_vec();
-        for rw in &rewrites {
-            for tok in rw {
-                if !rank_query.contains(tok) {
-                    rank_query.push(tok.clone());
-                }
-            }
-        }
+        // The monolith's plan: the same degradation decision, trees and
+        // rank vocabulary. The rank vocabulary is known up front so phase
+        // 1 returns per-shard dfs in the same pass.
+        let plan = RetrievalPlan::new(query, &rewrites, config, budget, events);
+        let RetrievalPlan { trees, rank_query, .. } = &plan;
 
         // ---- Phase 1: per-shard traversals ---------------------------
         let injector = cat.injector();
@@ -1221,7 +1118,7 @@ impl SearchEngine {
                     if slice.expired() {
                         return Err(ShardPhase::Deadline);
                     }
-                    let tr = sharded.shard(shard).traverse(&trees, &rank_query);
+                    let tr = sharded.shard(shard).traverse(trees, rank_query);
                     if slice.expired() {
                         return Err(ShardPhase::Deadline);
                     }
@@ -1305,23 +1202,14 @@ impl SearchEngine {
 
         // ---- Gather + phase-2 rank ----------------------------------
         let mut alive: Vec<bool> = traversals.iter().map(Option::is_some).collect();
-        let mut base_docs: Vec<usize> = Vec::new();
-        let mut extra: Vec<usize> = Vec::new();
-        let mut cost = RetrievalCost::default();
-        let mut candidates: Vec<usize> = Vec::new();
-        let mut ranked: Vec<usize> = Vec::new();
-        loop {
+        let (gathered, ranked) = loop {
             let survivors: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
             if survivors.is_empty() {
                 // Every shard failed: a well-formed empty response (the
                 // PartialResults stamp below says 0 of n answered). No
                 // monolith fallback — the monolithic view exists, but
                 // serving it would mask a dead tier as healthy.
-                base_docs.clear();
-                extra.clear();
-                candidates.clear();
-                ranked.clear();
-                break;
+                break (Gathered::default(), Vec::new());
             }
             let traversal =
                 |i: usize| traversals[i].as_ref().expect("survivors hold traversals");
@@ -1329,52 +1217,28 @@ impl SearchEngine {
             // Reconstruct each tree's monolithic doc list (k-way union of
             // disjoint sorted global-id lists) and its cost
             // (partition-additive; see `shard::combine_costs`).
-            let mut tree_docs: Vec<Vec<usize>> = Vec::with_capacity(trees.len());
-            let mut tree_costs: Vec<RetrievalCost> = Vec::with_capacity(trees.len());
-            for t in 0..trees.len() {
-                let mut merged: Vec<usize> = Vec::new();
-                for &i in &survivors {
-                    merged = union_sorted(&merged, &traversal(i).evals[t].0);
-                }
-                let costs: Vec<RetrievalCost> =
-                    survivors.iter().map(|&i| traversal(i).evals[t].1).collect();
-                tree_docs.push(merged);
-                tree_costs.push(combine_costs(&costs));
-            }
-
-            base_docs = std::mem::take(&mut tree_docs[0]);
-            cost = tree_costs[0];
-            extra.clear();
-            if !rewrites.is_empty() {
-                if use_merged {
-                    let docs = std::mem::take(&mut tree_docs[1]);
-                    cost = tree_costs[1]; // merged tree replaces the base tree
-                    extra = difference_sorted(&docs, &base_docs);
-                } else {
-                    for r in 0..rewrites.len() {
-                        let docs = std::mem::take(&mut tree_docs[1 + r]);
-                        cost = cost + tree_costs[1 + r];
-                        for d in docs {
-                            if !base_docs.contains(&d) && !extra.contains(&d) {
-                                extra.push(d);
-                            }
-                        }
+            let evals = (0..trees.len())
+                .map(|t| {
+                    let mut merged: Vec<usize> = Vec::new();
+                    for &i in &survivors {
+                        merged = union_sorted(&merged, &traversal(i).evals[t].0);
                     }
-                }
-                extra.truncate(config.max_extra_candidates * rewrites.len());
-            }
-            candidates = base_docs.clone();
-            candidates.extend(extra.iter().copied());
+                    let costs: Vec<RetrievalCost> =
+                        survivors.iter().map(|&i| traversal(i).evals[t].1).collect();
+                    (merged, combine_costs(&costs))
+                })
+                .collect();
+            let gathered = plan.combine(evals);
+            let candidates = &gathered.candidates;
 
             if budget.expired() && !candidates.is_empty() {
                 // No time for BM25: unranked prefix, like the monolith.
                 events.push(ServeError::DeadlineExceeded { stage: Stage::Rank });
-                ranked = candidates.iter().take(config.top_k).copied().collect();
-                break;
+                let ranked = candidates.iter().take(config.top_k).copied().collect();
+                break (gathered, ranked);
             }
             if candidates.is_empty() {
-                ranked.clear();
-                break;
+                break (gathered, Vec::new());
             }
 
             // Global BM25 statistics from the survivor set: same frozen
@@ -1396,7 +1260,7 @@ impl SearchEngine {
             // Partition candidates by routing. Every candidate routes to
             // a surviving shard: failed shards contributed no documents.
             let mut parts: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for &d in &candidates {
+            for &d in candidates {
                 parts[sharded.route(d)].push(d);
             }
 
@@ -1426,15 +1290,14 @@ impl SearchEngine {
             // merged prefix is exactly the monolith's).
             let mut scored: Vec<(f64, usize)> = streams.into_iter().flatten().collect();
             select_top_k(&mut scored, config.top_k);
-            ranked = scored.into_iter().map(|(_, d)| d).collect();
-            break;
-        }
+            break (gathered, scored.into_iter().map(|(_, d)| d).collect());
+        };
 
         let shards_ok = alive.iter().filter(|&&a| a).count();
         if let Some(s) = scatter_span.as_mut() {
-            s.attr("base", base_docs.len());
-            s.attr("extra", extra.len());
-            s.attr("merged", use_merged);
+            s.attr("base", gathered.base);
+            s.attr("extra", gathered.extra);
+            s.attr("merged", plan.merged);
             s.attr("outcome", if shards_ok < n { "partial" } else { "complete" });
         }
         // Gather children: exactly one per shard, created in shard order
@@ -1460,7 +1323,7 @@ impl SearchEngine {
 
         let mut rank_span = ctx.map(|c| c.child("rank"));
         if let Some(s) = rank_span.as_mut() {
-            s.attr("candidates", candidates.len());
+            s.attr("candidates", gathered.candidates.len());
         }
         drop(rank_span);
         self.health.record_stage_latency(Stage::Rank, budget.elapsed().saturating_sub(t1));
@@ -1498,19 +1361,103 @@ impl SearchEngine {
         cat.record_outcomes(&outcomes);
 
         SearchResponse {
-            base_candidates: base_docs.len(),
-            extra_candidates: extra.len(),
+            base_candidates: gathered.base,
+            extra_candidates: gathered.extra,
             ranked,
-            candidates,
+            candidates: gathered.candidates,
             rewrites_used: rewrites,
             rewrite_source: source,
-            cost,
+            cost: gathered.cost,
             degradations: std::mem::take(events),
             shards_ok,
             shards_total: n,
             epoch,
             model_epoch: 0,
         }
+    }
+}
+
+/// What one request retrieves, shared by the monolithic and the
+/// scatter-gather paths: the trees to evaluate (slot 0 is the original
+/// query's AND tree; then the §III-H merged tree, or one tree per
+/// rewrite) and the BM25 rank vocabulary.
+struct RetrievalPlan {
+    trees: Vec<QueryTree>,
+    /// Query tokens, then the rewrites' new tokens (deduplicated, order
+    /// preserved).
+    rank_query: Vec<String>,
+    merged: bool,
+    /// Cap on extra candidates: `max_extra_candidates` per rewrite.
+    max_extra: usize,
+}
+
+/// A request's combined retrieval: base-query candidates first, then the
+/// rewrites' extra candidates, and the recombined cost.
+#[derive(Default)]
+struct Gathered {
+    candidates: Vec<usize>,
+    base: usize,
+    extra: usize,
+    cost: RetrievalCost,
+}
+
+impl RetrievalPlan {
+    fn new(
+        query: &[String],
+        rewrites: &[Vec<String>],
+        config: &ServingConfig,
+        budget: &DeadlineBudget,
+        events: &mut Vec<ServeError>,
+    ) -> Self {
+        let mut merged = config.merged_tree;
+        if !rewrites.is_empty() && !merged && budget.expired() {
+            // Out of time for one tree per rewrite: the §III-H merged tree
+            // is the cheaper evaluation, so degrade to it.
+            events.push(ServeError::DeadlineExceeded { stage: Stage::Retrieval });
+            merged = true;
+        }
+        let mut trees = vec![QueryTree::and_of_tokens(query)];
+        if merged && !rewrites.is_empty() {
+            let mut all = vec![query.to_vec()];
+            all.extend(rewrites.iter().cloned());
+            trees.push(QueryTree::merge_factored(&all));
+        } else {
+            trees.extend(rewrites.iter().map(|rw| QueryTree::and_of_tokens(rw)));
+        }
+        let mut rank_query: Vec<String> = query.to_vec();
+        for tok in rewrites.iter().flatten() {
+            if !rank_query.contains(tok) {
+                rank_query.push(tok.clone());
+            }
+        }
+        let max_extra = config.max_extra_candidates * rewrites.len();
+        RetrievalPlan { trees, rank_query, merged, max_extra }
+    }
+
+    /// Combines each tree's (docs, cost), in `trees` order: the base docs
+    /// survive in full, the merged tree's cost replaces the base cost
+    /// while per-rewrite costs add to it, and extra candidates are capped.
+    fn combine(&self, evals: Vec<(Vec<usize>, RetrievalCost)>) -> Gathered {
+        let mut evals = evals.into_iter();
+        let (mut candidates, mut cost) = evals.next().expect("slot 0 is the base tree");
+        let base = candidates.len();
+        if self.merged {
+            if let Some((docs, c)) = evals.next() {
+                cost = c;
+                candidates.extend(difference_sorted(&docs, &candidates));
+            }
+        } else {
+            for (docs, c) in evals {
+                cost = cost + c;
+                for d in docs {
+                    if !candidates.contains(&d) {
+                        candidates.push(d);
+                    }
+                }
+            }
+        }
+        candidates.truncate(base + self.max_extra);
+        Gathered { extra: candidates.len() - base, candidates, base, cost }
     }
 }
 

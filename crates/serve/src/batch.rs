@@ -57,11 +57,6 @@ impl BatchedQ2Q {
         self
     }
 
-    /// The shared model (for decode-telemetry snapshots).
-    pub fn model(&self) -> &Seq2Seq {
-        &self.model
-    }
-
     /// The per-request sampling RNG: a pure function of the query, so a
     /// request's draws are identical whether it is decoded alone or in any
     /// batch.
@@ -143,11 +138,6 @@ impl StudentOnline {
         self.name = name.into();
         self
     }
-
-    /// The shared quantized model (for decode-telemetry snapshots).
-    pub fn student(&self) -> &QuantStudent {
-        &self.student
-    }
 }
 
 impl QueryRewriter for StudentOnline {
@@ -171,8 +161,8 @@ impl QueryRewriter for StudentOnline {
     }
 }
 
-/// The online rung handed to `search_resilient` for a request whose
-/// rewrites were already produced by the batch decode: replays the
+/// The online rung handed to the ladder for a request whose rewrites
+/// were already produced by the teacher's batch decode: replays the
 /// precomputed output under the batched rewriter's name, so the response
 /// (including rung attribution and degradation events) is identical to a
 /// standalone serve that ran the model inline.

@@ -19,12 +19,13 @@
 //!   max-wait-ticks policy per shard) and steal the oldest backlog from
 //!   sibling shards when their home runs dry (`std::thread::scope`,
 //!   model shared read-only via `Arc`);
-//! * [`batch`] — [`BatchedQ2Q`], the cross-request online rewriter: all
-//!   KV-cache-miss requests of a batch decode *together* through one
-//!   stacked [`next_log_probs_multi`](qrw_nmt::seq2seq::Seq2Seq::next_log_probs_multi)
+//! * [`batch`] — [`BatchedQ2Q`], the cross-request online rewriter: when
+//!   it is the first model rung, all KV-cache-miss requests of a batch
+//!   decode *together* through one stacked
+//!   [`next_log_probs_multi`](qrw_nmt::seq2seq::Seq2Seq::next_log_probs_multi)
 //!   forward per step; and [`StudentOnline`], the quantized distilled
-//!   student that answers decode-misses first (the teacher's batched
-//!   decode only covers what the student leaves unserved);
+//!   student that answers each cache miss inline in its ladder walk,
+//!   ahead of the teacher;
 //! * [`workload`] — deterministic seeded request mixes (KV-hit-heavy head
 //!   + decode-heavy tail) for the load-generation bench.
 //!
@@ -45,10 +46,10 @@
 //!    it, or in what order batches drain.
 //!
 //! Property 2 makes rewriting a *pure function of the query*, which buys a
-//! second scheduler optimisation for free: identical in-flight cache-miss
-//! queries coalesce into one decode slot per micro-batch (request
-//! coalescing), sharing bit-for-bit the output each would have produced
-//! alone.
+//! second scheduler optimisation for free: on a teacher-first stack,
+//! identical in-flight cache-miss queries coalesce into one decode slot
+//! per micro-batch (request coalescing), sharing bit-for-bit the output
+//! each would have produced alone.
 //!
 //! `tests/runtime.rs` enforces the invariant end-to-end (1 worker /
 //! batch-1 vs N workers / batch-8, compared against standalone

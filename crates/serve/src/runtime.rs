@@ -11,12 +11,18 @@
 //! sibling shards when its home runs dry — the only cross-shard traffic
 //! besides the shared teacher decode.
 //!
-//! Per batch: expired requests are shed, cache-miss requests are decoded
-//! *together* through one [`BatchedQ2Q::rewrite_batch`] call, and then
-//! **every** request — hit or miss, home or stolen — is served through
-//! `SearchEngine::search_session_traced` itself, with the batch-decode
-//! output replayed as the online rung. The engine path, rung attribution,
-//! degradation events, and breaker bookkeeping are therefore identical to
+//! Per batch: expired requests are shed, and then **every** live
+//! request — hit or miss, home or stolen — walks the ladder through
+//! `SearchEngine::search_session_traced` itself, one request at a time.
+//! The one pre-pass is the teacher's: when the batch-capable teacher is
+//! the first model rung (no student, no model store), the batch's cache
+//! misses are decoded *together* through one
+//! [`BatchedQ2Q::rewrite_batch`] call and the output is replayed as each
+//! request's online rung. A student-bearing stack serves its misses
+//! inline through the student rung (the teacher, behind it, decodes
+//! inline too), and a session stack serves each request's pinned model
+//! as its online rung. The engine path, rung attribution, degradation
+//! events, and breaker and decode bookkeeping are therefore identical to
 //! a standalone serve, which is what makes batching — and scheduling —
 //! byte-transparent: rewrites are a pure function of the query, so shard
 //! count, batch composition, and steal decisions can never change a
@@ -45,16 +51,20 @@
 //! Scheduling-dependent work lands in separate **minted** traces so
 //! per-request structure stays invariant across shard and worker counts:
 //! `mailbox_enqueue` (routing decision per admitted request), and per
-//! batch a `batch_form` root with optional `steal`, `student_decode` and
-//! `decode` children. Tests assert both (`tests/trace_invariants.rs`).
+//! batch a `batch_form` root with an optional `steal` child and, on
+//! teacher-first stacks only, `decode_slots`/`decode_requests` attributes
+//! and a `decode` child. A student's decode time sits in the request's
+//! own `rung_student` span. Tests assert both
+//! (`tests/trace_invariants.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use qrw_core::QueryRewriter;
+use qrw_core::{thread_decode_stats, QueryRewriter};
 use qrw_obs::taxonomy::{BATCH_FORM, MAILBOX_ENQUEUE, STEAL};
+use qrw_obs::SpanGuard;
 use qrw_search::{
     plan_online, DeadlineBudget, ModelStore, RewriteCache, RewriteLadder, SearchEngine,
     SearchResponse, ServeError, ServingConfig, SessionState,
@@ -121,20 +131,21 @@ pub struct ServeStack {
     /// Rung 1: the precomputed rewrite cache.
     pub cache: Option<Arc<RewriteCache>>,
     /// Rung 2: the quantized distilled student — the preferred online
-    /// model. Decode-misses it serves never reach the teacher's batched
-    /// decode.
+    /// model, decoding each cache miss inline in the request's ladder
+    /// walk.
     pub student: Option<Arc<StudentOnline>>,
     /// Rung 3: the batch-capable online model (the teacher-backed
-    /// fallback behind the student).
+    /// fallback behind the student). As the first model rung its misses
+    /// are decoded together per batch; behind a student it decodes inline.
     pub online: Option<Arc<BatchedQ2Q>>,
     /// Rung 4: the rule-based fallback.
     pub baseline: Option<Arc<dyn QueryRewriter + Send + Sync>>,
     /// The hot-swappable session-model store. When present the runtime
     /// serves every request through the **session path**: the worker
-    /// pins exactly one model epoch for the whole ladder walk
-    /// (bypassing the shared-teacher batch decode — the pinned model is
-    /// the online rung) and stamps the epoch on the response. `None`
-    /// keeps the legacy batched path byte-for-byte.
+    /// pins exactly one model epoch for the whole ladder walk (the pinned
+    /// model is the online rung, so no batch pre-pass runs) and stamps
+    /// the epoch on the response. `None` keeps the legacy cache scope and
+    /// model epoch 0 byte-for-byte.
     pub models: Option<Arc<ModelStore>>,
 }
 
@@ -458,143 +469,85 @@ impl Runtime {
             return;
         }
 
-        // Session path: with a model store attached, each request pins
-        // exactly one model epoch for its whole ladder walk — the pinned
-        // session model *is* the online rung, so the shared-teacher batch
-        // decode is bypassed (rewrites are a pure function of
-        // (context, query, epoch), so per-request decode is already
-        // coalescing-transparent). Cache lookups are scoped by
-        // (epoch, context) and the response is stamped with the epoch.
-        if self.stack.models.is_some() {
-            let student = self.stack.student.as_deref().map(|s| s as &dyn QueryRewriter);
-            for p in live.drain(..) {
-                self.serve_one(p, panic_ids, student, None);
-            }
-            return;
+        // One serve loop. The teacher's stacked decode runs ahead of the
+        // ladder only when the teacher is the first model rung; every
+        // other stack walks the ladder inline with the live student and
+        // teacher (a session request's pinned model is its online rung).
+        let student = self.stack.student.as_deref().map(|s| s as &dyn QueryRewriter);
+        let online = self.stack.online.as_deref();
+        let mut replayed = match (online, student, &self.stack.models) {
+            (Some(teacher), None, None) => self.teacher_prepass(teacher, live, batch_span.as_mut()),
+            _ => Vec::new(),
         }
+        .into_iter();
+        for p in live.drain(..) {
+            let rung = replayed.next().flatten();
+            let online = rung.as_deref().or(online.map(|o| o as &dyn QueryRewriter));
+            self.serve_one(p, panic_ids, student, online);
+        }
+    }
 
-        // Plan which requests need a neural decode (miss the rewrite
-        // cache after sanitization), mirroring ladder rung 1 without
-        // touching the hit/miss counters — the serve pass below counts.
-        let student = self.stack.student.as_deref();
-        let online = self.stack.online.as_ref();
+    /// The teacher's pre-pass over a batch's live requests: plans which
+    /// requests miss the rewrite cache (mirroring ladder rung 1 without
+    /// touching the hit/miss counters — the serve pass counts), decodes
+    /// every miss in one stacked [`BatchedQ2Q::rewrite_batch`], and
+    /// returns each request's replayed online rung (`None` when the cache
+    /// serves it).
+    fn teacher_prepass(
+        &self,
+        teacher: &BatchedQ2Q,
+        live: &[Pending],
+        mut batch_span: Option<&mut SpanGuard>,
+    ) -> Vec<Option<Box<dyn QueryRewriter>>> {
         let plans: Vec<Option<Vec<String>>> = live
             .iter()
-            .map(|p| {
-                if student.is_none() && online.is_none() {
-                    return None;
-                }
-                plan_online(&p.query, self.stack.cache.as_deref(), &self.config.serving)
-            })
+            .map(|p| plan_online(&p.query, self.stack.cache.as_deref(), &self.config.serving))
             .collect();
-
-        // One stacked batched decode for every cache miss in the batch.
         // Identical in-flight queries coalesce into a single decode slot:
         // `BatchedQ2Q` rewrites are a pure function of the query (the
         // sampling RNG is derived from the query tokens), so sharing one
         // decode across duplicates returns bit-for-bit what each would
         // have produced alone. FNV shard routing sends duplicates to the
         // same shard, so coalescing is shard-local by construction.
-        let mut miss_queries: Vec<&[String]> = Vec::new();
-        let mut miss_slot: Vec<Option<usize>> = Vec::with_capacity(plans.len());
-        for plan in &plans {
-            miss_slot.push(plan.as_deref().map(|q| {
-                match miss_queries.iter().position(|u| *u == q) {
+        let mut queries: Vec<&[String]> = Vec::new();
+        let slots: Vec<Option<usize>> = plans
+            .iter()
+            .map(|plan| {
+                plan.as_deref().map(|q| match queries.iter().position(|u| *u == q) {
                     Some(slot) => slot,
                     None => {
-                        miss_queries.push(q);
-                        miss_queries.len() - 1
+                        queries.push(q);
+                        queries.len() - 1
                     }
-                }
-            }));
-        }
-        let decode_requests = miss_slot.iter().filter(|s| s.is_some()).count();
+                })
+            })
+            .collect();
+        let requests = slots.iter().flatten().count();
         if let Some(s) = batch_span.as_mut() {
-            s.attr("decode_slots", miss_queries.len());
-            s.attr("decode_requests", decode_requests);
+            s.attr("decode_slots", queries.len());
+            s.attr("decode_requests", requests);
         }
-
-        // Student pre-pass: the quantized student answers decode-misses
-        // first; only queries it cannot serve fall through to the
-        // teacher's batched decode. Its telemetry delta lands in the
-        // engine's student counter block, so the health report compares
-        // student vs teacher throughput directly.
-        let student_out: Option<Result<Vec<Vec<Vec<String>>>, ()>> = match student {
-            Some(st) if !miss_queries.is_empty() => {
-                let mut span = batch_span
-                    .as_ref()
-                    .zip(tracer)
-                    .map(|(b, t)| t.span(b.trace(), Some(b.id()), "student_decode"));
-                if let Some(s) = span.as_mut() {
-                    s.attr("slots", miss_queries.len());
-                }
-                let before = st.student().decode_stats();
-                let t0 = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    miss_queries
-                        .iter()
-                        .map(|q| st.rewrite(q, self.config.serving.max_rewrites))
-                        .collect::<Vec<_>>()
-                }));
-                self.stack.engine.record_student_decode(
-                    st.student().decode_stats().since(&before),
-                    t0.elapsed(),
-                );
-                if let Some(s) = span.as_mut() {
-                    s.attr("ok", result.is_ok());
-                }
-                Some(result.map_err(|_| ()))
+        let decoded = (!queries.is_empty()).then(|| {
+            let tracer = self.stack.engine.tracer();
+            let mut span = batch_span
+                .zip(tracer)
+                .map(|(b, t)| t.span(b.trace(), Some(b.id()), "decode"));
+            if let Some(s) = span.as_mut() {
+                s.attr("slots", queries.len());
+                s.attr("requests", requests);
             }
-            _ => None,
-        };
-
-        // The teacher only decodes the slots the student left unserved.
-        let mut teacher_slot: Vec<Option<usize>> = vec![None; miss_queries.len()];
-        let mut teacher_queries: Vec<&[String]> = Vec::new();
-        for (i, &q) in miss_queries.iter().enumerate() {
-            let served = matches!(&student_out, Some(Ok(all)) if !all[i].is_empty());
-            if !served {
-                teacher_slot[i] = Some(teacher_queries.len());
-                teacher_queries.push(q);
+            let before = thread_decode_stats();
+            let t0 = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                teacher.rewrite_batch(&queries, self.config.serving.max_rewrites)
+            }));
+            self.stack.engine.record_decode(thread_decode_stats().since(&before), t0.elapsed());
+            if let Some(s) = span.as_mut() {
+                s.attr("ok", result.is_ok());
             }
-        }
-        let miss_queries = teacher_queries;
-
-        let decoded: Option<Result<Vec<Vec<Vec<String>>>, ()>> = match online {
-            Some(online) if !miss_queries.is_empty() => {
-                let mut decode_span = batch_span
-                    .as_ref()
-                    .zip(tracer)
-                    .map(|(b, t)| t.span(b.trace(), Some(b.id()), "decode"));
-                if let Some(s) = decode_span.as_mut() {
-                    s.attr("slots", miss_queries.len());
-                    s.attr("requests", decode_requests);
-                }
-                let before = online.model().decode_stats();
-                let t0 = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    online.rewrite_batch(&miss_queries, self.config.serving.max_rewrites)
-                }));
-                self.stack
-                    .engine
-                    .record_decode(online.model().decode_stats().since(&before), t0.elapsed());
-                if let Some(s) = decode_span.as_mut() {
-                    s.attr("ok", result.is_ok());
-                }
-                Some(result.map_err(|_| ()))
-            }
-            _ => None,
-        };
-
-        // Serve every request through the engine itself. Misses replay the
-        // batch-decode output (or re-panic inside the ladder's guard) under
-        // the online rewriter's name; hits take rung 1 as usual.
-        for (p, slot) in live.drain(..).zip(miss_slot) {
-            let student_rung = student.and_then(|st| replayed_rung(st.name(), &student_out, slot));
-            let t_slot = slot.and_then(|s| teacher_slot[s]);
-            let online_rung = online.and_then(|o| replayed_rung(o.name(), &decoded, t_slot));
-            self.serve_one(p, panic_ids, student_rung.as_deref(), online_rung.as_deref());
-        }
+            result.map_err(|_| ())
+        });
+        slots.into_iter().map(|slot| replayed_rung(teacher.name(), &decoded, slot)).collect()
     }
 
     /// Serves one live request through the engine with the given student
@@ -662,10 +615,10 @@ impl Runtime {
     }
 }
 
-/// The rung that replays a pre-pass decode for one request: its
+/// The rung that replays the teacher pre-pass for one request: its
 /// precomputed rewrites, or a panicking stand-in when the decode
-/// panicked. `None` when the pre-pass did not run or the request had no
-/// decode slot in it.
+/// panicked. `None` when nothing in the batch missed or the request had
+/// no decode slot.
 fn replayed_rung(
     name: &str,
     decoded: &Option<Result<Vec<Vec<Vec<String>>>, ()>>,

@@ -435,6 +435,22 @@ fn student_rung_keeps_batched_responses_identical_to_standalone_serving() {
             + report.served_raw,
         w.requests.len() as u64,
     );
+
+    // The runtime's health report counts exactly what standalone serving
+    // counts: every request decodes through its own student rung, once.
+    let alone = reference_stack.engine.health_report();
+    let counters = |r: &qrw_search::HealthReport| {
+        [
+            ("student_steps", r.student_steps),
+            ("student_tokens", r.student_tokens),
+            ("served_cache", r.served_cache),
+            ("served_student", r.served_student),
+            ("served_online", r.served_online),
+            ("served_baseline", r.served_baseline),
+            ("served_raw", r.served_raw),
+        ]
+    };
+    assert_eq!(counters(&report), counters(&alone));
 }
 
 #[test]

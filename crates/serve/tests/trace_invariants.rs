@@ -11,7 +11,10 @@
 //!   match the spans and request traces it points at;
 //! * per-request span structure is **byte-identical** across worker
 //!   counts and batch sizes (batch composition is scheduling-dependent,
-//!   so batch-level spans live in minted traces and are filtered out);
+//!   so batch-level spans live in minted traces and are filtered out),
+//!   on the teacher-first and the student-bearing stack; the student
+//!   decodes inside its request's `rung_student` span, never in a
+//!   minted batch span;
 //! * injected q2q faults (panics, model errors, poisoned cache entries)
 //!   appear as rung outcomes inside an otherwise well-formed serve tree.
 
@@ -20,18 +23,19 @@ use std::time::Duration;
 
 use qrw_core::{CheckpointStore, QueryRewriter};
 use qrw_data::{ClickLog, LogConfig};
-use qrw_nmt::{ModelConfig, Seq2Seq};
+use qrw_nmt::{ModelConfig, QuantStudent, Seq2Seq};
 use qrw_obs::{canonical_structure, taxonomy, SpanRecord, Tracer, MINTED_TRACE_BIT};
 use qrw_online::{
     ContextQ2Q, FeedbackBuffer, FeedbackConfig, OnlineConfig, OnlineLoop, ONLINE_MODEL_NAME,
 };
 use qrw_search::{
     DeadlineBudget, Fault, FaultConfig, FaultInjector, InvertedIndex, ModelStore, RewriteCache,
-    RewriteLadder, SearchEngine, ServeError, ServingConfig, ShardFaultInjector, SharedRewriter,
+    RewriteLadder, SearchEngine, ServeError, ServingConfig, SessionState, ShardFaultInjector,
+    SharedRewriter,
 };
 use qrw_serve::{
     synthetic_docs, BatchedQ2Q, MixConfig, Outcome, Runtime, RuntimeConfig, SchedFaults,
-    ServeStack, SessionMix, Workload,
+    ServeStack, SessionMix, StudentOnline, Workload,
 };
 use qrw_text::Vocab;
 
@@ -81,6 +85,16 @@ fn traced_stack(vocab: &Arc<Vocab>, head: &[Vec<String>]) -> (ServeStack, Tracer
     (stack, tracer)
 }
 
+/// [`traced_stack`] plus the quantized-student rung ahead of the teacher.
+fn traced_student_stack(vocab: &Arc<Vocab>, head: &[Vec<String>]) -> (ServeStack, Tracer) {
+    let (mut stack, tracer) = traced_stack(vocab, head);
+    let model = Seq2Seq::new(ModelConfig::student(vocab.len()), MODEL_SEED + 1);
+    let student = QuantStudent::from_seq2seq(&model).expect("transformer student");
+    stack.student =
+        Some(Arc::new(StudentOnline::new(Arc::new(student), Arc::clone(vocab), 8, REWRITE_SEED)));
+    (stack, tracer)
+}
+
 fn workload(vocab: &Vocab) -> Workload {
     Workload::generate(
         vocab,
@@ -120,15 +134,27 @@ fn terminal_count(spans: &[&SpanRecord]) -> usize {
         .count()
 }
 
+/// A traced stack builder: [`traced_stack`] or [`traced_student_stack`].
+type BuildStack = fn(&Arc<Vocab>, &[Vec<String>]) -> (ServeStack, Tracer);
+
 /// Runs `requests` through a fresh traced runtime and returns
 /// (records, all spans).
 fn run_traced(
     config: RuntimeConfig,
     requests: Vec<(Vec<String>, DeadlineBudget)>,
 ) -> (Vec<qrw_serve::ServedRecord>, Vec<SpanRecord>) {
+    run_traced_on(traced_stack, config, requests)
+}
+
+/// [`run_traced`] on the stack `build` makes.
+fn run_traced_on(
+    build: BuildStack,
+    config: RuntimeConfig,
+    requests: Vec<(Vec<String>, DeadlineBudget)>,
+) -> (Vec<qrw_serve::ServedRecord>, Vec<SpanRecord>) {
     let vocab = vocab();
     let w = workload(&vocab);
-    let (stack, tracer) = traced_stack(&vocab, &w.head);
+    let (stack, tracer) = build(&vocab, &w.head);
     let runtime = Runtime::new(stack, config);
     let records = runtime.execute(requests);
     assert_eq!(tracer.dropped(), 0, "ring must not evict during these runs");
@@ -276,12 +302,13 @@ fn batch_spans_claim_exactly_the_requests_and_decodes_they_contain() {
     assert_eq!(claimed, expected, "every request dequeued in exactly one batch");
 }
 
+/// Runs both the teacher-first and the student-bearing stack.
 #[test]
 fn span_structure_is_byte_identical_across_worker_counts() {
     let vocab = vocab();
     let w = workload(&vocab);
-    let render = |config: RuntimeConfig| {
-        let (records, spans) = run_traced(config, unlimited(&w.requests));
+    let render = |build: BuildStack, config: RuntimeConfig| {
+        let (records, spans) = run_traced_on(build, config, unlimited(&w.requests));
         assert!(records.iter().all(|r| matches!(r.outcome, Outcome::Served(_))));
         // Batch composition depends on scheduling; per-request traces must
         // not. Filter the minted batch traces, keep the request traces.
@@ -289,13 +316,34 @@ fn span_structure_is_byte_identical_across_worker_counts() {
             spans.into_iter().filter(|s| s.trace & MINTED_TRACE_BIT == 0).collect();
         canonical_structure(&request_spans)
     };
-    let solo = render(solo_config());
-    let pooled = render(pooled_config());
-    assert!(!solo.is_empty());
-    assert_eq!(solo, pooled, "per-request span trees must not depend on worker count");
+    for build in [traced_stack as BuildStack, traced_student_stack] {
+        let solo = render(build, solo_config());
+        let pooled = render(build, pooled_config());
+        assert!(!solo.is_empty());
+        assert_eq!(solo, pooled, "per-request span trees must not depend on worker count");
 
-    // And the structure is reproducible run-to-run, byte for byte.
-    assert_eq!(pooled, render(pooled_config()));
+        // And the structure is reproducible run-to-run, byte for byte.
+        assert_eq!(pooled, render(build, pooled_config()));
+    }
+
+    // A student-bearing stack decodes each miss inside the request's own
+    // ladder walk: the student's time sits in `rung_student` under the
+    // request's `serve` span, and no batch mints a decode of its own.
+    let (_, spans) = run_traced_on(traced_student_stack, pooled_config(), unlimited(&w.requests));
+    let rungs: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "rung_student").collect();
+    assert!(
+        rungs.iter().any(|s| s.attr("outcome").and_then(|v| v.as_str()) == Some("served")),
+        "the student served no request"
+    );
+    for rung in &rungs {
+        assert_eq!(rung.trace & MINTED_TRACE_BIT, 0, "rung_student lives in the request trace");
+        let parent = spans.iter().find(|s| Some(s.id) == rung.parent).expect("rung parent");
+        assert_eq!((parent.name, parent.trace), ("serve", rung.trace));
+    }
+    assert!(spans.iter().all(|s| s.name != "student_decode" && s.name != "decode"));
+    for b in spans.iter().filter(|s| s.name == taxonomy::BATCH_FORM) {
+        assert!(b.attr("decode_slots").is_none() && b.attr("decode_requests").is_none());
+    }
 }
 
 // ------------------------------------------------ scatter-gather traces
@@ -407,8 +455,9 @@ fn hedged_retries_and_failures_are_tagged_per_gather_span() {
         Duration::from_millis(60),
         1,
     )));
-    engine.search_resilient_traced(
+    engine.search_session_traced(
         &query,
+        SessionState::default(),
         RewriteLadder::default(),
         &cfg,
         &DeadlineBudget::synthetic(Duration::from_millis(100)),
@@ -430,8 +479,9 @@ fn hedged_retries_and_failures_are_tagged_per_gather_span() {
     // (panics get no retry).
     tracer.clear();
     engine.set_shard_faults(Some(ShardFaultInjector::poison_shard(victim)));
-    engine.search_resilient_traced(
+    engine.search_session_traced(
         &query,
+        SessionState::default(),
         RewriteLadder::default(),
         &cfg,
         &DeadlineBudget::unlimited(),
@@ -498,8 +548,9 @@ fn injected_q2q_faults_appear_as_rung_outcomes_in_well_formed_traces() {
             online: Some(&online),
             baseline: Some(&baseline),
         };
-        let resp = engine.search_resilient_traced(
+        let resp = engine.search_session_traced(
             &query,
+            SessionState::default(),
             ladder,
             &cfg,
             &DeadlineBudget::unlimited(),
@@ -539,8 +590,9 @@ fn injected_q2q_faults_appear_as_rung_outcomes_in_well_formed_traces() {
         online: Some(&online),
         baseline: Some(&baseline),
     };
-    let resp = engine.search_resilient_traced(
+    let resp = engine.search_session_traced(
         &query,
+        SessionState::default(),
         ladder,
         &cfg,
         &DeadlineBudget::unlimited(),

@@ -79,9 +79,9 @@
 # fault-isolation suites (shard_equivalence, shard_resilience), and the
 # qrw-search unit suites (the interned index against its string-scan
 # oracle, BM25 bit-equality, fingerprint golden values) with the
-# live-catalog mutation suite, and the serve scheduler's zero_alloc and
-# scheduler_invariants suites a second time in release mode, on the
-# optimised code the benchmarks execute.
+# live-catalog mutation suite, and the serve runtime's zero_alloc,
+# scheduler_invariants, runtime and trace_invariants suites a second time
+# in release mode, on the optimised code the benchmarks execute.
 #
 # Always runs the test-inventory guard: every crates/*/src module must
 # either contain #[test]s or be exercised by that crate's integration
@@ -177,8 +177,12 @@ cargo test --release --offline -p qrw-nmt --lib --test decode_alloc
 cargo test --release --offline -p qrw-search --test shard_equivalence --test shard_resilience
 cargo test --release --offline -p qrw-search --lib --test mutation
 # Scheduler races can show only under optimised code (one zero-alloc race
-# did), so the allocation proof and the exactly-once suite run here too.
-cargo test --release --offline -p qrw-serve --test zero_alloc --test scheduler_invariants
+# did), so the allocation proof, the exactly-once suite, the runtime's
+# standalone-equivalence suite (byte-identical responses and health
+# counters under concurrent workers) and the trace structure suite run
+# here too.
+cargo test --release --offline -p qrw-serve --test zero_alloc --test scheduler_invariants \
+  --test runtime --test trace_invariants
 
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
