@@ -8,13 +8,15 @@
 //! Diverse beam search (the paper's §V future-work pointer) is also
 //! implemented for the ablation benches.
 
+use std::cell::RefCell;
+
 use qrw_tensor::quant::sum_exp;
 use qrw_tensor::rng::StdRng;
 use qrw_tensor::Tensor;
 
 use qrw_text::{BOS, EOS, PAD, UNK};
 
-use crate::seq2seq::{DecodeState, Seq2Seq};
+use crate::seq2seq::{DecodeRows, DecodeState, DecodeStats, Seq2Seq, StepArena};
 
 /// A decoded candidate: raw token ids (no BOS/EOS) and its model log-prob
 /// `log P(tokens, EOS | src)`.
@@ -174,22 +176,24 @@ impl Default for TopNSampling {
 /// key step for diversity. Every later step samples a token among the top
 /// `n` by renormalized probability, independently per candidate sequence.
 /// Returned hypotheses carry the true model log-prob of the sampled
-/// sequence and are sorted best-first.
+/// sequence and are sorted best-first. Decodes through this thread's
+/// decode arena, so a warm call allocates only the returned hypotheses.
 pub fn top_n_sampling(
     model: &Seq2Seq,
     src: &[usize],
     cfg: TopNSampling,
     rng: &mut StdRng,
 ) -> Vec<Hypothesis> {
-    top_n_sampling_batch(model, &[src], cfg, std::slice::from_mut(rng))
-        .pop()
-        .expect("one source in, one hypothesis set out")
+    ARENA.with_borrow_mut(|arena| {
+        arena.decode(model, &[src], cfg, std::slice::from_mut(rng));
+        arena.hypotheses(0)
+    })
 }
 
 /// [`top_n_sampling`] over *independent* sources in one batch: every live
 /// candidate of every request advances through a single stacked
-/// [`Seq2Seq::next_log_probs_multi`] forward per step, so N concurrent
-/// decodes cost one model call per step instead of N.
+/// `Seq2Seq::step_rows` per step, so N concurrent decodes cost one model
+/// call per step instead of N.
 ///
 /// Each request samples from its own `rng`, drawn in candidate order —
 /// exactly the sequence the single-source decoder would consume — and
@@ -198,98 +202,198 @@ pub fn top_n_sampling(
 /// log-probs) to calling [`top_n_sampling`] on it alone with the same
 /// rng. The serving runtime's batching-transparency guarantee rests on
 /// this; `batch_matches_single_source_decoding` in
-/// `tests/kv_equivalence.rs` pins it.
+/// `tests/kv_equivalence.rs` pins it. A warm call allocates only the
+/// returned sets.
 pub fn top_n_sampling_batch(
     model: &Seq2Seq,
     srcs: &[&[usize]],
     cfg: TopNSampling,
     rngs: &mut [StdRng],
 ) -> Vec<Vec<Hypothesis>> {
-    // `k == 0` yields no hypotheses and `n` is clamped to 1 when sampling:
-    // degenerate configs degrade instead of panicking, since this decoder
-    // sits on the online serving path.
-    assert_eq!(srcs.len(), rngs.len(), "one rng per source");
-    if srcs.is_empty() {
-        return Vec::new();
+    ARENA.with_borrow_mut(|arena| {
+        arena.decode(model, srcs, cfg, rngs);
+        (0..srcs.len()).map(|q| arena.hypotheses(q)).collect()
+    })
+}
+
+/// One request of a teacher decode: its encoder memory and the decoder
+/// state after its first (BOS) step, which every candidate forks.
+struct Request {
+    memory: Tensor,
+    first: DecodeState,
+}
+
+impl Default for Request {
+    fn default() -> Self {
+        Request { memory: Tensor::default(), first: DecodeState::Stateless }
     }
-    let memories: Vec<Tensor> = srcs.iter().map(|s| model.encode(s)).collect();
+}
 
-    // First step: every request's BOS state through one stacked forward.
-    let mut start_states: Vec<DecodeState> =
-        memories.iter().map(|m| model.start_state(m)).collect();
-    let bos = [BOS];
-    let first_lps = {
-        let mut states: Vec<&mut DecodeState> = start_states.iter_mut().collect();
-        let mems: Vec<&Tensor> = memories.iter().collect();
-        let prefixes: Vec<&[usize]> = vec![&bos; srcs.len()];
-        model.next_log_probs_multi(&mems, &mut states, &prefixes)
-    };
+/// The first step's rows: every request's template state consumes BOS.
+struct FirstRows<'a>(&'a mut [Request]);
 
-    // Per request: the k most likely distinct first tokens (EOS excluded
-    // so no candidate is empty) — the paper's key step for diversity.
-    // `start_states` already consumed BOS when `first_lps` was computed;
-    // cloning one avoids re-running the first step per candidate
-    // (recurrent hidden state and KV cache alike carry the advanced
-    // position).
-    let mut requests: Vec<Vec<Candidate>> = first_lps
-        .iter()
-        .zip(&start_states)
-        .map(|(first_lp, start_state)| {
-            let mut pool = Vec::with_capacity(cfg.k.min(first_lp.len()) + 1);
-            top_pool(first_lp, cfg.k, &[EOS], &mut pool);
-            pool.into_iter()
-                .map(|(log_prob, tok)| Candidate {
-                    prefix: vec![BOS, tok],
-                    state: start_state.clone(),
-                    log_prob,
-                    finished: false,
-                })
-                .collect()
-        })
-        .collect();
+impl DecodeRows for FirstRows<'_> {
+    fn rows(&self) -> usize {
+        self.0.len()
+    }
 
-    for _ in 0..model.max_tgt_len() {
-        // Stack every live candidate of every request into one batched
-        // forward per step, in (request, candidate) order.
-        let mut idxs: Vec<(usize, usize)> = Vec::new();
-        let mut states: Vec<&mut DecodeState> = Vec::new();
-        let mut prefixes: Vec<&[usize]> = Vec::new();
-        let mut mems: Vec<&Tensor> = Vec::new();
-        for (r, cands) in requests.iter_mut().enumerate() {
-            for (i, cand) in cands.iter_mut().enumerate() {
-                if cand.finished {
-                    continue;
+    fn row(&mut self, r: usize) -> (&Tensor, &mut DecodeState, &[usize]) {
+        let req = &mut self.0[r];
+        (&req.memory, &mut req.first, &[BOS])
+    }
+}
+
+/// A later step's rows: the live candidates, in (request, candidate)
+/// order, each against its request's memory.
+struct LiveRows<'a> {
+    reqs: &'a [Request],
+    cands: &'a mut [Candidate],
+    /// `(candidate, request)` per row.
+    live: &'a [(usize, usize)],
+}
+
+impl DecodeRows for LiveRows<'_> {
+    fn rows(&self) -> usize {
+        self.live.len()
+    }
+
+    fn row(&mut self, r: usize) -> (&Tensor, &mut DecodeState, &[usize]) {
+        let (i, q) = self.live[r];
+        let cand = &mut self.cands[i];
+        (&self.reqs[q].memory, &mut cand.state, &cand.prefix)
+    }
+}
+
+/// The per-thread state behind the teacher's decoders: the step arena
+/// (encoder and layer temporaries, hidden rows, log-probs), each
+/// request's memory and first-step template, the candidates (prefixes and
+/// states re-forked from the templates through `clone_from`), the live
+/// rows and the sampling pool. Every buffer is reused call after call, so
+/// once warm (a decode of the same shape has run on this thread) a
+/// top-n decode allocates only the hypotheses it returns.
+#[derive(Default)]
+pub(crate) struct TeacherArena {
+    step: StepArena,
+    reqs: Vec<Request>,
+    cands: Vec<Candidate>,
+    /// One past each request's last candidate in `cands`.
+    ends: Vec<usize>,
+    live: Vec<(usize, usize)>,
+    pool: Vec<(f32, usize)>,
+}
+
+thread_local! {
+    static ARENA: RefCell<TeacherArena> = RefCell::new(TeacherArena::default());
+}
+
+/// Runs `f` on this thread's step arena (the single-step entry points).
+pub(crate) fn with_step_arena<R>(f: impl FnOnce(&mut StepArena) -> R) -> R {
+    ARENA.with_borrow_mut(|arena| f(&mut arena.step))
+}
+
+impl TeacherArena {
+    /// Top-n decodes every source, leaving request `q`'s candidates in
+    /// `cands[ends[q - 1]..ends[q]]`, and publishes the decode counts once.
+    fn decode(
+        &mut self,
+        model: &Seq2Seq,
+        srcs: &[&[usize]],
+        cfg: TopNSampling,
+        rngs: &mut [StdRng],
+    ) {
+        // `k == 0` yields no hypotheses and `n` is clamped to 1 when
+        // sampling: degenerate configs degrade instead of panicking, since
+        // this decoder sits on the online serving path.
+        assert_eq!(srcs.len(), rngs.len(), "one rng per source");
+        let TeacherArena { step, reqs, cands, ends, live, pool } = self;
+        // Re-initialise everything this decode reads before reading it, so
+        // a decode that panicked midway leaves nothing behind. Candidates
+        // first give back their shares of the last sources' cross K/V, so
+        // every template re-projects into its own buffers.
+        ends.clear();
+        for cand in cands.iter_mut() {
+            cand.state.release_shared();
+        }
+        if reqs.len() < srcs.len() {
+            reqs.resize_with(srcs.len(), Request::default);
+        }
+        let reqs = &mut reqs[..srcs.len()];
+        for (req, src) in reqs.iter_mut().zip(srcs) {
+            model.encode_into(src, &mut req.memory, step);
+            model.reset_state(&req.memory, &mut req.first);
+        }
+        if reqs.is_empty() {
+            return;
+        }
+        let mut counts: DecodeStats = model.step_rows(&mut FirstRows(reqs), step);
+
+        // Per request: the k most likely distinct first tokens (EOS
+        // excluded so no candidate is empty). The template already
+        // consumed BOS; forking it avoids re-running the first step per
+        // candidate (recurrent hidden state and KV cache alike carry the
+        // advanced position).
+        let mut n = 0;
+        for (q, req) in reqs.iter().enumerate() {
+            top_pool(step.log_probs.row_slice(q), cfg.k, &[EOS], pool);
+            for &(log_prob, tok) in pool.iter() {
+                if n == cands.len() {
+                    // A fresh state has room for a full-length decode, so
+                    // the fork below never regrows it.
+                    cands.push(Candidate {
+                        prefix: Vec::with_capacity(model.max_tgt_len() + 2),
+                        state: model.start_state(&req.memory),
+                        log_prob: 0.0,
+                        finished: false,
+                    });
                 }
-                let Candidate { prefix, state, .. } = cand;
-                idxs.push((r, i));
-                states.push(state);
-                prefixes.push(prefix);
-                mems.push(&memories[r]);
+                let cand = &mut cands[n];
+                cand.prefix.clear();
+                cand.prefix.extend([BOS, tok]);
+                cand.state.clone_from(&req.first);
+                cand.log_prob = log_prob;
+                cand.finished = false;
+                n += 1;
+            }
+            ends.push(n);
+        }
+
+        let cands = &mut cands[..n];
+        for _ in 0..model.max_tgt_len() {
+            // Every live candidate of every request, stacked into one step
+            // in (request, candidate) order.
+            live.clear();
+            let mut start = 0;
+            for (q, &end) in ends.iter().enumerate() {
+                live.extend((start..end).filter(|&i| !cands[i].finished).map(|i| (i, q)));
+                start = end;
+            }
+            if live.is_empty() {
+                break;
+            }
+            counts += model.step_rows(&mut LiveRows { reqs, cands, live }, step);
+            for (r, &(i, q)) in live.iter().enumerate() {
+                let lp = step.log_probs.row_slice(r);
+                let cand = &mut cands[i];
+                let tok = sample_top_n(lp, cfg.n, &mut rngs[q], pool);
+                cand.log_prob += lp[tok];
+                if tok == EOS || cand.prefix.len() > model.max_tgt_len() {
+                    cand.finished = true;
+                } else {
+                    cand.prefix.push(tok);
+                }
             }
         }
-        if states.is_empty() {
-            break;
-        }
-        let lps = model.next_log_probs_multi(&mems, &mut states, &prefixes);
-        for (&(r, i), lp) in idxs.iter().zip(&lps) {
-            let cand = &mut requests[r][i];
-            let tok = sample_top_n(lp, cfg.n, &mut rngs[r]);
-            cand.log_prob += lp[tok];
-            if tok == EOS || cand.prefix.len() > model.max_tgt_len() {
-                cand.finished = true;
-            } else {
-                cand.prefix.push(tok);
-            }
-        }
+        model.record_decode(counts);
     }
-    requests
-        .iter()
-        .map(|cands| {
-            let mut hyps: Vec<Hypothesis> = cands.iter().map(Candidate::hypothesis).collect();
-            hyps.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
-            hyps
-        })
-        .collect()
+
+    /// Request `q`'s hypotheses from the last decode, best-first.
+    fn hypotheses(&self, q: usize) -> Vec<Hypothesis> {
+        let start = q.checked_sub(1).map_or(0, |p| self.ends[p]);
+        let mut hyps: Vec<Hypothesis> =
+            self.cands[start..self.ends[q]].iter().map(Candidate::hypothesis).collect();
+        hyps.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
+        hyps
+    }
 }
 
 /// Diverse beam search [Vijayakumar et al. 2016]: `groups` groups of
@@ -400,7 +504,12 @@ fn argmax(lp: &[f32]) -> (usize, f32) {
 /// vocabulary. Returns the maximum finite value, skipped tokens included
 /// (the fused epilogues' log-sum-exp normalizes over every token), or
 /// `-inf` when there is none.
-fn top_pool(values: &[f32], cap: usize, skip: &[usize], pool: &mut Vec<(f32, usize)>) -> f32 {
+pub(crate) fn top_pool(
+    values: &[f32],
+    cap: usize,
+    skip: &[usize],
+    pool: &mut Vec<(f32, usize)>,
+) -> f32 {
     pool.clear();
     let mut max = f32::NEG_INFINITY;
     // The worst pooled value once the pool is full; until then `-inf`,
@@ -470,13 +579,18 @@ fn sample_pool(pool: &[(f32, usize)], rng: &mut StdRng) -> Option<(f32, usize)> 
 }
 
 /// Samples one token among the `n` most likely, proportionally to their
-/// renormalized probabilities. A fully degenerate distribution (every
-/// log-prob NaN/inf, e.g. a poisoned model) yields PAD, which downstream
-/// special-token filters drop: the serve path must not panic.
-pub(crate) fn sample_top_n(lp: &[f32], n: usize, rng: &mut StdRng) -> usize {
-    let mut pool = Vec::with_capacity(n.max(1).min(lp.len()) + 1);
-    top_pool(lp, n.max(1), &[], &mut pool);
-    sample_pool(&pool, rng).map_or(PAD, |(_, t)| t)
+/// renormalized probabilities, selecting into the caller's `pool`. A fully
+/// degenerate distribution (every log-prob NaN/inf, e.g. a poisoned
+/// model) yields PAD, which downstream special-token filters drop: the
+/// serve path must not panic.
+pub(crate) fn sample_top_n(
+    lp: &[f32],
+    n: usize,
+    rng: &mut StdRng,
+    pool: &mut Vec<(f32, usize)>,
+) -> usize {
+    top_pool(lp, n.max(1), &[], pool);
+    sample_pool(pool, rng).map_or(PAD, |(_, t)| t)
 }
 
 /// Outcome of one fused decode step: the sampled token and its true model
@@ -490,7 +604,7 @@ pub struct FusedStep {
 /// Fused softmax + top-n-sampling epilogue over raw output *logits*.
 ///
 /// The unfused decode path materializes a full log-softmax vector
-/// (`rows_to_log_probs`), masks the special tokens, and only then selects
+/// (`Seq2Seq::step_rows`), masks the special tokens, and only then selects
 /// its top-`n` pool. The distilled student instead hands its raw logits
 /// straight here: one exact [`top_pool`] pass selects the pool (into the
 /// caller's `pool` buffer, so a warm step allocates nothing) and finds
@@ -666,7 +780,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let lp = vec![-0.1, -5.0, -0.2, f32::NEG_INFINITY, -9.0];
         for _ in 0..50 {
-            let t = sample_top_n(&lp, 2, &mut rng);
+            let t = sample_top_n(&lp, 2, &mut rng, &mut Vec::new());
             assert!(t == 0 || t == 2);
         }
     }
@@ -716,7 +830,8 @@ mod tests {
                 let mut want_rng = StdRng::seed_from_u64(case);
                 let mut got_rng = want_rng.clone();
                 let want = full_sort_sample_top_n(&lp, n, &mut want_rng);
-                assert_eq!(sample_top_n(&lp, n, &mut got_rng), want, "case {case} n={n} lp={lp:?}");
+                let got = sample_top_n(&lp, n, &mut got_rng, &mut Vec::new());
+                assert_eq!(got, want, "case {case} n={n} lp={lp:?}");
                 assert_eq!(got_rng.state(), want_rng.state(), "case {case} n={n}: rng drift");
             }
             // The first step's k distinct tokens, k = 0 included.
@@ -733,7 +848,7 @@ mod tests {
     }
 
     /// The unfused reference: full log-softmax, then PAD/BOS/UNK masked to
-    /// `-inf` — exactly what `rows_to_log_probs` feeds `sample_top_n`.
+    /// `-inf` — exactly what `Seq2Seq::step_rows` feeds `sample_top_n`.
     fn masked_log_probs(logits: &[f32]) -> Vec<f32> {
         let max = logits.iter().copied().filter(|v| v.is_finite()).fold(f32::NEG_INFINITY, f32::max);
         let lse = max + logits.iter().filter(|v| v.is_finite()).map(|&v| (v - max).exp()).sum::<f32>().ln();
@@ -757,7 +872,7 @@ mod tests {
         let mut pool = Vec::new();
         for n in [1usize, 2, 3, 5, 40] {
             for seed in 0..60u64 {
-                let want = sample_top_n(&lp, n, &mut StdRng::seed_from_u64(seed));
+                let want = sample_top_n(&lp, n, &mut StdRng::seed_from_u64(seed), &mut Vec::new());
                 let mut rng = StdRng::seed_from_u64(seed);
                 let got = fused_top_n_from_logits(&logits, n, &mut rng, &mut pool);
                 assert_eq!(got.token, want, "n={n} seed={seed}");

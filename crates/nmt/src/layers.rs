@@ -58,14 +58,22 @@ impl Linear {
     /// states to vocabulary logits every step, so this path keeps online
     /// serving free of per-step weight copies.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.forward_inference_act(x, Activation::Identity)
+        let mut out = Tensor::default();
+        self.forward_into(x, &mut out);
+        out
     }
 
-    /// Inference forward with a fused bias + activation epilogue. The fused
-    /// kernel adds the bias after the full matmul accumulation, exactly as
-    /// the tape path does, so results stay bitwise equal to `forward`.
-    pub fn forward_inference_act(&self, x: &Tensor, act: Activation) -> Tensor {
-        self.w.with_value(|w| self.b.with_value(|b| x.matmul_bias_act(w, b, act)))
+    /// [`Self::forward_inference`] into `out` (reshaped, allocation reused).
+    pub fn forward_into(&self, x: &Tensor, out: &mut Tensor) {
+        self.forward_into_act(x, Activation::Identity, out);
+    }
+
+    /// Inference forward with a fused bias + activation epilogue, into
+    /// `out`. The fused kernel adds the bias after the full matmul
+    /// accumulation, exactly as the tape path does, so results stay
+    /// bitwise equal to `forward`.
+    pub fn forward_into_act(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
+        self.w.with_value(|w| self.b.with_value(|b| x.matmul_bias_act_into(w, b, act, out)));
     }
 }
 
@@ -87,29 +95,13 @@ impl LayerNorm {
         x.layer_norm(tape.param(&self.gain), tape.param(&self.bias))
     }
 
-    /// Inference-only forward replicating the tape's arithmetic exactly
-    /// (same epsilon, biased variance, and `(x - mean) * istd * gain + bias`
-    /// evaluation order), so the KV-cached decode path agrees bitwise with
-    /// the tape reference.
-    pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        const EPS: f32 = 1e-5;
+    /// Inference-only forward in place, through the tape op's own kernel
+    /// ([`Tensor::layer_norm_in_place`]), so the tape-free paths agree
+    /// bitwise with the tape reference.
+    pub fn apply(&self, x: &mut Tensor) {
         self.gain.with_value(|gain| {
-            self.bias.with_value(|bias| {
-                let n = x.cols() as f32;
-                let mut out = Tensor::zeros(x.rows(), x.cols());
-                for r in 0..x.rows() {
-                    let row = x.row_slice(r);
-                    let mean = row.iter().sum::<f32>() / n;
-                    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-                    let istd = 1.0 / (var + EPS).sqrt();
-                    for (c, &v) in row.iter().enumerate() {
-                        let xh = (v - mean) * istd;
-                        out.set(r, c, xh * gain.get(0, c) + bias.get(0, c));
-                    }
-                }
-                out
-            })
-        })
+            self.bias.with_value(|bias| x.layer_norm_in_place(gain, bias, None));
+        });
     }
 }
 
@@ -131,22 +123,47 @@ impl Embedding {
         tape.gather_rows(&self.table, ids).scale((self.d_model as f32).sqrt())
     }
 
-    /// Inference-only embedding lookup (gather + `sqrt(d)` scale) without
-    /// touching a tape. One row per id.
-    pub fn forward_inference(&self, ids: &[usize]) -> Tensor {
-        let scale = (self.d_model as f32).sqrt();
+    /// `sqrt(d_model)`, the scale every lookup applies.
+    pub fn scale(&self) -> f32 {
+        (self.d_model as f32).sqrt()
+    }
+
+    /// The tape-free twin of [`Self::forward`] followed by the positional
+    /// add: row `r` of `out` is `table[ids[r]] * sqrt(d) + 0.0 + pe[r]`,
+    /// the tape's gather, its `scale` (an affine with `beta = 0`) and its
+    /// `add_const`, one rounding each, in that order.
+    pub fn forward_into(&self, ids: &[usize], pe: &Tensor, out: &mut Tensor) {
+        out.resize_zeroed(ids.len(), self.d_model);
         self.table.with_value(|table| {
             let vocab = table.rows();
-            let mut out = Tensor::zeros(ids.len(), self.d_model);
             for (r, &id) in ids.iter().enumerate() {
                 assert!(id < vocab, "token id {id} out of vocabulary {vocab}");
-                for (o, &v) in out.row_slice_mut(r).iter_mut().zip(table.row_slice(id)) {
-                    *o = v * scale;
-                }
+                out.row_slice_mut(r).copy_from_slice(table.row_slice(id));
             }
-            out
-        })
+        });
+        out.affine_in_place(self.scale(), 0.0);
+        for r in 0..ids.len() {
+            for (o, &p) in out.row_slice_mut(r).iter_mut().zip(pe.row_slice(r)) {
+                *o += p;
+            }
+        }
     }
+}
+
+/// The temporaries of one tape-free transformer layer pass (encoder layer
+/// or stacked decoder step), reused call after call: projections, the
+/// merged attention context, a residual block's output, the FFN hidden
+/// rows and one attention row's scores.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pub(crate) q: Tensor,
+    pub(crate) k: Tensor,
+    pub(crate) v: Tensor,
+    pub(crate) merged: Tensor,
+    /// A residual block's output, added back into the layer input.
+    pub(crate) delta: Tensor,
+    pub(crate) h1: Tensor,
+    pub(crate) scores: Vec<f32>,
 }
 
 /// Multi-head scaled dot-product attention.
@@ -154,12 +171,12 @@ impl Embedding {
 /// `forward` optionally records the head-averaged attention matrix into
 /// `attn_sink`, which the Figure 6 heat-map harness reads.
 pub struct MultiHeadAttention {
-    wq: Linear,
-    wk: Linear,
-    wv: Linear,
-    wo: Linear,
-    heads: usize,
-    d_head: usize,
+    pub(crate) wq: Linear,
+    pub(crate) wk: Linear,
+    pub(crate) wv: Linear,
+    pub(crate) wo: Linear,
+    pub(crate) heads: usize,
+    pub(crate) d_head: usize,
 }
 
 impl MultiHeadAttention {
@@ -223,65 +240,72 @@ impl MultiHeadAttention {
         self.wo.forward(tape, merged)
     }
 
-    /// Projects `kv_in` through the K and V linears once, on plain tensors.
-    /// Decoding computes these projections a single time per source memory
-    /// (cross-attention) or appends one row per emitted token
-    /// (self-attention), instead of reprojecting the whole prefix per step.
-    pub fn project_kv_inference(&self, kv_in: &Tensor) -> (Tensor, Tensor) {
-        (self.wk.forward_inference(kv_in), self.wv.forward_inference(kv_in))
-    }
-
-    /// Incremental attention: row `r` of `q_in` attends over its own cached
-    /// `kvs[r] = (keys, values)` (each `len x d_model`, already projected by
-    /// [`Self::project_kv_inference`]).
+    /// One query row's attention over `keys` / `values` (each
+    /// `len x d_model`, already projected) into `out` (`d_model` wide):
+    /// per head, scaled dot products, softmax, then the value rows
+    /// weighted in ascending key order.
     ///
-    /// The per-head score/softmax/context arithmetic mirrors `forward`
-    /// term-for-term (ascending dot products seeded at `+0.0`, softmax over
-    /// the full visible row, context accumulated in ascending key order), so
-    /// the result is bitwise equal to the last row of a full recompute — the
-    /// causal mask only ever adds `0.0` to the newest position's row.
-    pub fn attend_rows_inference(&self, q_in: &Tensor, kvs: &[(&Tensor, &Tensor)]) -> Tensor {
-        assert_eq!(q_in.rows(), kvs.len(), "one KV cache per query row");
-        let q = self.wq.forward_inference(q_in);
+    /// The arithmetic mirrors `forward` term for term (dot products
+    /// seeded at `+0.0` and accumulated in ascending order, softmax over
+    /// the full visible row, context accumulated from `+0.0` in ascending
+    /// key order), so a row equals the tape's bitwise: the causal mask
+    /// only ever adds `0.0` to the newest position's row, and the tape's
+    /// `+ 0.0` after scaling cannot change a softmax. The one attention
+    /// kernel of every tape-free path (encoder, stacked decode step).
+    pub(crate) fn attend_row(
+        &self,
+        q_row: &[f32],
+        keys: &Tensor,
+        values: &Tensor,
+        scores: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        assert!(keys.rows() > 0, "attention over an empty cache");
+        assert_eq!(keys.shape(), values.shape(), "K/V cache shape mismatch");
         let scale = 1.0 / (self.d_head as f32).sqrt();
-        let d_model = self.heads * self.d_head;
-        let mut merged = Tensor::zeros(q.rows(), d_model);
-        let mut scores: Vec<f32> = Vec::new();
-        for (r, &(keys, values)) in kvs.iter().enumerate() {
-            assert!(keys.rows() > 0, "attention over an empty cache");
-            assert_eq!(keys.shape(), values.shape(), "K/V cache shape mismatch");
-            let q_row = q.row_slice(r);
-            let out_row = merged.row_slice_mut(r);
-            for h in 0..self.heads {
-                let off = h * self.d_head;
-                let qh = &q_row[off..off + self.d_head];
-                scores.clear();
-                for j in 0..keys.rows() {
-                    let kh = &keys.row_slice(j)[off..off + self.d_head];
-                    let mut s = 0.0f32;
-                    for (a, b) in qh.iter().zip(kh) {
-                        s += a * b;
-                    }
-                    scores.push(s * scale);
+        for h in 0..self.heads {
+            let off = h * self.d_head;
+            let qh = &q_row[off..off + self.d_head];
+            scores.clear();
+            for j in 0..keys.rows() {
+                let kh = &keys.row_slice(j)[off..off + self.d_head];
+                let mut s = 0.0f32;
+                for (a, b) in qh.iter().zip(kh) {
+                    s += a * b;
                 }
-                softmax_in_place(&mut scores);
-                let ctx = &mut out_row[off..off + self.d_head];
-                for (j, &w) in scores.iter().enumerate() {
-                    let vh = &values.row_slice(j)[off..off + self.d_head];
-                    for (o, &v) in ctx.iter_mut().zip(vh) {
-                        *o += w * v;
-                    }
+                scores.push(s * scale);
+            }
+            softmax_in_place(scores);
+            let ctx = &mut out[off..off + self.d_head];
+            ctx.fill(0.0);
+            for (j, &w) in scores.iter().enumerate() {
+                let vh = &values.row_slice(j)[off..off + self.d_head];
+                for (o, &v) in ctx.iter_mut().zip(vh) {
+                    *o += w * v;
                 }
             }
         }
-        self.wo.forward_inference(&merged)
+    }
+
+    /// The tape-free twin of `forward(x, x, None, None)` (unmasked
+    /// self-attention, the encoder's), leaving the output in `s.delta`.
+    pub(crate) fn self_attend_into(&self, x: &Tensor, s: &mut Scratch) {
+        let Scratch { q, k, v, merged, delta, scores, .. } = s;
+        self.wq.forward_into(x, q);
+        self.wk.forward_into(x, k);
+        self.wv.forward_into(x, v);
+        merged.resize_zeroed(x.rows(), self.heads * self.d_head);
+        for r in 0..x.rows() {
+            self.attend_row(q.row_slice(r), k, v, scores, merged.row_slice_mut(r));
+        }
+        self.wo.forward_into(merged, delta);
     }
 }
 
 /// Position-wise feed-forward network `relu(x W1 + b1) W2 + b2`.
 pub struct FeedForward {
-    lin1: Linear,
-    lin2: Linear,
+    pub(crate) lin1: Linear,
+    pub(crate) lin2: Linear,
 }
 
 impl FeedForward {
@@ -296,11 +320,11 @@ impl FeedForward {
         self.lin2.forward(tape, self.lin1.forward(tape, x).relu())
     }
 
-    /// Inference-only forward with the first linear's bias + relu fused
-    /// into the matmul epilogue.
-    pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.lin2
-            .forward_inference(&self.lin1.forward_inference_act(x, Activation::Relu))
+    /// Inference-only forward into `out`, the first linear's bias + relu
+    /// fused into the matmul epilogue and its rows left in `hidden`.
+    pub(crate) fn forward_into(&self, x: &Tensor, hidden: &mut Tensor, out: &mut Tensor) {
+        self.lin1.forward_into_act(x, Activation::Relu, hidden);
+        self.lin2.forward_into(hidden, out);
     }
 }
 

@@ -204,7 +204,7 @@ impl CausalLm {
                 break;
             }
             let lp = self.next_log_probs(&seq);
-            let tok = sample_top_n(&lp, top_n, rng);
+            let tok = sample_top_n(&lp, top_n, rng, &mut Vec::new());
             if stop_tokens.contains(&tok) {
                 return (out, Some(tok));
             }
@@ -285,7 +285,7 @@ mod tests {
         assert_eq!(cont, vec![qrw_text::PAD; 3]);
         assert_eq!(stop, None);
         for lp in [vec![f32::NAN; 24], vec![f32::NEG_INFINITY; 24]] {
-            assert_eq!(sample_top_n(&lp, 4, &mut rng), qrw_text::PAD);
+            assert_eq!(sample_top_n(&lp, 4, &mut rng, &mut Vec::new()), qrw_text::PAD);
         }
     }
 

@@ -10,13 +10,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use qrw_tensor::rng::StdRng;
 
+use qrw_tensor::tensor::log_softmax_in_place;
 use qrw_tensor::{ParamSet, Tape, Tensor, Var};
 use qrw_text::{BOS, EOS, PAD, UNK};
 
 use crate::config::{ComponentKind, ModelConfig};
-use crate::layers::{Linear, TrainCtx};
+use crate::decode::with_step_arena;
+use crate::layers::{Linear, Scratch, TrainCtx};
 use crate::rnn::{AttnRnnDecoder, RnnEncoder};
-use crate::transformer::{KvCache, TransformerDecoder, TransformerEncoder};
+use crate::transformer::{CacheRows, KvCache, TransformerDecoder, TransformerEncoder};
+
+#[cfg(test)]
+mod oracle;
 
 enum Encoder {
     Transformer(TransformerEncoder),
@@ -36,7 +41,7 @@ enum Decoder {
 /// is kept as the reference the cached path is checked against (it is the
 /// behaviour the paper laments in §III-G: "multi-head self attention needs
 /// to be performed for all target tokens at each decoding step").
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum DecodeState {
     /// Hidden state of a recurrent decoder.
     Recurrent(Tensor),
@@ -44,6 +49,38 @@ pub enum DecodeState {
     Transformer(KvCache),
     /// Stateless transformer decoding (full prefix recompute per step).
     Stateless,
+}
+
+/// `clone_from` between states of the same kind copies into the
+/// receiver's buffers: re-forking a candidate allocates nothing once warm.
+impl Clone for DecodeState {
+    fn clone(&self) -> Self {
+        match self {
+            DecodeState::Recurrent(h) => DecodeState::Recurrent(h.clone()),
+            DecodeState::Transformer(cache) => DecodeState::Transformer(cache.clone()),
+            DecodeState::Stateless => DecodeState::Stateless,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (DecodeState::Recurrent(h), DecodeState::Recurrent(src)) => h.clone_from(src),
+            (DecodeState::Transformer(cache), DecodeState::Transformer(src)) => {
+                cache.clone_from(src)
+            }
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
+impl DecodeState {
+    /// Drops this state's share of its source's cross-attention K/V (a
+    /// no-op for the other kinds); it must be re-forked before it steps.
+    pub(crate) fn release_shared(&mut self) {
+        if let DecodeState::Transformer(cache) = self {
+            cache.release_cross();
+        }
+    }
 }
 
 /// How the transformer decoder advances during iterative decoding.
@@ -84,6 +121,14 @@ pub struct DecodeStats {
     pub cache_hits: u64,
 }
 
+impl std::ops::AddAssign for DecodeStats {
+    fn add_assign(&mut self, other: DecodeStats) {
+        self.steps += other.steps;
+        self.tokens += other.tokens;
+        self.cache_hits += other.cache_hits;
+    }
+}
+
 impl DecodeStats {
     /// Counter-wise difference against an earlier snapshot.
     pub fn since(&self, earlier: &DecodeStats) -> DecodeStats {
@@ -118,6 +163,84 @@ pub(crate) fn count_thread_decode(steps: u64, tokens: u64, cache_hits: u64) {
         tokens: t.tokens + tokens,
         cache_hits: t.cache_hits + cache_hits,
     });
+}
+
+/// The rows of one decode step: row `r` advances its state by the prefix
+/// tokens it has not consumed, against its own encoder memory.
+pub(crate) trait DecodeRows {
+    fn rows(&self) -> usize;
+    /// Row `r`'s encoder memory, decoder state and decoded prefix (BOS
+    /// first).
+    fn row(&mut self, r: usize) -> (&Tensor, &mut DecodeState, &[usize]);
+}
+
+/// The caller-owned rows of [`Seq2Seq::next_log_probs_multi`].
+struct Rows<'a, 's, 'b> {
+    memories: &'a [&'b Tensor],
+    states: &'a mut [&'s mut DecodeState],
+    prefixes: &'a [&'b [usize]],
+}
+
+impl DecodeRows for Rows<'_, '_, '_> {
+    fn rows(&self) -> usize {
+        self.states.len()
+    }
+
+    fn row(&mut self, r: usize) -> (&Tensor, &mut DecodeState, &[usize]) {
+        (self.memories[r], &mut *self.states[r], self.prefixes[r])
+    }
+}
+
+/// Decode rows that are all KV caches one token behind their prefixes,
+/// seen as one stacked decoder step: each consumes its prefix's last token.
+struct NextTokens<'r, R>(&'r mut R);
+
+impl<R: DecodeRows> CacheRows for NextTokens<'_, R> {
+    fn rows(&self) -> usize {
+        self.0.rows()
+    }
+
+    fn row(&mut self, r: usize) -> (&mut KvCache, usize) {
+        let (_, state, prefix) = self.0.row(r);
+        let DecodeState::Transformer(cache) = state else {
+            unreachable!("a stacked step holds only KV caches")
+        };
+        (cache, *prefix.last().expect("non-empty prefix"))
+    }
+}
+
+/// One cache catching up alone, one token per step.
+struct OneToken<'a> {
+    cache: &'a mut KvCache,
+    token: usize,
+}
+
+impl CacheRows for OneToken<'_> {
+    fn rows(&self) -> usize {
+        1
+    }
+
+    fn row(&mut self, _: usize) -> (&mut KvCache, usize) {
+        (&mut *self.cache, self.token)
+    }
+}
+
+/// Every buffer a teacher decode step and its encoder touch, reused call
+/// after call (one per thread, inside the decode arena): the layer
+/// temporaries, the prepared source ids, the rows' newest hidden states
+/// and their masked next-token log-probs.
+#[derive(Default)]
+pub(crate) struct StepArena {
+    layers: Scratch,
+    /// The prepared source (truncated, EOS appended).
+    ids: Vec<usize>,
+    /// Row `r`'s newest decoder hidden state.
+    hidden: Tensor,
+    /// One row's hidden state while it advances alone.
+    row: Tensor,
+    /// After [`Seq2Seq::step_rows`]: row `r`'s masked next-token
+    /// log-probs.
+    pub(crate) log_probs: Tensor,
 }
 
 /// An encoder-decoder translation model with an output vocabulary
@@ -212,11 +335,13 @@ impl Seq2Seq {
         }
     }
 
-    fn record_decode(&self, steps: u64, tokens: u64, cache_hits: u64) {
-        count_thread_decode(steps, tokens, cache_hits);
-        self.telemetry.steps.fetch_add(steps, Ordering::Relaxed);
-        self.telemetry.tokens.fetch_add(tokens, Ordering::Relaxed);
-        self.telemetry.cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
+    /// Publishes one call's decode counts, once, to the model's shared
+    /// counters and the calling thread's.
+    pub(crate) fn record_decode(&self, counts: DecodeStats) {
+        count_thread_decode(counts.steps, counts.tokens, counts.cache_hits);
+        self.telemetry.steps.fetch_add(counts.steps, Ordering::Relaxed);
+        self.telemetry.tokens.fetch_add(counts.tokens, Ordering::Relaxed);
+        self.telemetry.cache_hits.fetch_add(counts.cache_hits, Ordering::Relaxed);
     }
 
     pub fn config(&self) -> &ModelConfig {
@@ -230,11 +355,15 @@ impl Seq2Seq {
 
     /// Truncates and appends EOS to raw source token ids.
     pub fn prep_src(&self, src: &[usize]) -> Vec<usize> {
-        let cut = src.len().min(self.config.max_src_len);
-        let mut out = Vec::with_capacity(cut + 1);
-        out.extend_from_slice(&src[..cut]);
-        out.push(EOS);
+        let mut out = Vec::with_capacity(src.len().min(self.config.max_src_len) + 1);
+        self.prep_src_into(src, &mut out);
         out
+    }
+
+    fn prep_src_into(&self, src: &[usize], out: &mut Vec<usize>) {
+        out.clear();
+        out.extend_from_slice(&src[..src.len().min(self.config.max_src_len)]);
+        out.push(EOS);
     }
 
     fn prep_tgt(&self, tgt: &[usize]) -> (Vec<usize>, Vec<usize>) {
@@ -316,34 +445,61 @@ impl Seq2Seq {
 
     /// Encodes `src` into a plain memory tensor for iterative decoding.
     pub fn encode(&self, src: &[usize]) -> Tensor {
-        let tape = Tape::new();
-        self.encode_on_tape(&tape, src, &mut None).value()
+        let mut memory = Tensor::default();
+        with_step_arena(|a| self.encode_into(src, &mut memory, a));
+        memory
+    }
+
+    /// [`Self::encode`] into `memory`, reusing its buffer. A transformer
+    /// encoder runs its tape-free twin (bitwise the tape's memory, no
+    /// allocation once warm); a recurrent one still runs on a tape.
+    pub(crate) fn encode_into(&self, src: &[usize], memory: &mut Tensor, a: &mut StepArena) {
+        let StepArena { layers, ids, .. } = a;
+        self.prep_src_into(src, ids);
+        match &self.enc {
+            Encoder::Transformer(e) => e.forward_inference(ids, memory, layers),
+            Encoder::Recurrent(e) => *memory = e.forward(&Tape::new(), ids, &mut None).value(),
+        }
     }
 
     /// Fresh decoder state for a given memory.
     pub fn start_state(&self, memory: &Tensor) -> DecodeState {
-        match &self.dec {
-            Decoder::Transformer(d) => match self.decode_mode {
-                TransformerDecodeMode::KvCache => DecodeState::Transformer(d.start_cache(memory)),
-                TransformerDecodeMode::PrefixRecompute => DecodeState::Stateless,
+        let mut state = DecodeState::Stateless;
+        self.reset_state(memory, &mut state);
+        state
+    }
+
+    /// [`Self::start_state`] into an existing state, reusing a KV cache's
+    /// buffers.
+    pub(crate) fn reset_state(&self, memory: &Tensor, state: &mut DecodeState) {
+        match (&self.dec, self.decode_mode) {
+            (Decoder::Transformer(d), TransformerDecodeMode::KvCache) => match state {
+                DecodeState::Transformer(cache) => d.reset_cache(memory, cache),
+                _ => *state = DecodeState::Transformer(d.start_cache(memory)),
             },
-            Decoder::Recurrent(d) => {
-                DecodeState::Recurrent(d.initial_state_inference(memory))
+            (Decoder::Transformer(_), TransformerDecodeMode::PrefixRecompute) => {
+                *state = DecodeState::Stateless;
+            }
+            (Decoder::Recurrent(d), _) => {
+                *state = DecodeState::Recurrent(d.initial_state_inference(memory));
             }
         }
     }
 
-    /// The newest hidden row for one candidate, advancing its state.
+    /// One row's newest hidden state into `a.row`, advancing its state by
+    /// every prefix token it has not consumed.
     ///
     /// The KV-cached path consumes exactly the prefix tokens the cache has
     /// not seen yet (`prefix[cache.pos()..]` — usually just the last one),
     /// so a full decode does linear token work instead of quadratic.
-    fn advance_hidden_row(
+    fn advance_row(
         &self,
         memory: &Tensor,
         state: &mut DecodeState,
         prefix: &[usize],
-    ) -> Tensor {
+        a: &mut StepArena,
+        counts: &mut DecodeStats,
+    ) {
         match (&self.dec, state) {
             (Decoder::Transformer(d), DecodeState::Transformer(cache)) => {
                 let seen = cache.pos();
@@ -352,47 +508,86 @@ impl Seq2Seq {
                     "decode state is ahead of the prefix ({seen} >= {})",
                     prefix.len()
                 );
-                let new = &prefix[seen..];
-                self.record_decode(1, new.len() as u64, seen as u64);
-                let mut hidden = Tensor::zeros(0, 0);
-                for &tok in new {
-                    hidden = d.step_cached(&mut [&mut *cache], &[tok]);
+                let tokens = (prefix.len() - seen) as u64;
+                *counts += DecodeStats { steps: 1, tokens, cache_hits: seen as u64 };
+                for &token in &prefix[seen..] {
+                    d.step_into(&mut OneToken { cache, token }, &mut a.row, &mut a.layers);
                 }
-                hidden
             }
             (Decoder::Transformer(d), DecodeState::Stateless) => {
-                self.record_decode(1, prefix.len() as u64, 0);
+                *counts += DecodeStats { steps: 1, tokens: prefix.len() as u64, cache_hits: 0 };
                 let tape = Tape::new();
                 let mem = tape.constant(memory.clone());
                 let h = d.forward(&tape, prefix, mem, &mut None, None);
-                let (rows, _) = h.shape();
-                h.slice_rows(rows - 1, 1).value()
+                a.row = h.slice_rows(prefix.len() - 1, 1).value();
             }
             (Decoder::Recurrent(d), DecodeState::Recurrent(h)) => {
-                self.record_decode(1, 1, 0);
+                *counts += DecodeStats { steps: 1, tokens: 1, cache_hits: 0 };
                 let last = *prefix.last().expect("non-empty prefix");
-                let new_h = d.step_inference(memory, h, last);
-                *h = new_h.clone();
-                new_h
+                *h = d.step_inference(memory, h, last);
+                a.row.clone_from(h);
             }
             _ => unreachable!("decoder kind and state kind always match"),
         }
     }
 
-    /// Projects hidden rows to masked next-token log-probs, one `Vec` per
-    /// row. PAD / BOS / UNK are masked to `-inf` so decoders never emit
-    /// them.
-    fn rows_to_log_probs(&self, hidden: &Tensor) -> Vec<Vec<f32>> {
-        let logits = self.out.forward_inference(hidden).row_log_softmax();
-        (0..logits.rows())
-            .map(|r| {
-                let mut lp = logits.row_slice(r).to_vec();
-                lp[PAD] = f32::NEG_INFINITY;
-                lp[BOS] = f32::NEG_INFINITY;
-                lp[UNK] = f32::NEG_INFINITY;
-                lp
-            })
-            .collect()
+    /// Advances every row of `rows` one decode step and leaves row `r`'s
+    /// masked next-token log-probs in row `r` of `a.log_probs`: the one
+    /// step kernel behind every decoder of this model. Returns the step's
+    /// decode counts; the caller publishes them once per call.
+    ///
+    /// When every row is a KV cache exactly one token behind its prefix,
+    /// all row-independent work (projections, layer norms, FFN, the
+    /// vocabulary projection) runs as one `rows`-row matmul per layer and
+    /// only attention walks each row's own cache. Otherwise (recurrent
+    /// decoders, prefix recompute, a cache behind by several tokens, e.g.
+    /// just forked from a shorter parent) each row advances alone and the
+    /// rows still share one vocabulary projection. Every per-row
+    /// computation (matmul k-accumulation, attention over its own cache,
+    /// row-wise norms and softmax) is independent of the other rows, so
+    /// batch composition never changes any row's values — see DESIGN.md
+    /// § Serving runtime.
+    ///
+    /// The epilogue is the log-softmax of each logits row in place, then
+    /// PAD / BOS / UNK masked to `-inf` so decoders never emit them.
+    pub(crate) fn step_rows(&self, rows: &mut impl DecodeRows, a: &mut StepArena) -> DecodeStats {
+        let n = rows.rows();
+        let mut counts = DecodeStats::default();
+        for r in 0..n {
+            assert_eq!(rows.row(r).2.first(), Some(&BOS), "prefix must start with BOS");
+        }
+        let batchable = (0..n).all(|r| match rows.row(r) {
+            (_, DecodeState::Transformer(cache), prefix) => cache.pos() + 1 == prefix.len(),
+            _ => false,
+        });
+        match &self.dec {
+            Decoder::Transformer(d) if batchable => {
+                for r in 0..n {
+                    if let (_, DecodeState::Transformer(cache), _) = rows.row(r) {
+                        let cache_hits = cache.pos() as u64;
+                        counts += DecodeStats { steps: 1, tokens: 1, cache_hits };
+                    }
+                }
+                d.step_into(&mut NextTokens(rows), &mut a.hidden, &mut a.layers);
+            }
+            _ => {
+                a.hidden.resize_zeroed(n, self.config.d_model);
+                for r in 0..n {
+                    let (memory, state, prefix) = rows.row(r);
+                    self.advance_row(memory, state, prefix, a, &mut counts);
+                    a.hidden.row_slice_mut(r).copy_from_slice(a.row.row_slice(0));
+                }
+            }
+        }
+        self.out.forward_into(&a.hidden, &mut a.log_probs);
+        for r in 0..n {
+            let lp = a.log_probs.row_slice_mut(r);
+            log_softmax_in_place(lp);
+            lp[PAD] = f32::NEG_INFINITY;
+            lp[BOS] = f32::NEG_INFINITY;
+            lp[UNK] = f32::NEG_INFINITY;
+        }
+        counts
     }
 
     /// Log-probabilities of the next token given the decoded `prefix`
@@ -405,21 +600,13 @@ impl Seq2Seq {
         state: &mut DecodeState,
         prefix: &[usize],
     ) -> Vec<f32> {
-        assert_eq!(prefix.first(), Some(&BOS), "prefix must start with BOS");
-        let hidden_row = self.advance_hidden_row(memory, state, prefix);
-        self.rows_to_log_probs(&hidden_row).pop().expect("one row in, one row out")
+        self.next_log_probs_multi(&[memory], &mut [state], &[prefix])
+            .pop()
+            .expect("one row in, one row out")
     }
 
     /// Batched [`Self::next_log_probs`]: advances every candidate by one
-    /// step through a single stacked forward.
-    ///
-    /// For KV-cached transformer decoding all row-independent work
-    /// (projections, layer norms, FFN, the vocabulary projection) runs as
-    /// one `k`-row matmul per layer instead of `k` separate model calls;
-    /// only attention walks each candidate's own cache. Recurrent decoders
-    /// step per candidate but still share one batched vocabulary
-    /// projection. Candidates whose cache is behind the prefix (e.g. just
-    /// cloned from a shorter parent) fall back to the catch-up path.
+    /// step through a single stacked forward (`step_rows`).
     pub fn next_log_probs_batch(
         &self,
         memory: &Tensor,
@@ -432,16 +619,9 @@ impl Seq2Seq {
 
     /// [`Self::next_log_probs_batch`] across *independent* sources: each
     /// candidate carries its own encoder memory, so rows can come from
-    /// different requests (the serving runtime stacks concurrent decodes
-    /// this way), not just from one beam.
-    ///
-    /// KV caches already hold their source's cross-attention K/V, so the
-    /// fully batched fast path is unchanged; the fallback advances each
-    /// row against its own memory. Every per-row computation (matmul
-    /// k-accumulation, per-candidate attention over its own cache,
-    /// row-wise norms and softmax) is independent of the other rows, so
-    /// batch composition never changes any row's values — see
-    /// DESIGN.md § Serving runtime.
+    /// different requests, not just from one beam. KV caches already hold
+    /// their source's cross-attention K/V; the other kinds advance each row
+    /// against its own memory.
     pub fn next_log_probs_multi(
         &self,
         memories: &[&Tensor],
@@ -453,46 +633,12 @@ impl Seq2Seq {
         if states.is_empty() {
             return Vec::new();
         }
-        for prefix in prefixes {
-            assert_eq!(prefix.first(), Some(&BOS), "prefix must start with BOS");
-        }
-        // The fully batched fast path applies when every candidate is a
-        // KV cache exactly one token behind its prefix.
-        let batchable = states.iter().zip(prefixes).all(|(s, p)| match s {
-            DecodeState::Transformer(cache) => cache.pos() + 1 == p.len(),
-            _ => false,
-        });
-        let hidden = if batchable {
-            if let Decoder::Transformer(d) = &self.dec {
-                let mut caches: Vec<&mut KvCache> = states
-                    .iter_mut()
-                    .map(|s| match s {
-                        DecodeState::Transformer(cache) => {
-                            self.record_decode(1, 1, cache.pos() as u64);
-                            cache
-                        }
-                        _ => unreachable!("batchable implies cached states"),
-                    })
-                    .collect();
-                let tokens: Vec<usize> = prefixes
-                    .iter()
-                    .map(|p| *p.last().expect("non-empty prefix"))
-                    .collect();
-                d.step_cached(&mut caches, &tokens)
-            } else {
-                unreachable!("cached states imply a transformer decoder")
-            }
-        } else {
-            let rows: Vec<Tensor> = states
-                .iter_mut()
-                .zip(prefixes)
-                .zip(memories)
-                .map(|((s, p), m)| self.advance_hidden_row(m, s, p))
-                .collect();
-            let refs: Vec<&Tensor> = rows.iter().collect();
-            Tensor::stack_rows(&refs)
-        };
-        self.rows_to_log_probs(&hidden)
+        let mut rows = Rows { memories, states, prefixes };
+        with_step_arena(|a| {
+            let counts = self.step_rows(&mut rows, a);
+            self.record_decode(counts);
+            (0..prefixes.len()).map(|r| a.log_probs.row_slice(r).to_vec()).collect()
+        })
     }
 
     /// Head-averaged cross-attention maps of a teacher-forced pass

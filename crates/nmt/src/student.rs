@@ -61,7 +61,7 @@ impl QuantLinear {
     }
 }
 
-/// Learned layer norm replicating `LayerNorm::forward_inference`'s
+/// Learned layer norm replicating `Tensor::layer_norm_in_place`'s
 /// arithmetic (same epsilon, biased variance, evaluation order).
 struct Norm {
     gain: Vec<f32>,

@@ -9,7 +9,7 @@ use qrw_tensor::{ParamSet, Tape, Tensor, Var};
 
 use crate::layers::{
     causal_mask, maybe_dropout, positional_encoding, Embedding, FeedForward, LayerNorm,
-    MultiHeadAttention, TrainCtx,
+    MultiHeadAttention, Scratch, TrainCtx,
 };
 
 struct EncoderLayer {
@@ -35,6 +35,16 @@ impl EncoderLayer {
         let x = self.norm1.forward(tape, x.add(attn));
         let ff = maybe_dropout(ctx, self.ffn.forward(tape, x));
         self.norm2.forward(tape, x.add(ff))
+    }
+
+    /// The tape-free twin of [`Self::forward`] (no dropout), in place.
+    fn forward_inference(&self, x: &mut Tensor, s: &mut Scratch) {
+        self.self_attn.self_attend_into(x, s);
+        x.add_assign(&s.delta);
+        self.norm1.apply(x);
+        self.ffn.forward_into(x, &mut s.h1, &mut s.delta);
+        x.add_assign(&s.delta);
+        self.norm2.apply(x);
     }
 }
 
@@ -86,33 +96,68 @@ impl TransformerEncoder {
         }
         x
     }
+
+    /// The tape-free twin of [`Self::forward`] in inference mode: encodes
+    /// `src` into `memory` through the same kernels the tape ops run, with
+    /// no tape and no parameter copies, so the memory is bitwise the
+    /// tape's. Allocation-free once `memory` and `s` have held a source
+    /// this long.
+    pub(crate) fn forward_inference(&self, src: &[usize], memory: &mut Tensor, s: &mut Scratch) {
+        assert!(!src.is_empty(), "encoder input must be non-empty");
+        assert!(src.len() <= self.pe.rows(), "source longer than positional table");
+        self.embed.forward_into(src, &self.pe, memory);
+        for layer in &self.layers {
+            layer.forward_inference(memory, s);
+        }
+    }
 }
 
-/// Per-layer attention cache for incremental decoding.
-///
-/// Self-attention keys/values grow by one row per emitted token;
-/// cross-attention keys/values are projected from the encoder memory once
-/// and shared via [`Arc`], so cloning a cache (beam search forks candidates
-/// constantly) copies only the per-token rows.
-#[derive(Clone, Debug)]
-struct LayerKv {
-    self_k: Tensor,
-    self_v: Tensor,
-    cross_k: Arc<Tensor>,
-    cross_v: Arc<Tensor>,
+/// One decoder layer's cross-attention keys and values, projected from
+/// the encoder memory once per source.
+#[derive(Debug, Default)]
+pub(crate) struct CrossKv {
+    k: Tensor,
+    v: Tensor,
 }
 
-/// Incremental decoding state for [`TransformerDecoder`]: one [`LayerKv`]
-/// per layer plus the number of tokens consumed so far.
+/// Incremental decoding state for [`TransformerDecoder`]: per layer, the
+/// self-attention keys/values (one row per consumed token) and the
+/// source's cross-attention keys/values, plus the number of tokens
+/// consumed so far.
 ///
-/// With the cache, each [`TransformerDecoder::step_cached`] call does
-/// `O(T + S)` attention work for the newest token instead of re-running the
-/// whole `O(T^2 + T*S)` prefix, turning a full decode from cubic-flavored
-/// to quadratic in target length.
-#[derive(Clone, Debug)]
+/// With the cache, each decode step does `O(T + S)` attention work for the
+/// newest token instead of re-running the whole `O(T^2 + T*S)` prefix,
+/// turning a full decode from cubic-flavored to quadratic in target
+/// length. The cross K/V are shared via [`Arc`], so forking a cache
+/// (beam search and top-n sampling fork candidates constantly) copies only
+/// the per-token rows, and `clone_from` copies them into the receiver's
+/// buffers.
+#[derive(Debug)]
 pub struct KvCache {
-    layers: Vec<LayerKv>,
+    self_k: Vec<Tensor>,
+    self_v: Vec<Tensor>,
+    /// `None` only while a decode arena has released it (see
+    /// [`KvCache::release_cross`]).
+    cross: Option<Arc<Vec<CrossKv>>>,
     pos: usize,
+}
+
+impl Clone for KvCache {
+    fn clone(&self) -> Self {
+        KvCache {
+            self_k: self.self_k.clone(),
+            self_v: self.self_v.clone(),
+            cross: self.cross.clone(),
+            pos: self.pos,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.self_k.clone_from(&source.self_k);
+        self.self_v.clone_from(&source.self_v);
+        self.cross.clone_from(&source.cross);
+        self.pos = source.pos;
+    }
 }
 
 impl KvCache {
@@ -120,15 +165,34 @@ impl KvCache {
     pub fn pos(&self) -> usize {
         self.pos
     }
+
+    /// Drops this cache's share of its source's cross K/V, so the cache it
+    /// was forked from can re-project a new source into the same buffers.
+    /// A released cache must be re-forked before it steps again.
+    pub(crate) fn release_cross(&mut self) {
+        self.cross = None;
+    }
+
+    fn cross(&self) -> &[CrossKv] {
+        self.cross.as_deref().expect("a released cache was stepped")
+    }
 }
 
-struct DecoderLayer {
-    self_attn: MultiHeadAttention,
-    cross_attn: MultiHeadAttention,
-    ffn: FeedForward,
-    norm1: LayerNorm,
-    norm2: LayerNorm,
-    norm3: LayerNorm,
+/// The rows of one stacked decoder step: row `r` consumes a token into its
+/// own cache.
+pub(crate) trait CacheRows {
+    fn rows(&self) -> usize;
+    /// Row `r`'s cache and the token it consumes.
+    fn row(&mut self, r: usize) -> (&mut KvCache, usize);
+}
+
+pub(crate) struct DecoderLayer {
+    pub(crate) self_attn: MultiHeadAttention,
+    pub(crate) cross_attn: MultiHeadAttention,
+    pub(crate) ffn: FeedForward,
+    pub(crate) norm1: LayerNorm,
+    pub(crate) norm2: LayerNorm,
+    pub(crate) norm3: LayerNorm,
 }
 
 impl DecoderLayer {
@@ -162,41 +226,52 @@ impl DecoderLayer {
         self.norm3.forward(tape, x.add(ff))
     }
 
-    /// One incremental step for a batch of candidates: row `r` of `x` is
-    /// the newest position of candidate `r`, whose cache is `caches[r]`.
-    /// Appends the new self-attention K/V rows and returns the layer output
-    /// rows. All row-independent work (projections, norms, FFN) runs as one
-    /// batched matmul; only attention iterates per candidate, over that
-    /// candidate's own cache.
-    fn step_cached(&self, caches: &mut [&mut KvCache], li: usize, x: &Tensor) -> Tensor {
-        let (k_new, v_new) = self.self_attn.project_kv_inference(x);
-        for (r, cache) in caches.iter_mut().enumerate() {
-            cache.layers[li].self_k.push_row(k_new.row_slice(r));
-            cache.layers[li].self_v.push_row(v_new.row_slice(r));
+    /// Layer `li` of one stacked step, in place on `x`: row `r` is the
+    /// newest position of row `r` of `rows`. Appends each row's new
+    /// self-attention K/V to its own cache; all row-independent work
+    /// (projections, norms, FFN) runs as one batched matmul, and only
+    /// attention walks each row's own cache.
+    fn step_into(&self, li: usize, rows: &mut impl CacheRows, x: &mut Tensor, s: &mut Scratch) {
+        let Scratch { q, k, v, merged, delta, h1, scores } = s;
+        let n = x.rows();
+        self.self_attn.wk.forward_into(x, k);
+        self.self_attn.wv.forward_into(x, v);
+        self.self_attn.wq.forward_into(x, q);
+        merged.resize_zeroed(n, x.cols());
+        for r in 0..n {
+            let (cache, _) = rows.row(r);
+            cache.self_k[li].push_row(k.row_slice(r));
+            cache.self_v[li].push_row(v.row_slice(r));
+            let (keys, values) = (&cache.self_k[li], &cache.self_v[li]);
+            let out = merged.row_slice_mut(r);
+            self.self_attn.attend_row(q.row_slice(r), keys, values, scores, out);
         }
-        let self_kvs: Vec<(&Tensor, &Tensor)> = caches
-            .iter()
-            .map(|c| (&c.layers[li].self_k, &c.layers[li].self_v))
-            .collect();
-        let sa = self.self_attn.attend_rows_inference(x, &self_kvs);
-        let x = self.norm1.forward_inference(&x.add(&sa));
-        let cross_kvs: Vec<(&Tensor, &Tensor)> = caches
-            .iter()
-            .map(|c| (&*c.layers[li].cross_k, &*c.layers[li].cross_v))
-            .collect();
-        let ca = self.cross_attn.attend_rows_inference(&x, &cross_kvs);
-        let x = self.norm2.forward_inference(&x.add(&ca));
-        let ff = self.ffn.forward_inference(&x);
-        self.norm3.forward_inference(&x.add(&ff))
+        self.self_attn.wo.forward_into(merged, delta);
+        x.add_assign(delta);
+        self.norm1.apply(x);
+
+        self.cross_attn.wq.forward_into(x, q);
+        for r in 0..n {
+            let cross = &rows.row(r).0.cross()[li];
+            let out = merged.row_slice_mut(r);
+            self.cross_attn.attend_row(q.row_slice(r), &cross.k, &cross.v, scores, out);
+        }
+        self.cross_attn.wo.forward_into(merged, delta);
+        x.add_assign(delta);
+        self.norm2.apply(x);
+
+        self.ffn.forward_into(x, h1, delta);
+        x.add_assign(delta);
+        self.norm3.apply(x);
     }
 }
 
 /// A stack of transformer decoder layers producing hidden states (the
 /// output projection to vocabulary logits lives in [`crate::seq2seq`]).
 pub struct TransformerDecoder {
-    embed: Embedding,
-    layers: Vec<DecoderLayer>,
-    pe: Tensor,
+    pub(crate) embed: Embedding,
+    pub(crate) layers: Vec<DecoderLayer>,
+    pub(crate) pe: Tensor,
 }
 
 impl TransformerDecoder {
@@ -252,50 +327,67 @@ impl TransformerDecoder {
     /// K/V are projected here, once; self-attention K/V start empty with
     /// capacity for a full-length decode.
     pub fn start_cache(&self, memory: &Tensor) -> KvCache {
-        let d_model = self.pe.cols();
-        let max_len = self.pe.rows();
-        let layers = self
-            .layers
-            .iter()
-            .map(|layer| {
-                let (ck, cv) = layer.cross_attn.project_kv_inference(memory);
-                LayerKv {
-                    self_k: Tensor::with_row_capacity(max_len, d_model),
-                    self_v: Tensor::with_row_capacity(max_len, d_model),
-                    cross_k: Arc::new(ck),
-                    cross_v: Arc::new(cv),
-                }
-            })
-            .collect();
-        KvCache { layers, pos: 0 }
+        let mut cache = KvCache { self_k: Vec::new(), self_v: Vec::new(), cross: None, pos: 0 };
+        self.reset_cache(memory, &mut cache);
+        cache
     }
 
-    /// Consumes one token per candidate (`tokens[r]` into `caches[r]`) and
-    /// returns the batch of final hidden rows (`batch x d_model`), exactly
-    /// the last rows a full [`Self::forward`] over each grown prefix would
-    /// produce. Candidates may sit at different positions.
-    pub fn step_cached(&self, caches: &mut [&mut KvCache], tokens: &[usize]) -> Tensor {
-        assert_eq!(caches.len(), tokens.len(), "one cache per token");
-        assert!(!tokens.is_empty(), "decoder step must consume tokens");
-        let mut x = self.embed.forward_inference(tokens);
-        for (r, cache) in caches.iter().enumerate() {
-            assert_eq!(
-                cache.layers.len(),
-                self.layers.len(),
-                "cache belongs to a different decoder"
-            );
-            assert!(cache.pos < self.pe.rows(), "decode past the positional table");
-            for (o, &p) in x.row_slice_mut(r).iter_mut().zip(self.pe.row_slice(cache.pos)) {
-                *o += p;
+    /// [`Self::start_cache`] into an existing cache, reusing its buffers:
+    /// allocation-free once it has held a cache of this shape, unless a
+    /// fork still shares its cross K/V (then they move to a fresh buffer).
+    pub(crate) fn reset_cache(&self, memory: &Tensor, cache: &mut KvCache) {
+        let (max_len, d_model, n) = (self.pe.rows(), self.pe.cols(), self.layers.len());
+        for kv in [&mut cache.self_k, &mut cache.self_v] {
+            kv.resize_with(n, Tensor::default);
+            for t in kv.iter_mut() {
+                t.clear_rows(max_len, d_model);
             }
         }
+        let shared = cache.cross.get_or_insert_with(Arc::default);
+        if Arc::get_mut(shared).is_none() {
+            *shared = Arc::default();
+        }
+        let cross = Arc::get_mut(shared).expect("unshared cross K/V");
+        cross.resize_with(n, CrossKv::default);
+        for (layer, c) in self.layers.iter().zip(cross.iter_mut()) {
+            layer.cross_attn.wk.forward_into(memory, &mut c.k);
+            layer.cross_attn.wv.forward_into(memory, &mut c.v);
+        }
+        cache.pos = 0;
+    }
+
+    /// Consumes one token per row into its cache and leaves the rows'
+    /// final hidden states in `x` (`rows x d_model`), exactly the last rows
+    /// a full [`Self::forward`] over each grown prefix would produce. Rows
+    /// may sit at different positions, and each row's values are
+    /// independent of the others. Allocation-free once `x`, `s` and the
+    /// caches have held a step this size.
+    pub(crate) fn step_into(&self, rows: &mut impl CacheRows, x: &mut Tensor, s: &mut Scratch) {
+        let n = rows.rows();
+        assert!(n > 0, "decoder step must consume tokens");
+        x.resize_zeroed(n, self.pe.cols());
+        let scale = self.embed.scale();
+        self.embed.table.with_value(|table| {
+            for r in 0..n {
+                let (cache, token) = rows.row(r);
+                let layers = cache.self_k.len();
+                assert_eq!(layers, self.layers.len(), "cache belongs to a different decoder");
+                assert!(cache.pos < self.pe.rows(), "decode past the positional table");
+                let vocab = table.rows();
+                assert!(token < vocab, "token id {token} out of vocabulary {vocab}");
+                let emb = table.row_slice(token).iter().zip(self.pe.row_slice(cache.pos));
+                for (o, (&e, &p)) in x.row_slice_mut(r).iter_mut().zip(emb) {
+                    *o = e * scale;
+                    *o += p;
+                }
+            }
+        });
         for (li, layer) in self.layers.iter().enumerate() {
-            x = layer.step_cached(caches, li, &x);
+            layer.step_into(li, rows, x, s);
         }
-        for cache in caches.iter_mut() {
-            cache.pos += 1;
+        for r in 0..n {
+            rows.row(r).0.pos += 1;
         }
-        x
     }
 }
 
@@ -305,6 +397,28 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    /// Row `r` feeds `tokens[r]` into `caches[r]`.
+    struct Caches<'a, 'b> {
+        caches: &'a mut [&'b mut KvCache],
+        tokens: &'a [usize],
+    }
+
+    impl CacheRows for Caches<'_, '_> {
+        fn rows(&self) -> usize {
+            self.tokens.len()
+        }
+
+        fn row(&mut self, r: usize) -> (&mut KvCache, usize) {
+            (&mut *self.caches[r], self.tokens[r])
+        }
+    }
+
+    fn step(dec: &TransformerDecoder, caches: &mut [&mut KvCache], tokens: &[usize]) -> Tensor {
+        let mut x = Tensor::default();
+        dec.step_into(&mut Caches { caches, tokens }, &mut x, &mut Scratch::default());
+        x
     }
 
     fn build() -> (ParamSet, TransformerEncoder, TransformerDecoder) {
@@ -378,7 +492,7 @@ mod tests {
         let prefix = [1usize, 5, 6, 9, 4];
         let mut cache = dec.start_cache(&mem);
         for (i, &tok) in prefix.iter().enumerate() {
-            let h = dec.step_cached(&mut [&mut cache], &[tok]);
+            let h = step(&dec, &mut [&mut cache], &[tok]);
             assert_eq!(cache.pos(), i + 1);
             let full = dec.forward(&tape, &prefix[..=i], mem_var, &mut None, None).value();
             for c in 0..8 {
@@ -402,16 +516,32 @@ mod tests {
         // step together on different tokens from different positions.
         let mut a = dec.start_cache(&mem);
         let mut b = dec.start_cache(&mem);
-        dec.step_cached(&mut [&mut a], &[1]);
-        dec.step_cached(&mut [&mut a], &[5]);
-        dec.step_cached(&mut [&mut b], &[1]);
+        step(&dec, &mut [&mut a], &[1]);
+        step(&dec, &mut [&mut a], &[5]);
+        step(&dec, &mut [&mut b], &[1]);
         let mut a_solo = a.clone();
         let mut b_solo = b.clone();
-        let batched = dec.step_cached(&mut [&mut a, &mut b], &[9, 6]);
-        let ha = dec.step_cached(&mut [&mut a_solo], &[9]);
-        let hb = dec.step_cached(&mut [&mut b_solo], &[6]);
+        let batched = step(&dec, &mut [&mut a, &mut b], &[9, 6]);
+        let ha = step(&dec, &mut [&mut a_solo], &[9]);
+        let hb = step(&dec, &mut [&mut b_solo], &[6]);
         assert_eq!(batched.row_slice(0), ha.row_slice(0));
         assert_eq!(batched.row_slice(1), hb.row_slice(0));
+    }
+
+    /// The tape-free encoder is the tape encoder, bit for bit, and reuses
+    /// its buffers across sources of different lengths.
+    #[test]
+    fn encoder_twin_matches_tape_bitwise() {
+        let (_p, enc, _d) = build();
+        let (mut memory, mut s) = (Tensor::default(), Scratch::default());
+        for src in [&[5usize, 6, 7, 8][..], &[9], &[4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] {
+            let tape = Tape::new();
+            let want = enc.forward(&tape, src, &mut None).value();
+            enc.forward_inference(src, &mut memory, &mut s);
+            assert_eq!(memory.shape(), want.shape());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&memory), bits(&want), "source {src:?}");
+        }
     }
 
     #[test]

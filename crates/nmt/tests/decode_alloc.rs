@@ -1,39 +1,56 @@
-//! Allocation budget of the quantized student's decode, enforced by a
-//! counting `#[global_allocator]`: once its arena is warm, a
-//! `step_into` (and the `encode` before it) allocates nothing, and a
-//! `top_n_sampling` request allocates the same count whatever its decoded
-//! length — only the hypotheses it returns.
+//! Allocation budgets of the decoders, enforced by a counting
+//! `#[global_allocator]`:
 //!
-//! Because a `#[global_allocator]` is process-wide, this lives in its own
-//! test binary with exactly **one** `#[test]`, so no parallel test can
-//! pollute the counter between snapshots.
+//! * the quantized student: once its arena is warm, a `step_into` (and the
+//!   `encode` before it) allocates nothing, and a `top_n_sampling`
+//!   request allocates the same count whatever its decoded length — only
+//!   the hypotheses it returns;
+//! * the f32 teacher: a warm `top_n_sampling` allocates only its 1 + k
+//!   returned hypotheses and a warm `top_n_sampling_batch` only its
+//!   returned sets, and the per-thread arena re-initialises correctly
+//!   across model shapes and after a panic inside a decode.
+//!
+//! The counter is per thread (a `const` thread-local, which never
+//! allocates on access), so the tests may run in parallel: each counts
+//! only its own thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use qrw_nmt::{DecodeArena, ModelConfig, QuantStudent, Seq2Seq, TopNSampling};
+use qrw_nmt::{
+    top_n_sampling, top_n_sampling_batch, DecodeArena, Hypothesis, ModelConfig, QuantStudent,
+    Seq2Seq, TopNSampling,
+};
 use qrw_tensor::rng::StdRng;
-use qrw_text::{BOS, NUM_SPECIALS};
+use qrw_text::{BOS, EOS, NUM_SPECIALS};
 
-/// [`System`], but every allocation bumps a counter (reallocation too —
-/// a growing `Vec` must not hide behind `realloc`).
+/// [`System`], but every allocation bumps the calling thread's counter
+/// (reallocation too — a growing `Vec` must not hide behind `realloc`).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,8 +62,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 /// A source of `len` ordinary tokens.
@@ -129,4 +147,117 @@ fn warm_student_decode_allocates_only_its_hypotheses() {
         decoded_lengths.len() > 3,
         "decoded lengths never varied: {decoded_lengths:?}"
     );
+}
+
+/// Session-shaped sources: single tokens, queries joined by EOS
+/// separators up to `max_src_len`, and sources past it (truncated).
+fn session(len: usize, vocab: usize, salt: usize) -> Vec<usize> {
+    (0..len)
+        .map(|i| match (i + salt) % 5 {
+            4 => EOS,
+            _ => NUM_SPECIALS + (i * 7 + salt) % (vocab - NUM_SPECIALS),
+        })
+        .collect()
+}
+
+/// Token-and-bits form of a hypothesis set, for exact comparison.
+fn exact(hyps: &[Hypothesis]) -> Vec<(Vec<usize>, u32)> {
+    hyps.iter().map(|h| (h.tokens.clone(), h.log_prob.to_bits())).collect()
+}
+
+/// The same decode on a fresh thread, so on a fresh arena.
+fn on_fresh_thread(
+    model: &Seq2Seq,
+    src: &[usize],
+    cfg: TopNSampling,
+    seed: u64,
+) -> Vec<Hypothesis> {
+    std::thread::scope(|s| {
+        s.spawn(|| top_n_sampling(model, src, cfg, &mut StdRng::seed_from_u64(seed)))
+            .join()
+            .expect("fresh-thread decode")
+    })
+}
+
+#[test]
+fn warm_teacher_decode_allocates_only_its_hypotheses() {
+    // A small vocabulary puts EOS in every sampling pool, so decoded
+    // lengths vary from request to request.
+    let vocab = 12;
+    let model = Seq2Seq::new(ModelConfig::tiny_transformer(vocab), 7);
+    let max_src = model.config().max_src_len;
+    let cfg = TopNSampling { k: 3, n: 40 };
+
+    // Part 1: single requests. Warm-up requests reach every buffer's full
+    // size (full-length sources; new candidate caches are sized for
+    // full-length decodes); after that each request allocates exactly
+    // the returned Vec and one token Vec per hypothesis.
+    for seed in 0..8 {
+        let src = session(max_src + 6, vocab, 1);
+        top_n_sampling(&model, &src, cfg, &mut StdRng::seed_from_u64(seed));
+    }
+    let mut decoded_lengths = Vec::new();
+    for seed in 0..40u64 {
+        let src = session(1 + seed as usize % max_src, vocab, seed as usize);
+        let mut rng = StdRng::seed_from_u64(100 + seed);
+        let before = allocations();
+        let hyps = top_n_sampling(&model, &src, cfg, &mut rng);
+        let delta = allocations() - before;
+        assert_eq!(hyps.len(), cfg.k);
+        assert!(hyps.iter().all(|h| !h.tokens.is_empty()));
+        assert_eq!(delta, 1 + hyps.len() as u64, "request {seed} allocated {delta} times");
+        decoded_lengths.push(hyps.iter().map(|h| h.tokens.len()).sum::<usize>());
+    }
+    decoded_lengths.sort_unstable();
+    decoded_lengths.dedup();
+    assert!(decoded_lengths.len() > 3, "decoded lengths never varied: {decoded_lengths:?}");
+
+    // Part 2: batches of mixed-length requests allocate only the returned
+    // sets: the outer Vec, then one Vec plus k token Vecs per request.
+    let sizes = [1usize, 3, 8];
+    for &size in &sizes {
+        let srcs: Vec<Vec<usize>> = (0..size).map(|i| session(max_src + 6, vocab, i)).collect();
+        let refs: Vec<&[usize]> = srcs.iter().map(Vec::as_slice).collect();
+        let mut rngs: Vec<StdRng> = (0..size as u64).map(StdRng::seed_from_u64).collect();
+        top_n_sampling_batch(&model, &refs, cfg, &mut rngs);
+    }
+    for round in 0..12usize {
+        let size = sizes[round % 3];
+        let srcs: Vec<Vec<usize>> = (0..size)
+            .map(|i| session(1 + (round * 5 + i * 3) % max_src, vocab, round + i))
+            .collect();
+        let refs: Vec<&[usize]> = srcs.iter().map(Vec::as_slice).collect();
+        let mut rngs: Vec<StdRng> =
+            (0..size).map(|i| StdRng::seed_from_u64((round * 10 + i) as u64)).collect();
+        let before = allocations();
+        let sets = top_n_sampling_batch(&model, &refs, cfg, &mut rngs);
+        let delta = allocations() - before;
+        let returned: u64 = 1 + sets.iter().map(|set| 1 + set.len() as u64).sum::<u64>();
+        assert_eq!(delta, returned, "batch {round} of {size} allocated {delta} times");
+    }
+
+    // Part 3: one thread alternating two model shapes (the cyclic trainer
+    // alternates its d48 q2t model and d32 models on one thread) and
+    // decodes that panic midway leave the arena correct: every result
+    // equals the same decode on a fresh arena.
+    let wide = Seq2Seq::new(ModelConfig::forward_q2t(vocab), 8);
+    let src = session(9, vocab, 3);
+    for round in 0..4u64 {
+        for m in [&wide, &model] {
+            let got = top_n_sampling(m, &src, cfg, &mut StdRng::seed_from_u64(round));
+            assert_eq!(exact(&got), exact(&on_fresh_thread(m, &src, cfg, round)), "round {round}");
+        }
+        // A batch whose second source holds an out-of-vocabulary id
+        // panics after the first request's state was re-initialised and
+        // the last decode's candidates were released.
+        let bad = [vocab + 1];
+        let refs: [&[usize]; 2] = [&src, &bad];
+        let mut rngs = [StdRng::seed_from_u64(1), StdRng::seed_from_u64(2)];
+        let panicked =
+            catch_unwind(AssertUnwindSafe(|| top_n_sampling_batch(&model, &refs, cfg, &mut rngs)));
+        assert!(panicked.is_err(), "an out-of-vocabulary source must panic");
+        let got = top_n_sampling(&wide, &src, cfg, &mut StdRng::seed_from_u64(round));
+        let want = on_fresh_thread(&wide, &src, cfg, round);
+        assert_eq!(exact(&got), exact(&want), "after panic {round}");
+    }
 }

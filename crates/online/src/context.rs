@@ -70,11 +70,6 @@ impl ContextQ2Q {
         self.name = name.into();
         self
     }
-
-    /// The shared model (for decode-telemetry snapshots).
-    pub fn model(&self) -> &Seq2Seq {
-        &self.model
-    }
 }
 
 impl QueryRewriter for ContextQ2Q {

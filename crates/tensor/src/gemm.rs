@@ -62,16 +62,26 @@ thread_local! {
 /// The product of `a` and `b` in `layout`, on the fastest kernel copy the
 /// CPU supports.
 pub(crate) fn product(a: &Tensor, b: &Tensor, layout: Layout) -> Tensor {
-    product_with(a, b, layout, crate::avx2_available())
+    let mut out = Tensor::default();
+    product_into(a, b, layout, &mut out);
+    out
+}
+
+/// [`product`] written into `out` (reshaped to `m x n`, its allocation
+/// reused once it has held that many values).
+pub(crate) fn product_into(a: &Tensor, b: &Tensor, layout: Layout, out: &mut Tensor) {
+    product_with(a, b, layout, crate::avx2_available(), out);
 }
 
 /// The product on the portable kernel copy: the reference the dispatched
 /// copy is pinned against.
 pub fn product_portable(a: &Tensor, b: &Tensor, layout: Layout) -> Tensor {
-    product_with(a, b, layout, false)
+    let mut out = Tensor::default();
+    product_with(a, b, layout, false, &mut out);
+    out
 }
 
-fn product_with(a: &Tensor, b: &Tensor, layout: Layout, avx2: bool) -> Tensor {
+fn product_with(a: &Tensor, b: &Tensor, layout: Layout, avx2: bool, out: &mut Tensor) {
     // (m, k, n) of the product and the inner dimension `b` brings.
     let (m, k, n, b_k) = match layout {
         Layout::Plain => (a.rows(), a.cols(), b.cols(), b.rows()),
@@ -90,10 +100,10 @@ fn product_with(a: &Tensor, b: &Tensor, layout: Layout, avx2: bool) -> Tensor {
         Layout::TransposeA => Strided { data: a.data(), rs: 1, cs: m },
         Layout::Plain | Layout::TransposeB => Strided { data: a.data(), rs: k, cs: 1 },
     };
-    let mut out = Tensor::zeros(m, n);
+    out.resize_zeroed(m, n);
     if m == 0 || n == 0 || k == 0 {
         // Empty sums: every output keeps its `+0.0` seed.
-        return out;
+        return;
     }
     PACK.with_borrow_mut(|pack| {
         let b = Panels::pack(b.data(), layout, k, n, pack);
@@ -101,7 +111,6 @@ fn product_with(a: &Tensor, b: &Tensor, layout: Layout, avx2: bool) -> Tensor {
             run(&a, &b, row0, k, n, out_rows, avx2);
         });
     });
-    out
 }
 
 /// A read-only matrix addressed as `data[i * rs + p * cs]`.

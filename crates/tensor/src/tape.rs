@@ -180,47 +180,47 @@ impl Tape {
                     }
                 }
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, &g);
-                    accumulate(&mut grads, *b, &g);
+                    accumulate_ref(&mut grads, *a, &g);
+                    accumulate_ref(&mut grads, *b, &g);
                 }
                 Op::AddBroadcastRow(a, b) => {
-                    accumulate(&mut grads, *a, &g);
+                    accumulate_ref(&mut grads, *a, &g);
                     let mut col_sum = Tensor::zeros(1, g.cols());
                     for r in 0..g.rows() {
                         for (s, &v) in col_sum.data_mut().iter_mut().zip(g.row_slice(r)) {
                             *s += v;
                         }
                     }
-                    accumulate(&mut grads, *b, &col_sum);
+                    accumulate(&mut grads, *b, col_sum);
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, *a, &g);
-                    accumulate(&mut grads, *b, &g.scale(-1.0));
+                    accumulate_ref(&mut grads, *a, &g);
+                    accumulate(&mut grads, *b, g.scale(-1.0));
                 }
                 Op::Mul(a, b) => {
                     let va = &nodes[*a].value;
                     let vb = &nodes[*b].value;
-                    accumulate(&mut grads, *a, &g.mul(vb));
-                    accumulate(&mut grads, *b, &g.mul(va));
+                    accumulate(&mut grads, *a, g.mul(vb));
+                    accumulate(&mut grads, *b, g.mul(va));
                 }
                 Op::Affine { x, alpha } => {
-                    accumulate(&mut grads, *x, &g.scale(*alpha));
+                    accumulate(&mut grads, *x, g.scale(*alpha));
                 }
-                Op::AddConst(x) => accumulate(&mut grads, *x, &g),
+                Op::AddConst(x) => accumulate_ref(&mut grads, *x, &g),
                 Op::MatMul(a, b) => {
                     let va = &nodes[*a].value;
                     let vb = &nodes[*b].value;
-                    accumulate(&mut grads, *a, &g.matmul_transpose_b(vb));
-                    accumulate(&mut grads, *b, &va.matmul_transpose_a(&g));
+                    accumulate(&mut grads, *a, g.matmul_transpose_b(vb));
+                    accumulate(&mut grads, *b, va.matmul_transpose_a(&g));
                 }
                 Op::MatMulTransB(a, b) => {
                     // out = A B^T ; dA = G B ; dB = G^T A.
                     let va = &nodes[*a].value;
                     let vb = &nodes[*b].value;
-                    accumulate(&mut grads, *a, &g.matmul(vb));
-                    accumulate(&mut grads, *b, &g.matmul_transpose_a(va));
+                    accumulate(&mut grads, *a, g.matmul(vb));
+                    accumulate(&mut grads, *b, g.matmul_transpose_a(va));
                 }
-                Op::Transpose(x) => accumulate(&mut grads, *x, &g.transpose()),
+                Op::Transpose(x) => accumulate(&mut grads, *x, g.transpose()),
                 Op::RowSoftmax(x) => {
                     // dx_r = s_r ⊙ (g_r - <g_r, s_r>)
                     let s = &node.value;
@@ -235,7 +235,7 @@ impl Tape {
                             *d = sv * (gv - inner);
                         }
                     }
-                    accumulate(&mut grads, *x, &dx);
+                    accumulate(&mut grads, *x, dx);
                 }
                 Op::RowLogSoftmax(x) => {
                     // dx_r = g_r - exp(out_r) * sum(g_r)
@@ -251,7 +251,7 @@ impl Tape {
                             *d = gv - ov.exp() * gsum;
                         }
                     }
-                    accumulate(&mut grads, *x, &dx);
+                    accumulate(&mut grads, *x, dx);
                 }
                 Op::CrossEntropySum { logits, targets, weights, smoothing } => {
                     // d/dlogits = w * (softmax - target_distribution), where
@@ -269,7 +269,7 @@ impl Tape {
                             *v *= w * gout;
                         }
                     }
-                    accumulate(&mut grads, *logits, &dl);
+                    accumulate(&mut grads, *logits, dl);
                 }
                 Op::Relu(x) => {
                     let vx = &nodes[*x].value;
@@ -279,7 +279,7 @@ impl Tape {
                             *d = 0.0;
                         }
                     }
-                    accumulate(&mut grads, *x, &dx);
+                    accumulate(&mut grads, *x, dx);
                 }
                 Op::Sigmoid(x) => {
                     let s = &node.value;
@@ -287,7 +287,7 @@ impl Tape {
                     for (d, &sv) in dx.data_mut().iter_mut().zip(s.data()) {
                         *d *= sv * (1.0 - sv);
                     }
-                    accumulate(&mut grads, *x, &dx);
+                    accumulate(&mut grads, *x, dx);
                 }
                 Op::Tanh(x) => {
                     let t = &node.value;
@@ -295,7 +295,7 @@ impl Tape {
                     for (d, &tv) in dx.data_mut().iter_mut().zip(t.data()) {
                         *d *= 1.0 - tv * tv;
                     }
-                    accumulate(&mut grads, *x, &dx);
+                    accumulate(&mut grads, *x, dx);
                 }
                 Op::LayerNorm { x, gain, bias, normed, inv_std } => {
                     let vgain = &nodes[*gain].value;
@@ -336,18 +336,18 @@ impl Tape {
                             *d = istd / n * (n * dxh - sum_dxh - xh * sum_dxh_xh);
                         }
                     }
-                    accumulate(&mut grads, *x, &dx);
-                    accumulate(&mut grads, *gain, &dgain);
-                    accumulate(&mut grads, *bias, &dbias);
+                    accumulate(&mut grads, *x, dx);
+                    accumulate(&mut grads, *gain, dgain);
+                    accumulate(&mut grads, *bias, dbias);
                 }
                 Op::DropoutMask { x, mask } => {
-                    accumulate(&mut grads, *x, &g.mul(mask));
+                    accumulate(&mut grads, *x, g.mul(mask));
                 }
                 Op::ConcatCols(parts) => {
                     let mut off = 0;
                     for &p in parts {
                         let w = nodes[p].value.cols();
-                        accumulate(&mut grads, p, &g.slice_cols(off, w));
+                        accumulate(&mut grads, p, g.slice_cols(off, w));
                         off += w;
                     }
                 }
@@ -357,7 +357,7 @@ impl Tape {
                     for r in 0..g.rows() {
                         dx.row_slice_mut(r)[*start..start + len].copy_from_slice(g.row_slice(r));
                     }
-                    accumulate(&mut grads, *x, &dx);
+                    accumulate(&mut grads, *x, dx);
                 }
                 Op::SliceRows { x, start, len } => {
                     let vx = &nodes[*x].value;
@@ -365,13 +365,13 @@ impl Tape {
                     for r in 0..*len {
                         dx.row_slice_mut(start + r).copy_from_slice(g.row_slice(r));
                     }
-                    accumulate(&mut grads, *x, &dx);
+                    accumulate(&mut grads, *x, dx);
                 }
                 Op::StackRows(parts) => {
                     let mut off = 0;
                     for &p in parts {
                         let h = nodes[p].value.rows();
-                        accumulate(&mut grads, p, &g.slice_rows(off, h));
+                        accumulate(&mut grads, p, g.slice_rows(off, h));
                         off += h;
                     }
                 }
@@ -384,11 +384,11 @@ impl Tape {
                             *d = gv * inv;
                         }
                     }
-                    accumulate(&mut grads, *x, &dx);
+                    accumulate(&mut grads, *x, dx);
                 }
                 Op::AddN(parts) => {
                     for &p in parts {
-                        accumulate(&mut grads, p, &g);
+                        accumulate_ref(&mut grads, p, &g);
                     }
                 }
                 Op::LogSumExpScalars(parts) => {
@@ -397,7 +397,7 @@ impl Tape {
                     for &p in parts {
                         let v = nodes[p].value.item();
                         let w = if lse.is_finite() { (v - lse).exp() } else { 0.0 };
-                        accumulate(&mut grads, p, &Tensor::scalar(gout * w));
+                        accumulate(&mut grads, p, Tensor::scalar(gout * w));
                     }
                 }
             }
@@ -407,7 +407,18 @@ impl Tape {
     }
 }
 
-fn accumulate(grads: &mut [Option<Tensor>], idx: usize, delta: &Tensor) {
+/// Adds a freshly computed gradient into slot `idx`, moving it in when
+/// the slot is still empty.
+fn accumulate(grads: &mut [Option<Tensor>], idx: usize, delta: Tensor) {
+    match &mut grads[idx] {
+        Some(g) => g.add_assign(&delta),
+        slot @ None => *slot = Some(delta),
+    }
+}
+
+/// [`accumulate`] for a borrowed gradient (a node passing its own `g`
+/// through, which stays in its slot): copied only into an empty slot.
+fn accumulate_ref(grads: &mut [Option<Tensor>], idx: usize, delta: &Tensor) {
     match &mut grads[idx] {
         Some(g) => g.add_assign(delta),
         slot @ None => *slot = Some(delta.clone()),
@@ -473,10 +484,8 @@ impl<'t> Var<'t> {
     /// `alpha * x + beta` elementwise.
     pub fn affine(&self, alpha: f32, beta: f32) -> Var<'t> {
         let f = |x: &Tensor| {
-            let mut v = x.scale(alpha);
-            for x in v.data_mut() {
-                *x += beta;
-            }
+            let mut v = x.clone();
+            v.affine_in_place(alpha, beta);
             v
         };
         self.unary(f, Op::Affine { x: self.idx, alpha })
@@ -589,27 +598,13 @@ impl<'t> Var<'t> {
 
     /// Row-wise layer normalization with learned `1 x cols` gain and bias.
     pub fn layer_norm(&self, gain: Var<'t>, bias: Var<'t>) -> Var<'t> {
-        const EPS: f32 = 1e-5;
-        let x = self.value();
-        let vgain = gain.value();
-        let vbias = bias.value();
-        assert_eq!(vgain.shape(), (1, x.cols()), "layer_norm gain shape");
-        assert_eq!(vbias.shape(), (1, x.cols()), "layer_norm bias shape");
-        let n = x.cols() as f32;
-        let mut normed = Tensor::zeros(x.rows(), x.cols());
-        let mut inv_std = Vec::with_capacity(x.rows());
-        let mut out = Tensor::zeros(x.rows(), x.cols());
-        for r in 0..x.rows() {
-            let row = x.row_slice(r);
-            let mean = row.iter().sum::<f32>() / n;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-            let istd = 1.0 / (var + EPS).sqrt();
-            inv_std.push(istd);
-            for (c, &v) in row.iter().enumerate() {
-                let xh = (v - mean) * istd;
-                normed.set(r, c, xh);
-                out.set(r, c, xh * vgain.get(0, c) + vbias.get(0, c));
-            }
+        let mut out = self.value();
+        let mut normed = Tensor::default();
+        let mut inv_std = Vec::with_capacity(out.rows());
+        {
+            let nodes = self.tape.nodes.borrow();
+            let (vgain, vbias) = (&nodes[gain.idx].value, &nodes[bias.idx].value);
+            out.layer_norm_in_place(vgain, vbias, Some((&mut normed, &mut inv_std)));
         }
         self.tape.push(
             out,

@@ -11,11 +11,25 @@ use std::fmt;
 use crate::gemm::{self, Layout};
 
 /// A dense row-major matrix of `f32` values.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     rows: usize,
     cols: usize,
+}
+
+/// `clone_from` copies into the receiver's allocation: re-forking a decode
+/// cache from a template allocates nothing once the buffers have grown.
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor { data: self.data.clone(), rows: self.rows, cols: self.cols }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.rows = source.rows;
+        self.cols = source.cols;
+    }
 }
 
 impl fmt::Debug for Tensor {
@@ -212,6 +226,12 @@ impl Tensor {
         gemm::product(self, other, Layout::Plain)
     }
 
+    /// [`Tensor::matmul`] into `out`, reshaped to `m x n` and its
+    /// allocation reused.
+    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+        gemm::product_into(self, other, Layout::Plain, out);
+    }
+
     /// Matrix product with the second operand transposed:
     /// `self[m,k] @ other[n,k]^T -> [m,n]`.
     ///
@@ -237,9 +257,23 @@ impl Tensor {
     /// activation applied separately (the bias is added after the full
     /// accumulation, preserving rounding).
     pub fn matmul_bias_act(&self, w: &Tensor, bias: &Tensor, act: Activation) -> Tensor {
+        let mut out = Tensor::default();
+        self.matmul_bias_act_into(w, bias, act, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_bias_act`] into `out`, reshaped and its allocation
+    /// reused: the decode arena's one projection kernel.
+    pub fn matmul_bias_act_into(
+        &self,
+        w: &Tensor,
+        bias: &Tensor,
+        act: Activation,
+        out: &mut Tensor,
+    ) {
         assert_eq!(bias.rows, 1, "matmul_bias_act: bias must be a row vector");
         assert_eq!(bias.cols, w.cols, "matmul_bias_act: bias/weight column mismatch");
-        let mut out = self.matmul(w);
+        self.matmul_into(w, out);
         for r in 0..out.rows {
             let row = &mut out.data[r * out.cols..(r + 1) * out.cols];
             match act {
@@ -255,7 +289,52 @@ impl Tensor {
                 }
             }
         }
-        out
+    }
+
+    /// `alpha * x + beta` elementwise, in place (one rounded multiply,
+    /// then one rounded add).
+    pub fn affine_in_place(&mut self, alpha: f32, beta: f32) {
+        for x in self.data.iter_mut() {
+            *x = *x * alpha + beta;
+        }
+    }
+
+    /// Row-wise layer normalization in place: every row becomes
+    /// `(x - mean) * istd * gain + bias` with the biased variance and
+    /// `istd = 1 / sqrt(var + 1e-5)`. When `saved` is given, the
+    /// normalized `x̂` rows and each row's `istd` are written there (the
+    /// tape's backward reads them). The one layer-norm kernel behind the
+    /// tape op and the inference paths.
+    pub fn layer_norm_in_place(
+        &mut self,
+        gain: &Tensor,
+        bias: &Tensor,
+        mut saved: Option<(&mut Tensor, &mut Vec<f32>)>,
+    ) {
+        const EPS: f32 = 1e-5;
+        assert_eq!(gain.shape(), (1, self.cols), "layer_norm gain shape");
+        assert_eq!(bias.shape(), (1, self.cols), "layer_norm bias shape");
+        if let Some((normed, inv_std)) = saved.as_mut() {
+            normed.resize_zeroed(self.rows, self.cols);
+            inv_std.clear();
+        }
+        let n = self.cols as f32;
+        for r in 0..self.rows {
+            let row = self.row_slice_mut(r);
+            let mean = row.iter().sum::<f32>() / n;
+            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+            let istd = 1.0 / (var + EPS).sqrt();
+            for (c, v) in row.iter_mut().enumerate() {
+                let xh = (*v - mean) * istd;
+                if let Some((normed, _)) = saved.as_mut() {
+                    normed.set(r, c, xh);
+                }
+                *v = xh * gain.data[c] + bias.data[c];
+            }
+            if let Some((_, inv_std)) = saved.as_mut() {
+                inv_std.push(istd);
+            }
+        }
     }
 
     /// Appends one row, growing the tensor in place (amortized O(cols)).
@@ -271,6 +350,15 @@ impl Tensor {
     /// incremental [`Tensor::push_row`] growth without reallocation.
     pub fn with_row_capacity(rows_cap: usize, cols: usize) -> Tensor {
         Tensor { data: Vec::with_capacity(rows_cap * cols), rows: 0, cols }
+    }
+
+    /// Empties to `0 x cols` with room for `rows_cap` rows, keeping the
+    /// allocation when it is already that large.
+    pub fn clear_rows(&mut self, rows_cap: usize, cols: usize) {
+        self.data.clear();
+        self.data.reserve(rows_cap * cols);
+        self.rows = 0;
+        self.cols = cols;
     }
 
     /// Full transpose copy.

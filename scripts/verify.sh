@@ -13,7 +13,9 @@
 # train N steps, kill the trainer, resume from the checkpoint directory,
 # and require the resumed curve and weights to be bit-for-bit identical to
 # an uninterrupted run (plus torn-commit recovery through the fault
-# injector). Writes + validates CURVE_train_resume.json at the repo root.
+# injector). Writes + validates CURVE_train_resume.json at the repo root,
+# and fails unless the regenerated file is byte-identical to the committed
+# one (the curve is deterministic; any change to it must be deliberate).
 #
 # With --load-smoke, additionally runs the serving-runtime load generator
 # at small scale: it writes + validates BENCH_serve.json at the repo root,
@@ -79,9 +81,10 @@
 # fault-isolation suites (shard_equivalence, shard_resilience), and the
 # qrw-search unit suites (the interned index against its string-scan
 # oracle, BM25 bit-equality, fingerprint golden values) with the
-# live-catalog mutation suite, and the serve runtime's zero_alloc,
-# scheduler_invariants, runtime and trace_invariants suites a second time
-# in release mode, on the optimised code the benchmarks execute.
+# live-catalog mutation suite, the serve runtime's zero_alloc,
+# scheduler_invariants, runtime and trace_invariants suites and the
+# qrw-online unit suite (session-rewriter golden hashes) a second time in
+# release mode, on the optimised code the benchmarks execute.
 #
 # Always runs the test-inventory guard: every crates/*/src module must
 # either contain #[test]s or be exercised by that crate's integration
@@ -183,6 +186,9 @@ cargo test --release --offline -p qrw-search --lib --test mutation
 # here too.
 cargo test --release --offline -p qrw-serve --test zero_alloc --test scheduler_invariants \
   --test runtime --test trace_invariants
+# The session rewriter's determinism and golden-hash tests pin the teacher
+# decode's bytes on the optimised code the session path serves.
+cargo test --release --offline -p qrw-online --lib
 
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -194,7 +200,15 @@ fi
 
 if [ "$TRAIN_RESUME" = 1 ]; then
   echo "== train-resume (kill, resume, assert bitwise curve equality) =="
+  CURVE_BEFORE="$(mktemp)"
+  trap 'rm -f "$CURVE_BEFORE"' EXIT
+  cp CURVE_train_resume.json "$CURVE_BEFORE"
   cargo run --release --offline -p qrw-bench --bin train_resume -- --out .
+  if ! cmp -s "$CURVE_BEFORE" CURVE_train_resume.json; then
+    echo "verify.sh: CURVE_train_resume.json changed: the training curve is no longer byte-identical to the committed one" >&2
+    diff "$CURVE_BEFORE" CURVE_train_resume.json | head -20 >&2 || true
+    exit 1
+  fi
 fi
 
 if [ "$LOAD_SMOKE" = 1 ] || [ "$SHARD_SMOKE" = 1 ] || [ "$SCHED_SMOKE" = 1 ]; then
