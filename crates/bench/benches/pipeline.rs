@@ -2,6 +2,8 @@
 //! direct q2q model vs the precomputed KV cache — the latency ladder that
 //! motivates the paper's online architecture.
 
+use std::sync::Arc;
+
 use qrw_bench::experiment::{make_joint, ExperimentData, Scale};
 use qrw_bench::harness::{bench, group};
 use qrw_core::{Q2QRewriter, QueryRewriter, RewritePipeline};
@@ -24,7 +26,7 @@ fn main() {
         std::hint::black_box(pipeline.rewrite(&query, 3));
     });
 
-    let rw = Q2QRewriter::new(&q2q, vocab, 8, 2);
+    let rw = Q2QRewriter::new(Arc::new(q2q), Arc::new(vocab.clone()), 8, 2);
     bench("q2q_direct_hybrid", 1, 10, || {
         std::hint::black_box(rw.rewrite(&query, 3));
     });

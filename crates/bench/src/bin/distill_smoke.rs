@@ -23,13 +23,14 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use qrw_bench::experiment::{train_joint_model, ExperimentData, Scale};
 use qrw_bench::harness::{
     bench, group, median_regressions, validate_distill_json, BenchRecord, Derived, Sample,
 };
 use qrw_core::{
-    distill_student, DistillConfig, QueryRewriter, RewritePipeline, StudentRewriter, TrainMode,
+    distill_student, DistillConfig, Q2QRewriter, QueryRewriter, RewritePipeline, TrainMode,
 };
 use qrw_metrics::oracle;
 use qrw_nmt::{DecodeArena, QuantStudent, TransformerDecodeMode};
@@ -125,7 +126,7 @@ fn run(out_dir: &Path, work: &Path, budget: &Budget) -> Result<(), String> {
 
     // QRWT artifact round trip: v3 quantized blob + v2 f32 remainder
     // must rebuild a student with bitwise-identical logits.
-    let student = &distilled.student;
+    let student = Arc::new(distilled.student);
     let reloaded = QuantStudent::from_artifacts(
         student.config().clone(),
         &student.export_quantized(),
@@ -133,7 +134,7 @@ fn run(out_dir: &Path, work: &Path, budget: &Budget) -> Result<(), String> {
     )
     .map_err(|e| format!("artifact round trip failed: {e}"))?;
     let probe = &queries[0];
-    if step_logits_trace(student, probe) != step_logits_trace(&reloaded, probe) {
+    if step_logits_trace(&student, probe) != step_logits_trace(&reloaded, probe) {
         return Err("reloaded student logits diverge from the exporter".into());
     }
     println!("artifact round trip: v3+v2 export reloads bitwise-identically");
@@ -146,7 +147,8 @@ fn run(out_dir: &Path, work: &Path, budget: &Budget) -> Result<(), String> {
     }
     let pipeline = RewritePipeline::new(&teacher, vocab, config.k, config.top_n, config.seed)
         .with_name("distill-teacher");
-    let student_rw = StudentRewriter::new(student, vocab, config.top_n, config.seed);
+    let student_rw =
+        Q2QRewriter::new(Arc::clone(&student), Arc::new(vocab.clone()), config.top_n, config.seed);
     let verdict = oracle::human_eval(
         &data.log.catalog,
         eval.iter(),

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use qrw_bench::harness::{
     group, validate_bench_json, validate_sched_json, validate_shard_json, BenchRecord, Sample,
 };
-use qrw_core::QueryRewriter;
+use qrw_core::{Q2QRewriter, QueryRewriter};
 use qrw_nmt::{ModelConfig, Seq2Seq};
 use qrw_obs::{taxonomy, SpanRecord, Tracer};
 use qrw_search::{
@@ -45,7 +45,7 @@ use qrw_search::{
     ServingConfig, ShardFaultInjector,
 };
 use qrw_serve::{
-    synthetic_docs, BatchedQ2Q, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, Workload,
+    synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, Workload,
 };
 use qrw_text::Vocab;
 
@@ -287,7 +287,7 @@ fn build_stack(vocab: &Arc<Vocab>, head: &[Vec<String>]) -> ServeStack {
     let docs = synthetic_docs(vocab, DOCS, 11);
     let engine = Arc::new(SearchEngine::new(InvertedIndex::build(docs)));
     let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED));
-    let online = Arc::new(BatchedQ2Q::new(model, Arc::clone(vocab), 40, REWRITE_SEED));
+    let online = Arc::new(Q2QRewriter::new(model, Arc::clone(vocab), 40, REWRITE_SEED));
     let cache = Arc::new(RewriteCache::new());
     for q in head {
         cache.insert(q, online.rewrite(q, ServingConfig::default().max_rewrites));
@@ -332,7 +332,7 @@ fn build_sharded_stack(vocab: &Arc<Vocab>, head: &[Vec<String>], shards: usize) 
     let docs = synthetic_docs(vocab, DOCS, 11);
     let engine = Arc::new(SearchEngine::sharded(InvertedIndex::build(docs), shards));
     let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED));
-    let online = Arc::new(BatchedQ2Q::new(model, Arc::clone(vocab), 40, REWRITE_SEED));
+    let online = Arc::new(Q2QRewriter::new(model, Arc::clone(vocab), 40, REWRITE_SEED));
     let cache = Arc::new(RewriteCache::new());
     for q in head {
         cache.insert(q, online.rewrite(q, ServingConfig::default().max_rewrites));
@@ -448,7 +448,7 @@ fn build_traced_stack(vocab: &Arc<Vocab>, head: &[Vec<String>], tracer: &Tracer)
     let engine =
         Arc::new(SearchEngine::new(InvertedIndex::build(docs)).with_tracer(tracer.clone()));
     let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED));
-    let online = Arc::new(BatchedQ2Q::new(model, Arc::clone(vocab), 40, REWRITE_SEED));
+    let online = Arc::new(Q2QRewriter::new(model, Arc::clone(vocab), 40, REWRITE_SEED));
     let cache = Arc::new(RewriteCache::new());
     for q in head {
         cache.insert(q, online.rewrite(q, ServingConfig::default().max_rewrites));

@@ -20,13 +20,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qrw_bench::harness::{group, validate_trace_jsonl};
-use qrw_core::QueryRewriter;
+use qrw_core::{Q2QRewriter, QueryRewriter};
 use qrw_obs::{Tracer, MINTED_TRACE_BIT};
 use qrw_search::{
     DeadlineBudget, InvertedIndex, RewriteCache, SearchEngine, ServingConfig,
 };
 use qrw_serve::{
-    synthetic_docs, BatchedQ2Q, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, Workload,
+    synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, Workload,
 };
 use qrw_text::Vocab;
 
@@ -81,7 +81,7 @@ fn build_stack(vocab: &Arc<Vocab>, head: &[Vec<String>], tracer: Option<Tracer>)
         qrw_nmt::ModelConfig::tiny_transformer(vocab.len()),
         MODEL_SEED,
     ));
-    let online = Arc::new(BatchedQ2Q::new(model, Arc::clone(vocab), 40, REWRITE_SEED));
+    let online = Arc::new(Q2QRewriter::new(model, Arc::clone(vocab), 40, REWRITE_SEED));
     let cache = Arc::new(RewriteCache::new());
     for q in head {
         cache.insert(q, online.rewrite(q, ServingConfig::default().max_rewrites));

@@ -32,14 +32,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use qrw_bench::harness::{group, validate_online_json, BenchRecord, Sample};
-use qrw_core::{CheckpointStore, QueryRewriter, TrainConfig, TrainMode};
+use qrw_core::{encode_session, CheckpointStore, QueryRewriter, TrainConfig, TrainMode};
 use qrw_data::{
     generate_sessions, intent_relevance, ClickLog, LogConfig, Pair, SessionConfig,
 };
 use qrw_nmt::ModelConfig;
 use qrw_online::{
-    encode_session, FeedbackBuffer, FeedbackConfig, OnlineConfig, OnlineLoop, TickReport,
-    ONLINE_MODEL_NAME,
+    FeedbackBuffer, FeedbackConfig, OnlineConfig, OnlineLoop, TickReport, ONLINE_MODEL_NAME,
 };
 use qrw_search::{
     DeadlineBudget, InvertedIndex, ModelStore, SearchEngine, SearchResponse, SharedRewriter,

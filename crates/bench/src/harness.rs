@@ -383,6 +383,25 @@ pub fn validate_bench_json(text: &str) -> Result<BenchRecord, String> {
     Ok(record)
 }
 
+/// The prologue every record-specific validator shares: the general bench
+/// schema ([`validate_bench_json`]), the record named `bench`, and every
+/// entry in `required` present (`what` names the section in the error).
+fn validate_named(
+    text: &str,
+    bench: &str,
+    what: &str,
+    required: &[&str],
+) -> Result<BenchRecord, String> {
+    let record = validate_bench_json(text)?;
+    if record.bench != bench {
+        return Err(format!("\"bench\" is {:?}, expected {bench:?}", record.bench));
+    }
+    if let Some(name) = required.iter().find(|name| record.entry(name).is_none()) {
+        return Err(format!("missing required {what} entry {name:?}"));
+    }
+    Ok(record)
+}
+
 /// Entry names a `BENCH_mutate.json` record must carry: serve latency
 /// with a frozen vs an epoch-pinned live catalog, tail latency and epoch
 /// lifecycle counters under writer churn, and the time to recover the
@@ -403,16 +422,7 @@ pub const MUTATE_REQUIRED_ENTRIES: [&str; 8] = [
 /// contract — the record must be named `mutate` and carry every entry in
 /// [`MUTATE_REQUIRED_ENTRIES`] (extra entries are allowed).
 pub fn validate_mutate_json(text: &str) -> Result<BenchRecord, String> {
-    let record = validate_bench_json(text)?;
-    if record.bench != "mutate" {
-        return Err(format!("\"bench\" is {:?}, expected \"mutate\"", record.bench));
-    }
-    for name in MUTATE_REQUIRED_ENTRIES {
-        if record.entry(name).is_none() {
-            return Err(format!("missing required mutate entry {name:?}"));
-        }
-    }
-    Ok(record)
+    validate_named(text, "mutate", "mutate", &MUTATE_REQUIRED_ENTRIES)
 }
 
 /// Entry names the shard-scaling section of `BENCH_serve.json` must
@@ -436,16 +446,7 @@ pub const SHARD_REQUIRED_ENTRIES: [&str; 4] = [
 /// the load-generation sections, the full-sweep shard counts — are
 /// allowed).
 pub fn validate_shard_json(text: &str) -> Result<BenchRecord, String> {
-    let record = validate_bench_json(text)?;
-    if record.bench != "serve" {
-        return Err(format!("\"bench\" is {:?}, expected \"serve\"", record.bench));
-    }
-    for name in SHARD_REQUIRED_ENTRIES {
-        if record.entry(name).is_none() {
-            return Err(format!("missing required shard-scaling entry {name:?}"));
-        }
-    }
-    Ok(record)
+    validate_named(text, "serve", "shard-scaling", &SHARD_REQUIRED_ENTRIES)
 }
 
 /// Entry names the mailbox-scheduler scaling section of
@@ -481,15 +482,7 @@ pub const SCHED_REQUIRED_ENTRIES: [&str; 6] = [
 /// `validate_online_json` trajectory discipline) so a regenerated record
 /// cannot silently regress the scheduler's scaling behaviour.
 pub fn validate_sched_json(text: &str) -> Result<BenchRecord, String> {
-    let record = validate_bench_json(text)?;
-    if record.bench != "serve" {
-        return Err(format!("\"bench\" is {:?}, expected \"serve\"", record.bench));
-    }
-    for name in SCHED_REQUIRED_ENTRIES {
-        if record.entry(name).is_none() {
-            return Err(format!("missing required sched-scaling entry {name:?}"));
-        }
-    }
+    let record = validate_named(text, "serve", "sched-scaling", &SCHED_REQUIRED_ENTRIES)?;
     let p99_1 = record.entry("sched_scaling/s1_p99_vcost").expect("presence checked above");
     let p99_4 = record.entry("sched_scaling/s4_p99_vcost").expect("presence checked above");
     if p99_4.median_ns > p99_1.median_ns {
@@ -519,15 +512,7 @@ pub const DISTILL_REQUIRED_ENTRIES: [&str; 5] = [
 /// entry must carry `tokens_per_s` and its `speedup_vs` ratio against the
 /// teacher decode entry (the PR's ≥2x acceptance bar lives in that field).
 pub fn validate_distill_json(text: &str) -> Result<BenchRecord, String> {
-    let record = validate_bench_json(text)?;
-    if record.bench != "distill" {
-        return Err(format!("\"bench\" is {:?}, expected \"distill\"", record.bench));
-    }
-    for name in DISTILL_REQUIRED_ENTRIES {
-        if record.entry(name).is_none() {
-            return Err(format!("missing required distill entry {name:?}"));
-        }
-    }
+    let record = validate_named(text, "distill", "distill", &DISTILL_REQUIRED_ENTRIES)?;
     let student = record.derived("student/decode_maxlen").expect("entry checked above");
     if student.tokens_per_s.is_none() {
         return Err("\"student/decode_maxlen\" must carry \"tokens_per_s\"".into());
@@ -568,15 +553,7 @@ pub const ONLINE_REQUIRED_ENTRIES: [&str; 8] = [
 /// ISSUE's monotone-or-flat acceptance bar, re-checked at read time so a
 /// regenerated trajectory cannot silently degrade).
 pub fn validate_online_json(text: &str) -> Result<BenchRecord, String> {
-    let record = validate_bench_json(text)?;
-    if record.bench != "online" {
-        return Err(format!("\"bench\" is {:?}, expected \"online\"", record.bench));
-    }
-    for name in ONLINE_REQUIRED_ENTRIES {
-        if record.entry(name).is_none() {
-            return Err(format!("missing required online entry {name:?}"));
-        }
-    }
+    let record = validate_named(text, "online", "online", &ONLINE_REQUIRED_ENTRIES)?;
     let day0 = record.entry("day0/oracle_permille").expect("presence checked above");
     for (name, s, _) in &record.entries {
         let is_day = name.starts_with("day") && name.ends_with("/oracle_permille");

@@ -8,20 +8,19 @@
 //! [`CyclicTrainer`] (so curves, divergence sentinels and the atomic
 //! checkpoint-commit discipline all carry over), then freeze the forward
 //! student into the i8 [`QuantStudent`] whose integer microkernels serve
-//! the degradation ladder's preferred rung.
+//! the degradation ladder's preferred rung through
+//! [`Q2QRewriter`](crate::Q2QRewriter).
 
-use std::cell::RefCell;
 use std::path::Path;
 
 use qrw_data::Pair;
-use qrw_nmt::{ModelConfig, QuantStudent, Seq2Seq, TopNSampling};
-use qrw_tensor::rng::StdRng;
+use qrw_nmt::{ModelConfig, QuantStudent, Seq2Seq};
 use qrw_text::Vocab;
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::TrainConfig;
 use crate::cyclic::{CyclicTrainer, JointModel, TrainMode, TrainingCurve};
-use crate::pipeline::{hypotheses_to_rewrites, QueryRewriter, RewritePipeline};
+use crate::pipeline::RewritePipeline;
 
 /// Knobs for one distillation run.
 #[derive(Clone, Debug)]
@@ -129,54 +128,6 @@ pub fn distill_student(
     Ok(Distilled { joint, student, curve, pairs: pairs.len() })
 }
 
-/// A [`QueryRewriter`] over the quantized student — the preferred online
-/// rung of the serving degradation ladder (the teacher-backed q2q model
-/// stays behind it as the fallback).
-pub struct StudentRewriter<'m> {
-    student: &'m QuantStudent,
-    vocab: &'m Vocab,
-    pub top_n: usize,
-    rng: RefCell<StdRng>,
-    name: String,
-}
-
-impl<'m> StudentRewriter<'m> {
-    pub fn new(student: &'m QuantStudent, vocab: &'m Vocab, top_n: usize, seed: u64) -> Self {
-        StudentRewriter {
-            student,
-            vocab,
-            top_n,
-            rng: RefCell::new(StdRng::seed_from_u64(seed)),
-            name: "student-quantized".to_string(),
-        }
-    }
-
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-}
-
-impl QueryRewriter for StudentRewriter<'_> {
-    fn rewrite(&self, query: &[String], k: usize) -> Vec<Vec<String>> {
-        if query.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let ids = self.vocab.encode(query);
-        let rng = &mut *self.rng.borrow_mut();
-        let hyps = self.student.top_n_sampling(&ids, TopNSampling { k, n: self.top_n }, rng);
-        hypotheses_to_rewrites(self.vocab, &hyps, query, k)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn decode_stats(&self) -> Option<qrw_nmt::DecodeStats> {
-        Some(self.student.decode_stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,10 +212,12 @@ mod tests {
 
     #[test]
     fn student_rewriter_excludes_original_and_dedups() {
+        use crate::{Q2QRewriter, QueryRewriter};
+        use std::sync::Arc;
         let (_, vocab, _) = tiny_world();
         let model = Seq2Seq::new(ModelConfig::student(vocab.len()), 23);
-        let student = QuantStudent::from_seq2seq(&model).unwrap();
-        let rw = StudentRewriter::new(&student, &vocab, 6, 7);
+        let student = Arc::new(QuantStudent::from_seq2seq(&model).unwrap());
+        let rw = Q2QRewriter::new(student, Arc::new(vocab), 6, 7);
         assert_eq!(rw.name(), "student-quantized");
         let query: Vec<String> = vec!["t2".into(), "t6".into()];
         let rewrites = rw.rewrite(&query, 3);

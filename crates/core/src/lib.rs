@@ -9,10 +9,15 @@
 //!   convergence curves.
 //! * [`pipeline`] — the two-stage inference pipeline of §III-E/Figure 3
 //!   and the [`pipeline::QueryRewriter`] trait all rewriters implement.
-//! * [`q2q`] — the §III-G direct query→query serving model (Figure 9).
+//! * [`q2q`] — training the §III-G direct query→query serving model
+//!   (Figure 9).
 //! * [`distill`] — the distill-and-quantize fast path: the teacher
 //!   pipeline's top rewrites train a compact q2q student that serves
 //!   through the i8 integer kernels of `qrw_nmt::student`.
+//! * [`context`] — [`Q2QRewriter`], the one q2q serving rewriter over
+//!   either model (teacher or student), optionally conditioned on the
+//!   session's previous queries, with every request's sampling RNG
+//!   seeded from a hash of its context and query.
 //! * [`embed`] — SGNS embeddings standing in for the production embedding
 //!   model behind Table VII's cosine metric.
 //! * [`lm_rewriter`] — the §V GPT-style single-LM alternative
@@ -25,6 +30,7 @@
 
 pub mod checkpoint;
 pub mod config;
+pub mod context;
 pub mod cyclic;
 pub mod distill;
 pub mod embed;
@@ -36,15 +42,16 @@ pub mod q2q;
 
 pub use checkpoint::{CheckpointStore, ResumeError, TrainerState};
 pub use config::{HyperparamTable, TrainConfig};
+pub use context::{encode_session, session_hash, Q2QRewriter};
 pub use cyclic::{
     CurvePoint, CyclicTrainer, JointModel, SpikeDetector, SpikeVerdict, TrainHealthReport,
     TrainMode, TrainingCurve,
 };
-pub use distill::{distill_pairs, distill_student, DistillConfig, Distilled, StudentRewriter};
+pub use distill::{distill_pairs, distill_student, DistillConfig, Distilled};
 pub use embed::{cosine, EmbeddingModel, SgnsConfig};
 pub use fault::TrainFaultInjector;
 pub use lm_rewriter::{make_lm, train_lm, LmCorpus, LmPoint, LmRewriter, LmTrainConfig};
 pub use persist::{load_joint, load_model, save_joint, save_model, DiskSink, WriteSink};
 pub use pipeline::{hypotheses_to_rewrites, QueryRewriter, RewritePipeline, ScoredRewrite};
 pub use qrw_nmt::{thread_decode_stats, DecodeStats};
-pub use q2q::{evaluate_q2q, train_q2q, Q2QPoint, Q2QRewriter, Q2QTrainConfig};
+pub use q2q::{evaluate_q2q, train_q2q, Q2QPoint, Q2QTrainConfig};

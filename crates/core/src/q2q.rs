@@ -1,22 +1,18 @@
-//! The direct query→query serving model of §III-G.
+//! Training the direct query→query serving model of §III-G.
 //!
 //! For online latency the paper distills the two-hop pipeline into a single
 //! translation model trained on synonymous query pairs (queries sharing
 //! clicks on the same items), and further swaps the transformer decoder for
 //! an RNN decoder while keeping the transformer encoder (the "hybrid"
-//! model of Figure 9; Table V motivates the swap).
-
-use std::cell::RefCell;
+//! model of Figure 9; Table V motivates the swap). The trained model serves
+//! through [`Q2QRewriter`](crate::Q2QRewriter).
 
 use qrw_tensor::rng::StdRng;
 
 use qrw_data::Pair;
-use qrw_nmt::{top_n_sampling, Seq2Seq, TopNSampling};
+use qrw_nmt::Seq2Seq;
 use qrw_tensor::optim::{Adam, AdamConfig, NoamSchedule};
 use qrw_tensor::Tape;
-use qrw_text::Vocab;
-
-use crate::pipeline::{hypotheses_to_rewrites, QueryRewriter};
 
 /// A point on a q2q training curve (Figure 9 metrics).
 #[derive(Clone, Copy, Debug)]
@@ -145,53 +141,6 @@ pub fn evaluate_q2q(model: &Seq2Seq, eval: &[Pair], step: u64) -> Q2QPoint {
     }
 }
 
-/// A [`QueryRewriter`] over a trained q2q model (the online serving path
-/// for long-tail queries).
-pub struct Q2QRewriter<'m> {
-    model: &'m Seq2Seq,
-    vocab: &'m Vocab,
-    pub top_n: usize,
-    rng: RefCell<StdRng>,
-    name: String,
-}
-
-impl<'m> Q2QRewriter<'m> {
-    pub fn new(model: &'m Seq2Seq, vocab: &'m Vocab, top_n: usize, seed: u64) -> Self {
-        Q2QRewriter {
-            model,
-            vocab,
-            top_n,
-            rng: RefCell::new(StdRng::seed_from_u64(seed)),
-            name: "q2q-direct".to_string(),
-        }
-    }
-
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-}
-
-impl QueryRewriter for Q2QRewriter<'_> {
-    fn rewrite(&self, query: &[String], k: usize) -> Vec<Vec<String>> {
-        if query.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let ids = self.vocab.encode(query);
-        let rng = &mut *self.rng.borrow_mut();
-        let hyps = top_n_sampling(self.model, &ids, TopNSampling { k, n: self.top_n }, rng);
-        hypotheses_to_rewrites(self.vocab, &hyps, query, k)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn decode_stats(&self) -> Option<qrw_nmt::DecodeStats> {
-        Some(self.model.decode_stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,12 +181,15 @@ mod tests {
 
     #[test]
     fn rewriter_excludes_original_and_dedups() {
-        let model = Seq2Seq::new(ModelConfig::tiny_transformer(16), 23);
+        use crate::{Q2QRewriter, QueryRewriter};
+        use qrw_text::Vocab;
+        use std::sync::Arc;
+        let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(16), 23));
         let mut vocab = Vocab::new();
         for i in 0..12 {
             vocab.insert(&format!("t{i}"));
         }
-        let rw = Q2QRewriter::new(&model, &vocab, 6, 7);
+        let rw = Q2QRewriter::new(model, Arc::new(vocab), 6, 7);
         let query: Vec<String> = vec!["t2".into(), "t6".into()];
         let rewrites = rw.rewrite(&query, 3);
         assert!(rewrites.len() <= 3);

@@ -17,6 +17,7 @@ use qrw_tensor::Tensor;
 use qrw_text::{BOS, EOS, PAD, UNK};
 
 use crate::seq2seq::{DecodeRows, DecodeState, DecodeStats, Seq2Seq, StepArena};
+use crate::student::QuantStudent;
 
 /// A decoded candidate: raw token ids (no BOS/EOS) and its model log-prob
 /// `log P(tokens, EOS | src)`.
@@ -214,6 +215,77 @@ pub fn top_n_sampling_batch(
         arena.decode(model, srcs, cfg, rngs);
         (0..srcs.len()).map(|q| arena.hypotheses(q)).collect()
     })
+}
+
+/// A model the paper's top-n sampling decoder can serve: the f32
+/// [`Seq2Seq`] teacher or the i8 [`QuantStudent`]. A q2q rewriter is
+/// generic over this, so one rewriter serves either.
+pub trait TopNDecoder {
+    /// The name a rewriter over this kind of model reports by default.
+    const NAME: &'static str;
+
+    /// Top-n sampling of one source, drawing from `rng`.
+    fn top_n_sampling(&self, src: &[usize], cfg: TopNSampling, rng: &mut StdRng)
+        -> Vec<Hypothesis>;
+
+    /// Top-n sampling of independent sources, source `i` drawing from
+    /// `rngs[i]`. Each set equals the single-source call on that source
+    /// with that rng; the default is exactly that loop.
+    fn top_n_sampling_batch(
+        &self,
+        srcs: &[&[usize]],
+        cfg: TopNSampling,
+        rngs: &mut [StdRng],
+    ) -> Vec<Vec<Hypothesis>> {
+        srcs.iter().zip(rngs).map(|(src, rng)| self.top_n_sampling(src, cfg, rng)).collect()
+    }
+
+    /// Snapshot of the model's cumulative decode counters.
+    fn decode_stats(&self) -> DecodeStats;
+}
+
+impl TopNDecoder for Seq2Seq {
+    const NAME: &'static str = "q2q-direct";
+
+    fn top_n_sampling(
+        &self,
+        src: &[usize],
+        cfg: TopNSampling,
+        rng: &mut StdRng,
+    ) -> Vec<Hypothesis> {
+        top_n_sampling(self, src, cfg, rng)
+    }
+
+    /// One stacked forward per step across every source's candidates.
+    fn top_n_sampling_batch(
+        &self,
+        srcs: &[&[usize]],
+        cfg: TopNSampling,
+        rngs: &mut [StdRng],
+    ) -> Vec<Vec<Hypothesis>> {
+        top_n_sampling_batch(self, srcs, cfg, rngs)
+    }
+
+    fn decode_stats(&self) -> DecodeStats {
+        Seq2Seq::decode_stats(self)
+    }
+}
+
+impl TopNDecoder for QuantStudent {
+    const NAME: &'static str = "student-quantized";
+
+    fn top_n_sampling(
+        &self,
+        src: &[usize],
+        cfg: TopNSampling,
+        rng: &mut StdRng,
+    ) -> Vec<Hypothesis> {
+        QuantStudent::top_n_sampling(self, src, cfg, rng)
+    }
+
+    fn decode_stats(&self) -> DecodeStats {
+        QuantStudent::decode_stats(self)
+    }
 }
 
 /// One request of a teacher decode: its encoder memory and the decoder

@@ -19,7 +19,9 @@ fn matvec(lin: &QuantLinear, xq: &[i8], x_scale: f32) -> Vec<f32> {
 }
 
 fn matmul(lin: &QuantLinear, x: &Tensor) -> Tensor {
-    lin.w.matmul(x, Some(&lin.b))
+    let mut out = Tensor::default();
+    lin.w.matmul_into(x, Some(&lin.b), &mut out, &mut Vec::new());
+    out
 }
 
 fn attend_full(a: &QuantAttention, x: &Tensor) -> Tensor {

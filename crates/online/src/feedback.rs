@@ -19,13 +19,13 @@
 
 use std::collections::VecDeque;
 
+use qrw_core::encode_session;
 use qrw_data::{ClickLog, Pair};
 use qrw_obs::Tracer;
 use qrw_search::SearchResponse;
 use qrw_tensor::rng::StdRng;
 use qrw_text::Vocab;
 
-use crate::context::encode_session;
 
 /// Cascade + harvest parameters.
 #[derive(Clone, Copy, Debug)]

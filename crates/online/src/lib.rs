@@ -9,12 +9,15 @@
 //! matched intent, and the model should absorb that signal while serving
 //! never stops. This crate closes that loop in three parts:
 //!
-//! * [`context`] — [`ContextQ2Q`], the session-conditioned q2q serving
-//!   model: the user's previous in-session queries are encoded as an
-//!   `EOS`-separated prefix in front of the current query, and the
-//!   sampling RNG is a pure function of `(context, query)` so decoding
-//!   is deterministic on any worker. With an empty context it *is* the
-//!   plain q2q decode.
+//! * session-conditioned serving — the online loop serves a
+//!   [`Q2QRewriter`](qrw_core::Q2QRewriter) over the f32 model, whose
+//!   [`rewrite_with_context`](qrw_core::QueryRewriter::rewrite_with_context)
+//!   encodes the user's previous in-session queries as an `EOS`-separated
+//!   prefix in front of the current query
+//!   ([`encode_session`](qrw_core::encode_session)) and seeds
+//!   the sampling RNG from `(context, query)`, so decoding is
+//!   deterministic on any worker. With an empty context it *is* the plain
+//!   q2q decode.
 //! * [`feedback`] — [`FeedbackBuffer`], the cascade click model (shared
 //!   byte-for-byte with the A/B simulator) driven over served responses,
 //!   harvesting weighted `(session-context + query) → rewrite` training
@@ -34,10 +37,12 @@
 //!
 //! [`SessionState`]: qrw_search::SessionState
 
-pub mod context;
 pub mod feedback;
 pub mod trainer;
 
-pub use context::{encode_session, ContextQ2Q};
 pub use feedback::{ClickOutcome, FeedbackBuffer, FeedbackConfig, FeedbackStats, rank_page};
 pub use trainer::{OnlineConfig, OnlineHealth, OnlineLoop, TickReport, ONLINE_MODEL_NAME};
+
+/// The session model under its earlier name, kept for the benchmark
+/// harness.
+pub type ContextQ2Q = qrw_core::Q2QRewriter<qrw_nmt::Seq2Seq>;

@@ -9,7 +9,7 @@
 //! 2. commits a full-state checkpoint through the atomic
 //!    persist-then-publish `CheckpointStore` discipline — the snapshot
 //!    exists durably *before* any traffic can reach the new weights;
-//! 3. freezes the forward model into an immutable [`ContextQ2Q`] (a
+//! 3. freezes the forward model into an immutable [`Q2QRewriter`] (a
 //!    serialize round-trip, so the published weights share nothing
 //!    mutable with the training copy) and publishes it through the
 //!    epoch-pinned [`ModelStore`].
@@ -30,8 +30,8 @@ use std::io;
 use std::sync::Arc;
 
 use qrw_core::{
-    CheckpointStore, CyclicTrainer, JointModel, ResumeError, TrainConfig, TrainHealthReport,
-    TrainMode, TrainingCurve,
+    CheckpointStore, CyclicTrainer, JointModel, Q2QRewriter, ResumeError, TrainConfig,
+    TrainHealthReport, TrainMode, TrainingCurve,
 };
 use qrw_data::Pair;
 use qrw_nmt::{ModelConfig, Seq2Seq};
@@ -40,7 +40,6 @@ use qrw_search::{ModelStore, SwapStats};
 use qrw_tensor::serialize;
 use qrw_text::Vocab;
 
-use crate::context::ContextQ2Q;
 
 /// Published session models all carry this name, so a response's rung
 /// attribution is a pure function of the pinned epoch (the replay tests
@@ -182,12 +181,12 @@ impl OnlineLoop {
     /// Freezes the current forward weights into an immutable serving
     /// model: serialize → fresh [`Seq2Seq`] → load, so the published
     /// rewriter shares no mutable state with the training copy.
-    fn freeze(&self) -> io::Result<ContextQ2Q> {
+    fn freeze(&self) -> io::Result<Q2QRewriter<Seq2Seq>> {
         let bytes = serialize::save(self.model.forward.params());
         let frozen = Seq2Seq::new(self.config.model.clone(), self.config.rewriter_seed);
         serialize::load(frozen.params(), &bytes)
             .map_err(|e| io::Error::other(format!("freeze failed: {e:?}")))?;
-        Ok(ContextQ2Q::new(
+        Ok(Q2QRewriter::new(
             Arc::new(frozen),
             Arc::clone(&self.vocab),
             self.config.top_n,
@@ -302,7 +301,7 @@ mod tests {
     }
 
     fn baseline_store(vocab: &Arc<Vocab>, config: &OnlineConfig) -> Arc<ModelStore> {
-        let day0 = ContextQ2Q::new(
+        let day0 = Q2QRewriter::new(
             Arc::new(Seq2Seq::new(config.model.clone(), config.rewriter_seed)),
             Arc::clone(vocab),
             config.top_n,

@@ -13,8 +13,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use qrw_core::Q2QRewriter;
 use qrw_nmt::{ModelConfig, Seq2Seq};
-use qrw_online::{ContextQ2Q, ONLINE_MODEL_NAME};
+use qrw_online::ONLINE_MODEL_NAME;
 use qrw_search::{
     DeadlineBudget, InvertedIndex, ModelStore, RewriteLadder, SearchEngine, ServingConfig,
     SessionState, SharedRewriter,
@@ -48,7 +49,7 @@ fn model_pool(vocab: &Arc<Vocab>) -> Vec<SharedRewriter> {
         .iter()
         .map(|&seed| {
             Arc::new(
-                ContextQ2Q::new(
+                Q2QRewriter::new(
                     Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(20), seed)),
                     Arc::clone(vocab),
                     8,

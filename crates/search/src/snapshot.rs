@@ -557,14 +557,22 @@ mod tests {
         // construction, each epoch adds exactly one doc).
         let (store, mut writer) = CatalogWriter::bootstrap(docs());
         let stop = Arc::new(AtomicBool::new(false));
+        // The writer starts only once every reader has pinned once, so a
+        // writer that finishes before the readers are scheduled cannot
+        // leave a reader with nothing observed.
+        let started = Arc::new(std::sync::Barrier::new(5));
         let mut readers = Vec::new();
         for _ in 0..4 {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             readers.push(std::thread::spawn(move || {
                 let mut seen = 0u64;
-                while !stop.load(SeqCst) {
+                loop {
                     let pin = store.pin();
+                    if seen == 0 {
+                        started.wait();
+                    }
                     assert_eq!(
                         pin.index().live_len() as u64,
                         pin.epoch() + 3,
@@ -572,15 +580,21 @@ mod tests {
                         pin.epoch()
                     );
                     seen += 1;
+                    if stop.load(SeqCst) {
+                        break;
+                    }
                 }
                 seen
             }));
         }
+        started.wait();
         for i in 0..200 {
             writer.apply(MutationBatch::new().add_doc(toks(&format!("churn doc{i}")))).unwrap();
         }
         stop.store(true, SeqCst);
-        let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+        let seen: Vec<u64> = readers.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(seen.iter().all(|&n| n >= 1), "every reader pins at least once: {seen:?}");
+        let total: u64 = seen.iter().sum();
         assert!(total > 0);
         let stats = store.churn_stats();
         assert_eq!(stats.epochs_published, 200);

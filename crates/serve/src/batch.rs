@@ -1,165 +1,40 @@
-//! Cross-request micro-batched q2q rewriting.
+//! The serving runtime's q2q rungs and the hash it routes on.
 //!
-//! [`BatchedQ2Q`] is the runtime's online rung: the direct query→query
-//! model of §III-G, decoded with the paper's top-n sampling decoder — but
-//! over *many independent requests at once*. All live candidates of all
-//! requests advance through one stacked
-//! [`next_log_probs_multi`](Seq2Seq::next_log_probs_multi) forward per
-//! step, so a batch of N cache-miss requests costs one model call per
-//! decode step instead of N.
-//!
-//! Unlike [`Q2QRewriter`](qrw_core::Q2QRewriter), which draws from one
-//! shared `RefCell` RNG (fine on a single thread, but it makes results
-//! depend on request *order*), this rewriter derives an RNG per request
-//! from the query tokens themselves. That is what makes batching
-//! transparent: the same query always consumes the same draw sequence, no
-//! matter which requests share its batch or which worker decodes it.
+//! Both model rungs are [`Q2QRewriter`]s: the quantized student decodes
+//! each cache miss inline in its request's ladder walk, and the f32
+//! teacher, when it is the first model rung, decodes a batch's misses
+//! together through [`Q2QRewriter::rewrite_batch`] — one stacked forward
+//! per step across every request's live candidates. Every request samples
+//! from an RNG seeded by its own query tokens, so a request's draws are
+//! the same whether it is decoded alone, in any batch, or on any worker.
+//! The runtime replays the batch's output through `PrecomputedOnline`
+//! (or `PanicOnline` when the decode panicked), so each request's ladder
+//! walk is identical to a standalone serve.
 
-use std::sync::Arc;
-
-use qrw_core::{hypotheses_to_rewrites, QueryRewriter};
-use qrw_nmt::{top_n_sampling_batch, QuantStudent, Seq2Seq, TopNSampling};
-use qrw_tensor::rng::StdRng;
+use qrw_core::{Q2QRewriter, QueryRewriter};
+use qrw_nmt::{QuantStudent, Seq2Seq};
 use qrw_tensor::serialize::Fnv1a;
-use qrw_text::Vocab;
 
 /// FNV-1a over the query tokens, with a separator fold per token so
 /// `["ab","c"]` and `["a","bc"]` hash apart.
 ///
 /// This is the hash family the whole stack keys on — `RewriteCache`
 /// shard selection, `ShardedIndex` document routing, the per-query
-/// sampling RNG below, and (since the mailbox refactor) scheduler shard
-/// routing in [`AdmissionQueue`](crate::AdmissionQueue), so identical
-/// in-flight queries always meet on one shard and coalesce locally.
+/// sampling seed ([`qrw_core::session_hash`] with an empty context), and
+/// scheduler shard routing in [`AdmissionQueue`](crate::AdmissionQueue),
+/// so identical in-flight queries always meet on one shard and coalesce
+/// locally.
 pub fn fnv1a_tokens(tokens: &[String]) -> u64 {
     Fnv1a::default().tokens(tokens).finish()
 }
 
-/// A thread-safe, batch-capable q2q rewriter sharing its model and vocab
-/// read-only via `Arc` (weights are never cloned per worker).
-pub struct BatchedQ2Q {
-    model: Arc<Seq2Seq>,
-    vocab: Arc<Vocab>,
-    /// Sampling pool size per step (the paper's `n`, default 40).
-    top_n: usize,
-    /// Base seed XORed with each query's token hash.
-    seed: u64,
-    name: String,
-}
+/// The f32 teacher rung under its earlier name, kept for the benchmark
+/// harness.
+pub type BatchedQ2Q = Q2QRewriter<Seq2Seq>;
 
-impl BatchedQ2Q {
-    pub fn new(model: Arc<Seq2Seq>, vocab: Arc<Vocab>, top_n: usize, seed: u64) -> Self {
-        BatchedQ2Q { model, vocab, top_n, seed, name: "q2q-batched".to_string() }
-    }
-
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// The per-request sampling RNG: a pure function of the query, so a
-    /// request's draws are identical whether it is decoded alone or in any
-    /// batch.
-    fn request_rng(&self, query: &[String]) -> StdRng {
-        StdRng::seed_from_u64(self.seed ^ fnv1a_tokens(query))
-    }
-
-    /// Rewrites every query in one micro-batched decode: one stacked
-    /// forward per step across all queries' live candidates. Returns one
-    /// rewrite set per query, in order; empty queries (or `k == 0`) yield
-    /// empty sets without touching the model.
-    pub fn rewrite_batch(&self, queries: &[&[String]], k: usize) -> Vec<Vec<Vec<String>>> {
-        let mut out: Vec<Vec<Vec<String>>> = vec![Vec::new(); queries.len()];
-        if k == 0 {
-            return out;
-        }
-        let mut idxs: Vec<usize> = Vec::new();
-        let mut ids: Vec<Vec<usize>> = Vec::new();
-        let mut rngs: Vec<StdRng> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            if q.is_empty() {
-                continue;
-            }
-            idxs.push(i);
-            ids.push(self.vocab.encode(q));
-            rngs.push(self.request_rng(q));
-        }
-        if idxs.is_empty() {
-            return out;
-        }
-        let srcs: Vec<&[usize]> = ids.iter().map(Vec::as_slice).collect();
-        let cfg = TopNSampling { k, n: self.top_n };
-        let hyp_sets = top_n_sampling_batch(&self.model, &srcs, cfg, &mut rngs);
-        for (&i, hyps) in idxs.iter().zip(&hyp_sets) {
-            out[i] = hypotheses_to_rewrites(&self.vocab, hyps, queries[i], k);
-        }
-        out
-    }
-}
-
-impl QueryRewriter for BatchedQ2Q {
-    /// A single request is just a batch of one — same code path, same
-    /// per-query RNG, hence the same result the batched path produces.
-    fn rewrite(&self, query: &[String], k: usize) -> Vec<Vec<String>> {
-        self.rewrite_batch(&[query], k).pop().expect("one query in, one set out")
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn decode_stats(&self) -> Option<qrw_nmt::DecodeStats> {
-        Some(self.model.decode_stats())
-    }
-}
-
-/// The quantized-student serving rung: thread-safe like [`BatchedQ2Q`]
-/// (per-query RNG derived from the query tokens, shared weights behind
-/// `Arc`s), but decoding one request at a time. Each worker thread
-/// decodes through the student's per-thread arena, so a warm request
-/// allocates only its returned hypotheses; the k candidates still step
-/// one at a time (stacking them, and requests, into one pass is open).
-pub struct StudentOnline {
-    student: Arc<QuantStudent>,
-    vocab: Arc<Vocab>,
-    /// Sampling pool size per step (the paper's `n`).
-    top_n: usize,
-    /// Base seed XORed with each query's token hash.
-    seed: u64,
-    name: String,
-}
-
-impl StudentOnline {
-    pub fn new(student: Arc<QuantStudent>, vocab: Arc<Vocab>, top_n: usize, seed: u64) -> Self {
-        StudentOnline { student, vocab, top_n, seed, name: "student-quantized".to_string() }
-    }
-
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-}
-
-impl QueryRewriter for StudentOnline {
-    fn rewrite(&self, query: &[String], k: usize) -> Vec<Vec<String>> {
-        if query.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let ids = self.vocab.encode(query);
-        let mut rng = StdRng::seed_from_u64(self.seed ^ fnv1a_tokens(query));
-        let hyps =
-            self.student.top_n_sampling(&ids, TopNSampling { k, n: self.top_n }, &mut rng);
-        hypotheses_to_rewrites(&self.vocab, &hyps, query, k)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn decode_stats(&self) -> Option<qrw_nmt::DecodeStats> {
-        Some(self.student.decode_stats())
-    }
-}
+/// The quantized student rung under its earlier name, kept for the
+/// benchmark harness.
+pub type StudentOnline = Q2QRewriter<QuantStudent>;
 
 /// The online rung handed to the ladder for a request whose rewrites
 /// were already produced by the teacher's batch decode: replays the
@@ -214,6 +89,8 @@ impl QueryRewriter for PanicOnline {
 mod tests {
     use super::*;
     use qrw_nmt::ModelConfig;
+    use qrw_text::Vocab;
+    use std::sync::Arc;
 
     fn setup() -> (Arc<Seq2Seq>, Arc<Vocab>) {
         let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(20), 41));
@@ -234,7 +111,7 @@ mod tests {
         let rw = BatchedQ2Q::new(model, vocab, 8, 7);
         let q = toks("w2 w5");
         let single = rw.rewrite(&q, 3);
-        let batched = rw.rewrite_batch(&[&q], 3).pop().unwrap();
+        let batched = rw.rewrite_batch(&[q.as_slice()], 3).pop().unwrap();
         assert_eq!(single, batched);
     }
 
@@ -246,10 +123,10 @@ mod tests {
         let b = toks("w9");
         let c = toks("w1 w3 w4");
         let alone: Vec<_> = [&a, &b, &c].iter().map(|q| rw.rewrite(q, 3)).collect();
-        let together = rw.rewrite_batch(&[&a, &b, &c], 3);
+        let together = rw.rewrite_batch(&[a.as_slice(), b.as_slice(), c.as_slice()], 3);
         assert_eq!(alone, together);
         // A different batch mix still yields the same per-query output.
-        let pair = rw.rewrite_batch(&[&c, &a], 3);
+        let pair = rw.rewrite_batch(&[c.as_slice(), a.as_slice()], 3);
         assert_eq!(pair[0], alone[2]);
         assert_eq!(pair[1], alone[0]);
     }
@@ -260,10 +137,11 @@ mod tests {
         let rw = BatchedQ2Q::new(model, vocab, 8, 7);
         let q = toks("w2");
         let empty: Vec<String> = Vec::new();
-        let out = rw.rewrite_batch(&[&empty, &q], 3);
+        let out = rw.rewrite_batch(&[empty.as_slice(), q.as_slice()], 3);
+        assert_eq!(out.len(), 2);
         assert!(out[0].is_empty());
-        assert!(!out[1].is_empty() || out[1].is_empty()); // well-formed either way
-        assert!(rw.rewrite_batch(&[&q], 0).pop().unwrap().is_empty());
+        assert_eq!(out[1], rw.rewrite(&q, 3));
+        assert!(rw.rewrite_batch(&[q.as_slice()], 0).pop().unwrap().is_empty());
     }
 
     #[test]
@@ -293,6 +171,11 @@ mod tests {
     fn token_hash_separates_token_boundaries() {
         assert_ne!(fnv1a_tokens(&toks("ab c")), fnv1a_tokens(&toks("a bc")));
         assert_eq!(fnv1a_tokens(&toks("a b")), fnv1a_tokens(&toks("a b")));
+        // The per-request sampling seed of a context-free request.
+        assert_eq!(
+            fnv1a_tokens(&toks("red shoes")),
+            qrw_core::session_hash(&[], &toks("red shoes"))
+        );
     }
 
     /// Pins the hash's output: it seeds the per-query sampling RNG and

@@ -19,13 +19,15 @@
 //!   max-wait-ticks policy per shard) and steal the oldest backlog from
 //!   sibling shards when their home runs dry (`std::thread::scope`,
 //!   model shared read-only via `Arc`);
-//! * [`batch`] — [`BatchedQ2Q`], the cross-request online rewriter: when
-//!   it is the first model rung, all KV-cache-miss requests of a batch
-//!   decode *together* through one stacked
+//! * [`batch`] — the rungs that replay the teacher's batched decode, and
+//!   the FNV-1a token hash the runtime routes on. Both model rungs are
+//!   [`Q2QRewriter`](qrw_core::Q2QRewriter)s: the quantized distilled
+//!   student answers each cache miss inline in its ladder walk, ahead of
+//!   the teacher; when the teacher is the first model rung, all
+//!   KV-cache-miss requests of a batch decode *together* through one
+//!   stacked
 //!   [`next_log_probs_multi`](qrw_nmt::seq2seq::Seq2Seq::next_log_probs_multi)
-//!   forward per step; and [`StudentOnline`], the quantized distilled
-//!   student that answers each cache miss inline in its ladder walk,
-//!   ahead of the teacher;
+//!   forward per step;
 //! * [`workload`] — deterministic seeded request mixes (KV-hit-heavy head
 //!   + decode-heavy tail) for the load-generation bench.
 //!
@@ -40,7 +42,7 @@
 //!    its batch neighbours (row-independent matmul accumulation,
 //!    per-candidate attention over its own KV cache, row-wise norms and
 //!    softmax), so batch composition never changes a row's bits;
-//! 2. [`BatchedQ2Q`] derives its sampling RNG per request from the query
+//! 2. the q2q rewriter derives its sampling RNG per request from the query
 //!    itself (FNV-1a of the tokens XOR a base seed), so the draw sequence
 //!    does not depend on which requests share a batch, which worker runs
 //!    it, or in what order batches drain.

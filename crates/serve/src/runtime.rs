@@ -17,7 +17,7 @@
 //! The one pre-pass is the teacher's: when the batch-capable teacher is
 //! the first model rung (no student, no model store), the batch's cache
 //! misses are decoded *together* through one
-//! [`BatchedQ2Q::rewrite_batch`] call and the output is replayed as each
+//! [`Q2QRewriter::rewrite_batch`] call and the output is replayed as each
 //! request's online rung. A student-bearing stack serves its misses
 //! inline through the student rung (the teacher, behind it, decodes
 //! inline too), and a session stack serves each request's pinned model
@@ -62,7 +62,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use qrw_core::{thread_decode_stats, QueryRewriter};
+use qrw_core::{thread_decode_stats, Q2QRewriter, QueryRewriter};
+use qrw_nmt::{QuantStudent, Seq2Seq};
 use qrw_obs::taxonomy::{BATCH_FORM, MAILBOX_ENQUEUE, STEAL};
 use qrw_obs::SpanGuard;
 use qrw_search::{
@@ -71,7 +72,7 @@ use qrw_search::{
 };
 use qrw_tensor::sync::Mutex;
 
-use crate::batch::{BatchedQ2Q, PanicOnline, PrecomputedOnline, StudentOnline};
+use crate::batch::{PanicOnline, PrecomputedOnline};
 use crate::queue::{AdmissionQueue, BatchBuf, Pending, ResponseSlot};
 
 /// Scheduler and pool knobs.
@@ -133,11 +134,11 @@ pub struct ServeStack {
     /// Rung 2: the quantized distilled student — the preferred online
     /// model, decoding each cache miss inline in the request's ladder
     /// walk.
-    pub student: Option<Arc<StudentOnline>>,
+    pub student: Option<Arc<Q2QRewriter<QuantStudent>>>,
     /// Rung 3: the batch-capable online model (the teacher-backed
     /// fallback behind the student). As the first model rung its misses
     /// are decoded together per batch; behind a student it decodes inline.
-    pub online: Option<Arc<BatchedQ2Q>>,
+    pub online: Option<Arc<Q2QRewriter<Seq2Seq>>>,
     /// Rung 4: the rule-based fallback.
     pub baseline: Option<Arc<dyn QueryRewriter + Send + Sync>>,
     /// The hot-swappable session-model store. When present the runtime
@@ -490,12 +491,12 @@ impl Runtime {
     /// The teacher's pre-pass over a batch's live requests: plans which
     /// requests miss the rewrite cache (mirroring ladder rung 1 without
     /// touching the hit/miss counters — the serve pass counts), decodes
-    /// every miss in one stacked [`BatchedQ2Q::rewrite_batch`], and
+    /// every miss in one stacked [`Q2QRewriter::rewrite_batch`], and
     /// returns each request's replayed online rung (`None` when the cache
     /// serves it).
     fn teacher_prepass(
         &self,
-        teacher: &BatchedQ2Q,
+        teacher: &Q2QRewriter<Seq2Seq>,
         live: &[Pending],
         mut batch_span: Option<&mut SpanGuard>,
     ) -> Vec<Option<Box<dyn QueryRewriter>>> {
@@ -504,7 +505,7 @@ impl Runtime {
             .map(|p| plan_online(&p.query, self.stack.cache.as_deref(), &self.config.serving))
             .collect();
         // Identical in-flight queries coalesce into a single decode slot:
-        // `BatchedQ2Q` rewrites are a pure function of the query (the
+        // `Q2QRewriter` rewrites are a pure function of the query (the
         // sampling RNG is derived from the query tokens), so sharing one
         // decode across duplicates returns bit-for-bit what each would
         // have produced alone. FNV shard routing sends duplicates to the

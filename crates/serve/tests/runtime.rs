@@ -5,15 +5,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use qrw_core::QueryRewriter;
+use qrw_core::{Q2QRewriter, QueryRewriter};
 use qrw_nmt::{ModelConfig, Seq2Seq};
 use qrw_search::{
     DeadlineBudget, InvertedIndex, RewriteCache, RewriteLadder, SearchEngine, ServeError,
     ServingConfig,
 };
 use qrw_serve::{
-    synthetic_docs, BatchedQ2Q, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack,
-    StudentOnline, Workload,
+    synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, Workload,
 };
 use qrw_text::Vocab;
 
@@ -47,7 +46,7 @@ fn stack(vocab: &Arc<Vocab>, head: &[Vec<String>]) -> ServeStack {
     let docs = synthetic_docs(vocab, 60, 11);
     let engine = Arc::new(SearchEngine::new(InvertedIndex::build(docs)));
     let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED));
-    let online = Arc::new(BatchedQ2Q::new(model, Arc::clone(vocab), 8, REWRITE_SEED));
+    let online = Arc::new(Q2QRewriter::new(model, Arc::clone(vocab), 8, REWRITE_SEED));
     let cache = Arc::new(RewriteCache::new());
     for q in head {
         // Precompute the head's rewrites with the same model, as the
@@ -401,7 +400,7 @@ fn stack_with_student(vocab: &Arc<Vocab>, head: &[Vec<String>]) -> ServeStack {
     let model = Seq2Seq::new(ModelConfig::student(vocab.len()), MODEL_SEED + 1);
     let student = qrw_nmt::QuantStudent::from_seq2seq(&model).expect("transformer student");
     s.student =
-        Some(Arc::new(StudentOnline::new(Arc::new(student), Arc::clone(vocab), 8, REWRITE_SEED)));
+        Some(Arc::new(Q2QRewriter::new(Arc::new(student), Arc::clone(vocab), 8, REWRITE_SEED)));
     s
 }
 

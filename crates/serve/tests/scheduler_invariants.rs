@@ -23,12 +23,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use qrw_core::QueryRewriter;
+use qrw_core::{Q2QRewriter, QueryRewriter};
 use qrw_nmt::{ModelConfig, Seq2Seq};
 use qrw_search::{DeadlineBudget, InvertedIndex, RewriteCache, SearchEngine, ServeError};
 use qrw_serve::{
-    synthetic_docs, BatchedQ2Q, MixConfig, Outcome, Runtime, RuntimeConfig, SchedFaults,
-    ServeStack, Workload,
+    synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, SchedFaults, ServeStack,
+    Workload,
 };
 use qrw_text::Vocab;
 
@@ -61,7 +61,7 @@ fn fresh_stack(vocab: &Arc<Vocab>, head: &[Vec<String>]) -> ServeStack {
     let docs = synthetic_docs(vocab, 60, 11);
     let engine = Arc::new(SearchEngine::new(InvertedIndex::build(docs)));
     let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED));
-    let online = Arc::new(BatchedQ2Q::new(model, Arc::clone(vocab), 8, REWRITE_SEED));
+    let online = Arc::new(Q2QRewriter::new(model, Arc::clone(vocab), 8, REWRITE_SEED));
     let cache = Arc::new(RewriteCache::new());
     for q in head {
         cache.insert(q, online.rewrite(q, 3));

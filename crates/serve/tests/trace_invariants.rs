@@ -21,21 +21,19 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use qrw_core::{CheckpointStore, QueryRewriter};
+use qrw_core::{CheckpointStore, Q2QRewriter, QueryRewriter};
 use qrw_data::{ClickLog, LogConfig};
 use qrw_nmt::{ModelConfig, QuantStudent, Seq2Seq};
 use qrw_obs::{canonical_structure, taxonomy, SpanRecord, Tracer, MINTED_TRACE_BIT};
-use qrw_online::{
-    ContextQ2Q, FeedbackBuffer, FeedbackConfig, OnlineConfig, OnlineLoop, ONLINE_MODEL_NAME,
-};
+use qrw_online::{FeedbackBuffer, FeedbackConfig, OnlineConfig, OnlineLoop, ONLINE_MODEL_NAME};
 use qrw_search::{
     DeadlineBudget, Fault, FaultConfig, FaultInjector, InvertedIndex, ModelStore, RewriteCache,
     RewriteLadder, SearchEngine, ServeError, ServingConfig, SessionState, ShardFaultInjector,
     SharedRewriter,
 };
 use qrw_serve::{
-    synthetic_docs, BatchedQ2Q, MixConfig, Outcome, Runtime, RuntimeConfig, SchedFaults,
-    ServeStack, SessionMix, StudentOnline, Workload,
+    synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, SchedFaults, ServeStack,
+    SessionMix, Workload,
 };
 use qrw_text::Vocab;
 
@@ -69,7 +67,7 @@ fn traced_stack(vocab: &Arc<Vocab>, head: &[Vec<String>]) -> (ServeStack, Tracer
     let engine =
         Arc::new(SearchEngine::new(InvertedIndex::build(docs)).with_tracer(tracer.clone()));
     let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED));
-    let online = Arc::new(BatchedQ2Q::new(model, Arc::clone(vocab), 8, REWRITE_SEED));
+    let online = Arc::new(Q2QRewriter::new(model, Arc::clone(vocab), 8, REWRITE_SEED));
     let cache = Arc::new(RewriteCache::new());
     for q in head {
         cache.insert(q, online.rewrite(q, 3));
@@ -91,7 +89,7 @@ fn traced_student_stack(vocab: &Arc<Vocab>, head: &[Vec<String>]) -> (ServeStack
     let model = Seq2Seq::new(ModelConfig::student(vocab.len()), MODEL_SEED + 1);
     let student = QuantStudent::from_seq2seq(&model).expect("transformer student");
     stack.student =
-        Some(Arc::new(StudentOnline::new(Arc::new(student), Arc::clone(vocab), 8, REWRITE_SEED)));
+        Some(Arc::new(Q2QRewriter::new(Arc::new(student), Arc::clone(vocab), 8, REWRITE_SEED)));
     (stack, tracer)
 }
 
@@ -359,7 +357,7 @@ fn traced_sharded_stack(vocab: &Arc<Vocab>, head: &[Vec<String>]) -> (ServeStack
         SearchEngine::sharded(InvertedIndex::build(docs), SHARDS).with_tracer(tracer.clone()),
     );
     let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED));
-    let online = Arc::new(BatchedQ2Q::new(model, Arc::clone(vocab), 8, REWRITE_SEED));
+    let online = Arc::new(Q2QRewriter::new(model, Arc::clone(vocab), 8, REWRITE_SEED));
     let cache = Arc::new(RewriteCache::new());
     for q in head {
         cache.insert(q, online.rewrite(q, 3));
@@ -532,7 +530,7 @@ fn injected_q2q_faults_appear_as_rung_outcomes_in_well_formed_traces() {
     let tracer = Tracer::logical();
     let engine = SearchEngine::new(InvertedIndex::build(docs)).with_tracer(tracer.clone());
     let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED));
-    let online = BatchedQ2Q::new(model, Arc::clone(&vocab), 8, REWRITE_SEED);
+    let online = Q2QRewriter::new(model, Arc::clone(&vocab), 8, REWRITE_SEED);
     let baseline = FixedBaseline;
     let cfg = ServingConfig::default();
     let query = vec!["w3".to_string(), "w7".to_string()];
@@ -620,7 +618,7 @@ fn traced_session_stack(vocab: &Arc<Vocab>) -> (ServeStack, Tracer, Arc<ModelSto
         Arc::new(SearchEngine::new(InvertedIndex::build(docs)).with_tracer(tracer.clone()));
     let model = Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED));
     let day0: SharedRewriter = Arc::new(
-        ContextQ2Q::new(model, Arc::clone(vocab), 8, REWRITE_SEED).with_name(ONLINE_MODEL_NAME),
+        Q2QRewriter::new(model, Arc::clone(vocab), 8, REWRITE_SEED).with_name(ONLINE_MODEL_NAME),
     );
     let store = ModelStore::new(day0);
     let stack = ServeStack {
@@ -709,7 +707,7 @@ fn session_requests_pin_exactly_one_model_epoch() {
             MODEL_SEED ^ 0xdead,
         ));
         let swapped: SharedRewriter = Arc::new(
-            ContextQ2Q::new(next, Arc::clone(&vocab), 8, REWRITE_SEED)
+            Q2QRewriter::new(next, Arc::clone(&vocab), 8, REWRITE_SEED)
                 .with_name(ONLINE_MODEL_NAME),
         );
         assert_eq!(store.publish(swapped), expected_epoch + 1);
@@ -820,7 +818,7 @@ fn feedback_train_tick_and_model_swap_spans_carry_their_attrs() {
 
     // One training tick over the harvest, published through the store.
     let day0: SharedRewriter = Arc::new(
-        ContextQ2Q::new(
+        Q2QRewriter::new(
             Arc::new(Seq2Seq::new(ModelConfig::tiny_transformer(vocab.len()), MODEL_SEED)),
             Arc::clone(&vocab),
             8,

@@ -3,7 +3,7 @@
 //! The distilled q2q student decodes through these kernels instead of the
 //! f32 register-tiled GEMM in [`crate::gemm`]. The design choices are all
 //! in service of two bars: speed (≥2× tokens/s over the f32 KV-cached
-//! teacher) and bitwise determinism across runs *and* thread counts.
+//! teacher) and bitwise determinism across runs *and* threads.
 //!
 //! * **Per-row symmetric scales.** A weight matrix is stored transposed
 //!   (`d_out × d_in`) with one `f32` scale per output row:
@@ -16,10 +16,8 @@
 //!   `acc * scale_x * scale_w + bias` epilogue per output element. No
 //!   per-element dequantization, no f32 in the loop at all.
 //! * **Determinism for free.** Integer addition is associative, so any
-//!   chunking, vectorization, or row split across threads produces the
-//!   same `i32` accumulator bit-for-bit; the f32 epilogue runs in a fixed
-//!   per-element order. This is why the quantized path can be
-//!   row-parallel without the care [`crate::tensor`] needs.
+//!   chunking or vectorization produces the same `i32` accumulator
+//!   bit-for-bit; the f32 epilogue runs in a fixed per-element order.
 //! * **Explicit SIMD with a scalar twin.** On x86-64 with AVX2 the
 //!   matvec and attention-score row loops run a `vpmovsxbw` +
 //!   `vpmaddwd` kernel (sign-extend both operands to i16, multiply-add
@@ -34,7 +32,6 @@
 //!   operations per lane in the same order, with no FMA.
 
 use crate::avx2_available;
-use crate::gemm::PAR_MIN_WORK;
 use crate::tensor::Tensor;
 
 /// AVX2 row kernels. Everything here computes bit-identical `i32`
@@ -585,28 +582,12 @@ impl QuantizedMatrix {
     }
 
     /// `Y = q(X) · Wᵀ + bias` over all rows of `x`, quantizing each
-    /// activation row dynamically. Row count above the parallel work
-    /// threshold splits rows across threads — bitwise identical to the
-    /// serial result because each output row's computation is
-    /// self-contained and the inner accumulation is integer.
-    pub fn matmul(&self, x: &Tensor, bias: Option<&[f32]>) -> Tensor {
-        let threads = self.matmul_threads(x.rows());
-        self.matmul_with_threads(x, bias, threads)
-    }
-
-    fn matmul_threads(&self, m: usize) -> usize {
-        let work = m * self.rows * self.cols;
-        if m < 2 || work < PAR_MIN_WORK {
-            return 1;
-        }
-        std::thread::available_parallelism().map_or(1, |p| p.get()).min(m)
-    }
-
-    /// [`QuantizedMatrix::matmul`] on one thread into caller-owned
-    /// buffers: `out` is reshaped to `x.rows() x self.rows()` and `xq`
-    /// holds each quantized activation row, both reusing their
-    /// allocations — the student's encoder and cross-attention
-    /// projections run through this allocation-free once warm.
+    /// activation row dynamically, into caller-owned buffers: `out` is
+    /// reshaped to `x.rows() x self.rows()` and `xq` holds each quantized
+    /// activation row, both reusing their allocations — the student's
+    /// encoder and cross-attention projections run through this
+    /// allocation-free once warm. Each output row is self-contained and
+    /// its inner accumulation is integer.
     pub fn matmul_into(
         &self,
         x: &Tensor,
@@ -617,58 +598,10 @@ impl QuantizedMatrix {
         assert_eq!(x.cols(), self.cols, "input width mismatch");
         out.resize_zeroed(x.rows(), self.rows);
         xq.resize(self.cols, 0);
-        self.matmul_rows(x, 0..x.rows(), bias, out.data_mut(), xq);
-    }
-
-    /// Rows `rows` of `x` into the matching `out_rows` (row-major
-    /// `rows.len() x self.rows`), quantizing each through `xq`.
-    fn matmul_rows(
-        &self,
-        x: &Tensor,
-        rows: std::ops::Range<usize>,
-        bias: Option<&[f32]>,
-        out_rows: &mut [f32],
-        xq: &mut [i8],
-    ) {
-        for (chunk, r) in out_rows.chunks_mut(self.rows).zip(rows) {
+        for (r, chunk) in out.data_mut().chunks_mut(self.rows).enumerate() {
             let s = quantize_row_into(x.row_slice(r), xq);
             self.matvec_quantized(xq, s, bias, chunk);
         }
-    }
-
-    /// [`QuantizedMatrix::matmul`] with an explicit thread count — the
-    /// determinism property tests drive 1 vs N directly through this.
-    pub fn matmul_with_threads(&self, x: &Tensor, bias: Option<&[f32]>, threads: usize) -> Tensor {
-        let m = x.rows();
-        assert_eq!(x.cols(), self.cols, "input width mismatch");
-        let mut out = Tensor::zeros(m, self.rows);
-        let run_rows = |rows: std::ops::Range<usize>, out_rows: &mut [f32]| {
-            self.matmul_rows(x, rows, bias, out_rows, &mut vec![0; self.cols]);
-        };
-        if threads <= 1 || m < 2 {
-            run_rows(0..m, out.data_mut());
-            return out;
-        }
-        let threads = threads.min(m);
-        let chunk_rows = m.div_ceil(threads);
-        let mut slices: Vec<(usize, &mut [f32])> = Vec::with_capacity(threads);
-        let mut rest = out.data_mut();
-        let mut row0 = 0usize;
-        while row0 < m {
-            let take = chunk_rows.min(m - row0) * self.rows;
-            let (head, tail) = rest.split_at_mut(take);
-            slices.push((row0, head));
-            rest = tail;
-            row0 += chunk_rows;
-        }
-        std::thread::scope(|scope| {
-            for (start, chunk) in slices {
-                let rows = start..(start + chunk.len() / self.rows);
-                let run = &run_rows;
-                scope.spawn(move || run(rows, chunk));
-            }
-        });
-        out
     }
 }
 
@@ -826,13 +759,20 @@ mod tests {
         }
     }
 
+    /// [`QuantizedMatrix::matmul_into`] into fresh buffers.
+    fn quant_matmul(q: &QuantizedMatrix, x: &Tensor, bias: Option<&[f32]>) -> Tensor {
+        let mut out = Tensor::default();
+        q.matmul_into(x, bias, &mut out, &mut Vec::new());
+        out
+    }
+
     #[test]
     fn quantized_matmul_tracks_f32_matmul() {
         let x = random_tensor(4, 32, 11);
         let w = random_tensor(32, 16, 13);
         let exact = x.matmul(&w);
         let q = QuantizedMatrix::from_weight(&w);
-        let approx = q.matmul(&x, None);
+        let approx = quant_matmul(&q, &x, None);
         assert_eq!(approx.shape(), exact.shape());
         for r in 0..4 {
             for c in 0..16 {
@@ -849,24 +789,12 @@ mod tests {
         let w = random_tensor(8, 4, 19);
         let bias = [1.0f32, -2.0, 0.5, 0.0];
         let q = QuantizedMatrix::from_weight(&w);
-        let plain = q.matmul(&x, None);
-        let biased = q.matmul(&x, Some(&bias));
+        let plain = quant_matmul(&q, &x, None);
+        let biased = quant_matmul(&q, &x, Some(&bias));
         for r in 0..2 {
             for (c, &b) in bias.iter().enumerate() {
                 assert_eq!(biased.get(r, c), plain.get(r, c) + b);
             }
-        }
-    }
-
-    #[test]
-    fn thread_split_is_bitwise_identical() {
-        let x = random_tensor(32, 48, 23);
-        let w = random_tensor(48, 24, 29);
-        let q = QuantizedMatrix::from_weight(&w);
-        let serial = q.matmul_with_threads(&x, None, 1);
-        for threads in [2, 3, 4, 7] {
-            let par = q.matmul_with_threads(&x, None, threads);
-            assert_eq!(serial, par, "{threads} threads diverged");
         }
     }
 

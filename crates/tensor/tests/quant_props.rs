@@ -1,7 +1,7 @@
 //! Property tests for the i8 quantization path (`qrw_tensor::quant`):
 //! round-trip error bounds derived from the per-row scale, saturation
 //! edge cases at the i8 boundary, and bitwise determinism of the
-//! quantized matmul across thread counts — the properties the distilled
+//! quantized matmul across reused buffers — the properties the distilled
 //! student's serving guarantees rest on.
 
 use qrw_tensor::quant::{dot_i8, quantize_row, QuantizedMatrix, QuantizedRows};
@@ -77,7 +77,9 @@ fn saturation_edges() {
     assert_eq!(s, 0.0);
     assert!(q.iter().all(|&v| v == 0));
     let m = QuantizedMatrix::from_rows(&Tensor::zeros(3, 8));
-    let y = m.matmul(&random_tensor(2, 8, 10, 1.0), None);
+    let mut y = Tensor::default();
+    m.matmul_into(&random_tensor(2, 8, 10, 1.0), None, &mut y, &mut Vec::new());
+    assert_eq!(y.shape(), (2, 3));
     assert!(y.data().iter().all(|&v| v == 0.0));
 
     // No code ever reaches -128 across a magnitude sweep.
@@ -102,36 +104,26 @@ fn integer_accumulation_never_overflows_at_model_widths() {
     assert_eq!(dot_i8(&a, &c), -127 * 127 * n as i32);
 }
 
-/// Bitwise determinism across thread counts: the integer inner loop is
-/// associative and the f32 epilogue is per-element, so a 4-thread (or
-/// any-thread) row split must equal the single-thread result exactly —
-/// not approximately.
+/// Bitwise determinism across reused buffers: the integer inner loop is
+/// exact and the f32 epilogue is per-element, so a warm `out`/`xq` pair
+/// left dirty by a differently shaped product must give exactly the bits
+/// of fresh buffers — not approximately.
 #[test]
-fn quantized_matmul_bitwise_deterministic_across_threads() {
+fn quantized_matmul_into_warm_buffers_is_bitwise_deterministic() {
+    let (mut out, mut xq) = (Tensor::default(), Vec::new());
     for (rows, cols, outs, seed) in [(1usize, 64usize, 3000usize, 1u64), (64, 48, 96, 2), (7, 33, 17, 3)] {
         let x = random_tensor(rows, cols, seed, 1.0);
         let w = random_tensor(cols, outs, seed + 100, 0.5);
         let q = QuantizedMatrix::from_weight(&w);
         let bias: Vec<f32> = (0..outs).map(|i| (i as f32).sin()).collect();
-        let one = q.matmul_with_threads(&x, Some(&bias), 1);
-        let four = q.matmul_with_threads(&x, Some(&bias), 4);
-        assert_eq!(one, four, "{rows}x{cols}x{outs}: 1-thread vs 4-thread bits diverged");
-        for t in [2, 3, 8] {
-            assert_eq!(one, q.matmul_with_threads(&x, Some(&bias), t), "{t} threads diverged");
-        }
+        let mut fresh = Tensor::default();
+        q.matmul_into(&x, Some(&bias), &mut fresh, &mut Vec::new());
+        q.matmul_into(&x, Some(&bias), &mut out, &mut xq);
+        assert_eq!(fresh, out, "{rows}x{cols}x{outs}: warm buffers diverged");
         // And across repeated runs (no hidden global state).
-        assert_eq!(one, q.matmul_with_threads(&x, Some(&bias), 1));
+        q.matmul_into(&x, Some(&bias), &mut out, &mut xq);
+        assert_eq!(fresh, out);
     }
-}
-
-/// The auto-selecting entry point agrees with the explicit-thread one.
-#[test]
-fn auto_thread_selection_matches_serial_bits() {
-    // Big enough to cross PAR_MIN_WORK (2^21 MACs): 128×128×256 = 2^22.
-    let x = random_tensor(128, 128, 5, 1.0);
-    let w = random_tensor(128, 256, 6, 1.0);
-    let q = QuantizedMatrix::from_weight(&w);
-    assert_eq!(q.matmul(&x, None), q.matmul_with_threads(&x, None, 1));
 }
 
 /// Quantized attention scores are shift-free linear maps of integer

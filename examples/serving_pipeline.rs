@@ -32,8 +32,7 @@ fn main() {
         ComponentKind::Rnn,
         77,
     );
-    let q2q_model = Arc::new(q2q_model);
-    let q2q = Q2QRewriter::new(&q2q_model, vocab, 8, 78);
+    let q2q = Arc::new(Q2QRewriter::new(Arc::new(q2q_model), Arc::new(vocab.clone()), 8, 78));
 
     // Offline tier: precompute head-query rewrites into the KV store.
     let pipeline = RewritePipeline::new(&sys.joint, vocab, 3, 8, 79);
@@ -63,7 +62,7 @@ fn main() {
     // precomputed tier so the q2q fallback is exercised too.
     for q in data.log.queries.iter().step_by(6).take(60) {
         let t = Instant::now();
-        let resp = engine.search_with_rewrites(&q.tokens, Some(&*cache), Some(&q2q), &serving);
+        let resp = engine.search_with_rewrites(&q.tokens, Some(&*cache), Some(&*q2q), &serving);
         let ms = t.elapsed().as_secs_f64() * 1000.0;
         match resp.rewrite_source {
             qrw_search::RewriteSource::Cache => {
@@ -101,7 +100,7 @@ fn main() {
     let ladder = RewriteLadder {
         cache: Some(&*cache),
         student: None,
-        online: Some(&q2q),
+        online: Some(&*q2q),
         baseline: Some(&rules),
     };
     let outage = FaultInjector::new(42, FaultConfig::always(Fault::ModelError));
@@ -145,7 +144,7 @@ fn main() {
     // Show one hard query traveling the whole path.
     if let Some(q) = data.log.queries.iter().find(|q| q.kind == QueryKind::HardAudience) {
         let baseline = engine.search_baseline(&q.tokens, &serving);
-        let with_rw = engine.search_with_rewrites(&q.tokens, Some(&*cache), Some(&q2q), &serving);
+        let with_rw = engine.search_with_rewrites(&q.tokens, Some(&*cache), Some(&*q2q), &serving);
         println!("\nhard query \"{}\":", q.text());
         println!("  baseline retrieved {} candidates", baseline.base_candidates);
         println!(
@@ -165,12 +164,11 @@ fn main() {
     // queue rejects what it cannot absorb, and expired requests are shed —
     // both as typed errors, never as unbounded queueing.
     println!("\nburst demo: 64 requests hit a runtime with queue capacity 48");
-    let vocab_arc = Arc::new(vocab.clone());
     let stack = ServeStack {
         engine: Arc::clone(&engine),
         cache: Some(Arc::clone(&cache)),
         student: None,
-        online: Some(Arc::new(BatchedQ2Q::new(Arc::clone(&q2q_model), vocab_arc, 8, 78))),
+        online: Some(Arc::clone(&q2q)),
         baseline: Some(Arc::new(RuleBasedRewriter::new(SynonymDict::from_catalog(
             &data.log.catalog,
         )))),

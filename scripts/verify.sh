@@ -186,8 +186,12 @@ cargo test --release --offline -p qrw-search --lib --test mutation
 # here too.
 cargo test --release --offline -p qrw-serve --test zero_alloc --test scheduler_invariants \
   --test runtime --test trace_invariants
-# The session rewriter's determinism and golden-hash tests pin the teacher
-# decode's bytes on the optimised code the session path serves.
+# The q2q rewriter's equivalence, determinism and golden-hash tests
+# (qrw-core's context module) pin the teacher and student decodes' bytes on
+# the optimised code every serving path runs; the root rewriter contract
+# suite and the online loop's unit suite ride along.
+cargo test --release --offline -p qrw-core --lib
+cargo test --release --offline -p cycle-rewrite --test rewriters
 cargo test --release --offline -p qrw-online --lib
 
 echo "== clippy (offline, warnings are errors) =="

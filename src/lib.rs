@@ -90,17 +90,14 @@ pub mod prelude {
         Seq2Seq, TopNSampling,
     };
     pub use qrw_obs::{canonical_structure, Histogram, ObsClock, SpanRecord, Tracer};
-    pub use qrw_online::{
-        ContextQ2Q, FeedbackBuffer, FeedbackConfig, OnlineConfig, OnlineLoop, TickReport,
-    };
+    pub use qrw_online::{FeedbackBuffer, FeedbackConfig, OnlineConfig, OnlineLoop, TickReport};
     pub use qrw_search::{
         run_ab, AbConfig, BreakerConfig, BreakerState, Clock, DeadlineBudget, Fault, FaultConfig,
         FaultInjector, HealthReport, InvertedIndex, ModelStore, QueryTree, RewriteCache,
         RewriteLadder, SearchEngine, ServeError, ServingConfig,
     };
     pub use qrw_serve::{
-        BatchedQ2Q, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, ServedRecord,
-        SessionMix, Workload,
+        MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, ServedRecord, SessionMix, Workload,
     };
     pub use qrw_text::{tokenize, Vocab};
 }

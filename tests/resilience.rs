@@ -3,6 +3,7 @@
 //! fault injector. Every test is deterministic — faults come from a fixed
 //! seed and latency spikes are charged synthetically, never slept.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use cycle_rewrite::prelude::*;
@@ -339,7 +340,7 @@ fn health_report_carries_decode_throughput_from_the_online_model() {
     for i in 0..12 {
         vocab.insert(&format!("t{i}"));
     }
-    let online = Q2QRewriter::new(&model, &vocab, 6, 9);
+    let online = Q2QRewriter::new(Arc::new(model), Arc::new(vocab), 6, 9);
     let ladder = RewriteLadder { student: None, cache: None, online: Some(&online), baseline: None };
     let cfg = ServingConfig::default();
     let budget = DeadlineBudget::unlimited();

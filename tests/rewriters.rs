@@ -2,6 +2,8 @@
 //! baseline, the SimRank click-graph rewriter, the direct q2q model and
 //! the two-hop neural pipeline all honor the trait's invariants.
 
+use std::sync::Arc;
+
 use cycle_rewrite::prelude::*;
 use qrw_nmt::Seq2Seq;
 
@@ -51,7 +53,7 @@ fn q2q_untrained_contract() {
     // Even an untrained model must honor the interface invariants.
     let (log, dataset) = corpus();
     let model = Seq2Seq::new(ModelConfig::hybrid(dataset.vocab.len()), 9);
-    let rw = Q2QRewriter::new(&model, &dataset.vocab, 6, 10);
+    let rw = Q2QRewriter::new(Arc::new(model), Arc::new(dataset.vocab), 6, 10);
     let queries: Vec<Vec<String>> = log.queries.iter().take(10).map(|q| q.tokens.clone()).collect();
     check_contract(&rw, &queries, 3);
 }
