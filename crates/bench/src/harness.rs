@@ -155,7 +155,7 @@ impl BenchRecord {
     }
 }
 
-/// Serializes a [`TrainingCurve`] — including the sentinel counters
+/// Serializes a [`TrainingCurve`](qrw_core::TrainingCurve) — including the sentinel counters
 /// (`skipped_steps`, `rollbacks`, `nan_grad_events`) — to a
 /// `CURVE_<name>.json` document:
 ///
@@ -199,7 +199,7 @@ pub fn curve_to_json(name: &str, curve: &qrw_core::TrainingCurve) -> String {
 }
 
 /// Parses and schema-checks a `CURVE_*.json` document, returning the
-/// curve name and the decoded [`TrainingCurve`]. Every field of every
+/// curve name and the decoded [`TrainingCurve`](qrw_core::TrainingCurve). Every field of every
 /// point is required — in particular the sentinel counters, so a producer
 /// that drops them fails here rather than in a downstream plot.
 pub fn validate_curve_json(

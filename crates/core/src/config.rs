@@ -49,8 +49,8 @@ pub struct TrainConfig {
     /// budget is spent the sentinel re-baselines and training continues.
     pub max_rollbacks: u32,
     /// Write a full-state checkpoint every this many steps (0 = only
-    /// explicit [`CyclicTrainer::save_checkpoint`] calls). Requires an
-    /// attached checkpoint store.
+    /// explicit [`save_checkpoint`](crate::cyclic::CyclicTrainer::save_checkpoint)
+    /// calls). Requires an attached checkpoint store.
     pub checkpoint_every: u64,
 }
 

@@ -2,7 +2,7 @@
 //! "special language" `query <sep1> title <sep2> query2`.
 //!
 //! The paper: *"we can add a special token between the query and title,
-//! i.e. 'query <sep1> title <sep2> query2', and treat the whole sequence
+//! i.e. '`query <sep1> title <sep2> query2`', and treat the whole sequence
 //! as a 'special' language ... which hopefully could generate a synthetic
 //! title for a given query, then generate a synthetic query from the
 //! title"*. They found it did not yet beat the jointly trained NMT pair —

@@ -71,7 +71,7 @@ pub struct ManifestEntry {
     /// File name relative to the manifest's directory (no separators).
     pub name: String,
     pub size: u64,
-    /// FNV-1a 64 digest of `name ∥ bytes` (see [`member_digest`]).
+    /// FNV-1a 64 digest of `name ∥ bytes` (see `member_digest`).
     pub digest: u64,
 }
 

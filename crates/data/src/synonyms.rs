@@ -1,7 +1,7 @@
 //! The human-curated synonym dictionary the rule-based baseline uses.
 //!
 //! The paper's baseline "starts from a human-curated synonym phrase
-//! dictionary [and] simply replaces the phrase in the query with its
+//! dictionary \[and\] simply replaces the phrase in the query with its
 //! synonym phrase". We derive the dictionary from the catalog the way a
 //! human curator would: category query-term ↔ title-term synonyms, brand
 //! alias → formal name, audience phrase → title term — including the

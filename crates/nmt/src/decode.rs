@@ -12,7 +12,7 @@ use std::cell::RefCell;
 
 use qrw_tensor::quant::sum_exp;
 use qrw_tensor::rng::StdRng;
-use qrw_tensor::Tensor;
+use qrw_tensor::{avx2_available, Tensor};
 
 use qrw_text::{BOS, EOS, PAD, UNK};
 
@@ -575,8 +575,25 @@ fn argmax(lp: &[f32]) -> (usize, f32) {
 /// of the finite entries truncated to `cap`, without sorting the
 /// vocabulary. Returns the maximum finite value, skipped tokens included
 /// (the fused epilogues' log-sum-exp normalizes over every token), or
-/// `-inf` when there is none.
-pub(crate) fn top_pool(
+/// `-inf` when there is none; among equal maxima (`-0.0` and `+0.0`) the
+/// first one's bits.
+///
+/// Dispatches to an AVX2 body when available that compares eight values
+/// at a time against the pool's floor and runs the insertion only on the
+/// lanes that pass — bitwise equal to [`top_pool_scalar`], pool and
+/// maximum alike.
+pub fn top_pool(values: &[f32], cap: usize, skip: &[usize], pool: &mut Vec<(f32, usize)>) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 verified at runtime; the kernel reads only `values`.
+        return unsafe { avx2::top_pool(values, cap, skip, pool) };
+    }
+    top_pool_scalar(values, cap, skip, pool)
+}
+
+/// The scalar twin of [`top_pool`] — the reference the AVX2 body is
+/// pinned against.
+pub fn top_pool_scalar(
     values: &[f32],
     cap: usize,
     skip: &[usize],
@@ -594,28 +611,156 @@ pub(crate) fn top_pool(
         if v > max {
             max = v;
         }
-        // Strictly below a full pool's worst entry: out on one float
-        // compare, the common case once the pool fills. `v < floor`
-        // implies `floor.total_cmp(&v)` is `Greater`, so this agrees
-        // with the exact test below.
-        if v < floor || cap == 0 || skip.contains(&t) {
-            continue;
-        }
-        // A full pool whose worst entry is >= `v` in the total order
-        // (equal values, or -0.0 against +0.0) keeps `v` out.
-        if pool.len() == cap && pool[cap - 1].0.total_cmp(&v).is_ge() {
-            continue;
-        }
-        // First index whose value is strictly below `v`: equal values stay
-        // ahead, preserving the stable ascending-token tie order.
-        let pos = pool.partition_point(|&(p, _)| p.total_cmp(&v).is_ge());
-        pool.insert(pos, (v, t));
-        pool.truncate(cap);
-        if pool.len() == cap {
-            floor = pool[cap - 1].0;
-        }
+        offer(v, t, cap, skip, pool, &mut floor);
     }
     max
+}
+
+/// One finite entry `(v, t)` through the pool's insertion: kept when it
+/// beats the worst of a full pool in the total order (ties stay out, so
+/// earlier tokens win), with `floor` tracking a full pool's worst value.
+#[inline]
+fn offer(
+    v: f32,
+    t: usize,
+    cap: usize,
+    skip: &[usize],
+    pool: &mut Vec<(f32, usize)>,
+    floor: &mut f32,
+) {
+    // Strictly below a full pool's worst entry: out on one float compare,
+    // the common case once the pool fills. `v < floor` implies
+    // `floor.total_cmp(&v)` is `Greater`, so this agrees with the exact
+    // test below.
+    if v < *floor || cap == 0 || skip.contains(&t) {
+        return;
+    }
+    // A full pool whose worst entry is >= `v` in the total order (equal
+    // values, or -0.0 against +0.0) keeps `v` out.
+    if pool.len() == cap && pool[cap - 1].0.total_cmp(&v).is_ge() {
+        return;
+    }
+    // First index whose value is strictly below `v`: equal values stay
+    // ahead, preserving the stable ascending-token tie order.
+    let pos = pool.partition_point(|&(p, _)| p.total_cmp(&v).is_ge());
+    pool.insert(pos, (v, t));
+    pool.truncate(cap);
+    if pool.len() == cap {
+        *floor = pool[cap - 1].0;
+    }
+}
+
+/// The AVX2 body of [`top_pool`].
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    /// [`super::top_pool_scalar`] eight values at a time, in two passes.
+    ///
+    /// The first folds the finite lanes (non-finite ones masked to
+    /// `-inf`) into eight running lane maxima with `vmaxps`. Their largest
+    /// is the row maximum in value; for a zero maximum the first zero's
+    /// sign is restored, since `vmaxps` does not order `-0.0` against
+    /// `+0.0` as the scalar `v > max` scan does. Their smallest, `seed`,
+    /// has eight distinct entries at or above it (`-inf` when a lane saw
+    /// no finite value, or the row is shorter than one chunk).
+    ///
+    /// The second is [`select`] with `seed` as its starting floor. When it
+    /// fills the pool, every pooled entry is at or above `seed`, so every
+    /// entry it filtered out ranks below the whole pool and the pool is
+    /// the scalar one; otherwise (fewer than `cap` poolable entries reach
+    /// `seed`, e.g. when the skip list holds lane maxima) it runs again
+    /// unseeded.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn top_pool(
+        values: &[f32],
+        cap: usize,
+        skip: &[usize],
+        pool: &mut Vec<(f32, usize)>,
+    ) -> f32 {
+        let chunks = values.len() / 8;
+        let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut vmax = neg_inf;
+        for c in 0..chunks {
+            let v = _mm256_loadu_ps(values.as_ptr().add(c * 8));
+            vmax = _mm256_max_ps(_mm256_blendv_ps(neg_inf, v, finite(v)), vmax);
+        }
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), vmax);
+        let seed = lanes.iter().fold(f32::INFINITY, |m, &l| m.min(l));
+        let tail = values[chunks * 8..].iter().filter(|v| v.is_finite());
+        let mut max =
+            lanes.iter().chain(tail).fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+        if max == 0.0 {
+            max = *values.iter().find(|&&v| v == 0.0).expect("a zero maximum is an entry");
+        }
+        select(values, cap, skip, pool, seed);
+        if pool.len() < cap && seed > f32::NEG_INFINITY {
+            select(values, cap, skip, pool, f32::NEG_INFINITY);
+        }
+        max
+    }
+
+    /// All-ones lanes where `v` is finite.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn finite(v: __m256) -> __m256 {
+        let abs = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+        _mm256_cmp_ps::<_CMP_LT_OQ>(_mm256_and_ps(v, abs), _mm256_set1_ps(f32::INFINITY))
+    }
+
+    /// The scalar insertion ([`super::offer`]) over the finite entries at
+    /// or above `max(seed, floor)`, in ascending token order: per chunk,
+    /// one compare against the broadcast bound yields the lanes that may
+    /// enter the pool, a chunk with none is skipped on one `movemask`, and
+    /// the passing lanes go through `offer`. The pool's floor only rises,
+    /// so a lane below the chunk's bound fails the scalar test too, and
+    /// `offer` re-checks the lanes that pass against the current floor.
+    /// The ragged tail runs the same filter scalar.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn select(
+        values: &[f32],
+        cap: usize,
+        skip: &[usize],
+        pool: &mut Vec<(f32, usize)>,
+        seed: f32,
+    ) {
+        pool.clear();
+        if cap == 0 {
+            return;
+        }
+        let chunks = values.len() / 8;
+        let mut floor = f32::NEG_INFINITY;
+        let mut bound = _mm256_set1_ps(seed);
+        for c in 0..chunks {
+            let v = _mm256_loadu_ps(values.as_ptr().add(c * 8));
+            let pass = _mm256_and_ps(finite(v), _mm256_cmp_ps::<_CMP_GE_OQ>(v, bound));
+            let mut lanes = _mm256_movemask_ps(pass) as u32;
+            if lanes == 0 {
+                continue;
+            }
+            while lanes != 0 {
+                let t = c * 8 + lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                super::offer(values[t], t, cap, skip, pool, &mut floor);
+            }
+            bound = _mm256_set1_ps(seed.max(floor));
+        }
+        for (t, &v) in values.iter().enumerate().skip(chunks * 8) {
+            if v.is_finite() && v >= seed {
+                super::offer(v, t, cap, skip, pool, &mut floor);
+            }
+        }
+    }
 }
 
 /// [`top_pool`] plus the log-sum-exp of *every* finite logit (softmax
@@ -685,7 +830,7 @@ pub struct FusedStep {
 /// pool — no intermediate vocab-sized allocation.
 ///
 /// Semantics mirror the unfused pair exactly: PAD/BOS/UNK are excluded
-/// from the pool (they are masked to `-inf` before [`sample_top_n`] on
+/// from the pool (they are masked to `-inf` before `sample_top_n` on
 /// the teacher path), ties keep ascending token order (the stable-sort
 /// order), weights renormalize against the pool maximum, and a fully
 /// degenerate input degrades to PAD instead of panicking. Sampling reads

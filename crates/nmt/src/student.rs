@@ -52,8 +52,9 @@ struct QuantLinear {
 }
 
 impl QuantLinear {
-    fn matvec_into(&self, xq: &[i8], x_scale: f32, out: &mut [f32]) {
-        self.w.matvec_quantized(xq, x_scale, Some(&self.b), out);
+    /// One stacked product over already-quantized rows `(xq, xs)`.
+    fn matmul_rows(&self, xq: &[i8], xs: &[f32], out: &mut [f32]) {
+        self.w.matmul_quantized(xq, xs, Some(&self.b), out);
     }
 
     fn matmul_into(&self, x: &Tensor, out: &mut Tensor, xq: &mut Vec<i8>) {
@@ -88,6 +89,21 @@ fn residual_norm(x: &mut [f32], delta: &[f32], norm: &Norm) {
         *o += d;
     }
     norm.apply(x);
+}
+
+/// [`residual_norm`] over each `width`-wide row of `x` and `delta`.
+fn residual_norm_rows(x: &mut [f32], delta: &[f32], width: usize, norm: &Norm) {
+    for (x, delta) in x.chunks_exact_mut(width).zip(delta.chunks_exact(width)) {
+        residual_norm(x, delta, norm);
+    }
+}
+
+/// Quantizes each `width`-wide row of `x` into the matching row of `q`,
+/// and its scale into `scales`.
+fn quantize_rows(x: &[f32], width: usize, q: &mut [i8], scales: &mut [f32]) {
+    for ((x, q), s) in x.chunks_exact(width).zip(q.chunks_exact_mut(width)).zip(scales) {
+        *s = quantize_row_into(x, q);
+    }
 }
 
 struct QuantAttention {
@@ -137,39 +153,45 @@ impl QuantAttention {
         self.wo.matmul_into(&s.merged, &mut s.sa, xq);
     }
 
-    /// Incremental attention for the newest row into `out`: query
-    /// projected from the already-quantized `(xq, x_scale)`, scores as
-    /// integer dots against the per-head quantized key cache, context in
-    /// f32 over the cached values (row-major, `heads * d_head` wide), all
-    /// in ascending key order (fixed-order epilogue → deterministic bits).
-    fn attend_cached(
+    /// Incremental attention for the newest row of each of `xs.len()`
+    /// candidates into `out` (row-major, `d_model` wide): the queries in
+    /// one stacked projection of the already-quantized rows `(xq, xs)`;
+    /// then for candidate `r`, scores as integer dots against its per-head
+    /// quantized key cache `kv(r).0` and context in f32 over its cached
+    /// values `kv(r).1` (row-major, `heads * d_head` wide), in ascending
+    /// key order (fixed-order epilogue → deterministic bits); and the
+    /// merged contexts through one stacked output projection.
+    fn attend_cached<'k>(
         &self,
         xq: &[i8],
-        x_scale: f32,
-        keys: &[QuantizedRows],
-        values: &[f32],
+        xs: &[f32],
+        kv: impl Fn(usize) -> (&'k [QuantizedRows], &'k [f32]),
         s: &mut AttnScratch,
         out: &mut [f32],
     ) {
         let d_model = self.heads * self.d_head;
-        self.wq.matvec_into(xq, x_scale, &mut s.q);
+        self.wq.matmul_rows(xq, xs, &mut s.q);
         let scale = 1.0 / (self.d_head as f32).sqrt();
         s.merged.fill(0.0);
-        for (h, kh) in keys.iter().enumerate() {
-            let off = h * self.d_head;
-            let qs = quantize_row_into(&s.q[off..off + self.d_head], &mut s.qh);
-            kh.scores_into(&s.qh, qs, scale, &mut s.scores);
-            softmax_in_place(&mut s.scores);
-            let ctx = &mut s.merged[off..off + self.d_head];
-            for (j, &w) in s.scores.iter().enumerate() {
-                let vh = &values[j * d_model + off..j * d_model + off + self.d_head];
-                for (o, &vv) in ctx.iter_mut().zip(vh) {
-                    *o += w * vv;
+        for r in 0..xs.len() {
+            let (keys, values) = kv(r);
+            let (q, merged) = (&s.q[r * d_model..], &mut s.merged[r * d_model..]);
+            for (h, kh) in keys.iter().enumerate() {
+                let off = h * self.d_head;
+                let qs = quantize_row_into(&q[off..off + self.d_head], &mut s.qh);
+                kh.scores_into(&s.qh, qs, scale, &mut s.scores);
+                softmax_in_place(&mut s.scores);
+                let ctx = &mut merged[off..off + self.d_head];
+                for (j, &w) in s.scores.iter().enumerate() {
+                    let vh = &values[j * d_model + off..j * d_model + off + self.d_head];
+                    for (o, &vv) in ctx.iter_mut().zip(vh) {
+                        *o += w * vv;
+                    }
                 }
             }
         }
-        let ms = quantize_row_into(&s.merged, &mut s.mq);
-        self.wo.matvec_into(&s.mq, ms, out);
+        quantize_rows(&s.merged, d_model, &mut s.mq, &mut s.ms);
+        self.wo.matmul_rows(&s.mq, &s.ms, out);
     }
 }
 
@@ -285,14 +307,16 @@ struct EncoderScratch {
     scores: Vec<f32>,
 }
 
-/// The incremental attention's temporaries: query, its per-head
-/// quantization, the merged context and its quantization, and scores.
+/// The incremental attention's temporaries, one row per candidate of a
+/// stacked step: queries, one query head's quantization, the merged
+/// contexts and their quantizations, and one head's scores.
 #[derive(Default)]
 struct AttnScratch {
     q: Vec<f32>,
     qh: Vec<i8>,
     merged: Vec<f32>,
     mq: Vec<i8>,
+    ms: Vec<f32>,
     scores: Vec<f32>,
 }
 
@@ -306,11 +330,13 @@ struct CrossKv {
 
 /// Every buffer a student decode step and its encoder touch, reused
 /// request after request: the source memory and encoder temporaries,
-/// this request's cross-attention K/V, and the step's activations, their
-/// quantizations, attention scratch, FFN rows and logits. Once warm (a
-/// request of the same shape has run through it), [`QuantStudent::encode`],
-/// [`QuantStudent::start_cache`] and [`QuantStudent::step_into`] allocate
-/// nothing. [`QuantStudent::top_n_sampling`] keeps one per thread.
+/// this request's cross-attention K/V, and a stacked step's activations,
+/// their quantizations, attention scratch, FFN rows and logits, one row
+/// per candidate. Once warm (a request of the same shape and candidate
+/// count has run through it), [`QuantStudent::encode`],
+/// [`QuantStudent::start_cache`] and [`QuantStudent::step_into`]
+/// allocate nothing. [`QuantStudent::top_n_sampling`] keeps one per
+/// thread.
 #[derive(Default)]
 pub struct DecodeArena {
     memory: Tensor,
@@ -318,23 +344,26 @@ pub struct DecodeArena {
     /// Projected cross keys before their per-head quantization.
     ck: Tensor,
     cross: Vec<CrossKv>,
-    /// One quantized activation row (`d_model` wide).
+    /// Quantized activation rows (`d_model` wide) and their scales.
     xq: Vec<i8>,
-    /// The quantized FFN hidden row (`d_ff` wide).
+    xs: Vec<f32>,
+    /// Quantized FFN hidden rows (`d_ff` wide) and their scales.
     hq: Vec<i8>,
+    hs: Vec<f32>,
     attn: AttnScratch,
     x: Vec<f32>,
     k_new: Vec<f32>,
     v_new: Vec<f32>,
-    /// A residual block's output, added back into `x`.
+    /// A residual block's output rows, added back into `x`.
     delta: Vec<f32>,
     h1: Vec<f32>,
     logits: Vec<f32>,
 }
 
 impl DecodeArena {
-    /// Sizes every step buffer for `c` (a no-op once it already fits).
-    fn fit(&mut self, c: &ModelConfig) {
+    /// Sizes every step buffer for `rows` candidates of `c` (a no-op
+    /// once it already fits).
+    fn fit(&mut self, c: &ModelConfig, rows: usize) {
         let d_head = c.d_model / c.heads;
         for v in [
             &mut self.x,
@@ -344,17 +373,78 @@ impl DecodeArena {
             &mut self.attn.q,
             &mut self.attn.merged,
         ] {
-            v.resize(c.d_model, 0.0);
+            v.resize(rows * c.d_model, 0.0);
         }
-        self.h1.resize(c.d_ff, 0.0);
-        self.logits.resize(c.vocab, 0.0);
-        self.xq.resize(c.d_model, 0);
-        self.attn.mq.resize(c.d_model, 0);
+        self.h1.resize(rows * c.d_ff, 0.0);
+        self.logits.resize(rows * c.vocab, 0.0);
+        self.xq.resize(rows * c.d_model, 0);
+        self.attn.mq.resize(rows * c.d_model, 0);
+        self.hq.resize(rows * c.d_ff, 0);
+        for v in [&mut self.xs, &mut self.hs, &mut self.attn.ms] {
+            v.resize(rows, 0.0);
+        }
         self.attn.qh.resize(d_head, 0);
-        self.hq.resize(c.d_ff, 0);
         // Room for the longest key list either attention scores against.
         let keys = (c.max_src_len + 1).max(c.max_tgt_len + 2);
         self.attn.scores.reserve(keys.saturating_sub(self.attn.scores.len()));
+    }
+}
+
+/// The candidates one stacked decode step advances, in step order: each
+/// row's cache and the token it consumes.
+trait StepRows {
+    fn len(&self) -> usize;
+    fn token(&self, r: usize) -> usize;
+    fn cache(&self, r: usize) -> &StudentKvCache;
+    fn cache_mut(&mut self, r: usize) -> &mut StudentKvCache;
+}
+
+/// A single cache and its token: [`QuantStudent::step_into`].
+struct OneRow<'a> {
+    cache: &'a mut StudentKvCache,
+    token: usize,
+}
+
+impl StepRows for OneRow<'_> {
+    fn len(&self) -> usize {
+        1
+    }
+
+    fn token(&self, _: usize) -> usize {
+        self.token
+    }
+
+    fn cache(&self, _: usize) -> &StudentKvCache {
+        self.cache
+    }
+
+    fn cache_mut(&mut self, _: usize) -> &mut StudentKvCache {
+        self.cache
+    }
+}
+
+/// The live candidates `cands[live[r]]` of a request, each consuming the
+/// last token of its prefix.
+struct LiveRows<'a> {
+    cands: &'a mut [Cand],
+    live: &'a [usize],
+}
+
+impl StepRows for LiveRows<'_> {
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    fn token(&self, r: usize) -> usize {
+        *self.cands[self.live[r]].prefix.last().expect("non-empty prefix")
+    }
+
+    fn cache(&self, r: usize) -> &StudentKvCache {
+        &self.cands[self.live[r]].cache
+    }
+
+    fn cache_mut(&mut self, r: usize) -> &mut StudentKvCache {
+        &mut self.cands[self.live[r]].cache
     }
 }
 
@@ -368,12 +458,14 @@ struct Cand {
 
 /// The per-thread state behind [`QuantStudent::top_n_sampling`]: the
 /// step arena, the first-step cache, the candidates (their prefixes and
-/// caches re-forked through `clone_from`) and the sampling pool.
+/// caches re-forked through `clone_from`), the indices of the ones still
+/// live and the sampling pool.
 #[derive(Default)]
 struct RequestArena {
     step: DecodeArena,
     first: StudentKvCache,
     cands: Vec<Cand>,
+    live: Vec<usize>,
     pool: Vec<(f32, usize)>,
 }
 
@@ -749,47 +841,76 @@ impl QuantStudent {
         token: usize,
         arena: &'a mut DecodeArena,
     ) -> &'a [f32] {
-        assert_eq!(cache.layers.len(), self.dec.len(), "cache belongs to a different student");
+        self.step_rows(&mut OneRow { cache, token }, arena)
+    }
+
+    /// One stacked decode step over every row of `rows`: each row's token
+    /// in, its logits out as row `r` of the returned `rows.len() x vocab`
+    /// block. Every quantized product runs once over all rows
+    /// ([`QuantizedMatrix::matmul_quantized`]); attention walks each
+    /// row's own cache. Each row's logits are bitwise those of stepping
+    /// it alone.
+    fn step_rows<'a>(&self, rows: &mut impl StepRows, arena: &'a mut DecodeArena) -> &'a [f32] {
         assert_eq!(arena.cross.len(), self.dec.len(), "arena holds no cross K/V for this student");
-        assert!(cache.pos < self.dec_pe.rows(), "decode past the positional table");
-        assert!(token < self.config.vocab, "token id {token} out of vocabulary");
-        let d_head = self.config.d_head();
-        let scale = (self.config.d_model as f32).sqrt();
-        arena.fit(&self.config);
-        let DecodeArena { cross, xq, hq, attn, x, k_new, v_new, delta, h1, logits, .. } = arena;
-        let emb = self.tgt_emb.row_slice(token).iter().zip(self.dec_pe.row_slice(cache.pos));
-        for (o, (&e, &p)) in x.iter_mut().zip(emb) {
-            *o = e * scale + p;
+        let n = rows.len();
+        for r in 0..n {
+            let (cache, token) = (rows.cache(r), rows.token(r));
+            assert_eq!(cache.layers.len(), self.dec.len(), "cache belongs to a different student");
+            assert!(cache.pos < self.dec_pe.rows(), "decode past the positional table");
+            assert!(token < self.config.vocab, "token id {token} out of vocabulary");
         }
-        for ((layer, kv), cross) in self.dec.iter().zip(&mut cache.layers).zip(cross.iter()) {
-            // Project and append the newest self-attention K/V rows, then
-            // attend — K quantized per head, V kept f32.
-            let xs = quantize_row_into(x, xq);
-            layer.self_attn.wk.matvec_into(xq, xs, k_new);
-            layer.self_attn.wv.matvec_into(xq, xs, v_new);
-            for (h, rows) in kv.self_k.iter_mut().enumerate() {
-                rows.push_row(&k_new[h * d_head..(h + 1) * d_head]);
+        let (d, d_ff, d_head) = (self.config.d_model, self.config.d_ff, self.config.d_head());
+        let scale = (d as f32).sqrt();
+        arena.fit(&self.config, n);
+        let DecodeArena { cross, xq, xs, hq, hs, attn, x, k_new, v_new, delta, h1, logits, .. } =
+            arena;
+        for (r, x) in x.chunks_exact_mut(d).enumerate() {
+            let pe = self.dec_pe.row_slice(rows.cache(r).pos);
+            let emb = self.tgt_emb.row_slice(rows.token(r)).iter().zip(pe);
+            for (o, (&e, &p)) in x.iter_mut().zip(emb) {
+                *o = e * scale + p;
             }
-            kv.self_v.extend_from_slice(v_new);
-            layer.self_attn.attend_cached(xq, xs, &kv.self_k, &kv.self_v, attn, delta);
-            residual_norm(x, delta, &layer.norm1);
+        }
+        for (li, (layer, cross)) in self.dec.iter().zip(cross.iter()).enumerate() {
+            // Project and append each row's newest self-attention K/V,
+            // then attend — K quantized per head, V kept f32.
+            quantize_rows(x, d, xq, xs);
+            layer.self_attn.wk.matmul_rows(xq, xs, k_new);
+            layer.self_attn.wv.matmul_rows(xq, xs, v_new);
+            for (r, (k, v)) in k_new.chunks_exact(d).zip(v_new.chunks_exact(d)).enumerate() {
+                let kv = &mut rows.cache_mut(r).layers[li];
+                for (h, keys) in kv.self_k.iter_mut().enumerate() {
+                    keys.push_row(&k[h * d_head..(h + 1) * d_head]);
+                }
+                kv.self_v.extend_from_slice(v);
+            }
+            let view = &*rows;
+            let self_kv = |r| {
+                let kv = &view.cache(r).layers[li];
+                (&kv.self_k[..], &kv.self_v[..])
+            };
+            layer.self_attn.attend_cached(xq, xs, self_kv, attn, delta);
+            residual_norm_rows(x, delta, d, &layer.norm1);
 
-            let xs = quantize_row_into(x, xq);
-            layer.cross_attn.attend_cached(xq, xs, &cross.k, cross.v.data(), attn, delta);
-            residual_norm(x, delta, &layer.norm2);
+            quantize_rows(x, d, xq, xs);
+            let cross_kv = |_| (&cross.k[..], cross.v.data());
+            layer.cross_attn.attend_cached(xq, xs, cross_kv, attn, delta);
+            residual_norm_rows(x, delta, d, &layer.norm2);
 
-            let xs = quantize_row_into(x, xq);
-            layer.ff1.matvec_into(xq, xs, h1);
+            quantize_rows(x, d, xq, xs);
+            layer.ff1.matmul_rows(xq, xs, h1);
             for v in h1.iter_mut() {
                 *v = v.max(0.0);
             }
-            let hs = quantize_row_into(h1, hq);
-            layer.ff2.matvec_into(hq, hs, delta);
-            residual_norm(x, delta, &layer.norm3);
+            quantize_rows(h1, d_ff, hq, hs);
+            layer.ff2.matmul_rows(hq, hs, delta);
+            residual_norm_rows(x, delta, d, &layer.norm3);
         }
-        cache.pos += 1;
-        let xs = quantize_row_into(x, xq);
-        self.out.matvec_into(xq, xs, logits);
+        for r in 0..n {
+            rows.cache_mut(r).pos += 1;
+        }
+        quantize_rows(x, d, xq, xs);
+        self.out.matmul_rows(xq, xs, logits);
         logits
     }
 
@@ -815,7 +936,7 @@ impl QuantStudent {
         rng: &mut StdRng,
         arena: &mut RequestArena,
     ) -> Vec<Hypothesis> {
-        let RequestArena { step, first, cands, pool } = arena;
+        let RequestArena { step, first, cands, live, pool } = arena;
         // Re-initialise everything this request reads before reading it:
         // a request that panicked mid-decode leaves nothing behind.
         self.encode(src, step);
@@ -839,12 +960,20 @@ impl QuantStudent {
             cand.log_prob = log_prob;
             cand.finished = false;
         }
-        while cands.iter().any(|c| !c.finished) {
-            for cand in cands.iter_mut().filter(|c| !c.finished) {
-                let last = *cand.prefix.last().expect("non-empty prefix");
-                steps += 1;
-                cache_hits += cand.cache.pos as u64;
-                let logits = self.step_into(&mut cand.cache, last, step);
+        // Each round steps every live candidate in one stacked step, then
+        // samples their next tokens in candidate order: the RNG draws in
+        // the order of stepping them one by one.
+        loop {
+            live.clear();
+            live.extend((0..cands.len()).filter(|&i| !cands[i].finished));
+            if live.is_empty() {
+                break;
+            }
+            steps += live.len() as u64;
+            cache_hits += live.iter().map(|&i| cands[i].cache.pos as u64).sum::<u64>();
+            let logits = self.step_rows(&mut LiveRows { cands, live }, step);
+            for (&i, logits) in live.iter().zip(logits.chunks_exact(self.config.vocab)) {
+                let cand = &mut cands[i];
                 let next = fused_top_n_from_logits(logits, cfg.n, rng, pool);
                 cand.log_prob += next.log_prob;
                 if next.token == EOS || cand.prefix.len() > self.config.max_tgt_len {

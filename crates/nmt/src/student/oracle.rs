@@ -14,7 +14,7 @@ use super::*;
 
 fn matvec(lin: &QuantLinear, xq: &[i8], x_scale: f32) -> Vec<f32> {
     let mut out = vec![0.0; lin.w.rows()];
-    lin.matvec_into(xq, x_scale, &mut out);
+    lin.w.matvec_quantized(xq, x_scale, Some(&lin.b), &mut out);
     out
 }
 

@@ -5,6 +5,7 @@
 
 use qrw_tensor::rng::StdRng;
 
+use qrw_nmt::decode::{top_pool, top_pool_scalar};
 use qrw_nmt::{
     beam_search, diverse_beam_search, greedy, top_n_sampling, ComponentKind, ModelConfig,
     Seq2Seq, TopNSampling,
@@ -190,5 +191,54 @@ fn chain_rule_holds() {
             prefix.push(tok);
         }
         assert!((lp - total).abs() < 2e-3, "{lp} vs {total}");
+    }
+}
+
+/// The dispatching `top_pool` (AVX2 where available) against its scalar
+/// twin: the same pool in the same order, and the same maximum bit for
+/// bit, over rows salted with NaN, ±inf, ±0.0 and ties, with and without
+/// skip lists, at caps 0, 1, a few, and beyond the row length, and at
+/// lengths around the eight-lane chunks.
+#[test]
+fn simd_top_pool_is_bitwise_its_scalar_twin() {
+    const SPECIALS: [f32; 6] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1.5];
+    let bits = |p: &[(f32, usize)]| p.iter().map(|&(v, t)| (v.to_bits(), t)).collect::<Vec<_>>();
+    let check = |row: &[f32], cap: usize, skip: &[usize]| {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let got_max = top_pool(row, cap, skip, &mut got);
+        let want_max = top_pool_scalar(row, cap, skip, &mut want);
+        assert_eq!(got_max.to_bits(), want_max.to_bits(), "max of {row:?} cap {cap}");
+        assert_eq!(bits(&got), bits(&want), "pool of {row:?} cap {cap} skip {skip:?}");
+    };
+    let mut rng = StdRng::seed_from_u64(0x0DEC_0007);
+    for len in 0..=67usize {
+        // Integer-valued entries make ties common.
+        let mut rows = vec![
+            (0..len).map(|_| rng.gen_range(0usize..5) as f32 - 2.0).collect::<Vec<_>>(),
+            (0..len).map(|_| rng.gen::<f32>() * 20.0 - 10.0).collect(),
+            // Every entry non-finite, or every entry a signed zero.
+            (0..len).map(|_| SPECIALS[rng.gen_range(0usize..3)]).collect(),
+            (0..len).map(|_| SPECIALS[rng.gen_range(3usize..5)]).collect(),
+            // A signed-zero maximum among negatives: the first zero's
+            // sign is the maximum's.
+            (0..len).map(|_| [-1.0, -0.0, 0.0, f32::NAN][rng.gen_range(0usize..4)]).collect(),
+            // Ascending, so the pool floor rises on every entry.
+            (0..len).map(|i| i as f32 * 0.5 - 3.0).collect(),
+        ];
+        let mut salted: Vec<f32> = (0..len).map(|_| rng.gen::<f32>() - 0.5).collect();
+        for v in salted.iter_mut() {
+            if rng.gen::<f32>() < 0.3 {
+                *v = SPECIALS[rng.gen_range(0usize..SPECIALS.len())];
+            }
+        }
+        rows.push(salted);
+        for row in &rows {
+            for cap in [0, 1, 3, 8, len, len + 5] {
+                check(row, cap, &[]);
+                check(row, cap, &[0, 1, 2]);
+                let picks: Vec<usize> = (0..3).map(|_| rng.gen_range(0..len.max(1))).collect();
+                check(row, cap, &picks);
+            }
+        }
     }
 }

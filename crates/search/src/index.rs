@@ -115,9 +115,9 @@ impl InvertedIndex {
     }
 
     /// Tombstones a document: it stops matching queries and contributing
-    /// to BM25 statistics, but its id stays allocated until [`compact`]
-    /// (InvertedIndex::compact). Returns false if already deleted or out
-    /// of range.
+    /// to BM25 statistics, but its id stays allocated until
+    /// [`compact`](InvertedIndex::compact). Returns false if already
+    /// deleted or out of range.
     pub fn remove_doc(&mut self, id: usize) -> bool {
         if id >= self.len() || self.deleted[id] {
             return false;

@@ -39,7 +39,7 @@
 //!   re-sorting reproduces the monolith's unique sorted prefix.
 //!
 //! Epochs carry over from the PR-6 live catalog: a [`ShardedIndex`] is
-//! built from one pinned [`SnapshotStore`](crate::snapshot::SnapshotStore)
+//! built from one pinned [`SnapshotStore`]
 //! epoch (each shard a term-id subset of that epoch's index, equal to
 //! replaying its members' tokens and tombstones onto an empty index) and
 //! is immutable; churn publishes a new epoch and the next request's pin
@@ -50,7 +50,7 @@
 //! serving.
 //!
 //! The robustness state also lives here: a per-shard
-//! [`BreakerSet`](crate::breaker::BreakerSet), a deterministic
+//! [`BreakerSet`], a deterministic
 //! [`ShardFaultInjector`] (panic / stall / poison / kill-during-
 //! rebalance), and single-lock shard telemetry whose health snapshot can
 //! never mix epochs or plan versions (the PR-6 torn-read discipline

@@ -21,7 +21,7 @@
 //!   full and a push never reallocates.
 //! * **Routing** hashes the query tokens with the same FNV-1a family used
 //!   by `RewriteCache` and `ShardedIndex`
-//!   ([`fnv1a_tokens`](crate::batch::fnv1a_tokens)), so identical
+//!   ([`fnv1a_tokens`]), so identical
 //!   in-flight queries land on the same shard and decode-slot coalescing
 //!   stays shard-local.
 //! * **Dequeue** is per-shard and strictly FIFO: a worker drains its home

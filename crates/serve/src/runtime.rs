@@ -1,7 +1,7 @@
 //! The serving runtime: a sharded scheduler over a shared engine.
 //!
 //! Each of `config.shards` scheduler shards owns a bounded FIFO of
-//! requests inside the [`AdmissionQueue`](crate::AdmissionQueue);
+//! requests inside the [`AdmissionQueue`];
 //! submissions route to shards by FNV-1a of the query tokens (the family
 //! `RewriteCache` and `ShardedIndex` key on), so identical in-flight
 //! queries meet on one shard and decode-slot coalescing stays

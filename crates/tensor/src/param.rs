@@ -18,7 +18,9 @@ static NEXT_PARAM_ID: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 struct ParamInner {
     name: String,
-    value: Tensor,
+    /// Shared with every tape that recorded this parameter since its last
+    /// update; [`Param::update`] copies on write while one still does.
+    value: Arc<Tensor>,
     grad: Tensor,
 }
 
@@ -41,7 +43,7 @@ impl Param {
             id: NEXT_PARAM_ID.fetch_add(1, Ordering::Relaxed),
             inner: Arc::new(RwLock::new(ParamInner {
                 name: name.into(),
-                value,
+                value: Arc::new(value),
                 grad: Tensor::zeros(rows, cols),
             })),
         }
@@ -72,7 +74,13 @@ impl Param {
 
     /// Copies out the current value.
     pub fn value(&self) -> Tensor {
-        self.inner.read().value.clone()
+        Tensor::clone(&self.inner.read().value)
+    }
+
+    /// The current value, shared rather than copied (what
+    /// [`crate::Tape::param`] records).
+    pub(crate) fn shared_value(&self) -> Arc<Tensor> {
+        Arc::clone(&self.inner.read().value)
     }
 
     /// Copies out the accumulated gradient.
@@ -89,7 +97,10 @@ impl Param {
     pub fn set_value(&self, value: Tensor) {
         let mut inner = self.inner.write();
         assert_eq!(inner.value.shape(), value.shape(), "set_value: shape mismatch");
-        inner.value = value;
+        match Arc::get_mut(&mut inner.value) {
+            Some(v) => *v = value,
+            None => inner.value = Arc::new(value),
+        }
     }
 
     /// Accumulates `delta` into the gradient.
@@ -119,7 +130,7 @@ impl Param {
     pub fn update(&self, f: impl FnOnce(&mut [f32], &[f32])) {
         let mut inner = self.inner.write();
         let ParamInner { value, grad, .. } = &mut *inner;
-        f(value.data_mut(), grad.data());
+        f(Arc::make_mut(value).data_mut(), grad.data());
     }
 
     /// L2 norm of the accumulated gradient.

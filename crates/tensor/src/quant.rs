@@ -18,15 +18,18 @@
 //! * **Determinism for free.** Integer addition is associative, so any
 //!   chunking or vectorization produces the same `i32` accumulator
 //!   bit-for-bit; the f32 epilogue runs in a fixed per-element order.
-//! * **Explicit SIMD with a scalar twin.** On x86-64 with AVX2 the
-//!   matvec and attention-score row loops run a `vpmovsxbw` +
-//!   `vpmaddwd` kernel (sign-extend both operands to i16, multiply-add
-//!   adjacent pairs into i32 lanes) selected by runtime feature
-//!   detection; every other target runs the scalar loop. Both compute
-//!   the same exact `i32` sum — pair sums of two `127 × 127` products
-//!   are nowhere near `i32` range — so the dispatch never changes
-//!   results, only speed. The scalar [`dot_i8`] stays the reference the
-//!   property tests pin the SIMD path against. The row quantizer
+//! * **Explicit SIMD with a scalar twin.** On x86-64 with AVX2, selected
+//!   by runtime feature detection, the products and attention scores run
+//!   `vpsignb` + `vpmaddubsw` + `vpmaddwd` kernels (`|x|` times
+//!   `w·sign(x)`, adjacent pairs summed into i16, then into i32 lanes);
+//!   every other target runs the scalar loop. Both compute the same
+//!   exact `i32` sum — a pair sum is at most `2 · 128 · 127`, inside
+//!   i16 — so the dispatch never changes results, only speed. The
+//!   stacked product ([`QuantizedMatrix::matmul_quantized`]) reads a
+//!   packed copy of the weights, eight rows interleaved four columns at
+//!   a time, so each 32-byte load feeds eight output lanes for up to four
+//!   activation rows with no horizontal reduction. The scalar [`dot_i8`]
+//!   stays the reference the property tests pin the SIMD path against. The row quantizer
 //!   ([`quantize_row_into`]) and the sampling epilogue's [`sum_exp`] have
 //!   AVX2 kernels too, each bitwise equal to a scalar twin: the same f32
 //!   operations per lane in the same order, with no FMA.
@@ -35,11 +38,10 @@ use crate::avx2_available;
 use crate::tensor::Tensor;
 
 /// AVX2 row kernels. Everything here computes bit-identical `i32`
-/// accumulators to the scalar loops: `vpmaddwd` sums adjacent i16
-/// product pairs into i32 lanes and integer addition is associative, so
-/// only the summation order differs — which for exact integers is
-/// invisible. The f32 epilogues run in the same fixed per-element order
-/// as the scalar path.
+/// accumulators to the scalar loops: every product and partial sum is
+/// exact and integer addition is associative, so only the summation
+/// order differs — which for exact integers is invisible. The f32
+/// epilogues run in the same fixed per-element order as the scalar path.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
@@ -89,85 +91,185 @@ mod avx2 {
         sum
     }
 
-    /// Four integer dot products at once: `x` against the rows at `w`,
-    /// `w + stride`, `w + 2 * stride` and `w + 3 * stride`, each over
-    /// `len` elements, as the four i32 lanes — exact, each equal to the
-    /// scalar loop. One widened load of `x` feeds all four rows, and one
-    /// `vphaddd` tree reduces the four accumulators together instead of
-    /// four separate [`hsum`]s.
+    /// `Σ x·w` over 32 byte pairs into eight i32 lanes (four pairs per
+    /// lane) without widening either operand: `vpmaddubsw` multiplies the
+    /// unsigned `|x|` by the signed `w·sign(x)` and adds adjacent pairs
+    /// into i16, then `vpmaddwd` against ones adds those into i32. Exact:
+    /// `|x| <= 128` and `|w| <= 127` (a [`super::QuantizedMatrix`] or
+    /// [`super::QuantizedRows`] payload never holds `-128`), so a pair sum
+    /// is at most `2 · 128 · 127 = 32 512`, inside i16 with no saturation.
     ///
     /// # Safety
-    /// Requires AVX2; `x` must be readable for `len` bytes and `w` for
-    /// `3 * stride + len` bytes.
+    /// Requires AVX2.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn dot4(x: *const i8, w: *const i8, stride: usize, len: usize) -> __m128i {
-        let chunks = len / 16;
+    unsafe fn madd32(acc: __m256i, ax: __m256i, x: __m256i, w: __m256i) -> __m256i {
+        let pairs = _mm256_maddubs_epi16(ax, _mm256_sign_epi8(w, x));
+        _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)))
+    }
+
+    /// 16 bytes at `p`, zero-extended to 32.
+    ///
+    /// # Safety
+    /// Requires AVX2; `p` must be readable for 16 bytes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load16(p: *const i8) -> __m256i {
+        _mm256_set_m128i(_mm_setzero_si128(), _mm_loadu_si128(p.cast()))
+    }
+
+    /// Four integer dot products at once: `x` against the rows at `w`,
+    /// `w + cols`, `w + 2 * cols` and `w + 3 * cols`, each over `cols`
+    /// elements, as the four i32 lanes — exact, each equal to the scalar
+    /// loop. Each 32-byte chunk of `x` (a last 16-byte half chunk
+    /// zero-extended, the final `cols % 16` bytes scalar) feeds all four
+    /// rows through [`madd32`], and one `vphaddd` tree reduces the four
+    /// accumulators together.
+    ///
+    /// # Safety
+    /// Requires AVX2; `x` must be readable for `cols` bytes and `w` for
+    /// `4 * cols` bytes.
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot4(x: *const i8, w: *const i8, cols: usize) -> __m128i {
         let mut acc = [_mm256_setzero_si256(); 4];
-        for c in 0..chunks {
-            let wx = _mm256_cvtepi8_epi16(_mm_loadu_si128(x.add(c * 16).cast()));
-            for (r, a) in acc.iter_mut().enumerate() {
-                let ww = _mm256_cvtepi8_epi16(_mm_loadu_si128(w.add(r * stride + c * 16).cast()));
-                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(wx, ww));
+        let (full, vec_end) = (cols / 32 * 32, cols / 16 * 16);
+        for c in (0..full).step_by(32) {
+            let xc = _mm256_loadu_si256(x.add(c).cast());
+            let ax = _mm256_abs_epi8(xc);
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = madd32(*a, ax, xc, _mm256_loadu_si256(w.add(i * cols + c).cast()));
             }
         }
-        // Lane r of both 128-bit halves holds row r's partial sums.
+        if vec_end > full {
+            let xc = load16(x.add(full));
+            let ax = _mm256_abs_epi8(xc);
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = madd32(*a, ax, xc, load16(w.add(i * cols + full)));
+            }
+        }
+        // Lane i of both 128-bit halves holds row i's partial sums.
         let s = _mm256_hadd_epi32(
             _mm256_hadd_epi32(acc[0], acc[1]),
             _mm256_hadd_epi32(acc[2], acc[3]),
         );
         let mut tail = [0i32; 4];
-        for i in chunks * 16..len {
-            for (r, t) in tail.iter_mut().enumerate() {
-                *t += i32::from(*x.add(i)) * i32::from(*w.add(r * stride + i));
+        for k in vec_end..cols {
+            for (i, t) in tail.iter_mut().enumerate() {
+                *t += i32::from(*x.add(k)) * i32::from(*w.add(i * cols + k));
             }
         }
         let s = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
         _mm_add_epi32(s, _mm_loadu_si128(tail.as_ptr().cast()))
     }
 
-    /// The full matvec row loop, entirely inside the `target_feature`
-    /// region so nothing is paid per row but the kernel itself: four rows
-    /// at a time through [`dot4`] with the epilogue in four f32 lanes, the
-    /// last `rows % 4` through [`dot`] with a scalar epilogue. Each lane
-    /// computes `acc as f32 * x_scale * scale_j + bias_j` with the same
-    /// operations in the same order as the scalar path, so the bits match.
+    /// The stacked product of `R` quantized activation rows with a
+    /// matrix in its packed layout ([`super::pack`]). Per block of eight
+    /// weight rows, each group of four columns is one 32-byte load whose
+    /// lane `i` holds row `i`'s four weights; every activation row
+    /// broadcasts its four bytes at that group against it through
+    /// [`madd32`], so the eight i32 lanes accumulate the block's eight
+    /// dot products directly — each weight group is loaded once for all
+    /// `R` rows, and nothing is reduced horizontally. A ragged last
+    /// group zero-fills the activation bytes past the row (its padded
+    /// weights are zero anyway). The epilogue `acc as f32 * x_scale *
+    /// scale_j + bias_j` runs in eight f32 lanes with the scalar path's
+    /// operations in the scalar path's order; a partial last block runs
+    /// it scalar. So the bits match.
     ///
     /// # Safety
-    /// Requires AVX2; `data` must hold `out.len()` rows of `cols` bytes
-    /// and `xq` at least `cols` elements; `scales`/`bias` match
-    /// `out.len()`.
+    /// Requires AVX2; `packed` must be [`super::pack`] of a `scales.len()
+    /// x cols` matrix, `xq` hold at least `R * cols` elements, `x_scales`
+    /// at least `R`, `out` at least `R * scales.len()`, and `bias` (if
+    /// any) match `scales.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matvec(
-        data: &[i8],
+    pub unsafe fn matmul<const R: usize>(
+        packed: &[i8],
         cols: usize,
         xq: &[i8],
-        x_scale: f32,
+        x_scales: &[f32],
         scales: &[f32],
         bias: Option<&[f32]>,
         out: &mut [f32],
     ) {
-        let blocked = out.len() / 4 * 4;
-        let xs = _mm_set1_ps(x_scale);
-        for j in (0..blocked).step_by(4) {
-            let acc = dot4(xq.as_ptr(), data.as_ptr().add(j * cols), cols, cols);
-            let y = _mm_mul_ps(_mm_cvtepi32_ps(acc), xs);
-            let mut y = _mm_mul_ps(y, _mm_loadu_ps(scales.as_ptr().add(j)));
-            if let Some(b) = bias {
-                y = _mm_add_ps(y, _mm_loadu_ps(b.as_ptr().add(j)));
+        let rows = scales.len();
+        let full = cols / 4;
+        // Each row's ragged last group, zero-filled past the row.
+        let last: [i32; R] = std::array::from_fn(|r| {
+            let mut word = [0u8; 4];
+            for (o, &v) in word.iter_mut().zip(&xq[r * cols + full * 4..(r + 1) * cols]) {
+                *o = v as u8;
             }
-            _mm_storeu_ps(out.as_mut_ptr().add(j), y);
+            i32::from_ne_bytes(word)
+        });
+        let block = cols.div_ceil(4) * 32;
+        for j in (0..rows / 8 * 8).step_by(8) {
+            let acc = block_rows::<R>(packed.as_ptr().add(j / 8 * block), xq.as_ptr(), cols, &last);
+            let ws = _mm256_loadu_ps(scales.as_ptr().add(j));
+            for (r, &a) in acc.iter().enumerate() {
+                let y = _mm256_mul_ps(_mm256_cvtepi32_ps(a), _mm256_set1_ps(x_scales[r]));
+                let mut y = _mm256_mul_ps(y, ws);
+                if let Some(bias) = bias {
+                    y = _mm256_add_ps(y, _mm256_loadu_ps(bias.as_ptr().add(j)));
+                }
+                _mm256_storeu_ps(out.as_mut_ptr().add(r * rows + j), y);
+            }
         }
-        for (j, slot) in out.iter_mut().enumerate().skip(blocked) {
-            let acc = dot(xq.as_ptr(), data.as_ptr().add(j * cols), cols);
-            let mut y = acc as f32 * x_scale * scales[j];
-            if let Some(b) = bias {
-                y += b[j];
+        let j = rows / 8 * 8;
+        if j < rows {
+            let acc = block_rows::<R>(packed.as_ptr().add(j / 8 * block), xq.as_ptr(), cols, &last);
+            for (r, &a) in acc.iter().enumerate() {
+                let mut lanes = [0i32; 8];
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), a);
+                for (i, &acc) in lanes[..rows - j].iter().enumerate() {
+                    let mut y = acc as f32 * x_scales[r] * scales[j + i];
+                    if let Some(bias) = bias {
+                        y += bias[j + i];
+                    }
+                    out[r * rows + j + i] = y;
+                }
             }
-            *slot = y;
         }
     }
 
-    /// The attention-score loop against cached quantized keys.
+    /// One block of eight packed weight rows at `w` against the `R`
+    /// activation rows at `x`: lane `i` of entry `r` is row `r`'s dot
+    /// product with the block's row `i`. `last[r]` stands in for row
+    /// `r`'s four bytes at a ragged last group.
+    ///
+    /// # Safety
+    /// Requires AVX2; `w` must be readable for `ceil(cols / 4) * 32`
+    /// bytes and `x` for `R * cols`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_rows<const R: usize>(
+        w: *const i8,
+        x: *const i8,
+        cols: usize,
+        last: &[i32; R],
+    ) -> [__m256i; R] {
+        let mut acc = [_mm256_setzero_si256(); R];
+        let full = cols / 4;
+        for g in 0..full {
+            let wg = _mm256_loadu_si256(w.add(g * 32).cast());
+            for (r, a) in acc.iter_mut().enumerate() {
+                let xr = _mm256_set1_epi32(x.add(r * cols + g * 4).cast::<i32>().read_unaligned());
+                *a = madd32(*a, _mm256_abs_epi8(xr), xr, wg);
+            }
+        }
+        if full * 4 < cols {
+            let wg = _mm256_loadu_si256(w.add(full * 32).cast());
+            for (a, &word) in acc.iter_mut().zip(last) {
+                let xr = _mm256_set1_epi32(word);
+                *a = madd32(*a, _mm256_abs_epi8(xr), xr, wg);
+            }
+        }
+        acc
+    }
+
+    /// The attention-score loop against cached quantized keys: four keys
+    /// at a time through [`dot4`] with the epilogue in four f32
+    /// lanes, the last `keys % 4` through [`dot`], each computing
+    /// `acc as f32 * q_scale * k_scale_j * factor` in the scalar order.
     ///
     /// # Safety
     /// Requires AVX2; `data` must hold `scales.len()` rows of `cols`
@@ -182,7 +284,17 @@ mod avx2 {
         factor: f32,
         out: &mut Vec<f32>,
     ) {
-        for (j, &ks) in scales.iter().enumerate() {
+        let blocked = scales.len() / 4 * 4;
+        let (qs, f) = (_mm_set1_ps(q_scale), _mm_set1_ps(factor));
+        let mut lanes = [0.0f32; 4];
+        for j in (0..blocked).step_by(4) {
+            let acc = dot4(q.as_ptr(), data.as_ptr().add(j * cols), cols);
+            let y = _mm_mul_ps(_mm_cvtepi32_ps(acc), qs);
+            let y = _mm_mul_ps(_mm_mul_ps(y, _mm_loadu_ps(scales.as_ptr().add(j))), f);
+            _mm_storeu_ps(lanes.as_mut_ptr(), y);
+            out.extend_from_slice(&lanes);
+        }
+        for (j, &ks) in scales.iter().enumerate().skip(blocked) {
             let acc = dot(q.as_ptr(), data.as_ptr().add(j * cols), cols);
             out.push(acc as f32 * q_scale * ks * factor);
         }
@@ -453,7 +565,7 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
 }
 
 /// An i8 matrix with one f32 scale per row. For a linear layer the rows
-/// are *output* features (the f32 weight transposed), so the matvec
+/// are *output* features (the f32 weight transposed), so the scalar
 /// inner loop reads both operands contiguously.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuantizedMatrix {
@@ -461,9 +573,31 @@ pub struct QuantizedMatrix {
     cols: usize,
     data: Vec<i8>,
     scales: Vec<f32>,
+    /// `data` in the AVX2 product's layout ([`pack`]).
+    packed: Vec<i8>,
+}
+
+/// `data` (`rows x cols`, row-major) in the layout the AVX2 product
+/// reads: blocks of eight rows, each a run of `ceil(cols / 4)` 32-byte
+/// groups whose lane `i` holds the block's row `i` at four consecutive
+/// columns. Rows and columns past the matrix are zero.
+fn pack(rows: usize, cols: usize, data: &[i8]) -> Vec<i8> {
+    let groups = cols.div_ceil(4);
+    let mut packed = vec![0; rows.div_ceil(8) * groups * 32];
+    for j in 0..rows {
+        for k in 0..cols {
+            packed[((j / 8) * groups + k / 4) * 32 + (j % 8) * 4 + k % 4] = data[j * cols + k];
+        }
+    }
+    packed
 }
 
 impl QuantizedMatrix {
+    fn new(rows: usize, cols: usize, data: Vec<i8>, scales: Vec<f32>) -> Self {
+        let packed = pack(rows, cols, &data);
+        QuantizedMatrix { rows, cols, data, scales, packed }
+    }
+
     /// Quantizes each row of `t` independently.
     pub fn from_rows(t: &Tensor) -> Self {
         let (rows, cols) = t.shape();
@@ -471,7 +605,7 @@ impl QuantizedMatrix {
         let scales = (0..rows)
             .map(|r| quantize_row_into(t.row_slice(r), &mut data[r * cols..(r + 1) * cols]))
             .collect();
-        QuantizedMatrix { rows, cols, data, scales }
+        QuantizedMatrix::new(rows, cols, data, scales)
     }
 
     /// Quantizes a linear-layer weight stored `(d_in, d_out)` into the
@@ -488,7 +622,7 @@ impl QuantizedMatrix {
             }
             scales.push(quantize_row_into(&col, &mut data[j * d_in..(j + 1) * d_in]));
         }
-        QuantizedMatrix { rows: d_out, cols: d_in, data, scales }
+        QuantizedMatrix::new(d_out, d_in, data, scales)
     }
 
     /// Rebuilds a matrix from its serialized parts (see
@@ -514,7 +648,7 @@ impl QuantizedMatrix {
         if let Some(i) = data.iter().position(|&q| q == i8::MIN) {
             return Err(format!("payload byte {i} is -128, outside [-127, 127]"));
         }
-        Ok(QuantizedMatrix { rows, cols, data, scales })
+        Ok(QuantizedMatrix::new(rows, cols, data, scales))
     }
 
     pub fn rows(&self) -> usize {
@@ -553,41 +687,76 @@ impl QuantizedMatrix {
     }
 
     /// `y = q(x) · Wᵀ + bias` for one activation row already quantized
-    /// to `(xq, x_scale)`. The inner loop is integer-only; each output
-    /// element pays one f32 multiply-add epilogue. Dispatches to the
-    /// AVX2 row kernel when available — bit-identical by construction.
+    /// to `(xq, x_scale)`: [`QuantizedMatrix::matmul_quantized`] over a
+    /// single row.
     pub fn matvec_quantized(&self, xq: &[i8], x_scale: f32, bias: Option<&[f32]>, out: &mut [f32]) {
-        assert_eq!(xq.len(), self.cols, "input width mismatch");
-        assert_eq!(out.len(), self.rows, "output width mismatch");
+        self.matmul_quantized(xq, &[x_scale], bias, out);
+    }
+
+    /// `Y = q(X) · Wᵀ + bias` for `x_scales.len()` activation rows already
+    /// quantized, row `r` being `(xq[r * cols..][..cols], x_scales[r])`,
+    /// into `out` row-major (`x_scales.len() x self.rows()`). The inner
+    /// loop is integer-only; each output element pays one f32
+    /// multiply-add epilogue. Every output row is bitwise the single-row
+    /// product of its activation row. Dispatches to the AVX2 kernel when
+    /// available, which loads each group of the packed weights once for
+    /// up to four activation rows — bit-identical by construction.
+    pub fn matmul_quantized(
+        &self,
+        xq: &[i8],
+        x_scales: &[f32],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+    ) {
+        let n = x_scales.len();
+        assert_eq!(xq.len(), n * self.cols, "input width mismatch");
+        assert_eq!(out.len(), n * self.rows, "output width mismatch");
         if let Some(b) = bias {
             assert_eq!(b.len(), self.rows, "bias width mismatch");
         }
+        let (cols, rows) = (self.cols, self.rows);
         #[cfg(target_arch = "x86_64")]
         if avx2_available() {
-            // SAFETY: AVX2 verified at runtime; the asserts above pin
-            // every slice length the kernel reads.
-            unsafe {
-                avx2::matvec(&self.data, self.cols, xq, x_scale, &self.scales, bias, out);
+            for g in (0..n).step_by(4) {
+                let m = (n - g).min(4);
+                let (xq, xs) = (&xq[g * cols..(g + m) * cols], &x_scales[g..g + m]);
+                let out = &mut out[g * rows..(g + m) * rows];
+                let (p, s) = (&self.packed[..], &self.scales[..]);
+                // SAFETY: AVX2 verified at runtime; `packed` is `pack` of
+                // this matrix, and the asserts above pin every slice
+                // length the kernel reads and writes.
+                unsafe {
+                    match m {
+                        1 => avx2::matmul::<1>(p, cols, xq, xs, s, bias, out),
+                        2 => avx2::matmul::<2>(p, cols, xq, xs, s, bias, out),
+                        3 => avx2::matmul::<3>(p, cols, xq, xs, s, bias, out),
+                        _ => avx2::matmul::<4>(p, cols, xq, xs, s, bias, out),
+                    }
+                }
             }
             return;
         }
-        for (j, slot) in out.iter_mut().enumerate() {
-            let acc = dot_i8(xq, self.row(j));
-            let mut y = acc as f32 * x_scale * self.scales[j];
-            if let Some(b) = bias {
-                y += b[j];
+        for (r, &x_scale) in x_scales.iter().enumerate() {
+            let xq = &xq[r * cols..(r + 1) * cols];
+            for (j, slot) in out[r * rows..(r + 1) * rows].iter_mut().enumerate() {
+                let acc = dot_i8(xq, self.row(j));
+                let mut y = acc as f32 * x_scale * self.scales[j];
+                if let Some(b) = bias {
+                    y += b[j];
+                }
+                *slot = y;
             }
-            *slot = y;
         }
     }
 
     /// `Y = q(X) · Wᵀ + bias` over all rows of `x`, quantizing each
     /// activation row dynamically, into caller-owned buffers: `out` is
-    /// reshaped to `x.rows() x self.rows()` and `xq` holds each quantized
-    /// activation row, both reusing their allocations — the student's
-    /// encoder and cross-attention projections run through this
-    /// allocation-free once warm. Each output row is self-contained and
-    /// its inner accumulation is integer.
+    /// reshaped to `x.rows() x self.rows()` and `xq` holds up to four
+    /// quantized activation rows at a time for
+    /// [`QuantizedMatrix::matmul_quantized`], both reusing their
+    /// allocations — the student's encoder and cross-attention
+    /// projections run through this allocation-free once warm. Each
+    /// output row is self-contained and its inner accumulation is integer.
     pub fn matmul_into(
         &self,
         x: &Tensor,
@@ -597,10 +766,16 @@ impl QuantizedMatrix {
     ) {
         assert_eq!(x.cols(), self.cols, "input width mismatch");
         out.resize_zeroed(x.rows(), self.rows);
-        xq.resize(self.cols, 0);
-        for (r, chunk) in out.data_mut().chunks_mut(self.rows).enumerate() {
-            let s = quantize_row_into(x.row_slice(r), xq);
-            self.matvec_quantized(xq, s, bias, chunk);
+        xq.resize(4 * self.cols, 0);
+        let (cols, rows) = (self.cols, self.rows);
+        let mut scales = [0.0f32; 4];
+        for g in (0..x.rows()).step_by(4) {
+            let m = (x.rows() - g).min(4);
+            for (r, s) in scales[..m].iter_mut().enumerate() {
+                *s = quantize_row_into(x.row_slice(g + r), &mut xq[r * cols..(r + 1) * cols]);
+            }
+            let out = &mut out.data_mut()[g * rows..(g + m) * rows];
+            self.matmul_quantized(&xq[..m * cols], &scales[..m], bias, out);
         }
     }
 }

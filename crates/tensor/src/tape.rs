@@ -12,6 +12,8 @@
 //! every rule is covered by a finite-difference test in `tests/gradcheck.rs`.
 
 use std::cell::RefCell;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::param::Param;
 use crate::tensor::Tensor;
@@ -71,8 +73,26 @@ enum Op {
     LogSumExpScalars(Vec<usize>),
 }
 
+/// A node's forward value: computed and owned, or a parameter's weight
+/// shared with its [`Param`], so recording a parameter copies nothing.
+enum Value {
+    Owned(Tensor),
+    Shared(Arc<Tensor>),
+}
+
+impl Deref for Value {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Shared(t) => t,
+        }
+    }
+}
+
 struct Node {
-    value: Tensor,
+    value: Value,
     op: Op,
 }
 
@@ -123,13 +143,17 @@ impl Tape {
     }
 
     fn push(&self, value: Tensor, op: Op) -> Var<'_> {
+        self.push_value(Value::Owned(value), op)
+    }
+
+    fn push_value(&self, value: Value, op: Op) -> Var<'_> {
         let mut nodes = self.nodes.borrow_mut();
         nodes.push(Node { value, op });
         Var { tape: self, idx: nodes.len() - 1 }
     }
 
     fn value_of(&self, idx: usize) -> Tensor {
-        self.nodes.borrow()[idx].value.clone()
+        Tensor::clone(&self.nodes.borrow()[idx].value)
     }
 
     /// Records a constant (no gradient).
@@ -137,9 +161,12 @@ impl Tape {
         self.push(value, Op::Const)
     }
 
-    /// Records a trainable parameter leaf.
+    /// Records a trainable parameter leaf, sharing its current value
+    /// with the parameter instead of copying it: an optimizer update
+    /// while this tape still holds the value copies on write, so the
+    /// recorded forward value never changes.
     pub fn param(&self, param: &Param) -> Var<'_> {
-        self.push(param.value(), Op::Param(param.clone()))
+        self.push_value(Value::Shared(param.shared_value()), Op::Param(param.clone()))
     }
 
     /// Embedding lookup: gathers `ids.len()` rows of `param` without
@@ -686,6 +713,28 @@ impl<'t> Var<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A recorded parameter shares the weight, and updating or replacing
+    /// the weight while the tape holds it copies on write: the tape's
+    /// forward value and the gradients it flushes keep the old weight.
+    #[test]
+    fn recorded_param_keeps_its_value_across_updates() {
+        let w = Param::new("w", Tensor::from_vec(2, 1, vec![3.0, 5.0]));
+        let tape = Tape::new();
+        let x = tape.constant(Tensor::from_vec(1, 2, vec![2.0, 7.0]));
+        let wv = tape.param(&w);
+        let loss = x.matmul(wv);
+        assert_eq!(loss.item(), 41.0);
+        w.update(|v, _| v.iter_mut().for_each(|v| *v += 1.0));
+        assert_eq!(wv.value().data(), &[3.0, 5.0]);
+        assert_eq!(w.value().data(), &[4.0, 6.0]);
+        w.set_value(Tensor::from_vec(2, 1, vec![-1.0, -1.0]));
+        assert_eq!(wv.value().data(), &[3.0, 5.0]);
+        // loss = w·x, so the gradient is x whatever w now holds.
+        tape.backward(loss);
+        assert_eq!(w.grad().data(), &[2.0, 7.0]);
+        assert_eq!(w.value().data(), &[-1.0, -1.0]);
+    }
 
     #[test]
     fn forward_values_are_eager() {

@@ -146,3 +146,45 @@ fn attention_key_cache_scores_deterministic() {
     all_at_once.scores_into(&qv, qs, 0.25, &mut s3);
     assert_eq!(s1, s3);
 }
+
+/// The stacked product: `matmul_quantized` over `R` activation rows is,
+/// row for row, bitwise `R` single `matvec_quantized` calls and the
+/// scalar `dot_i8` epilogue, for R = 1..=4 (and past one four-row group),
+/// with and without bias, at widths around the 16- and 32-byte chunks
+/// and row counts around the four-row blocks. Activation codes span the
+/// whole i8 range, -128 included.
+#[test]
+fn stacked_matmul_is_bitwise_single_row_matvecs() {
+    let mut rng = StdRng::seed_from_u64(0x57AC);
+    for cols in [1usize, 15, 16, 17, 31, 32, 33, 48, 64, 100] {
+        for rows in [1usize, 3, 4, 5, 8, 23, 499] {
+            let w = random_tensor(cols, rows, (cols * rows) as u64, 1.0);
+            let q = QuantizedMatrix::from_weight(&w);
+            let bias: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.7).sin()).collect();
+            for r in [1usize, 2, 3, 4, 6] {
+                let xq: Vec<i8> =
+                    (0..r * cols).map(|_| rng.gen_range(0u32..256) as u8 as i8).collect();
+                let xs: Vec<f32> = (0..r).map(|_| rng.gen::<f32>() * 0.01).collect();
+                for b in [Some(&bias[..]), None] {
+                    let mut stacked = vec![f32::NAN; r * rows];
+                    q.matmul_quantized(&xq, &xs, b, &mut stacked);
+                    for (i, got) in stacked.chunks(rows).enumerate() {
+                        let x = &xq[i * cols..(i + 1) * cols];
+                        let mut single = vec![f32::NAN; rows];
+                        q.matvec_quantized(x, xs[i], b, &mut single);
+                        for (j, (&g, &s)) in got.iter().zip(&single).enumerate() {
+                            let mut want = dot_i8(x, q.row(j)) as f32 * xs[i] * q.scales()[j];
+                            if let Some(b) = b {
+                                want += b[j];
+                            }
+                            let bias = b.is_some();
+                            let at = format!("R={r} {rows}x{cols} row {i} out {j} bias {bias}");
+                            assert_eq!(g.to_bits(), s.to_bits(), "stacked vs single: {at}");
+                            assert_eq!(g.to_bits(), want.to_bits(), "stacked vs scalar: {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -86,6 +86,8 @@
 # qrw-online unit suite (session-rewriter golden hashes) a second time in
 # release mode, on the optimised code the benchmarks execute.
 #
+# Always runs clippy and rustdoc with warnings as errors.
+#
 # Always runs the test-inventory guard: every crates/*/src module must
 # either contain #[test]s or be exercised by that crate's integration
 # tests (re-export-only entry points are whitelisted below).
@@ -196,6 +198,11 @@ cargo test --release --offline -p qrw-online --lib
 
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (offline, warnings are errors) =="
+# Broken intra-doc links, links to private items and stray HTML tags in
+# doc comments fail here rather than rot.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 if [ "$BENCH_SMOKE" = 1 ]; then
   echo "== bench smoke (offline, writes + validates BENCH_*.json) =="
