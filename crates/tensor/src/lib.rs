@@ -11,7 +11,9 @@
 //! * [`Tensor`] — dense row-major `f32` matrices with the usual kernels
 //!   (matmul, softmax, layer norm building blocks).
 //! * [`gemm`] — the one register-tiled f32 GEMM behind all three matmul
-//!   layouts, bitwise identical to the naive triple loop.
+//!   layouts, bitwise identical to the naive triple loop, and its exact
+//!   `f64`-lane body that the backward pass takes on subnormal gradients
+//!   (same bits, no microcode assists).
 //! * [`Tape`] / [`Var`] — an eager autodiff tape with a closed op set; every
 //!   backward rule is finite-difference tested.
 //! * [`Param`] / [`ParamSet`] — shared trainable parameters; gradients

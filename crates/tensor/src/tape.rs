@@ -15,6 +15,7 @@ use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::Arc;
 
+use crate::gemm::{self, Layout};
 use crate::param::Param;
 use crate::tensor::Tensor;
 
@@ -237,15 +238,17 @@ impl Tape {
                 Op::MatMul(a, b) => {
                     let va = &nodes[*a].value;
                     let vb = &nodes[*b].value;
-                    accumulate(&mut grads, *a, g.matmul_transpose_b(vb));
-                    accumulate(&mut grads, *b, va.matmul_transpose_a(&g));
+                    let exact = gemm::has_tiny(g.data());
+                    accumulate(&mut grads, *a, grad_product(&g, vb, Layout::TransposeB, exact));
+                    accumulate(&mut grads, *b, grad_product(va, &g, Layout::TransposeA, exact));
                 }
                 Op::MatMulTransB(a, b) => {
                     // out = A B^T ; dA = G B ; dB = G^T A.
                     let va = &nodes[*a].value;
                     let vb = &nodes[*b].value;
-                    accumulate(&mut grads, *a, g.matmul(vb));
-                    accumulate(&mut grads, *b, g.matmul_transpose_a(va));
+                    let exact = gemm::has_tiny(g.data());
+                    accumulate(&mut grads, *a, grad_product(&g, vb, Layout::Plain, exact));
+                    accumulate(&mut grads, *b, grad_product(&g, va, Layout::TransposeA, exact));
                 }
                 Op::Transpose(x) => accumulate(&mut grads, *x, g.transpose()),
                 Op::RowSoftmax(x) => {
@@ -431,6 +434,18 @@ impl Tape {
             grads[i] = Some(g);
         }
         Gradients { grads }
+    }
+}
+
+/// A backward product with the upstream gradient as one operand: on the
+/// exact body when the gradient holds tiny values (the products would
+/// otherwise run on f32 subnormals), else on the f32 body. Both give the
+/// same bits.
+fn grad_product(a: &Tensor, b: &Tensor, layout: Layout, exact: bool) -> Tensor {
+    if exact {
+        gemm::product_exact(a, b, layout)
+    } else {
+        gemm::product(a, b, layout)
     }
 }
 

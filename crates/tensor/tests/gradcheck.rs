@@ -7,6 +7,7 @@
 
 use qrw_tensor::rng::StdRng;
 
+use qrw_tensor::gemm::{product_portable, Layout};
 use qrw_tensor::init;
 use qrw_tensor::tape::{Tape, Var};
 use qrw_tensor::tensor::Tensor;
@@ -346,4 +347,47 @@ fn prop_cross_entropy_consistent() {
         let manual: f32 = targets.iter().enumerate().map(|(r, &t)| -logp.get(r, t)).sum();
         assert!((fused - manual).abs() < 1e-4);
     }
+}
+
+// An upstream gradient scaled into the subnormal range sends the `MatMul`
+// and `MatMulTransB` backward products to the exact f64 body; every
+// parameter and input gradient must still be, bit for bit, the same
+// products on the f32 body, accumulated in the tape's order.
+#[test]
+fn tiny_upstream_gradients_match_the_f32_body_bitwise() {
+    let (m, k, n) = (25, 48, 40);
+    let w = rand_param(41, "w", k, n);
+    let wt = rand_param(42, "wt", n, k);
+    let mut rng = StdRng::seed_from_u64(43);
+    let x_value = init::uniform(&mut rng, m, k, 1.0);
+    // Subnormal, with normals just above 2⁻¹²⁶ and exact zeros: partial
+    // sums stay where every product's rounding shows.
+    let s: Vec<f32> = (0..m * n)
+        .map(|i| match i % 7 {
+            0 => 0.0,
+            1 => (rng.gen::<f32>() * 2.0 - 1.0) * 2f32.powi(-124),
+            _ => (rng.gen::<f32>() * 2.0 - 1.0) * 2f32.powi(-128),
+        })
+        .collect();
+    let s = Tensor::from_vec(m, n, s);
+    assert!(s.data().iter().filter(|v| v.is_subnormal()).count() > m * n / 2);
+
+    let tape = Tape::new();
+    let x = tape.constant(x_value.clone());
+    let y = x.matmul(tape.param(&w)).add(x.matmul_transpose_b(tape.param(&wt)));
+    // loss = 1ᵀ (y ⊙ s) 1, so the upstream gradient of both products is s.
+    let scaled = y.mul(tape.constant(s.clone()));
+    let ones_m = tape.constant(Tensor::full(1, m, 1.0));
+    let ones_n = tape.constant(Tensor::full(n, 1, 1.0));
+    let grads = tape.backward(ones_m.matmul(scaled.matmul(ones_n)));
+
+    let dw = product_portable(&x_value, &s, Layout::TransposeA);
+    let dwt = product_portable(&s, &x_value, Layout::TransposeA);
+    // The later node (`MatMulTransB`) runs backward first.
+    let mut dx = product_portable(&s, &wt.value(), Layout::Plain);
+    dx.add_assign(&product_portable(&s, &w.value(), Layout::TransposeB));
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&w.grad()), bits(&dw), "dW");
+    assert_eq!(bits(&wt.grad()), bits(&dwt), "dWt");
+    assert_eq!(bits(grads.get(x).expect("input gradient")), bits(&dx), "dx");
 }

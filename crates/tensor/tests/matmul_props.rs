@@ -6,8 +6,14 @@
 //! The kernel keeps the per-element k-accumulation in ascending order
 //! precisely so this holds; a tolerance here would let accumulation-order
 //! drift creep into the KV-cache equivalence guarantees upstream.
+//!
+//! The exact `f64` body (`gemm::product_exact`, the backward pass's path
+//! for tiny gradients) is pinned the same way, on operands built to reach
+//! every rounding case it emulates: subnormal inputs and products, ties of
+//! the 2⁻¹⁴⁹ grid, the 2⁻¹²⁶ boundary, cancellation into the subnormal
+//! range, signed zeros, overflow and non-finite inputs.
 
-use qrw_tensor::gemm::{product_portable, Layout};
+use qrw_tensor::gemm::{product_exact, product_portable, Layout};
 use qrw_tensor::rng::StdRng;
 use qrw_tensor::{avx2_available, Activation, Tensor, PAR_MIN_WORK};
 
@@ -268,6 +274,170 @@ fn avx2_copy_matches_portable_copy_bitwise() {
             );
         }
     }
+}
+
+/// Ragged `(m, k, n)` shapes for the exact body: its 2x16 tiles, the
+/// 1x32 stripe of a leftover row, empty products, the threaded path, and
+/// seeded draws with every dimension in `0..70`.
+fn ragged_shapes(rng: &mut StdRng) -> Vec<(usize, usize, usize)> {
+    let mut shapes = vec![
+        (0, 3, 4),
+        (3, 0, 4),
+        (3, 4, 0),
+        (1, 1, 1),
+        (1, 7, 33),
+        (2, 5, 16),
+        (3, 25, 48),
+        (4, 48, 17),
+        (25, 48, 48),
+        (48, 25, 96),
+        (64, 96, 512),
+    ];
+    shapes.extend(
+        (0..24).map(|_| (rng.gen_range(0..70), rng.gen_range(0..70), rng.gen_range(0..70))),
+    );
+    shapes
+}
+
+/// `product_exact` against the naive loops in all three layouts on every
+/// ragged shape, with operands from `draw`.
+fn exact_matches_naive(seed: u64, draw: impl Fn(&mut StdRng, usize, usize) -> Tensor + Copy) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for shape in ragged_shapes(&mut rng) {
+        for (layout, a, b, want) in products(&mut rng, shape, draw) {
+            let what = format!("exact {layout:?} {shape:?} seed {seed}");
+            assert_bitwise_eq(&product_exact(&a, &b, layout), &want, &what);
+        }
+    }
+}
+
+fn tensor_of(
+    rng: &mut StdRng,
+    rows: usize,
+    cols: usize,
+    value: impl Fn(&mut StdRng) -> f32,
+) -> Tensor {
+    let data = (0..rows * cols).map(|_| value(rng)).collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// An f32 with magnitude bits drawn from `mags` and a random sign.
+fn signed(rng: &mut StdRng, mags: std::ops::Range<u32>) -> f32 {
+    let mag = rng.gen_range(mags);
+    f32::from_bits(mag | if rng.gen::<bool>() { 1 << 31 } else { 0 })
+}
+
+/// Operands across the whole subnormal bit range, around 2⁻¹²⁶, ±0, and
+/// normals from 2⁻⁹⁰ to 2⁸ whose products land anywhere from the
+/// subnormal range up; every value in a product is exact f32 input.
+#[test]
+fn exact_body_matches_naive_on_subnormal_operands() {
+    let draw = |rng: &mut StdRng, rows, cols| {
+        tensor_of(rng, rows, cols, |rng| match rng.gen_range(0..10) {
+            0..=2 => signed(rng, 0..1 << 23),
+            3 => signed(rng, 0x0080_0000 - 8..0x0080_0000 + 8),
+            4 => signed(rng, 0..1),
+            _ => {
+                let scale = 2f32.powi(rng.gen_range(-90..8));
+                (rng.gen::<f32>() * 4.0 - 2.0) * scale
+            }
+        })
+    };
+    exact_matches_naive(21, draw);
+}
+
+/// Products that land on half-way points of the 2⁻¹⁴⁹ grid (ties, both
+/// directions of even), exactly on 2⁻¹²⁶, and on the tie just below it
+/// that rounds up to 2⁻¹²⁶: `a = (2j+1)·2⁻⁷⁵`, `b = ±2⁻⁷⁵`, and
+/// `2⁻⁶³ · 2⁻⁶³`.
+#[test]
+fn exact_body_rounds_grid_ties_and_the_normal_boundary() {
+    let p75 = 2f32.powi(-75);
+    let draw = move |rng: &mut StdRng, rows, cols| {
+        tensor_of(rng, rows, cols, |rng| match rng.gen_range(0..6) {
+            0 => 2f32.powi(-63),
+            1 => (2.0 * rng.gen_range(0..1 << 12) as f32 + 1.0) * p75,
+            2 => ((1 << 24) - 1) as f32 * p75,
+            3 => (2.0 * rng.gen_range(0..1 << 23) as f32 + 1.0) * p75,
+            4 => -p75,
+            _ => p75,
+        })
+    };
+    exact_matches_naive(22, draw);
+    // One product per output, checked directly: ties go to the even grid
+    // point, and `(2²⁴ - 1)·2⁻¹⁵⁰` rounds up to 2⁻¹²⁶.
+    let cases =
+        [(1.0, 0.0), (3.0, 2.0), (5.0, 2.0), (7.0, 4.0), (((1 << 24) - 1) as f32, 8_388_608.0)];
+    for (odd, want) in cases {
+        let a = Tensor::from_vec(1, 1, vec![odd * p75]);
+        let b = Tensor::from_vec(1, 1, vec![p75]);
+        let got = product_exact(&a, &b, Layout::Plain).data()[0];
+        assert_eq!(got.to_bits(), f32::from_bits(want as u32).to_bits(), "({odd})·2⁻¹⁵⁰");
+    }
+}
+
+/// Partial sums that cancel from the normal range into the subnormal
+/// one and back: normals within a few ulps of ±2⁻¹²⁵ times ±1 and
+/// `1 ± 2⁻²³`, with subnormals in between.
+#[test]
+fn exact_body_matches_naive_on_cancelling_sums() {
+    let near = f32::MIN_POSITIVE * 2.0;
+    let draw = move |rng: &mut StdRng, rows, cols| {
+        tensor_of(rng, rows, cols, |rng| match rng.gen_range(0..6) {
+            0 => 1.0,
+            1 => -1.0,
+            2 => 1.0 + f32::EPSILON,
+            3 => signed(rng, 0..1 << 23),
+            _ => signed(rng, near.to_bits() - 32..near.to_bits() + 32),
+        })
+    };
+    exact_matches_naive(23, draw);
+}
+
+/// `+0.0` and `-0.0` operands: a product of zeros of either sign, or a
+/// negative product that rounds to zero, never shows in an output.
+#[test]
+fn exact_body_keeps_the_positive_zero_seed() {
+    let draw = |rng: &mut StdRng, rows, cols| {
+        tensor_of(rng, rows, cols, |rng| match rng.gen_range(0..4) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -f32::from_bits(1),
+            _ => 2f32.powi(-30),
+        })
+    };
+    exact_matches_naive(24, draw);
+    let neg = Tensor::full(5, 7, -0.0);
+    let pos = Tensor::full(7, 17, 1.0);
+    assert!(product_exact(&neg, &pos, Layout::Plain).data().iter().all(|v| v.to_bits() == 0));
+}
+
+/// Finite operands whose products or sums overflow to ±inf (and then to
+/// NaN), and NaN or infinite inputs: both take the f32 body, mixed with
+/// subnormals so the exact body would have been chosen otherwise.
+#[test]
+fn exact_body_routes_overflow_and_non_finite_to_f32() {
+    let nan = std::hint::black_box(f32::INFINITY) * std::hint::black_box(0.0f32);
+    let overflow = |rng: &mut StdRng, rows, cols| {
+        tensor_of(rng, rows, cols, |rng| match rng.gen_range(0..5) {
+            0 => f32::MAX * if rng.gen::<bool>() { 0.75 } else { -0.75 },
+            1 => 2f32.powi(rng.gen_range(60..100)),
+            2 => -2f32.powi(rng.gen_range(60..100)),
+            3 => signed(rng, 0..1 << 23),
+            _ => rng.gen::<f32>() * 4.0 - 2.0,
+        })
+    };
+    exact_matches_naive(25, overflow);
+    let non_finite = move |rng: &mut StdRng, rows, cols| {
+        tensor_of(rng, rows, cols, |rng| match rng.gen_range(0..12) {
+            0 => f32::INFINITY,
+            1 => f32::NEG_INFINITY,
+            2 => nan,
+            3..=6 => signed(rng, 0..1 << 23),
+            _ => rng.gen::<f32>() * 4.0 - 2.0,
+        })
+    };
+    exact_matches_naive(26, non_finite);
 }
 
 #[test]

@@ -173,7 +173,7 @@ echo "== bit-exactness suites (release, offline) =="
 # The run above uses the test profile (opt-level 1, debug assertions on);
 # the benchmarks run the opt-level 3 release machine code, so the bitwise
 # oracles and the shard tier's equivalence suites run against it too.
-cargo test --release --offline -p qrw-tensor --test matmul_props --test quant_props
+cargo test --release --offline -p qrw-tensor --test matmul_props --test quant_props --test gradcheck
 # The exhaustive quantizer-core sweep (every f32 bit pattern) is too slow
 # for the opt-level 1 run, so it is #[ignore]d there and runs here.
 cargo test --release --offline -p qrw-tensor --lib -- --ignored
