@@ -44,8 +44,15 @@ impl JointModel {
     }
 
     /// The cycle-consistency log-likelihood `log P(x|x)` for one query,
-    /// marginalized over `titles`, as a tape node. Also returns the
-    /// per-title path scores `log P(ŷ|x) + log P(x|ŷ)` (values only).
+    /// marginalized over `titles` (empty titles skipped), as a tape node.
+    ///
+    /// Each model scores its k paths in one stacked pass
+    /// ([`Seq2Seq::nll_stacked_on_tape`]): the forward model the k
+    /// (query → title) pairs, the backward model the k (title → query)
+    /// pairs. The path scores `log P(ŷ|x) + log P(x|ŷ)` are one `k x 1`
+    /// column under the log-sum-exp. Values and flushed gradients are
+    /// bitwise those of 2k separate passes (the frozen per-path oracle in
+    /// this module's tests pins that).
     pub fn cyclic_log_likelihood<'t>(
         &self,
         tape: &'t Tape,
@@ -53,18 +60,15 @@ impl JointModel {
         titles: &[Vec<usize>],
     ) -> Var<'t> {
         assert!(!titles.is_empty(), "cyclic term needs at least one synthetic title");
-        let mut paths = Vec::with_capacity(titles.len());
-        for title in titles {
-            if title.is_empty() {
-                continue;
-            }
-            let (nll_f, _) = self.forward.nll_on_tape(tape, query, title, &mut None);
-            let (nll_b, _) = self.backward.nll_on_tape(tape, title, query, &mut None);
-            // log P_f + log P_b = -(nll_f + nll_b)
-            paths.push(nll_f.add(nll_b).scale(-1.0));
-        }
-        assert!(!paths.is_empty(), "all synthetic titles were empty");
-        Var::log_sum_exp_scalars(&paths)
+        let titles: Vec<&[usize]> =
+            titles.iter().map(Vec::as_slice).filter(|t| !t.is_empty()).collect();
+        assert!(!titles.is_empty(), "all synthetic titles were empty");
+        let q2t: Vec<(&[usize], &[usize])> = titles.iter().map(|&t| (query, t)).collect();
+        let t2q: Vec<(&[usize], &[usize])> = titles.iter().map(|&t| (t, query)).collect();
+        let nll_f = self.forward.nll_stacked_on_tape(tape, &q2t);
+        let nll_b = self.backward.nll_stacked_on_tape(tape, &t2q);
+        // log P_f + log P_b = -(nll_f + nll_b)
+        Var::log_sum_exp_scalars(&[nll_f.add(nll_b).scale(-1.0)])
     }
 
     /// Samples `k` synthetic titles for `query` from the forward model
@@ -802,6 +806,9 @@ fn sample_index(cum: &[f64], rng: &mut StdRng) -> usize {
         Ok(i) | Err(i) => i.min(cum.len() - 1),
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -120,7 +120,16 @@ impl Embedding {
     }
 
     pub fn forward<'t>(&self, tape: &'t Tape, ids: &[usize]) -> Var<'t> {
-        tape.gather_rows(&self.table, ids).scale((self.d_model as f32).sqrt())
+        tape.gather_rows(&self.table, ids).scale(self.scale())
+    }
+
+    /// [`Self::forward`] of several sequences followed by each one's
+    /// positional rows `pe[0..len]`, as one stacked node with a segment
+    /// per sequence: row for row what `forward(seq).add_const(..)` gives.
+    pub fn forward_segmented<'t>(&self, tape: &'t Tape, seqs: &[&[usize]], pe: &Tensor) -> Var<'t> {
+        let pes: Vec<Tensor> = seqs.iter().map(|s| pe.slice_rows(0, s.len())).collect();
+        let pe_rows = Tensor::stack_rows(&pes.iter().collect::<Vec<_>>());
+        tape.gather_rows_segmented(&self.table, seqs).scale(self.scale()).add_const(&pe_rows)
     }
 
     /// `sqrt(d_model)`, the scale every lookup applies.
@@ -200,6 +209,11 @@ impl MultiHeadAttention {
 
     /// Attention of `q_in` over `kv_in`. `mask` (if given) is added to the
     /// raw scores (`0` = visible, `-1e9` = hidden).
+    ///
+    /// Stacked inputs (see [`qrw_tensor::Tape`]) attend segment by
+    /// segment: segment `s` of `q_in` over segment `s` of `kv_in`, masked by
+    /// the leading `q_len x kv_len` block of `mask`. The projections run
+    /// once over all segments.
     pub fn forward<'t>(
         &self,
         tape: &'t Tape,
@@ -211,33 +225,42 @@ impl MultiHeadAttention {
         let q = self.wq.forward(tape, q_in);
         let k = self.wk.forward(tape, kv_in);
         let v = self.wv.forward(tape, kv_in);
-        let scale = 1.0 / (self.d_head as f32).sqrt();
-        let mut ctxs = Vec::with_capacity(self.heads);
-        let mut attn_avg: Option<Tensor> = None;
-        for h in 0..self.heads {
-            let off = h * self.d_head;
-            let qh = q.slice_cols(off, self.d_head);
-            let kh = k.slice_cols(off, self.d_head);
-            let vh = v.slice_cols(off, self.d_head);
-            let mut scores = qh.matmul_transpose_b(kh).scale(scale);
-            if let Some(m) = mask {
-                scores = scores.add_const(m);
+        let merged = match (q.segment_count(), k.segment_count()) {
+            (None, None) => self.attend(q, k, v, mask, attn_sink),
+            (Some(n), Some(kv_n)) => {
+                assert_eq!(n, kv_n, "attention across stacks of different sizes");
+                assert!(attn_sink.is_none(), "attention sinks record unstacked passes only");
+                let parts: Vec<Var<'t>> = (0..n)
+                    .map(|s| {
+                        let (qs, ks) = (q.segment(s), k.segment(s));
+                        let block = mask.map(|m| leading_block(m, qs.shape().0, ks.shape().0));
+                        self.attend(qs, ks, v.segment(s), block.as_ref(), None)
+                    })
+                    .collect();
+                Var::stack_segments(&parts)
             }
-            let attn = scores.row_softmax();
-            if attn_sink.is_some() {
-                let a = attn.value();
-                match &mut attn_avg {
-                    Some(acc) => acc.add_assign(&a),
-                    slot @ None => *slot = Some(a),
-                }
-            }
-            ctxs.push(attn.matmul(vh));
-        }
-        if let (Some(sink), Some(acc)) = (attn_sink, attn_avg) {
-            sink.push(acc.scale(1.0 / self.heads as f32));
-        }
-        let merged = Var::concat_cols(&ctxs);
+            _ => panic!("attention between a stacked and an unstacked input"),
+        };
         self.wo.forward(tape, merged)
+    }
+
+    /// The heads of one attention over projected `q`, `k`, `v`, merged.
+    fn attend<'t>(
+        &self,
+        q: Var<'t>,
+        k: Var<'t>,
+        v: Var<'t>,
+        mask: Option<&Tensor>,
+        attn_sink: Option<&mut Vec<Tensor>>,
+    ) -> Var<'t> {
+        let merged = q.attention(k, v, self.heads, mask);
+        if let Some(sink) = attn_sink {
+            let mut heads = merged.attention_weights().into_iter();
+            let mut avg = heads.next().expect("at least one head");
+            heads.for_each(|a| avg.add_assign(&a));
+            sink.push(avg.scale(1.0 / self.heads as f32));
+        }
+        merged
     }
 
     /// One query row's attention over `keys` / `values` (each
@@ -326,6 +349,12 @@ impl FeedForward {
         self.lin1.forward_into_act(x, Activation::Relu, hidden);
         self.lin2.forward_into(hidden, out);
     }
+}
+
+/// The leading `rows x cols` block of `m`.
+fn leading_block(m: &Tensor, rows: usize, cols: usize) -> Tensor {
+    let data = (0..rows).flat_map(|r| m.row_slice(r)[..cols].iter().copied()).collect();
+    Tensor::from_vec(rows, cols, data)
 }
 
 /// Sinusoidal positional-encoding table (`max_len x d_model`), a constant.

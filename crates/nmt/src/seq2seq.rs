@@ -429,6 +429,36 @@ impl Seq2Seq {
         )
     }
 
+    /// The teacher-forced negative log-likelihoods of several
+    /// `(src, tgt)` pairs, each scored as [`Self::nll_on_tape`] scores it in
+    /// inference mode, as one `k x 1` node whose row `i` is pair `i`'s. A
+    /// pure transformer runs the pairs as one stacked pass (see
+    /// [`qrw_tensor::Tape`]): the values, and the gradients a backward pass
+    /// flushes into the parameters, are bitwise those of `k` separate
+    /// passes recorded in pair order. A model with a recurrent component
+    /// runs them as those separate passes.
+    pub fn nll_stacked_on_tape<'t>(&self, tape: &'t Tape, pairs: &[(&[usize], &[usize])]) -> Var<'t> {
+        assert!(!pairs.is_empty(), "no pairs to score");
+        let (Encoder::Transformer(enc), Decoder::Transformer(dec)) = (&self.enc, &self.dec) else {
+            let nlls: Vec<Var<'t>> =
+                pairs.iter().map(|&(src, tgt)| self.nll_on_tape(tape, src, tgt, &mut None).0).collect();
+            return Var::stack_rows(&nlls);
+        };
+        let srcs: Vec<Vec<usize>> = pairs
+            .iter()
+            .map(|&(src, _)| {
+                assert!(!src.is_empty(), "source must be non-empty");
+                self.prep_src(src)
+            })
+            .collect();
+        let (dec_ins, targets): (Vec<_>, Vec<_>) = pairs.iter().map(|&(_, tgt)| self.prep_tgt(tgt)).unzip();
+        let memory = enc.forward_segmented(tape, &srcs.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let dec_ins: Vec<&[usize]> = dec_ins.iter().map(Vec::as_slice).collect();
+        let hidden = dec.forward_segmented(tape, &dec_ins, memory);
+        let targets = targets.concat();
+        self.out.forward(tape, hidden).cross_entropy_segments(&targets, &vec![1.0; targets.len()])
+    }
+
     /// `log P(tgt | src)` under the model (inference mode, no dropout).
     pub fn log_prob(&self, src: &[usize], tgt: &[usize]) -> f32 {
         let tape = Tape::new();

@@ -86,11 +86,31 @@ impl TransformerEncoder {
     ) -> Var<'t> {
         assert!(!src.is_empty(), "encoder input must be non-empty");
         assert!(src.len() <= self.pe.rows(), "source longer than positional table");
-        let mut x = self
+        let x = self
             .embed
             .forward(tape, src)
             .add_const(&self.pe.slice_rows(0, src.len()));
-        x = maybe_dropout(ctx, x);
+        self.layers_forward(tape, maybe_dropout(ctx, x), ctx)
+    }
+
+    /// [`Self::forward`] of several sources in inference mode, as one
+    /// stacked pass with a segment per source: each segment's memory rows
+    /// are bitwise the ones its own pass would give.
+    pub fn forward_segmented<'t>(&self, tape: &'t Tape, srcs: &[&[usize]]) -> Var<'t> {
+        for src in srcs {
+            assert!(!src.is_empty(), "encoder input must be non-empty");
+            assert!(src.len() <= self.pe.rows(), "source longer than positional table");
+        }
+        let x = self.embed.forward_segmented(tape, srcs, &self.pe);
+        self.layers_forward(tape, x, &mut None)
+    }
+
+    fn layers_forward<'t>(
+        &self,
+        tape: &'t Tape,
+        mut x: Var<'t>,
+        ctx: &mut Option<TrainCtx<'_>>,
+    ) -> Var<'t> {
         for layer in &self.layers {
             x = layer.forward(tape, x, ctx);
         }
@@ -319,6 +339,25 @@ impl TransformerDecoder {
         x = maybe_dropout(ctx, x);
         for layer in &self.layers {
             x = layer.forward(tape, x, memory, &mask, ctx, attn_sink.as_deref_mut());
+        }
+        x
+    }
+
+    /// [`Self::forward`] of several target inputs in inference mode, as
+    /// one stacked pass against a stacked `memory` with a segment per
+    /// input: segment `s` attends causally within itself and across to
+    /// segment `s` of `memory`, so its rows are bitwise the ones its own
+    /// pass would give.
+    pub fn forward_segmented<'t>(&self, tape: &'t Tape, tgt_ins: &[&[usize]], memory: Var<'t>) -> Var<'t> {
+        for tgt_in in tgt_ins {
+            assert!(!tgt_in.is_empty(), "decoder input must be non-empty");
+            assert!(tgt_in.len() <= self.pe.rows(), "target longer than positional table");
+        }
+        // Each segment's causal mask is the leading block of the longest.
+        let mask = causal_mask(tgt_ins.iter().map(|t| t.len()).max().unwrap_or(0));
+        let mut x = self.embed.forward_segmented(tape, tgt_ins, &self.pe);
+        for layer in &self.layers {
+            x = layer.forward(tape, x, memory, &mask, &mut None, None);
         }
         x
     }

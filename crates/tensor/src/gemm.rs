@@ -8,9 +8,10 @@
 //! `(row, col)` strides so a transposed `a` needs no copy. Rows short of a
 //! whole `MR` block (a decode step's single row) run as `1 x 4·NR` or
 //! `2 x 2·NR` blocks in the same registers. A transposed `b` is packed
-//! once per call into a reused per-thread buffer, as is the last
-//! `NR`-wide column panel of `b` when `n` is not a multiple of `NR` (zero
-//! padded; the padding lanes are computed and never stored).
+//! once per call into a reused per-thread buffer (8×8 blocks at a time
+//! through AVX2 registers), as is the last `NR`-wide column panel of `b`
+//! when `n` is not a multiple of `NR` (zero padded; the padding lanes are
+//! computed and never stored).
 //!
 //! **Bitwise contract.** Every output starts at `+0.0` and accumulates
 //! `acc += a[i,p] * b[p,j]` for `p` ascending, one rounded multiply and one
@@ -69,6 +70,7 @@
 //! bits, so that rule decides speed only.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use crate::tensor::Tensor;
 
@@ -114,25 +116,46 @@ thread_local! {
     static WIDE: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
+/// A row-major `rows x cols` matrix borrowed from a [`Tensor`]: all of
+/// it, or a contiguous run of its rows.
+#[derive(Clone, Copy)]
+pub(crate) struct Mat<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> Mat<'a> {
+    /// Rows `rows` of `t`.
+    pub(crate) fn rows_of(t: &'a Tensor, rows: Range<usize>) -> Self {
+        let cols = t.cols();
+        Mat { data: &t.data()[rows.start * cols..rows.end * cols], rows: rows.len(), cols }
+    }
+}
+
+impl<'a> From<&'a Tensor> for Mat<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        Mat { data: t.data(), rows: t.rows(), cols: t.cols() }
+    }
+}
+
 /// The product of `a` and `b` in `layout`, on the fastest kernel copy the
 /// CPU supports.
 pub(crate) fn product(a: &Tensor, b: &Tensor, layout: Layout) -> Tensor {
-    let mut out = Tensor::default();
-    product_into(a, b, layout, &mut out);
-    out
+    product_mats(a.into(), b.into(), layout, false)
 }
 
 /// [`product`] written into `out` (reshaped to `m x n`, its allocation
 /// reused once it has held that many values).
 pub(crate) fn product_into(a: &Tensor, b: &Tensor, layout: Layout, out: &mut Tensor) {
-    product_with(a, b, layout, crate::avx2_available(), false, out);
+    product_tensor(a.into(), b.into(), layout, crate::avx2_available(), false, out);
 }
 
 /// The product on the portable kernel copy: the reference the dispatched
 /// copy is pinned against.
 pub fn product_portable(a: &Tensor, b: &Tensor, layout: Layout) -> Tensor {
     let mut out = Tensor::default();
-    product_with(a, b, layout, false, false, &mut out);
+    product_tensor(a.into(), b.into(), layout, false, false, &mut out);
     out
 }
 
@@ -141,57 +164,94 @@ pub fn product_portable(a: &Tensor, b: &Tensor, layout: Layout) -> Tensor {
 /// arithmetic on f32 subnormals. Operands holding a NaN or an infinity,
 /// or whose magnitudes could overflow a sum, take the f32 body.
 pub fn product_exact(a: &Tensor, b: &Tensor, layout: Layout) -> Tensor {
+    product_mats(a.into(), b.into(), layout, true)
+}
+
+/// The product of two views on the exact body (`exact`) or the f32 one.
+pub(crate) fn product_mats(a: Mat, b: Mat, layout: Layout, exact: bool) -> Tensor {
     let mut out = Tensor::default();
-    product_with(a, b, layout, crate::avx2_available(), true, &mut out);
+    product_tensor(a, b, layout, crate::avx2_available(), exact, &mut out);
     out
 }
 
-/// True when `g` holds a nonzero magnitude below [`TINY_GRADIENT`]. One
-/// integer pass over the bits: no float arithmetic touches a subnormal.
-pub(crate) fn has_tiny(g: &[f32]) -> bool {
-    // `|x| - 1` wraps a zero to the top of the range, out of the test.
-    let least = g.iter().map(|x| (x.to_bits() & ABS32).wrapping_sub(1)).min();
-    least.is_some_and(|least| least < TINY_GRADIENT.to_bits() - 1)
+/// [`product_mats`] written over `out`, which holds exactly the `m·n`
+/// outputs.
+pub(crate) fn product_mats_into(a: Mat, b: Mat, layout: Layout, exact: bool, out: &mut [f32]) {
+    product_with(a, b, layout, crate::avx2_available(), exact, out);
 }
 
-fn product_with(a: &Tensor, b: &Tensor, layout: Layout, avx2: bool, exact: bool, out: &mut Tensor) {
-    // (m, k, n) of the product and the inner dimension `b` brings.
+/// What a backward product has to do with its upstream gradient.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum GradKind {
+    /// Every value is `+0.0` or `-0.0` (or there are none): against a
+    /// finite operand every output is `+0.0`, so the product is skipped.
+    Zero,
+    /// A nonzero magnitude below [`TINY_GRADIENT`]: the exact body.
+    Tiny,
+    /// Anything else: the f32 body.
+    Normal,
+}
+
+/// Classifies `g` in one integer pass over its bits: no float arithmetic
+/// touches a subnormal.
+pub(crate) fn grad_kind(g: &[f32]) -> GradKind {
+    // `|x| - 1` wraps a zero to the top of the range, out of both tests.
+    let least = g.iter().map(|x| (x.to_bits() & ABS32).wrapping_sub(1)).fold(u32::MAX, u32::min);
+    if least == u32::MAX {
+        GradKind::Zero
+    } else if least < TINY_GRADIENT.to_bits() - 1 {
+        GradKind::Tiny
+    } else {
+        GradKind::Normal
+    }
+}
+
+/// `(m, k, n)` of the product, checking that the inner dimensions agree.
+fn dims(a: Mat, b: Mat, layout: Layout) -> (usize, usize, usize) {
+    // The inner dimension `b` brings is the last.
     let (m, k, n, b_k) = match layout {
-        Layout::Plain => (a.rows(), a.cols(), b.cols(), b.rows()),
-        Layout::TransposeA => (a.cols(), a.rows(), b.cols(), b.rows()),
-        Layout::TransposeB => (a.rows(), a.cols(), b.rows(), b.cols()),
+        Layout::Plain => (a.rows, a.cols, b.cols, b.rows),
+        Layout::TransposeA => (a.cols, a.rows, b.cols, b.rows),
+        Layout::TransposeB => (a.rows, a.cols, b.rows, b.cols),
     };
-    assert_eq!(
-        k, b_k,
-        "matmul {layout:?}: {}x{} with {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let a_strided = match layout {
-        Layout::TransposeA => Strided { data: a.data(), rs: 1, cs: m },
-        Layout::Plain | Layout::TransposeB => Strided { data: a.data(), rs: k, cs: 1 },
-    };
+    assert_eq!(k, b_k, "matmul {layout:?}: {}x{} with {}x{}", a.rows, a.cols, b.rows, b.cols);
+    (m, k, n)
+}
+
+fn product_tensor(a: Mat, b: Mat, layout: Layout, avx2: bool, exact: bool, out: &mut Tensor) {
+    let (m, _, n) = dims(a, b, layout);
     out.resize_zeroed(m, n);
+    product_with(a, b, layout, avx2, exact, out.data_mut());
+}
+
+fn product_with(a: Mat, b: Mat, layout: Layout, avx2: bool, exact: bool, out: &mut [f32]) {
+    let (m, k, n) = dims(a, b, layout);
+    assert_eq!(out.len(), m * n, "matmul {layout:?}: output of {} values", out.len());
+    let a_strided = match layout {
+        Layout::TransposeA => Strided { data: a.data, rs: 1, cs: m },
+        Layout::Plain | Layout::TransposeB => Strided { data: a.data, rs: k, cs: 1 },
+    };
     if m == 0 || n == 0 || k == 0 {
-        // Empty sums: every output keeps its `+0.0` seed.
+        // Empty sums: every output is its `+0.0` seed.
+        out.fill(0.0);
         return;
     }
-    if exact && exact_fits(a.data(), b.data(), k) {
-        WIDE.with_borrow_mut(|(wide_a, wide_b)| {
-            let a = widen_strided(&a_strided, wide_a);
-            let b = widen_panels(b.data(), layout, k, n, wide_b);
-            parallel_rows(m, m * k * n, out.data_mut(), n, |row0, out_rows| {
-                // At most one row is left below the 2-row blocks.
-                run::<f64, MR_EXACT, { 2 * NR }, { 2 * NR }>(&a, &b, row0, k, n, out_rows, avx2);
+    if exact && exact_fits(a.data, b.data, k) {
+        PACK.with_borrow_mut(|pack| {
+            WIDE.with_borrow_mut(|(wide_a, wide_b)| {
+                let a = widen_strided(&a_strided, wide_a);
+                let b = widen_panels(b.data, layout, k, n, pack, wide_b, avx2);
+                parallel_rows(m, m * k * n, out, n, |row0, out_rows| {
+                    // At most one row is left below the 2-row blocks.
+                    run::<f64, MR_EXACT, { 2 * NR }, { 2 * NR }>(&a, &b, row0, k, n, out_rows, avx2);
+                });
             });
         });
         return;
     }
     PACK.with_borrow_mut(|pack| {
-        let b = Panels::pack(b.data(), layout, k, n, pack);
-        parallel_rows(m, m * k * n, out.data_mut(), n, |row0, out_rows| {
+        let b = Panels::pack(b.data, layout, k, n, pack, avx2);
+        parallel_rows(m, m * k * n, out, n, |row0, out_rows| {
             run::<f32, MR, { 4 * NR }, { 2 * NR }>(&a_strided, &b, row0, k, n, out_rows, avx2);
         });
     });
@@ -218,16 +278,19 @@ impl<'a> Panels<'a, f32> {
     /// Lays out `b` for the microkernel, packing into `pack` only what
     /// cannot be read in place: all of a transposed `b` (padded to whole
     /// panels), or the partial last panel of a plain one.
-    fn pack(b: &'a [f32], layout: Layout, k: usize, n: usize, pack: &'a mut Vec<f32>) -> Self {
+    fn pack(
+        b: &'a [f32],
+        layout: Layout,
+        k: usize,
+        n: usize,
+        pack: &'a mut Vec<f32>,
+        avx2: bool,
+    ) -> Self {
         pack.clear();
         if layout == Layout::TransposeB {
             let ld = n.next_multiple_of(NR);
             pack.resize(k * ld, 0.0);
-            for (j, b_row) in b.chunks_exact(k).enumerate() {
-                for (p, &v) in b_row.iter().enumerate() {
-                    pack[p * ld + j] = v;
-                }
-            }
+            transpose_into(b, n, k, pack, ld, avx2);
             let pack: &'a [f32] = pack;
             return Panels { main: pack, ld, full: ld / NR, fringe: &[] };
         }
@@ -241,6 +304,84 @@ impl<'a> Panels<'a, f32> {
         }
         let pack: &'a [f32] = pack;
         Panels { main: b, ld: n, full, fringe: pack }
+    }
+}
+
+/// Writes the transpose of the row-major `rows x cols` matrix `src` into
+/// `dst` at row stride `ld` (`dst[c * ld + r] = src[r * cols + c]`),
+/// leaving the other values of `dst` as they are. With `avx2`, whole 8×8
+/// blocks move through eight registers; the ragged edges move one value at
+/// a time. It only moves values, so the bits are the input's.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], ld: usize, avx2: bool) {
+    assert!(src.len() >= rows * cols && ld >= rows, "transpose bounds");
+    assert!(cols == 0 || dst.len() >= (cols - 1) * ld + rows, "transpose bounds");
+    let (rows8, cols8) = if avx2 { (rows / 8 * 8, cols / 8 * 8) } else { (0, 0) };
+    #[cfg(target_arch = "x86_64")]
+    if rows8 > 0 && cols8 > 0 {
+        for r in (0..rows8).step_by(8) {
+            for c in (0..cols8).step_by(8) {
+                // SAFETY: `avx2` is set only when `crate::avx2_available()`
+                // found AVX2 (callers pass the probe `product_into` and
+                // `product_exact` made), the one precondition of the
+                // `#[target_feature]` call. The block reads rows `r..r + 8`,
+                // columns `c..c + 8` of `src` with `r + 8 <= rows` and
+                // `c + 8 <= cols`, so below `rows * cols <= src.len()`, and
+                // writes rows `c..c + 8`, columns `r..r + 8` of `dst`, below
+                // `(cols - 1) * ld + rows <= dst.len()`: both asserted above.
+                unsafe {
+                    transpose8x8(
+                        src.as_ptr().add(r * cols + c),
+                        cols,
+                        dst.as_mut_ptr().add(c * ld + r),
+                        ld,
+                    );
+                }
+            }
+        }
+    }
+    for r in 0..rows {
+        let done = if r < rows8 { cols8 } else { 0 };
+        for c in done..cols {
+            dst[c * ld + r] = src[r * cols + c];
+        }
+    }
+}
+
+/// One 8×8 block of [`transpose_into`]: eight row loads, the usual
+/// unpack / shuffle / lane-permute network, eight row stores.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose8x8(src: *const f32, src_ld: usize, dst: *mut f32, dst_ld: usize) {
+    use std::arch::x86_64::*;
+    let r: [__m256; 8] = std::array::from_fn(|i| _mm256_loadu_ps(src.add(i * src_ld)));
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    let rows = [
+        _mm256_permute2f128_ps::<0x20>(s0, s4),
+        _mm256_permute2f128_ps::<0x20>(s1, s5),
+        _mm256_permute2f128_ps::<0x20>(s2, s6),
+        _mm256_permute2f128_ps::<0x20>(s3, s7),
+        _mm256_permute2f128_ps::<0x31>(s0, s4),
+        _mm256_permute2f128_ps::<0x31>(s1, s5),
+        _mm256_permute2f128_ps::<0x31>(s2, s6),
+        _mm256_permute2f128_ps::<0x31>(s3, s7),
+    ];
+    for (i, v) in rows.into_iter().enumerate() {
+        _mm256_storeu_ps(dst.add(i * dst_ld), v);
     }
 }
 
@@ -378,28 +519,32 @@ fn widen_strided<'a>(a: &Strided<f32>, wide: &'a mut Vec<f64>) -> Strided<'a, f6
     Strided { data: wide, rs: a.rs, cs: a.cs }
 }
 
-/// `b[k,n]` in `layout` widened into `wide` as whole zero-padded panels.
+/// `b[k,n]` in `layout` widened into `wide` as whole zero-padded panels. A
+/// transposed `b` is first transposed into `pack` by [`transpose_into`],
+/// so both layouts widen contiguous rows.
 fn widen_panels<'a>(
     b: &[f32],
     layout: Layout,
     k: usize,
     n: usize,
+    pack: &mut Vec<f32>,
     wide: &'a mut Vec<f64>,
+    avx2: bool,
 ) -> Panels<'a, f64> {
     let ld = n.next_multiple_of(NR);
+    let (rows, stride) = if layout == Layout::TransposeB {
+        pack.clear();
+        pack.resize(k * ld, 0.0);
+        transpose_into(b, n, k, pack, ld, avx2);
+        (&pack[..], ld)
+    } else {
+        (b, n)
+    };
     wide.clear();
     wide.resize(k * ld, 0.0);
-    if layout == Layout::TransposeB {
-        for (j, b_row) in b.chunks_exact(k).enumerate() {
-            for (p, &v) in b_row.iter().enumerate() {
-                wide[p * ld + j] = widen(v);
-            }
-        }
-    } else {
-        for (dst, src) in wide.chunks_exact_mut(ld).zip(b.chunks_exact(n)) {
-            for (d, &v) in dst.iter_mut().zip(src) {
-                *d = widen(v);
-            }
+    for (dst, src) in wide.chunks_exact_mut(ld).zip(rows.chunks_exact(stride)) {
+        for (d, &v) in dst.iter_mut().zip(&src[..n]) {
+            *d = widen(v);
         }
     }
     Panels { main: wide, ld, full: ld / NR, fringe: &[] }
@@ -625,11 +770,39 @@ mod tests {
         }
     }
 
+    /// The AVX2 block transpose moves every value where the scalar loop
+    /// does, on ragged shapes around the 8×8 blocks, and leaves the
+    /// padding untouched.
+    #[test]
+    fn vectorised_transpose_matches_the_scalar_loop() {
+        let mut rng = crate::rng::StdRng::seed_from_u64(12);
+        for rows in [0usize, 1, 7, 8, 9, 16, 25, 48] {
+            for cols in [0, 1, 5, 8, 12, 17, 48] {
+                let src: Vec<f32> = (0..rows * cols).map(|_| rng.gen::<f32>() - 0.5).collect();
+                let ld = rows.next_multiple_of(NR);
+                let mut want = vec![f32::NAN; cols * ld];
+                let mut got = want.clone();
+                transpose_into(&src, rows, cols, &mut want, ld, false);
+                transpose_into(&src, rows, cols, &mut got, ld, crate::avx2_available());
+                for r in 0..rows {
+                    for c in 0..cols {
+                        assert_eq!(want[c * ld + r].to_bits(), src[r * cols + c].to_bits());
+                    }
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
+            }
+        }
+    }
+
     #[test]
     fn has_tiny_flags_nonzero_magnitudes_below_the_threshold() {
-        assert!(!has_tiny(&[]));
-        assert!(!has_tiny(&[0.0, -0.0, 1.0, TINY_GRADIENT, f32::NAN, f32::INFINITY]));
-        assert!(has_tiny(&[1.0, -f32::from_bits(TINY_GRADIENT.to_bits() - 1)]));
-        assert!(has_tiny(&[f32::from_bits(1)]));
+        let kind = grad_kind;
+        assert_eq!(kind(&[]), GradKind::Zero);
+        assert_eq!(kind(&[0.0, -0.0]), GradKind::Zero);
+        assert_eq!(kind(&[0.0, -0.0, 1.0, TINY_GRADIENT, f32::NAN, f32::INFINITY]), GradKind::Normal);
+        assert_eq!(kind(&[f32::NAN, -0.0]), GradKind::Normal);
+        assert_eq!(kind(&[1.0, -f32::from_bits(TINY_GRADIENT.to_bits() - 1)]), GradKind::Tiny);
+        assert_eq!(kind(&[0.0, f32::from_bits(1)]), GradKind::Tiny);
     }
 }

@@ -524,6 +524,30 @@ pub fn log_softmax_in_place(xs: &mut [f32]) {
     xs.iter_mut().for_each(|x| *x -= lse);
 }
 
+/// [`softmax_in_place`] and [`log_softmax_in_place`] over one row in one
+/// `exp` pass: writes the softmax of `xs` into `probs` and returns the
+/// log-sum-exp that the log-softmax subtracts, so `xs[c] - lse` is its
+/// value at `c`. Both come out bitwise as the two functions give them: the
+/// same maximum, the same `exp` terms summed in the same order (from `+0.0`
+/// there, `-0.0` in the iterator sum, which agree on non-negative terms),
+/// and the softmax's uniform row when the maximum is not finite.
+pub fn softmax_and_log_sum_exp(xs: &[f32], probs: &mut [f32]) -> f32 {
+    assert_eq!(xs.len(), probs.len(), "softmax row length");
+    let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    if !max.is_finite() {
+        probs.fill(1.0 / xs.len() as f32);
+        return max + xs.iter().map(|x| (x - max).exp()).sum::<f32>().ln();
+    }
+    let mut sum = 0.0;
+    for (p, &x) in probs.iter_mut().zip(xs) {
+        *p = (x - max).exp();
+        sum += *p;
+    }
+    let inv = 1.0 / sum;
+    probs.iter_mut().for_each(|p| *p *= inv);
+    max + sum.ln()
+}
+
 /// Numerically stable `log(sum(exp(xs)))`.
 pub fn log_sum_exp(xs: &[f32]) -> f32 {
     assert!(!xs.is_empty(), "log_sum_exp of nothing");
@@ -631,6 +655,35 @@ mod tests {
         let b = x.row_softmax();
         for c in 0..4 {
             assert!((a.get(0, c) - b.get(0, c).ln()).abs() < 1e-5);
+        }
+    }
+
+    /// The fused row kernel gives the softmax and log-softmax bits of the
+    /// two separate functions, on ordinary, masked, tiny, huge and
+    /// non-finite rows.
+    #[test]
+    fn softmax_and_log_sum_exp_match_the_separate_kernels_bitwise() {
+        let mut rng = crate::rng::StdRng::seed_from_u64(5);
+        let mut rows: Vec<Vec<f32>> = (0..64)
+            .map(|i| (0..1 + i * 7 % 499).map(|_| (rng.gen::<f32>() - 0.5) * 40.0).collect())
+            .collect();
+        rows.push(vec![0.0, -1e9, -1e9, 3.0]);
+        rows.push(vec![-1e30, 1e30, 0.0]);
+        rows.push(vec![f32::NEG_INFINITY; 3]);
+        rows.push(vec![1.0, f32::INFINITY, 2.0]);
+        rows.push(vec![1.0, f32::NAN, 2.0]);
+        rows.push(vec![f32::NAN; 2]);
+        rows.push(vec![f32::from_bits(1), -0.0, 0.0]);
+        for xs in rows {
+            let mut probs = vec![0.0; xs.len()];
+            let lse = softmax_and_log_sum_exp(&xs, &mut probs);
+            let (mut want_p, mut want_lp) = (xs.clone(), xs.clone());
+            softmax_in_place(&mut want_p);
+            log_softmax_in_place(&mut want_lp);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let got_lp: Vec<f32> = xs.iter().map(|x| x - lse).collect();
+            assert_eq!(bits(&probs), bits(&want_p), "softmax of {xs:?}");
+            assert_eq!(bits(&got_lp), bits(&want_lp), "log-softmax of {xs:?}");
         }
     }
 

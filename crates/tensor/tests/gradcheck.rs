@@ -391,3 +391,229 @@ fn tiny_upstream_gradients_match_the_f32_body_bitwise() {
     assert_eq!(bits(&wt.grad()), bits(&dwt), "dWt");
     assert_eq!(bits(grads.get(x).expect("input gradient")), bits(&dx), "dx");
 }
+
+// Stacked passes: a node stacking several sequences' rows as segments.
+// Each segmented rule gets a finite-difference check through a loss that
+// reaches every segment.
+
+gradcheck!(gather_rows_segmented_grad, vec![rand_param(50, "emb", 5, 3)], |tape: &Tape,
+                                                                          ps: &[Param]| {
+    let x = tape.gather_rows_segmented(&ps[0], &[&[4, 1], &[1, 0, 4]]);
+    to_scalar(tape, x)
+});
+
+gradcheck!(
+    segmented_linear_and_layer_norm_grad,
+    vec![
+        rand_param(51, "emb", 6, 4),
+        rand_param(52, "w", 4, 3),
+        rand_param(53, "b", 1, 3),
+        rand_param(54, "gain", 1, 3),
+        rand_param(55, "bias", 1, 3)
+    ],
+    |tape: &Tape, ps: &[Param]| {
+        let x = tape.gather_rows_segmented(&ps[0], &[&[1, 4], &[0, 5, 2], &[3]]);
+        let y = x.matmul(tape.param(&ps[1])).add_broadcast_row(tape.param(&ps[2]));
+        to_scalar(tape, y.layer_norm(tape.param(&ps[3]), tape.param(&ps[4])))
+    }
+);
+
+gradcheck!(
+    segmented_matmul_transpose_b_grad,
+    vec![rand_param(56, "emb", 5, 3), rand_param(57, "w", 4, 3)],
+    |tape: &Tape, ps: &[Param]| {
+        let x = tape.gather_rows_segmented(&ps[0], &[&[2, 0, 1], &[4, 3]]);
+        to_scalar(tape, x.matmul_transpose_b(tape.param(&ps[1])))
+    }
+);
+
+// Per-segment attention, as the stacked transformer runs it: shared
+// projections over the stack, attention inside each segment, the
+// segments' outputs stacked back.
+gradcheck!(
+    segment_and_stack_segments_grad,
+    vec![rand_param(58, "emb", 6, 4), rand_param(59, "wq", 4, 4)],
+    |tape: &Tape, ps: &[Param]| {
+        let x = tape.gather_rows_segmented(&ps[0], &[&[0, 3, 5], &[1, 2]]);
+        let q = x.matmul(tape.param(&ps[1]));
+        let parts: Vec<Var> = (0..2)
+            .map(|s| {
+                let (qs, xs) = (q.segment(s), x.segment(s));
+                qs.matmul_transpose_b(xs).scale(0.5).row_softmax().matmul(xs)
+            })
+            .collect();
+        to_scalar(tape, Var::stack_segments(&parts))
+    }
+);
+
+gradcheck!(
+    cross_entropy_segments_and_log_sum_exp_column_grad,
+    vec![rand_param(60, "emb", 7, 5)],
+    |tape: &Tape, ps: &[Param]| {
+        let logits = tape.gather_rows_segmented(&ps[0], &[&[1, 4, 6], &[0, 2]]);
+        let nll = logits.cross_entropy_segments(&[2, 0, 4, 1, 3], &[1.0, 0.5, 1.0, 1.0, 0.7]);
+        Var::log_sum_exp_scalars(&[nll.scale(-1.0)])
+    }
+);
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+fn score<'t>(tape: &'t Tape, x: Var<'t>, [w, b, gain, bias]: [&Param; 4]) -> Var<'t> {
+    x.matmul(tape.param(w)).add_broadcast_row(tape.param(b)).layer_norm(tape.param(gain), tape.param(bias))
+}
+
+// A stacked pass flushes, into every parameter its segments share, the
+// same sequence of gradients that one pass per segment recorded in order
+// would (the last segment's first), on top of gradients already there.
+// One segment's upstream gradient is subnormal (the exact GEMM body) and
+// one is zero (skipped products), beside ordinary ones.
+#[test]
+fn stacked_pass_flushes_like_one_pass_per_segment_bitwise() {
+    let emb = rand_param(61, "emb", 9, 6);
+    let w = rand_param(62, "w", 6, 7);
+    let b = rand_param(63, "b", 1, 7);
+    let (gain, bias) = (rand_param(64, "gain", 1, 7), rand_param(65, "bias", 1, 7));
+    let params = [&emb, &w, &b, &gain, &bias];
+    // Token 1 is in every segment, so the scatter order shows.
+    let seqs: [&[usize]; 4] = [&[1, 8, 1], &[1, 3], &[5, 1, 7, 1], &[1]];
+    let scales = [1.0, 2f32.powi(-140), 0.0, -0.75];
+    let targets = [0usize, 6, 2, 3, 1, 4, 5, 2, 6, 0];
+    let run = |stacked: bool| -> Vec<Vec<u32>> {
+        for p in params {
+            p.zero_grad();
+            // An earlier example's gradients.
+            let (r, c) = p.shape();
+            let earlier: Vec<f32> = (0..r * c).map(|i| 0.01 * (i as f32 - 3.0)).collect();
+            p.accumulate_grad(&Tensor::from_vec(r, c, earlier));
+        }
+        let tape = Tape::new();
+        let shared = [&w, &b, &gain, &bias];
+        let column = if stacked {
+            let y = score(&tape, tape.gather_rows_segmented(&emb, &seqs), shared);
+            y.cross_entropy_segments(&targets, &[1.0; 10])
+        } else {
+            let mut off = 0;
+            let nlls: Vec<Var> = seqs
+                .iter()
+                .map(|ids| {
+                    let y = score(&tape, tape.gather_rows(&emb, ids), shared);
+                    let t = &targets[off..off + ids.len()];
+                    off += ids.len();
+                    y.cross_entropy_sum(t, &vec![1.0; ids.len()])
+                })
+                .collect();
+            Var::stack_rows(&nlls)
+        };
+        let scaled = column.mul(tape.constant(Tensor::from_vec(4, 1, scales.to_vec())));
+        let loss = tape.constant(Tensor::full(1, 4, 1.0)).matmul(scaled);
+        tape.backward(loss);
+        params.iter().map(|p| bits(&p.grad())).collect()
+    };
+    let (got, want) = (run(true), run(false));
+    for ((p, got), want) in params.iter().zip(&got).zip(&want) {
+        assert_eq!(got, want, "{}", p.name());
+    }
+}
+
+// An all-zero upstream gradient skips both backward products, yet leaves
+// the slots as adding the products' `+0.0` outputs would: a `-0.0`
+// already in the input's slot becomes `+0.0`. Against an operand holding
+// an infinity the products still run (`0 · inf` is NaN).
+#[test]
+fn zero_upstream_gradients_skip_products_with_the_same_bits() {
+    for w_value in [vec![1.5, -2.0, 0.25, 4.0], vec![1.5, f32::INFINITY, 0.25, 4.0]] {
+        let w = Param::new("w", Tensor::from_vec(2, 2, w_value.clone()));
+        let tape = Tape::new();
+        let x = tape.constant(Tensor::from_vec(1, 2, vec![3.0, -1.0]));
+        let y = x.matmul(tape.param(&w));
+        // Recorded later, so it reaches `x`'s slot first: `-0.0` there.
+        let z = x.scale(-0.0);
+        let zero = tape.constant(Tensor::zeros(2, 1));
+        let loss = y.matmul(zero).add(z.matmul(tape.constant(Tensor::full(2, 1, 1.0))));
+        let grads = tape.backward(loss);
+        // dy is all zeros; dx = (-0.0 from z) + dy·wᵀ; dw = xᵀ·dy.
+        let dy = Tensor::zeros(1, 2);
+        let mut dx = Tensor::full(1, 2, -0.0);
+        dx.add_assign(&product_portable(&dy, &w.value(), Layout::TransposeB));
+        let dw = product_portable(&x.value(), &dy, Layout::TransposeA);
+        assert_eq!(bits(grads.get(x).expect("input gradient")), bits(&dx), "dx for w {w_value:?}");
+        assert_eq!(bits(&w.grad()), bits(&dw), "dw for w {w_value:?}");
+    }
+}
+
+gradcheck!(
+    attention_grad,
+    vec![rand_param(66, "q", 3, 4), rand_param(67, "k", 5, 4), rand_param(68, "v", 5, 4)],
+    |tape: &Tape, ps: &[Param]| {
+        let [q, k, v] = [0, 1, 2].map(|i| tape.param(&ps[i]));
+        let mut mask = Tensor::zeros(3, 5);
+        mask.set(0, 4, -1e9);
+        to_scalar(tape, q.attention(k, v, 2, Some(&mask)))
+    }
+);
+
+/// The attention op as the per-head composition of tape ops it replaced.
+fn per_head_attention<'t>(q: Var<'t>, k: Var<'t>, v: Var<'t>, heads: usize, mask: Option<&Tensor>) -> Var<'t> {
+    let d_head = q.shape().1 / heads;
+    let scale = 1.0 / (d_head as f32).sqrt();
+    let ctxs: Vec<Var> = (0..heads)
+        .map(|h| {
+            let off = h * d_head;
+            let (qh, kh, vh) = (q.slice_cols(off, d_head), k.slice_cols(off, d_head), v.slice_cols(off, d_head));
+            let mut scores = qh.matmul_transpose_b(kh).scale(scale);
+            if let Some(m) = mask {
+                scores = scores.add_const(m);
+            }
+            scores.row_softmax().matmul(vh)
+        })
+        .collect();
+    Var::concat_cols(&ctxs)
+}
+
+// The attention op's value and the gradients it sends its queries, keys
+// and values are bitwise the per-head composition's: one and four heads,
+// with and without a causal mask, under an ordinary, a subnormal and an
+// all-zero upstream gradient, on top of gradients already in the
+// parameters.
+#[test]
+fn attention_op_matches_the_per_head_composition_bitwise() {
+    let (rows, kv_rows, d) = (6, 6, 16);
+    let mut causal = Tensor::zeros(rows, kv_rows);
+    for i in 0..rows {
+        for j in i + 1..kv_rows {
+            causal.set(i, j, -1e9);
+        }
+    }
+    for heads in [1, 4] {
+        for mask in [None, Some(&causal)] {
+            for upstream in [0.37, 2f32.powi(-135), 0.0] {
+                let params = [rand_param(69, "q", rows, d), rand_param(70, "k", kv_rows, d), rand_param(71, "v", kv_rows, d)];
+                let run = |fused: bool| {
+                    for p in &params {
+                        p.zero_grad();
+                        let (r, c) = p.shape();
+                        p.accumulate_grad(&Tensor::from_vec(r, c, (0..r * c).map(|i| 1e-3 * i as f32).collect()));
+                    }
+                    let tape = Tape::new();
+                    let [q, k, v] = [0, 1, 2].map(|i| tape.param(&params[i]));
+                    let out = if fused { q.attention(k, v, heads, mask) } else { per_head_attention(q, k, v, heads, mask) };
+                    let value = bits(&out.value());
+                    // loss = Σ out ⊙ w, so the upstream gradient is w.
+                    let w: Vec<f32> = (0..rows * d).map(|i| upstream * ((i % 7) as f32 - 2.0)).collect();
+                    let weighted = out.mul(tape.constant(Tensor::from_vec(rows, d, w)));
+                    let ones = |n| tape.constant(Tensor::full(n, 1, 1.0));
+                    let loss = ones(rows).transpose().matmul(weighted.matmul(ones(d)));
+                    tape.backward(loss);
+                    (value, params.iter().map(|p| bits(&p.grad())).collect::<Vec<_>>())
+                };
+                let (want, got) = (run(false), run(true));
+                assert_eq!(got.0, want.0, "value: {heads} heads, mask {}, upstream {upstream:e}", mask.is_some());
+                for (i, name) in ["q", "k", "v"].iter().enumerate() {
+                    assert_eq!(got.1[i], want.1[i], "d{name}: {heads} heads, mask {}, upstream {upstream:e}", mask.is_some());
+                }
+            }
+        }
+    }
+}

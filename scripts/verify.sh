@@ -74,7 +74,8 @@
 # BENCH_online.json at the repo root. When QRW_VERIFY_BUDGET is set to
 # "full", the run extends to 5 days with a 2x per-tick step budget.
 #
-# Always runs the bitwise-oracle suites (matmul_props, quant_props, the
+# Always runs the bitwise-oracle suites (matmul_props, quant_props,
+# gradcheck, the cyclic trainer's frozen per-path oracle, the
 # exhaustive quantizer-core sweep, kv_equivalence, decode_props, the
 # student's frozen-oracle unit tests and the decode_alloc counting-
 # allocator proof), the shard byte-transparency and
@@ -174,6 +175,10 @@ echo "== bit-exactness suites (release, offline) =="
 # the benchmarks run the opt-level 3 release machine code, so the bitwise
 # oracles and the shard tier's equivalence suites run against it too.
 cargo test --release --offline -p qrw-tensor --test matmul_props --test quant_props --test gradcheck
+# The cyclic trainer's stacked k-path pass against its frozen per-path
+# oracle: loss and every parameter gradient of both models, bit for bit,
+# on the optimised code the trainer runs.
+cargo test --release --offline -p qrw-core --lib cyclic::oracle
 # The exhaustive quantizer-core sweep (every f32 bit pattern) is too slow
 # for the opt-level 1 run, so it is #[ignore]d there and runs here.
 cargo test --release --offline -p qrw-tensor --lib -- --ignored
