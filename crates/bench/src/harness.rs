@@ -455,15 +455,16 @@ pub fn validate_shard_json(text: &str) -> Result<BenchRecord, String> {
 /// core count) and the **virtual-cost p99** at the same counts. The
 /// virtual p99 is computed from the scheduler's own minted `batch_form`
 /// spans under the logical clock: each worker's completion cost
-/// accumulates `batch size + DECODE weight × decode requests` per batch,
-/// every request completes at its worker's cumulative cost, and the p99
-/// is taken over requests. It measures scheduling *structure* (how evenly
-/// work spreads across workers) and needs no parallel hardware, so the
-/// bar also runs on single-core CI. It is not deterministic: batch
-/// composition and the worker each batch lands on depend on worker start
-/// timing (the `max_wait_ticks` fill window, steals), so identical code
-/// gives 144–384 at 4 shards run to run, and each committed row is one
-/// sample.
+/// accumulates `batch size + DECODE weight × decodes` per batch (a
+/// batch's decodes are the requests among its `ids` whose own trace holds
+/// a `rung_online` span), every request completes at its worker's
+/// cumulative cost, and the p99 is taken over requests. It measures
+/// scheduling *structure* (how evenly work spreads across workers) and
+/// needs no parallel hardware, so the bar also runs on single-core CI.
+/// It is not deterministic: batch composition and the worker each batch
+/// lands on depend on worker start timing (the `max_wait_ticks` fill
+/// window, steals), so identical code gives 144–384 at 4 shards run to
+/// run, and each committed row is one sample.
 pub const SCHED_REQUIRED_ENTRIES: [&str; 6] = [
     "sched_scaling/s1_ns_per_req",
     "sched_scaling/s2_ns_per_req",

@@ -21,8 +21,8 @@
 //! * **Determinism per (context, query).** Every request samples from an
 //!   RNG seeded with `seed ^ session_hash(context, query)`, never from
 //!   shared state, so a request draws the same samples whatever ran
-//!   before it, whichever worker thread decodes it and whichever requests
-//!   share its batch. Batching transparency, request coalescing and the
+//!   before it and whichever worker thread decodes it. Batching
+//!   transparency, the serving runtime's per-batch decode memo and the
 //!   hot-swap byte-identity replay all rest on this.
 
 use std::sync::Arc;
@@ -83,31 +83,6 @@ impl<M: TopNDecoder> Q2QRewriter<M> {
 
     fn request_rng(&self, context: &[Vec<String>], query: &[String]) -> StdRng {
         StdRng::seed_from_u64(self.seed ^ session_hash(context, query))
-    }
-
-    /// Rewrites every query through the model's batch decode (the teacher
-    /// advances every query's candidates through one stacked forward per
-    /// step). Returns one rewrite set per query, in order, each equal to
-    /// [`rewrite`](QueryRewriter::rewrite) of that query alone; empty
-    /// queries (or `k == 0`) yield empty sets without touching the model.
-    pub fn rewrite_batch(&self, queries: &[&[String]], k: usize) -> Vec<Vec<Vec<String>>> {
-        let mut out: Vec<Vec<Vec<String>>> = vec![Vec::new(); queries.len()];
-        let live: Vec<usize> =
-            (0..queries.len()).filter(|&i| k > 0 && !queries[i].is_empty()).collect();
-        if live.is_empty() {
-            return out;
-        }
-        let ids: Vec<Vec<usize>> =
-            live.iter().map(|&i| encode_session(&self.vocab, &[], queries[i])).collect();
-        let srcs: Vec<&[usize]> = ids.iter().map(Vec::as_slice).collect();
-        let mut rngs: Vec<StdRng> =
-            live.iter().map(|&i| self.request_rng(&[], queries[i])).collect();
-        let cfg = TopNSampling { k, n: self.top_n };
-        let sets = self.model.top_n_sampling_batch(&srcs, cfg, &mut rngs);
-        for (&i, hyps) in live.iter().zip(&sets) {
-            out[i] = hypotheses_to_rewrites(&self.vocab, hyps, queries[i], k);
-        }
-        out
     }
 }
 
@@ -233,31 +208,6 @@ mod tests {
         }
     }
 
-    /// Batching is transparent: every set of a batch of 1, 3 or 8 mixed
-    /// queries (empty, repeated, unknown-token) equals the query's
-    /// standalone rewrite, in any batch order.
-    #[test]
-    fn batch_composition_does_not_change_results() {
-        fn check<M: TopNDecoder>(rw: Q2QRewriter<M>) {
-            let queries: Vec<Vec<String>> =
-                ["w2 w5", "w9", "w1 w3 w4", "", "w2 w5", "w7 nope", "w11 w12 w13 w14", "w6"]
-                    .iter()
-                    .map(|s| toks(s))
-                    .collect();
-            let alone: Vec<_> = queries.iter().map(|q| rw.rewrite(q, 3)).collect();
-            for n in [1, 3, 8] {
-                let batch: Vec<&[String]> = queries[..n].iter().map(Vec::as_slice).collect();
-                assert_eq!(rw.rewrite_batch(&batch, 3), alone[..n], "{}: batch of {n}", rw.name());
-            }
-            let reversed: Vec<&[String]> = queries.iter().rev().map(Vec::as_slice).collect();
-            let mut want = alone.clone();
-            want.reverse();
-            assert_eq!(rw.rewrite_batch(&reversed, 3), want, "{}: reversed batch", rw.name());
-        }
-        check(Q2QRewriter::new(teacher(), vocab(), 8, 7));
-        check(Q2QRewriter::new(student(), vocab(), 8, 7));
-    }
-
     #[test]
     fn session_rewrites_are_deterministic_per_context() {
         for_both(|rw| {
@@ -321,14 +271,6 @@ mod tests {
             assert!(rw.rewrite_with_context(&[toks("w1")], &[], 3).is_empty());
             assert!(rw.rewrite_with_context(&[], &toks("w2"), 0).is_empty());
         });
-        let empty: Vec<String> = Vec::new();
-        let q = toks("w2");
-        let s_rw = Q2QRewriter::new(student(), vocab(), 8, 7);
-        let out = s_rw.rewrite_batch(&[&empty, &q], 3);
-        assert_eq!(out.len(), 2);
-        assert!(out[0].is_empty());
-        assert!(s_rw.rewrite_batch(&[&q, &q], 0).iter().all(Vec::is_empty));
-        assert!(s_rw.rewrite_batch(&[], 3).is_empty());
     }
 
     /// Pins the session hash: it seeds the per-request sampling RNG, so a

@@ -186,34 +186,8 @@ pub fn top_n_sampling(
     rng: &mut StdRng,
 ) -> Vec<Hypothesis> {
     ARENA.with_borrow_mut(|arena| {
-        arena.decode(model, &[src], cfg, std::slice::from_mut(rng));
-        arena.hypotheses(0)
-    })
-}
-
-/// [`top_n_sampling`] over *independent* sources in one batch: every live
-/// candidate of every request advances through a single stacked
-/// `Seq2Seq::step_rows` per step, so N concurrent decodes cost one model
-/// call per step instead of N.
-///
-/// Each request samples from its own `rng`, drawn in candidate order —
-/// exactly the sequence the single-source decoder would consume — and
-/// every stacked row is computed independently of its batch neighbours,
-/// so the output for a request is identical (bitwise, including
-/// log-probs) to calling [`top_n_sampling`] on it alone with the same
-/// rng. The serving runtime's batching-transparency guarantee rests on
-/// this; `batch_matches_single_source_decoding` in
-/// `tests/kv_equivalence.rs` pins it. A warm call allocates only the
-/// returned sets.
-pub fn top_n_sampling_batch(
-    model: &Seq2Seq,
-    srcs: &[&[usize]],
-    cfg: TopNSampling,
-    rngs: &mut [StdRng],
-) -> Vec<Vec<Hypothesis>> {
-    ARENA.with_borrow_mut(|arena| {
-        arena.decode(model, srcs, cfg, rngs);
-        (0..srcs.len()).map(|q| arena.hypotheses(q)).collect()
+        arena.decode(model, src, cfg, rng);
+        arena.hypotheses()
     })
 }
 
@@ -227,18 +201,6 @@ pub trait TopNDecoder {
     /// Top-n sampling of one source, drawing from `rng`.
     fn top_n_sampling(&self, src: &[usize], cfg: TopNSampling, rng: &mut StdRng)
         -> Vec<Hypothesis>;
-
-    /// Top-n sampling of independent sources, source `i` drawing from
-    /// `rngs[i]`. Each set equals the single-source call on that source
-    /// with that rng; the default is exactly that loop.
-    fn top_n_sampling_batch(
-        &self,
-        srcs: &[&[usize]],
-        cfg: TopNSampling,
-        rngs: &mut [StdRng],
-    ) -> Vec<Vec<Hypothesis>> {
-        srcs.iter().zip(rngs).map(|(src, rng)| self.top_n_sampling(src, cfg, rng)).collect()
-    }
 
     /// Snapshot of the model's cumulative decode counters.
     fn decode_stats(&self) -> DecodeStats;
@@ -254,16 +216,6 @@ impl TopNDecoder for Seq2Seq {
         rng: &mut StdRng,
     ) -> Vec<Hypothesis> {
         top_n_sampling(self, src, cfg, rng)
-    }
-
-    /// One stacked forward per step across every source's candidates.
-    fn top_n_sampling_batch(
-        &self,
-        srcs: &[&[usize]],
-        cfg: TopNSampling,
-        rngs: &mut [StdRng],
-    ) -> Vec<Vec<Hypothesis>> {
-        top_n_sampling_batch(self, srcs, cfg, rngs)
     }
 
     fn decode_stats(&self) -> DecodeStats {
@@ -288,40 +240,28 @@ impl TopNDecoder for QuantStudent {
     }
 }
 
-/// One request of a teacher decode: its encoder memory and the decoder
-/// state after its first (BOS) step, which every candidate forks.
-struct Request {
-    memory: Tensor,
-    first: DecodeState,
+/// The first step's one row: the template state consumes BOS.
+struct FirstRow<'a> {
+    memory: &'a Tensor,
+    first: &'a mut DecodeState,
 }
 
-impl Default for Request {
-    fn default() -> Self {
-        Request { memory: Tensor::default(), first: DecodeState::Stateless }
-    }
-}
-
-/// The first step's rows: every request's template state consumes BOS.
-struct FirstRows<'a>(&'a mut [Request]);
-
-impl DecodeRows for FirstRows<'_> {
+impl DecodeRows for FirstRow<'_> {
     fn rows(&self) -> usize {
-        self.0.len()
+        1
     }
 
-    fn row(&mut self, r: usize) -> (&Tensor, &mut DecodeState, &[usize]) {
-        let req = &mut self.0[r];
-        (&req.memory, &mut req.first, &[BOS])
+    fn row(&mut self, _: usize) -> (&Tensor, &mut DecodeState, &[usize]) {
+        (self.memory, self.first, &[BOS])
     }
 }
 
-/// A later step's rows: the live candidates, in (request, candidate)
-/// order, each against its request's memory.
+/// A later step's rows: the live candidates, in candidate order.
 struct LiveRows<'a> {
-    reqs: &'a [Request],
+    memory: &'a Tensor,
     cands: &'a mut [Candidate],
-    /// `(candidate, request)` per row.
-    live: &'a [(usize, usize)],
+    /// The candidate behind each row.
+    live: &'a [usize],
 }
 
 impl DecodeRows for LiveRows<'_> {
@@ -330,28 +270,44 @@ impl DecodeRows for LiveRows<'_> {
     }
 
     fn row(&mut self, r: usize) -> (&Tensor, &mut DecodeState, &[usize]) {
-        let (i, q) = self.live[r];
-        let cand = &mut self.cands[i];
-        (&self.reqs[q].memory, &mut cand.state, &cand.prefix)
+        let cand = &mut self.cands[self.live[r]];
+        (self.memory, &mut cand.state, &cand.prefix)
     }
 }
 
 /// The per-thread state behind the teacher's decoders: the step arena
-/// (encoder and layer temporaries, hidden rows, log-probs), each
-/// request's memory and first-step template, the candidates (prefixes and
-/// states re-forked from the templates through `clone_from`), the live
-/// rows and the sampling pool. Every buffer is reused call after call, so
-/// once warm (a decode of the same shape has run on this thread) a
-/// top-n decode allocates only the hypotheses it returns.
-#[derive(Default)]
+/// (encoder and layer temporaries, hidden rows, log-probs), the source's
+/// memory and first-step template, the candidates (prefixes and states
+/// re-forked from the template through `clone_from`), the live rows and
+/// the sampling pool. Every buffer is reused call after call, so once
+/// warm (a decode of the same shape has run on this thread) a top-n
+/// decode allocates only the hypotheses it returns.
 pub(crate) struct TeacherArena {
     step: StepArena,
-    reqs: Vec<Request>,
+    /// The source's encoder memory.
+    memory: Tensor,
+    /// The decoder state after the first (BOS) step, which every
+    /// candidate forks.
+    first: DecodeState,
     cands: Vec<Candidate>,
-    /// One past each request's last candidate in `cands`.
-    ends: Vec<usize>,
-    live: Vec<(usize, usize)>,
+    /// How many of `cands` the last decode filled.
+    filled: usize,
+    live: Vec<usize>,
     pool: Vec<(f32, usize)>,
+}
+
+impl Default for TeacherArena {
+    fn default() -> Self {
+        TeacherArena {
+            step: StepArena::default(),
+            memory: Tensor::default(),
+            first: DecodeState::Stateless,
+            cands: Vec::new(),
+            filled: 0,
+            live: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
 }
 
 thread_local! {
@@ -364,89 +320,64 @@ pub(crate) fn with_step_arena<R>(f: impl FnOnce(&mut StepArena) -> R) -> R {
 }
 
 impl TeacherArena {
-    /// Top-n decodes every source, leaving request `q`'s candidates in
-    /// `cands[ends[q - 1]..ends[q]]`, and publishes the decode counts once.
-    fn decode(
-        &mut self,
-        model: &Seq2Seq,
-        srcs: &[&[usize]],
-        cfg: TopNSampling,
-        rngs: &mut [StdRng],
-    ) {
+    /// Top-n decodes `src`, leaving its candidates in `cands[..filled]`,
+    /// and publishes the decode counts once.
+    fn decode(&mut self, model: &Seq2Seq, src: &[usize], cfg: TopNSampling, rng: &mut StdRng) {
         // `k == 0` yields no hypotheses and `n` is clamped to 1 when
         // sampling: degenerate configs degrade instead of panicking, since
         // this decoder sits on the online serving path.
-        assert_eq!(srcs.len(), rngs.len(), "one rng per source");
-        let TeacherArena { step, reqs, cands, ends, live, pool } = self;
+        let TeacherArena { step, memory, first, cands, filled, live, pool } = self;
         // Re-initialise everything this decode reads before reading it, so
         // a decode that panicked midway leaves nothing behind. Candidates
-        // first give back their shares of the last sources' cross K/V, so
-        // every template re-projects into its own buffers.
-        ends.clear();
+        // first give back their shares of the last source's cross K/V, so
+        // the template re-projects into its own buffers.
+        *filled = 0;
         for cand in cands.iter_mut() {
             cand.state.release_shared();
         }
-        if reqs.len() < srcs.len() {
-            reqs.resize_with(srcs.len(), Request::default);
-        }
-        let reqs = &mut reqs[..srcs.len()];
-        for (req, src) in reqs.iter_mut().zip(srcs) {
-            model.encode_into(src, &mut req.memory, step);
-            model.reset_state(&req.memory, &mut req.first);
-        }
-        if reqs.is_empty() {
-            return;
-        }
-        let mut counts: DecodeStats = model.step_rows(&mut FirstRows(reqs), step);
+        model.encode_into(src, memory, step);
+        model.reset_state(memory, first);
+        let memory = &*memory;
+        let mut counts: DecodeStats = model.step_rows(&mut FirstRow { memory, first }, step);
 
-        // Per request: the k most likely distinct first tokens (EOS
-        // excluded so no candidate is empty). The template already
-        // consumed BOS; forking it avoids re-running the first step per
-        // candidate (recurrent hidden state and KV cache alike carry the
-        // advanced position).
-        let mut n = 0;
-        for (q, req) in reqs.iter().enumerate() {
-            top_pool(step.log_probs.row_slice(q), cfg.k, &[EOS], pool);
-            for &(log_prob, tok) in pool.iter() {
-                if n == cands.len() {
-                    // A fresh state has room for a full-length decode, so
-                    // the fork below never regrows it.
-                    cands.push(Candidate {
-                        prefix: Vec::with_capacity(model.max_tgt_len() + 2),
-                        state: model.start_state(&req.memory),
-                        log_prob: 0.0,
-                        finished: false,
-                    });
-                }
-                let cand = &mut cands[n];
-                cand.prefix.clear();
-                cand.prefix.extend([BOS, tok]);
-                cand.state.clone_from(&req.first);
-                cand.log_prob = log_prob;
-                cand.finished = false;
-                n += 1;
+        // The k most likely distinct first tokens (EOS excluded so no
+        // candidate is empty). The template already consumed BOS; forking
+        // it avoids re-running the first step per candidate (recurrent
+        // hidden state and KV cache alike carry the advanced position).
+        top_pool(step.log_probs.row_slice(0), cfg.k, &[EOS], pool);
+        for (n, &(log_prob, tok)) in pool.iter().enumerate() {
+            if n == cands.len() {
+                // A fresh state has room for a full-length decode, so the
+                // fork below never regrows it.
+                cands.push(Candidate {
+                    prefix: Vec::with_capacity(model.max_tgt_len() + 2),
+                    state: model.start_state(memory),
+                    log_prob: 0.0,
+                    finished: false,
+                });
             }
-            ends.push(n);
+            let cand = &mut cands[n];
+            cand.prefix.clear();
+            cand.prefix.extend([BOS, tok]);
+            cand.state.clone_from(first);
+            cand.log_prob = log_prob;
+            cand.finished = false;
         }
+        *filled = pool.len();
 
-        let cands = &mut cands[..n];
+        let cands = &mut cands[..*filled];
         for _ in 0..model.max_tgt_len() {
-            // Every live candidate of every request, stacked into one step
-            // in (request, candidate) order.
+            // Every live candidate, stacked into one step.
             live.clear();
-            let mut start = 0;
-            for (q, &end) in ends.iter().enumerate() {
-                live.extend((start..end).filter(|&i| !cands[i].finished).map(|i| (i, q)));
-                start = end;
-            }
+            live.extend((0..cands.len()).filter(|&i| !cands[i].finished));
             if live.is_empty() {
                 break;
             }
-            counts += model.step_rows(&mut LiveRows { reqs, cands, live }, step);
-            for (r, &(i, q)) in live.iter().enumerate() {
+            counts += model.step_rows(&mut LiveRows { memory, cands, live }, step);
+            for (r, &i) in live.iter().enumerate() {
                 let lp = step.log_probs.row_slice(r);
                 let cand = &mut cands[i];
-                let tok = sample_top_n(lp, cfg.n, &mut rngs[q], pool);
+                let tok = sample_top_n(lp, cfg.n, rng, pool);
                 cand.log_prob += lp[tok];
                 if tok == EOS || cand.prefix.len() > model.max_tgt_len() {
                     cand.finished = true;
@@ -458,11 +389,10 @@ impl TeacherArena {
         model.record_decode(counts);
     }
 
-    /// Request `q`'s hypotheses from the last decode, best-first.
-    fn hypotheses(&self, q: usize) -> Vec<Hypothesis> {
-        let start = q.checked_sub(1).map_or(0, |p| self.ends[p]);
+    /// The last decode's hypotheses, best-first.
+    fn hypotheses(&self) -> Vec<Hypothesis> {
         let mut hyps: Vec<Hypothesis> =
-            self.cands[start..self.ends[q]].iter().map(Candidate::hypothesis).collect();
+            self.cands[..self.filled].iter().map(Candidate::hypothesis).collect();
         hyps.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
         hyps
     }
@@ -854,7 +784,7 @@ pub fn fused_top_n_from_logits(
 /// First-step companion of [`fused_top_n_from_logits`]: the `k` most
 /// likely *distinct* first tokens from raw logits, excluding EOS (so no
 /// candidate decodes empty) on top of the usual PAD/BOS/UNK mask —
-/// the fused mirror of the first step of [`top_n_sampling_batch`].
+/// the fused mirror of the first step of [`top_n_sampling`].
 /// Leaves `pool` holding `(log_prob, token)` best-first, ties in
 /// ascending token order.
 pub fn top_k_first_tokens_from_logits(logits: &[f32], k: usize, pool: &mut Vec<(f32, usize)>) {

@@ -19,7 +19,7 @@ pub mod transformer;
 pub use config::{ComponentKind, ModelConfig};
 pub use decode::{
     beam_search, beam_search_normalized, diverse_beam_search, greedy, length_penalty,
-    top_n_sampling, top_n_sampling_batch, Hypothesis, TopNDecoder, TopNSampling,
+    top_n_sampling, Hypothesis, TopNDecoder, TopNSampling,
 };
 pub use lm::{CausalLm, CausalLmConfig};
 pub use seq2seq::{thread_decode_stats, DecodeState, DecodeStats, Seq2Seq, TransformerDecodeMode};

@@ -13,7 +13,7 @@ use qrw_tensor::Activation;
 use qrw_text::NUM_SPECIALS;
 
 use super::*;
-use crate::decode::{sample_top_n, top_n_sampling_batch, top_pool, Hypothesis, TopNSampling};
+use crate::decode::{sample_top_n, top_n_sampling, top_pool, Hypothesis, TopNSampling};
 use crate::layers::{LayerNorm, MultiHeadAttention};
 use crate::transformer::DecoderLayer;
 
@@ -349,9 +349,10 @@ fn source(gen: &mut StdRng, max_src_len: usize, vocab: usize) -> Vec<usize> {
 }
 
 /// Decodes `sources` sources in mixed-length batches of 1, 3 and 8,
-/// crossed with k ∈ {1, 3, 5} and n ∈ {1, 8, 40}, through the arena and
-/// the oracle, and requires bitwise-equal encoder memories, tokens,
-/// log-probs and RNG states. Returns the longest decoded hypothesis.
+/// crossed with k ∈ {1, 3, 5} and n ∈ {1, 8, 40}, through the oracle's
+/// batch and the arena one source at a time, and requires bitwise-equal
+/// encoder memories, tokens, log-probs and RNG states. Returns the
+/// longest decoded hypothesis.
 fn check_top_n(m: &Seq2Seq, sources: usize, seed: u64) -> usize {
     let (max_src, vocab) = (m.config().max_src_len, m.config().vocab);
     let mut gen = StdRng::seed_from_u64(seed);
@@ -365,7 +366,9 @@ fn check_top_n(m: &Seq2Seq, sources: usize, seed: u64) -> usize {
         let mut want_rngs: Vec<StdRng> = (0..size).map(|_| StdRng::seed_from_u64(gen.next_u64())).collect();
         let mut got_rngs = want_rngs.clone();
         let want = oracle_top_n_sampling_batch(m, &refs, cfg, &mut want_rngs);
-        let got = top_n_sampling_batch(m, &refs, cfg, &mut got_rngs);
+        let got: Vec<Vec<Hypothesis>> = (refs.iter().zip(&mut got_rngs))
+            .map(|(src, rng)| top_n_sampling(m, src, cfg, rng))
+            .collect();
         assert_eq!(got.len(), want.len());
         for (q, (g, w)) in got.iter().zip(&want).enumerate() {
             let ctx = format!("batch {batch} request {q} ({cfg:?}, source {:?})", srcs[q]);

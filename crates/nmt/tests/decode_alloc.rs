@@ -6,9 +6,8 @@
 //!   request allocates the same count whatever its decoded length — only
 //!   the hypotheses it returns;
 //! * the f32 teacher: a warm `top_n_sampling` allocates only its 1 + k
-//!   returned hypotheses and a warm `top_n_sampling_batch` only its
-//!   returned sets, and the per-thread arena re-initialises correctly
-//!   across model shapes and after a panic inside a decode.
+//!   returned hypotheses, and the per-thread arena re-initialises
+//!   correctly across model shapes and after a panic inside a decode.
 //!
 //! The counter is per thread (a `const` thread-local, which never
 //! allocates on access), so the tests may run in parallel: each counts
@@ -19,8 +18,7 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use qrw_nmt::{
-    top_n_sampling, top_n_sampling_batch, DecodeArena, Hypothesis, ModelConfig, QuantStudent,
-    Seq2Seq, TopNSampling,
+    top_n_sampling, DecodeArena, Hypothesis, ModelConfig, QuantStudent, Seq2Seq, TopNSampling,
 };
 use qrw_tensor::rng::StdRng;
 use qrw_text::{BOS, EOS, NUM_SPECIALS};
@@ -212,31 +210,7 @@ fn warm_teacher_decode_allocates_only_its_hypotheses() {
     decoded_lengths.dedup();
     assert!(decoded_lengths.len() > 3, "decoded lengths never varied: {decoded_lengths:?}");
 
-    // Part 2: batches of mixed-length requests allocate only the returned
-    // sets: the outer Vec, then one Vec plus k token Vecs per request.
-    let sizes = [1usize, 3, 8];
-    for &size in &sizes {
-        let srcs: Vec<Vec<usize>> = (0..size).map(|i| session(max_src + 6, vocab, i)).collect();
-        let refs: Vec<&[usize]> = srcs.iter().map(Vec::as_slice).collect();
-        let mut rngs: Vec<StdRng> = (0..size as u64).map(StdRng::seed_from_u64).collect();
-        top_n_sampling_batch(&model, &refs, cfg, &mut rngs);
-    }
-    for round in 0..12usize {
-        let size = sizes[round % 3];
-        let srcs: Vec<Vec<usize>> = (0..size)
-            .map(|i| session(1 + (round * 5 + i * 3) % max_src, vocab, round + i))
-            .collect();
-        let refs: Vec<&[usize]> = srcs.iter().map(Vec::as_slice).collect();
-        let mut rngs: Vec<StdRng> =
-            (0..size).map(|i| StdRng::seed_from_u64((round * 10 + i) as u64)).collect();
-        let before = allocations();
-        let sets = top_n_sampling_batch(&model, &refs, cfg, &mut rngs);
-        let delta = allocations() - before;
-        let returned: u64 = 1 + sets.iter().map(|set| 1 + set.len() as u64).sum::<u64>();
-        assert_eq!(delta, returned, "batch {round} of {size} allocated {delta} times");
-    }
-
-    // Part 3: one thread alternating two model shapes (the cyclic trainer
+    // Part 2: one thread alternating two model shapes (the cyclic trainer
     // alternates its d48 q2t model and d32 models on one thread) and
     // decodes that panic midway leave the arena correct: every result
     // equals the same decode on a fresh arena.
@@ -247,14 +221,12 @@ fn warm_teacher_decode_allocates_only_its_hypotheses() {
             let got = top_n_sampling(m, &src, cfg, &mut StdRng::seed_from_u64(round));
             assert_eq!(exact(&got), exact(&on_fresh_thread(m, &src, cfg, round)), "round {round}");
         }
-        // A batch whose second source holds an out-of-vocabulary id
-        // panics after the first request's state was re-initialised and
-        // the last decode's candidates were released.
+        // An out-of-vocabulary source panics after the last decode's
+        // candidates were released.
         let bad = [vocab + 1];
-        let refs: [&[usize]; 2] = [&src, &bad];
-        let mut rngs = [StdRng::seed_from_u64(1), StdRng::seed_from_u64(2)];
+        let mut rng = StdRng::seed_from_u64(2);
         let panicked =
-            catch_unwind(AssertUnwindSafe(|| top_n_sampling_batch(&model, &refs, cfg, &mut rngs)));
+            catch_unwind(AssertUnwindSafe(|| top_n_sampling(&model, &bad, cfg, &mut rng)));
         assert!(panicked.is_err(), "an out-of-vocabulary source must panic");
         let got = top_n_sampling(&wide, &src, cfg, &mut StdRng::seed_from_u64(round));
         let want = on_fresh_thread(&wide, &src, cfg, round);

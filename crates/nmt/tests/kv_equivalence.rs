@@ -5,8 +5,8 @@
 //! [`TransformerDecodeMode::PrefixRecompute`].
 
 use qrw_nmt::{
-    beam_search_normalized, greedy, thread_decode_stats, top_n_sampling, top_n_sampling_batch,
-    ComponentKind, ModelConfig, Seq2Seq, TopNSampling, TransformerDecodeMode,
+    beam_search_normalized, greedy, thread_decode_stats, top_n_sampling, ComponentKind,
+    ModelConfig, Seq2Seq, TopNSampling, TransformerDecodeMode,
 };
 use qrw_tensor::StdRng;
 use qrw_text::BOS;
@@ -177,31 +177,6 @@ fn cloned_cache_states_are_independent() {
         assert!((a == b) || (a - b).abs() < 1e-4, "token {t}: {a} vs {b}");
     }
     assert_ne!(lp_a, lp_b, "different continuations must differ");
-}
-
-/// Cross-request batching transparency: decoding N *independent* sources
-/// through one `top_n_sampling_batch` call must be bitwise identical —
-/// tokens and log-probs, `==` not approximate — to decoding each source
-/// alone with the same per-source rng seed. The serving runtime's
-/// micro-batcher relies on this (a request's response may never depend on
-/// which other requests happened to share its batch).
-#[test]
-fn batch_matches_single_source_decoding() {
-    let cfg = TopNSampling { k: 3, n: 8 };
-    let srcs: [&[usize]; 4] = [&[5, 9, 14, 22], &[7, 8], &[30, 31, 32, 33, 34], &[12]];
-    let seeds = [7u64, 11, 13, 17];
-    for (e, d) in all_kinds() {
-        for mode in [TransformerDecodeMode::KvCache, TransformerDecodeMode::PrefixRecompute] {
-            let m = model(e, d, mode);
-            let mut rngs: Vec<StdRng> =
-                seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-            let batched = top_n_sampling_batch(&m, &srcs, cfg, &mut rngs);
-            for ((src, &seed), from_batch) in srcs.iter().zip(&seeds).zip(&batched) {
-                let alone = top_n_sampling(&m, src, cfg, &mut StdRng::seed_from_u64(seed));
-                assert_eq!(&alone, from_batch, "{e}/{d}/{mode:?}: batch changed a result");
-            }
-        }
-    }
 }
 
 /// Telemetry: the cached path reports cache hits and linear token work;

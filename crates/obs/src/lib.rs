@@ -57,9 +57,9 @@ pub mod taxonomy {
     /// (attrs: `id`, `shard`, `depth`).
     pub const MAILBOX_ENQUEUE: &str = "mailbox_enqueue";
     /// Root of each micro-batch's minted trace (attrs: `shard`, `worker`,
-    /// `size`, `ids`, `stolen`, `shed`; on teacher-first stacks, whose
-    /// cache misses decode in one batch pre-pass, also `decode_slots` and
-    /// `decode_requests`).
+    /// `size`, `ids`, `stolen`, `shed`). A batch decodes nothing of its
+    /// own: each request's online decode is the `rung_online` span of its
+    /// own trace.
     pub const BATCH_FORM: &str = "batch_form";
     /// Child of [`BATCH_FORM`] when the batch was stolen from a sibling
     /// mailbox (attrs: `thief`, `victim`, `count`, `ids`).

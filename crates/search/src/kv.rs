@@ -228,14 +228,8 @@ impl RewriteCache {
         found
     }
 
-    /// [`Self::get`] without touching the hit/miss counters. The serving
-    /// runtime probes entries while planning a batch and the serve pass
-    /// does the counted lookup, so each request is accounted exactly once.
-    pub fn peek(&self, query: &[String]) -> Option<Arc<Vec<Vec<String>>>> {
-        self.peek_scoped(CacheScope::default(), query)
-    }
-
-    /// [`peek`](Self::peek) under an explicit scope.
+    /// [`get_scoped`](Self::get_scoped) without touching the hit/miss
+    /// counters.
     pub fn peek_scoped(&self, scope: CacheScope, query: &[String]) -> Option<Arc<Vec<Vec<String>>>> {
         let key = scope.key(query);
         self.shard(&key).read().get(&key).map(|e| Arc::clone(&e.rewrites))
@@ -303,8 +297,8 @@ mod tests {
     fn peek_does_not_count() {
         let cache = RewriteCache::new();
         cache.insert(&toks("a"), vec![toks("b")]);
-        assert!(cache.peek(&toks("a")).is_some());
-        assert!(cache.peek(&toks("missing")).is_none());
+        assert!(cache.peek_scoped(CacheScope::default(), &toks("a")).is_some());
+        assert!(cache.peek_scoped(CacheScope::default(), &toks("missing")).is_none());
         assert_eq!(cache.hits() + cache.misses(), 0);
     }
 
@@ -365,10 +359,10 @@ mod tests {
         let remap = vec![None, Some(0), None, Some(1)];
         let (rebuilt, dropped) = cache.apply_remap(&remap);
         assert_eq!((rebuilt, dropped), (1, 2));
-        assert!(cache.peek(&toks("plain")).is_some());
+        assert!(cache.peek_scoped(CacheScope::default(), &toks("plain")).is_some());
         assert_eq!(cache.doc_hints(&toks("survivor")), Some(vec![0, 1]));
-        assert!(cache.peek(&toks("stale")).is_none());
-        assert!(cache.peek(&toks("oob")).is_none());
+        assert!(cache.peek_scoped(CacheScope::default(), &toks("stale")).is_none());
+        assert!(cache.peek_scoped(CacheScope::default(), &toks("oob")).is_none());
         assert_eq!(cache.len(), 2);
 
         // Identity remap is a no-op rebuild.
@@ -398,7 +392,7 @@ mod tests {
         let epoch2 = CacheScope::for_session(2, &[]);
         assert!(cache.get_scoped(epoch2, &toks("red shoes")).is_none());
         // And the legacy (frozen-model) scope never saw it either.
-        assert!(cache.peek(&toks("red shoes")).is_none());
+        assert!(cache.peek_scoped(CacheScope::default(), &toks("red shoes")).is_none());
 
         // The new epoch repopulates independently; the old entry is
         // untouched for requests still pinning epoch 1.
@@ -441,7 +435,7 @@ mod tests {
         cache.insert(&toks("plain query"), vec![toks("rewrite")]);
         assert!(cache.peek_scoped(CacheScope::default(), &toks("plain query")).is_some());
         cache.insert_scoped(CacheScope::default(), &toks("other"), vec![toks("r2")]);
-        assert!(cache.peek(&toks("other")).is_some());
+        assert!(cache.peek_scoped(CacheScope::default(), &toks("other")).is_some());
         assert!(CacheScope::for_session(0, &[]).is_legacy());
         assert!(!CacheScope::for_session(1, &[]).is_legacy());
     }

@@ -72,8 +72,8 @@ pub use kv::{CacheScope, RewriteCache};
 pub use models::{ModelEpoch, ModelStore, PinnedModel, SharedRewriter, SwapStats};
 pub use segment::{CatalogOp, MutationBatch, Segment};
 pub use serving::{
-    plan_online, PinnedCatalog, RewriteLadder, RewriteSource, SearchEngine, SearchResponse,
-    ServingConfig, SessionState,
+    PinnedCatalog, RewriteLadder, RewriteSource, SearchEngine, SearchResponse, ServingConfig,
+    SessionState,
 };
 pub use snapshot::{
     CatalogError, CatalogWriter, ChurnFault, ChurnFaultInjector, IndexSnapshot, PinnedSnapshot,

@@ -937,15 +937,6 @@ impl SearchEngine {
         }
     }
 
-    /// Folds one batched decode's telemetry delta into the health report.
-    /// The concurrent runtime's teacher pre-pass decodes a batch's cache
-    /// misses *together*, so the per-call accounting inside
-    /// `acquire_rewrites` never sees the model run; the runtime records
-    /// the batch-level delta here instead.
-    pub fn record_decode(&self, delta: qrw_core::DecodeStats, elapsed: std::time::Duration) {
-        self.health.record_decode(delta, elapsed);
-    }
-
     /// Records an admission-control event (queue rejection or in-queue
     /// expiry shed) from the concurrent runtime.
     pub fn record_queue_event(&self, error: &ServeError) {
@@ -1531,36 +1522,6 @@ fn clean_rewrites(
         }
     }
     out
-}
-
-/// Would [`SearchEngine::search_resilient`] consult the online rung for
-/// this query? Returns the sanitized query the online rewriter would
-/// receive when yes (the KV rung cannot serve it), `None` when the cache
-/// rung answers or the query sanitizes to nothing.
-///
-/// The concurrent serving runtime uses this to split a dequeued batch into
-/// KV-hits and decode-misses *before* running the micro-batched decode. It
-/// mirrors the ladder's rung-1 logic exactly (same `sanitize_query`, same
-/// entry validation) and probes through [`RewriteCache::peek`], so the
-/// counted hit/miss lookup still happens exactly once per request — inside
-/// the serve pass itself.
-pub fn plan_online(
-    query: &[String],
-    cache: Option<&RewriteCache>,
-    config: &ServingConfig,
-) -> Option<Vec<String>> {
-    let (query, _) = sanitize_query(query, config);
-    if query.is_empty() {
-        return None;
-    }
-    if let Some(cache) = cache {
-        if let Some(cached) = cache.peek(&query) {
-            if !clean_rewrites(&cached, &query, config).is_empty() {
-                return None;
-            }
-        }
-    }
-    Some(query)
 }
 
 #[cfg(test)]

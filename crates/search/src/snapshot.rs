@@ -717,7 +717,7 @@ mod tests {
         // Hint referencing the surviving doc was rewritten; the one
         // referencing the deleted doc was dropped.
         assert_eq!(cache.doc_hints(&toks("shoes")), Some(vec![0]));
-        assert!(cache.peek(&toks("men shoes")).is_none());
+        assert!(cache.peek_scoped(crate::CacheScope::default(), &toks("men shoes")).is_none());
         // Compaction survives recovery.
         let (rec, w) = CatalogWriter::recover(dir.path()).unwrap();
         assert_eq!(rec.pin().epoch(), 2);

@@ -19,15 +19,12 @@
 //!   max-wait-ticks policy per shard) and steal the oldest backlog from
 //!   sibling shards when their home runs dry (`std::thread::scope`,
 //!   model shared read-only via `Arc`);
-//! * [`batch`] — the rungs that replay the teacher's batched decode, and
-//!   the FNV-1a token hash the runtime routes on. Both model rungs are
-//!   [`Q2QRewriter`](qrw_core::Q2QRewriter)s: the quantized distilled
-//!   student answers each cache miss inline in its ladder walk, ahead of
-//!   the teacher; when the teacher is the first model rung, all
-//!   KV-cache-miss requests of a batch decode *together* through one
-//!   stacked
-//!   [`next_log_probs_multi`](qrw_nmt::seq2seq::Seq2Seq::next_log_probs_multi)
-//!   forward per step;
+//! * [`batch`] — the per-batch memo on the online rung, the q2q rung
+//!   aliases, and the FNV-1a token hash the runtime routes on. Both model
+//!   rungs are [`Q2QRewriter`](qrw_core::Q2QRewriter)s: the quantized
+//!   distilled student answers each cache miss inline in its ladder walk,
+//!   ahead of the f32 teacher; requests of one batch with the same
+//!   (context, query) share one online decode;
 //! * [`workload`] — deterministic seeded request mixes (KV-hit-heavy head
 //!   + decode-heavy tail) for the load-generation bench.
 //!
@@ -38,20 +35,18 @@
 //! [`SearchEngine::search_resilient`](qrw_search::SearchEngine::search_resilient)
 //! with the same ladder. Two properties make that hold:
 //!
-//! 1. every row of the stacked decode forward is computed independently of
-//!    its batch neighbours (row-independent matmul accumulation,
-//!    per-candidate attention over its own KV cache, row-wise norms and
-//!    softmax), so batch composition never changes a row's bits;
-//! 2. the q2q rewriter derives its sampling RNG per request from the query
-//!    itself (FNV-1a of the tokens XOR a base seed), so the draw sequence
-//!    does not depend on which requests share a batch, which worker runs
-//!    it, or in what order batches drain.
+//! 1. every request walks the whole ladder itself, under its own budget,
+//!    breaker and spans, exactly as a standalone serve would;
+//! 2. the q2q rewriter derives its sampling RNG per request from the
+//!    (context, query) itself (FNV-1a of the tokens XOR a base seed), so
+//!    the draw sequence does not depend on which requests share a batch,
+//!    which worker runs it, or in what order batches drain.
 //!
-//! Property 2 makes rewriting a *pure function of the query*, which buys a
-//! second scheduler optimisation for free: on a teacher-first stack,
-//! identical in-flight cache-miss queries coalesce into one decode slot
-//! per micro-batch (request coalescing), sharing bit-for-bit the output
-//! each would have produced alone.
+//! Property 2 makes rewriting a *pure function of the (context, query)*,
+//! which buys a scheduler optimisation for free: off the session path,
+//! identical in-flight queries of one micro-batch share one online decode
+//! (request coalescing), receiving bit-for-bit the output each would have
+//! produced alone.
 //!
 //! `tests/runtime.rs` enforces the invariant end-to-end (1 worker /
 //! batch-1 vs N workers / batch-8, compared against standalone

@@ -4,30 +4,29 @@
 //! requests inside the [`AdmissionQueue`];
 //! submissions route to shards by FNV-1a of the query tokens (the family
 //! `RewriteCache` and `ShardedIndex` key on), so identical in-flight
-//! queries meet on one shard and decode-slot coalescing stays
-//! shard-local. Workers are homed to shards round-robin; each drains its
-//! home FIFO into dynamic micro-batches (the `max_batch`/`max_wait_ticks`
-//! policy, applied per shard) and **steals the oldest backlog** from
-//! sibling shards when its home runs dry — the only cross-shard traffic
-//! besides the shared teacher decode.
+//! queries meet on one shard and coalesce there. Workers are homed to
+//! shards round-robin; each drains its home FIFO into dynamic
+//! micro-batches (the `max_batch`/`max_wait_ticks` policy, applied per
+//! shard) and **steals the oldest backlog** from sibling shards when its
+//! home runs dry — the only cross-shard traffic.
 //!
 //! Per batch: expired requests are shed, and then **every** live
 //! request — hit or miss, home or stolen — walks the ladder through
 //! `SearchEngine::search_session_traced` itself, one request at a time.
-//! The one pre-pass is the teacher's: when the batch-capable teacher is
-//! the first model rung (no student, no model store), the batch's cache
-//! misses are decoded *together* through one
-//! [`Q2QRewriter::rewrite_batch`] call and the output is replayed as each
-//! request's online rung. A student-bearing stack serves its misses
-//! inline through the student rung (the teacher, behind it, decodes
-//! inline too), and a session stack serves each request's pinned model
-//! as its online rung. The engine path, rung attribution, degradation
-//! events, and breaker and decode bookkeeping are therefore identical to
-//! a standalone serve, which is what makes batching — and scheduling —
-//! byte-transparent: rewrites are a pure function of the query, so shard
-//! count, batch composition, and steal decisions can never change a
-//! response's bits (`tests/scheduler_invariants.rs` proves it at shard
-//! counts {1,2,4} × {1,4} workers).
+//! Off the session path, the batch's online rung is wrapped in a
+//! per-batch memo: requests of the batch with the same (context, query)
+//! decode once, and the duplicates are answered with the same rewrites
+//! inside their own ladder walks. The memo keeps an answer only when a
+//! later request of the batch repeats its key, so a batch without
+//! duplicates stores nothing. The student is never memoized, and a
+//! session stack serves each request's pinned model as its online rung.
+//! The engine path, rung attribution, degradation events, and breaker
+//! bookkeeping are therefore identical to a standalone serve, which is
+//! what makes batching — and scheduling — byte-transparent: rewrites are
+//! a pure function of the (context, query), so shard count, batch
+//! composition, and steal decisions can never change a response's bits
+//! (`tests/scheduler_invariants.rs` proves it at shard counts {1,2,4} ×
+//! {1,4} workers).
 //!
 //! # Steady state allocates nothing
 //!
@@ -51,28 +50,26 @@
 //! Scheduling-dependent work lands in separate **minted** traces so
 //! per-request structure stays invariant across shard and worker counts:
 //! `mailbox_enqueue` (routing decision per admitted request), and per
-//! batch a `batch_form` root with an optional `steal` child and, on
-//! teacher-first stacks only, `decode_slots`/`decode_requests` attributes
-//! and a `decode` child. A student's decode time sits in the request's
-//! own `rung_student` span. Tests assert both
+//! batch a `batch_form` root with an optional `steal` child. Every decode
+//! sits in its request's own trace: the student's in `rung_student`, the
+//! online model's in `rung_online`. Tests assert both
 //! (`tests/trace_invariants.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use qrw_core::{thread_decode_stats, Q2QRewriter, QueryRewriter};
+use qrw_core::{Q2QRewriter, QueryRewriter};
 use qrw_nmt::{QuantStudent, Seq2Seq};
 use qrw_obs::taxonomy::{BATCH_FORM, MAILBOX_ENQUEUE, STEAL};
-use qrw_obs::SpanGuard;
 use qrw_search::{
-    plan_online, DeadlineBudget, ModelStore, RewriteCache, RewriteLadder, SearchEngine,
-    SearchResponse, ServeError, ServingConfig, SessionState,
+    DeadlineBudget, ModelStore, RewriteCache, RewriteLadder, SearchEngine, SearchResponse,
+    ServeError, ServingConfig, SessionState,
 };
 use qrw_tensor::sync::Mutex;
 
-use crate::batch::{PanicOnline, PrecomputedOnline};
+use crate::batch::BatchMemo;
 use crate::queue::{AdmissionQueue, BatchBuf, Pending, ResponseSlot};
 
 /// Scheduler and pool knobs.
@@ -135,16 +132,16 @@ pub struct ServeStack {
     /// model, decoding each cache miss inline in the request's ladder
     /// walk.
     pub student: Option<Arc<Q2QRewriter<QuantStudent>>>,
-    /// Rung 3: the batch-capable online model (the teacher-backed
-    /// fallback behind the student). As the first model rung its misses
-    /// are decoded together per batch; behind a student it decodes inline.
+    /// Rung 3: the online model (the teacher-backed fallback behind the
+    /// student). Off the session path, requests of one batch with the
+    /// same (context, query) share its decode.
     pub online: Option<Arc<Q2QRewriter<Seq2Seq>>>,
     /// Rung 4: the rule-based fallback.
     pub baseline: Option<Arc<dyn QueryRewriter + Send + Sync>>,
     /// The hot-swappable session-model store. When present the runtime
     /// serves every request through the **session path**: the worker
     /// pins exactly one model epoch for the whole ladder walk (the pinned
-    /// model is the online rung, so no batch pre-pass runs) and stamps
+    /// model is the online rung, so no batch memo wraps it) and stamps
     /// the epoch on the response. `None` keeps the legacy cache scope and
     /// model epoch 0 byte-for-byte.
     pub models: Option<Arc<ModelStore>>,
@@ -470,85 +467,29 @@ impl Runtime {
             return;
         }
 
-        // One serve loop. The teacher's stacked decode runs ahead of the
-        // ladder only when the teacher is the first model rung; every
-        // other stack walks the ladder inline with the live student and
-        // teacher (a session request's pinned model is its online rung).
+        // One serve loop: every live request walks the ladder itself. Off
+        // the session path, requests of this batch with the same (context,
+        // query) share one online decode through the batch memo. The
+        // student is never memoized, and a session request's online rung is
+        // its pinned model, chosen inside the engine.
         let student = self.stack.student.as_deref().map(|s| s as &dyn QueryRewriter);
-        let online = self.stack.online.as_deref();
-        let mut replayed = match (online, student, &self.stack.models) {
-            (Some(teacher), None, None) => self.teacher_prepass(teacher, live, batch_span.as_mut()),
-            _ => Vec::new(),
-        }
-        .into_iter();
-        for p in live.drain(..) {
-            let rung = replayed.next().flatten();
-            let online = rung.as_deref().or(online.map(|o| o as &dyn QueryRewriter));
+        let memo = match &self.stack.models {
+            None => self.stack.online.as_deref().map(|o| BatchMemo::new(o)),
+            Some(_) => None,
+        };
+        let online = match &memo {
+            Some(memo) => Some(memo as &dyn QueryRewriter),
+            None => self.stack.online.as_deref().map(|o| o as &dyn QueryRewriter),
+        };
+        let mut rest = live.drain(..);
+        while let Some(p) = rest.next() {
+            if let Some(memo) = &memo {
+                let repeat =
+                    rest.as_slice().iter().any(|q| q.query == p.query && q.context == p.context);
+                memo.expect_repeat(repeat);
+            }
             self.serve_one(p, panic_ids, student, online);
         }
-    }
-
-    /// The teacher's pre-pass over a batch's live requests: plans which
-    /// requests miss the rewrite cache (mirroring ladder rung 1 without
-    /// touching the hit/miss counters — the serve pass counts), decodes
-    /// every miss in one stacked [`Q2QRewriter::rewrite_batch`], and
-    /// returns each request's replayed online rung (`None` when the cache
-    /// serves it).
-    fn teacher_prepass(
-        &self,
-        teacher: &Q2QRewriter<Seq2Seq>,
-        live: &[Pending],
-        mut batch_span: Option<&mut SpanGuard>,
-    ) -> Vec<Option<Box<dyn QueryRewriter>>> {
-        let plans: Vec<Option<Vec<String>>> = live
-            .iter()
-            .map(|p| plan_online(&p.query, self.stack.cache.as_deref(), &self.config.serving))
-            .collect();
-        // Identical in-flight queries coalesce into a single decode slot:
-        // `Q2QRewriter` rewrites are a pure function of the query (the
-        // sampling RNG is derived from the query tokens), so sharing one
-        // decode across duplicates returns bit-for-bit what each would
-        // have produced alone. FNV shard routing sends duplicates to the
-        // same shard, so coalescing is shard-local by construction.
-        let mut queries: Vec<&[String]> = Vec::new();
-        let slots: Vec<Option<usize>> = plans
-            .iter()
-            .map(|plan| {
-                plan.as_deref().map(|q| match queries.iter().position(|u| *u == q) {
-                    Some(slot) => slot,
-                    None => {
-                        queries.push(q);
-                        queries.len() - 1
-                    }
-                })
-            })
-            .collect();
-        let requests = slots.iter().flatten().count();
-        if let Some(s) = batch_span.as_mut() {
-            s.attr("decode_slots", queries.len());
-            s.attr("decode_requests", requests);
-        }
-        let decoded = (!queries.is_empty()).then(|| {
-            let tracer = self.stack.engine.tracer();
-            let mut span = batch_span
-                .zip(tracer)
-                .map(|(b, t)| t.span(b.trace(), Some(b.id()), "decode"));
-            if let Some(s) = span.as_mut() {
-                s.attr("slots", queries.len());
-                s.attr("requests", requests);
-            }
-            let before = thread_decode_stats();
-            let t0 = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                teacher.rewrite_batch(&queries, self.config.serving.max_rewrites)
-            }));
-            self.stack.engine.record_decode(thread_decode_stats().since(&before), t0.elapsed());
-            if let Some(s) = span.as_mut() {
-                s.attr("ok", result.is_ok());
-            }
-            result.map_err(|_| ())
-        });
-        slots.into_iter().map(|slot| replayed_rung(teacher.name(), &decoded, slot)).collect()
     }
 
     /// Serves one live request through the engine with the given student
@@ -613,24 +554,6 @@ impl Runtime {
             slot.complete(record.clone());
         }
         self.results.lock().push(record);
-    }
-}
-
-/// The rung that replays the teacher pre-pass for one request: its
-/// precomputed rewrites, or a panicking stand-in when the decode
-/// panicked. `None` when nothing in the batch missed or the request had
-/// no decode slot.
-fn replayed_rung(
-    name: &str,
-    decoded: &Option<Result<Vec<Vec<Vec<String>>>, ()>>,
-    slot: Option<usize>,
-) -> Option<Box<dyn QueryRewriter>> {
-    match (decoded, slot) {
-        (Some(Ok(all)), Some(slot)) => {
-            Some(Box::new(PrecomputedOnline::new(name.to_string(), all[slot].clone())))
-        }
-        (Some(Err(())), Some(_)) => Some(Box::new(PanicOnline::new(name.to_string()))),
-        _ => None,
     }
 }
 

@@ -343,6 +343,45 @@ fn duplicate_in_flight_queries_coalesce_without_changing_responses() {
     );
 }
 
+/// One batch of 8 cache misses holding 2 distinct queries, 4 copies
+/// each: every copy gets its standalone bytes, and the engine's decode
+/// counters equal standalone serving of the 2 distinct queries alone.
+/// At batch size 1 every request decodes.
+#[test]
+fn a_batch_decodes_each_distinct_cache_miss_once() {
+    let vocab = vocab();
+    let (a, b) = (vec!["w3".to_string(), "w7".to_string()], vec!["w9".to_string()]);
+    let requests: Vec<Vec<String>> =
+        (0..8).map(|i| if i % 2 == 0 { a.clone() } else { b.clone() }).collect();
+    let config = ServingConfig::default();
+    let decodes = |s: &ServeStack| {
+        let r = s.engine.health_report();
+        (r.decode_steps, r.decode_tokens)
+    };
+
+    let reference = stack(&vocab, &[]);
+    let expected: Vec<String> =
+        requests.iter().map(|q| serve_alone(&reference, q, &config)).collect();
+    let distinct = stack(&vocab, &[]);
+    for q in [&a, &b] {
+        serve_alone(&distinct, q, &config);
+    }
+    assert!(decodes(&distinct).0 > 0);
+
+    // One worker on one shard takes all 8 pre-submitted requests as one
+    // batch.
+    let one_batch =
+        RuntimeConfig { workers: 1, shards: 1, max_batch: 8, ..RuntimeConfig::default() };
+    let batched = stack(&vocab, &[]);
+    assert_eq!(run_and_render(&batched, one_batch.clone(), &requests), expected);
+    assert_eq!(decodes(&batched), decodes(&distinct));
+
+    let solo = stack(&vocab, &[]);
+    let config = RuntimeConfig { max_batch: 1, ..one_batch };
+    assert_eq!(run_and_render(&solo, config, &requests), expected);
+    assert_eq!(decodes(&solo), decodes(&reference));
+}
+
 #[test]
 fn live_catalog_runtime_serves_every_request_under_writer_churn() {
     use qrw_search::CatalogWriter;

@@ -7,8 +7,9 @@
 //!   (`served` / `shed` / `rejected` / `failed`);
 //! * sheds carry a `queue_wait` span and never a `serve` (or any decode);
 //! * rejected requests never reach the queue: no `queue_wait`, no `serve`;
-//! * a batch span's claims (`size`, `decode_slots`, `decode_requests`)
-//!   match the spans and request traces it points at;
+//! * a batch span's claims (`size`, `ids`) match the request traces it
+//!   points at, and no batch mints a decode span: every online decode is
+//!   a `rung_online` span in its request's own trace;
 //! * per-request span structure is **byte-identical** across worker
 //!   counts and batch sizes (batch composition is scheduling-dependent,
 //!   so batch-level spans live in minted traces and are filtered out),
@@ -240,64 +241,61 @@ fn rejected_requests_have_no_queue_wait_and_no_serve() {
     }
 }
 
+/// Runs both the teacher-first and the student-bearing stack.
 #[test]
 fn batch_spans_claim_exactly_the_requests_and_decodes_they_contain() {
     let vocab = vocab();
     let w = workload(&vocab);
-    let (records, spans) = run_traced(pooled_config(), unlimited(&w.requests));
+    let stacks = [(traced_stack as BuildStack, true), (traced_student_stack, false)];
+    for (build, teacher_first) in stacks {
+        let (records, spans) = run_traced_on(build, pooled_config(), unlimited(&w.requests));
 
-    let batches: Vec<&SpanRecord> = spans
-        .iter()
-        .filter(|s| s.trace & MINTED_TRACE_BIT != 0 && s.name == taxonomy::BATCH_FORM)
-        .collect();
-    assert!(!batches.is_empty());
-
-    let mut claimed: Vec<u64> = Vec::new();
-    for b in &batches {
-        let ids: Vec<u64> = b
-            .attr("ids")
-            .and_then(|v| v.as_str())
-            .unwrap()
-            .split(',')
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let size = b.attr("size").and_then(|v| v.as_int()).unwrap() as usize;
-        assert_eq!(ids.len(), size, "batch size attr must match its id list");
-        claimed.extend(&ids);
-
-        let slots = b.attr("decode_slots").and_then(|v| v.as_int()).unwrap() as usize;
-        let requests = b.attr("decode_requests").and_then(|v| v.as_int()).unwrap() as usize;
-        assert!(slots <= requests, "coalescing can only shrink the slot count");
-        assert!(requests <= size, "a batch cannot decode more requests than it holds");
-
-        // The decode child (present iff any slot was decoded) claims the
-        // same coalesced slot/request counts as its batch span.
-        let children: Vec<&SpanRecord> = spans
+        let batches: Vec<&SpanRecord> = spans
             .iter()
-            .filter(|s| s.trace == b.trace && s.parent == Some(b.id) && s.name == "decode")
+            .filter(|s| s.trace & MINTED_TRACE_BIT != 0 && s.name == taxonomy::BATCH_FORM)
             .collect();
-        if slots > 0 {
-            assert_eq!(children.len(), 1, "one coalesced decode per batch");
-            let d = children[0];
-            assert_eq!(d.attr("slots").and_then(|v| v.as_int()).unwrap() as usize, slots);
-            assert_eq!(d.attr("requests").and_then(|v| v.as_int()).unwrap() as usize, requests);
-            assert_eq!(d.attr("ok").and_then(|v| v.as_int()), Some(1));
-        } else {
-            assert!(children.is_empty(), "no decode span without decode slots");
-        }
+        assert!(!batches.is_empty());
 
-        // Every id a batch claims is a real admitted request with its own
-        // trace (admit + queue_wait recorded).
-        for id in &ids {
-            let t = trace_spans(&spans, *id);
-            assert_eq!(count_named(&t, "admit"), 1);
-            assert_eq!(count_named(&t, "queue_wait"), 1);
+        let mut claimed: Vec<u64> = Vec::new();
+        for b in &batches {
+            let ids: Vec<u64> = b
+                .attr("ids")
+                .and_then(|v| v.as_str())
+                .unwrap()
+                .split(',')
+                .map(|s| s.parse().unwrap())
+                .collect();
+            let size = b.attr("size").and_then(|v| v.as_int()).unwrap() as usize;
+            assert_eq!(ids.len(), size, "batch size attr must match its id list");
+            claimed.extend(&ids);
+
+            // Every id a batch claims is a real admitted request with its
+            // own trace (admit + queue_wait recorded).
+            for id in &ids {
+                let t = trace_spans(&spans, *id);
+                assert_eq!(count_named(&t, "admit"), 1);
+                assert_eq!(count_named(&t, "queue_wait"), 1);
+            }
+        }
+        // Batches partition the admitted requests: each id in exactly one.
+        claimed.sort_unstable();
+        let expected: Vec<u64> = records.iter().map(|r| r.id).collect();
+        assert_eq!(claimed, expected, "every request dequeued in exactly one batch");
+
+        // No batch decodes on its own: every online decode is a rung of
+        // its request's own ladder walk, in the request's trace under
+        // `serve`, memo-answered or not.
+        assert!(spans.iter().all(|s| s.name != "decode"), "no minted decode span");
+        let rungs: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "rung_online").collect();
+        for rung in &rungs {
+            assert_eq!(rung.trace & MINTED_TRACE_BIT, 0, "rung_online lives in the request trace");
+            let parent = spans.iter().find(|s| Some(s.id) == rung.parent).expect("rung parent");
+            assert_eq!((parent.name, parent.trace), ("serve", rung.trace));
+        }
+        if teacher_first {
+            assert!(!rungs.is_empty(), "the teacher-first stack decoded no miss");
         }
     }
-    // Batches partition the admitted requests: each id in exactly one.
-    claimed.sort_unstable();
-    let expected: Vec<u64> = records.iter().map(|r| r.id).collect();
-    assert_eq!(claimed, expected, "every request dequeued in exactly one batch");
 }
 
 /// Runs both the teacher-first and the student-bearing stack.
@@ -610,7 +608,7 @@ fn injected_q2q_faults_appear_as_rung_outcomes_in_well_formed_traces() {
 
 /// Like [`traced_stack`], but serving through the session path: a
 /// [`ModelStore`] seeded with a day-0 session model instead of the
-/// batched decode rewriter.
+/// static online rewriter.
 fn traced_session_stack(vocab: &Arc<Vocab>) -> (ServeStack, Tracer, Arc<ModelStore>) {
     let tracer = Tracer::logical();
     let docs = synthetic_docs(vocab, 60, 11);

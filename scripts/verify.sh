@@ -21,7 +21,9 @@
 # at small scale: it writes + validates BENCH_serve.json at the repo root,
 # requires batched runtime responses to be byte-identical to the
 # sequential baseline, enforces the >=2x micro-batched throughput bar on
-# the decode-heavy tail mix, and checks graceful overload accounting.
+# the decode-heavy tail mix (carried by coalescing: repeated tail queries
+# of one batch share one online decode through the per-batch memo), and
+# checks graceful overload accounting.
 #
 # With --shard-smoke, additionally runs the load generator's shard-scaling
 # sweep (it shares the load_smoke binary, so the full load run rides
@@ -189,8 +191,10 @@ cargo test --release --offline -p qrw-search --lib --test mutation
 # Scheduler races can show only under optimised code (one zero-alloc race
 # did), so the allocation proof, the exactly-once suite, the runtime's
 # standalone-equivalence suite (byte-identical responses and health
-# counters under concurrent workers) and the trace structure suite run
-# here too.
+# counters under concurrent workers; a batch's repeated cache misses
+# decode once through the per-batch memo on the online rung, never on
+# the student) and the trace structure suite (no minted decode span;
+# every online decode in its request's own trace) run here too.
 cargo test --release --offline -p qrw-serve --test zero_alloc --test scheduler_invariants \
   --test runtime --test trace_invariants
 # The q2q rewriter's equivalence, determinism and golden-hash tests
