@@ -119,7 +119,7 @@ impl<M: TopNDecoder> QueryRewriter for Q2QRewriter<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrw_nmt::{top_n_sampling, ModelConfig, QuantStudent, Seq2Seq};
+    use qrw_nmt::{ModelConfig, QuantStudent, Seq2Seq};
 
     fn vocab() -> Arc<Vocab> {
         let mut vocab = Vocab::new();
@@ -191,7 +191,7 @@ mod tests {
         for ctx in [vec![], vec![toks("w1 w9")], vec![toks("w1"), toks("w3 w4")]] {
             let src = encode_session(&vocab, &ctx, &q);
             let rng = || StdRng::seed_from_u64(seed ^ session_hash(&ctx, &q));
-            let t_hyps = top_n_sampling(&teacher, &src, cfg, &mut rng());
+            let t_hyps = teacher.top_n_sampling(&src, cfg, &mut rng());
             let s_hyps = student.top_n_sampling(&src, cfg, &mut rng());
             assert_eq!(
                 t_rw.rewrite_with_context(&ctx, &q, 3),

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 
 use qrw_tensor::rng::StdRng;
 
-use qrw_nmt::{top_n_sampling, DecodeStats, Hypothesis, TopNSampling};
+use qrw_nmt::{top_n_sampling, DecodeStats, Hypothesis, TopNDecoder, TopNSampling};
 use qrw_text::Vocab;
 
 use crate::cyclic::JointModel;

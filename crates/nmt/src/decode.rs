@@ -8,16 +8,13 @@
 //! Diverse beam search (the paper's §V future-work pointer) is also
 //! implemented for the ablation benches.
 
-use std::cell::RefCell;
-
 use qrw_tensor::quant::sum_exp;
 use qrw_tensor::rng::StdRng;
 use qrw_tensor::{avx2_available, Tensor};
 
 use qrw_text::{BOS, EOS, PAD, UNK};
 
-use crate::seq2seq::{DecodeRows, DecodeState, DecodeStats, Seq2Seq, StepArena};
-use crate::student::QuantStudent;
+use crate::seq2seq::{DecodeState, DecodeStats, DecodeTelemetry, Seq2Seq};
 
 /// A decoded candidate: raw token ids (no BOS/EOS) and its model log-prob
 /// `log P(tokens, EOS | src)`.
@@ -27,16 +24,85 @@ pub struct Hypothesis {
     pub log_prob: f32,
 }
 
-struct Candidate {
+/// A candidate sequence: its prefix (BOS first), decoder state and
+/// running score.
+struct Candidate<S> {
     prefix: Vec<usize>,
-    state: DecodeState,
+    state: S,
     log_prob: f32,
     finished: bool,
 }
 
-impl Candidate {
+impl<S> Candidate<S> {
     fn hypothesis(&self) -> Hypothesis {
         Hypothesis { tokens: self.prefix[1..].to_vec(), log_prob: self.log_prob }
+    }
+}
+
+/// The rows of one stacked decode step: row `r` advances its state by the
+/// prefix tokens it has not consumed.
+pub(crate) trait DecodeRows<S> {
+    fn rows(&self) -> usize;
+    /// Row `r`'s state and its decoded prefix (BOS first).
+    fn row(&self, r: usize) -> (&S, &[usize]);
+    /// [`Self::row`], with the state mutable.
+    fn row_mut(&mut self, r: usize) -> (&mut S, &[usize]);
+}
+
+/// A single state and its prefix.
+pub(crate) struct OneRow<'a, S> {
+    pub(crate) state: &'a mut S,
+    pub(crate) prefix: &'a [usize],
+}
+
+impl<S> DecodeRows<S> for OneRow<'_, S> {
+    fn rows(&self) -> usize {
+        1
+    }
+
+    fn row(&self, _: usize) -> (&S, &[usize]) {
+        (self.state, self.prefix)
+    }
+
+    fn row_mut(&mut self, _: usize) -> (&mut S, &[usize]) {
+        (self.state, self.prefix)
+    }
+}
+
+/// Caller-owned states and their prefixes, row by row.
+impl<S> DecodeRows<S> for (&mut [&mut S], &[&[usize]]) {
+    fn rows(&self) -> usize {
+        self.0.len()
+    }
+
+    fn row(&self, r: usize) -> (&S, &[usize]) {
+        (self.0[r], self.1[r])
+    }
+
+    fn row_mut(&mut self, r: usize) -> (&mut S, &[usize]) {
+        (self.0[r], self.1[r])
+    }
+}
+
+/// The live candidates `cands[live[r]]`, in candidate order.
+struct LiveRows<'a, S> {
+    cands: &'a mut [Candidate<S>],
+    live: &'a [usize],
+}
+
+impl<S> DecodeRows<S> for LiveRows<'_, S> {
+    fn rows(&self) -> usize {
+        self.live.len()
+    }
+
+    fn row(&self, r: usize) -> (&S, &[usize]) {
+        let cand = &self.cands[self.live[r]];
+        (&cand.state, &cand.prefix)
+    }
+
+    fn row_mut(&mut self, r: usize) -> (&mut S, &[usize]) {
+        let cand = &mut self.cands[self.live[r]];
+        (&mut cand.state, &cand.prefix)
     }
 }
 
@@ -44,14 +110,13 @@ impl Candidate {
 /// returning one masked next-token log-prob vector per candidate. Borrows
 /// each candidate's state and prefix disjointly so the whole batch goes
 /// down in one `next_log_probs_batch` forward.
-fn step_live_batch(model: &Seq2Seq, memory: &Tensor, cands: &mut [Candidate]) -> Vec<Vec<f32>> {
-    let mut states: Vec<&mut DecodeState> = Vec::with_capacity(cands.len());
-    let mut prefixes: Vec<&[usize]> = Vec::with_capacity(cands.len());
-    for cand in cands.iter_mut() {
-        let Candidate { prefix, state, .. } = cand;
-        states.push(state);
-        prefixes.push(prefix);
-    }
+fn step_live_batch(
+    model: &Seq2Seq,
+    memory: &Tensor,
+    cands: &mut [Candidate<DecodeState>],
+) -> Vec<Vec<f32>> {
+    let (mut states, prefixes): (Vec<_>, Vec<_>) =
+        cands.iter_mut().map(|c| (&mut c.state, c.prefix.as_slice())).unzip();
     model.next_log_probs_batch(memory, &mut states, &prefixes)
 }
 
@@ -108,7 +173,7 @@ pub fn beam_search_normalized(
         log_prob: 0.0,
         finished: false,
     }];
-    let mut done: Vec<Candidate> = Vec::new();
+    let mut done: Vec<Candidate<DecodeState>> = Vec::new();
 
     for _ in 0..=model.max_tgt_len() {
         // One batched forward over all live beams instead of `beam`
@@ -176,39 +241,30 @@ impl Default for TopNSampling {
 /// Step 1 takes the `k` *most likely distinct* first tokens — the paper's
 /// key step for diversity. Every later step samples a token among the top
 /// `n` by renormalized probability, independently per candidate sequence.
-/// Returned hypotheses carry the true model log-prob of the sampled
-/// sequence and are sorted best-first. Decodes through this thread's
-/// decode arena, so a warm call allocates only the returned hypotheses.
-pub fn top_n_sampling(
-    model: &Seq2Seq,
+/// Returned hypotheses carry the model log-prob of the sampled sequence
+/// and are sorted best-first. Decodes through this thread's top-n arena
+/// for the model's kind, so a warm call allocates only the returned
+/// hypotheses.
+pub fn top_n_sampling<M: TopNDecoder>(
+    model: &M,
     src: &[usize],
     cfg: TopNSampling,
     rng: &mut StdRng,
 ) -> Vec<Hypothesis> {
-    ARENA.with_borrow_mut(|arena| {
-        arena.decode(model, src, cfg, rng);
-        arena.hypotheses()
-    })
+    model.top_n(src, cfg, rng)
 }
 
 /// A model the paper's top-n sampling decoder can serve: the f32
-/// [`Seq2Seq`] teacher or the i8 [`QuantStudent`]. A q2q rewriter is
-/// generic over this, so one rewriter serves either.
-pub trait TopNDecoder {
+/// [`Seq2Seq`] teacher or the i8 [`QuantStudent`](crate::QuantStudent). A
+/// q2q rewriter is generic over this, so one rewriter serves either.
+/// Sealed: the decode loop drives each model through a crate-private step
+/// interface.
+#[allow(private_bounds)]
+pub trait TopNDecoder: DecodeStep {
     /// The name a rewriter over this kind of model reports by default.
     const NAME: &'static str;
 
-    /// Top-n sampling of one source, drawing from `rng`.
-    fn top_n_sampling(&self, src: &[usize], cfg: TopNSampling, rng: &mut StdRng)
-        -> Vec<Hypothesis>;
-
-    /// Snapshot of the model's cumulative decode counters.
-    fn decode_stats(&self) -> DecodeStats;
-}
-
-impl TopNDecoder for Seq2Seq {
-    const NAME: &'static str = "q2q-direct";
-
+    /// Top-n sampling of one source, drawing from `rng`: [`top_n_sampling`].
     fn top_n_sampling(
         &self,
         src: &[usize],
@@ -218,140 +274,137 @@ impl TopNDecoder for Seq2Seq {
         top_n_sampling(self, src, cfg, rng)
     }
 
+    /// Snapshot of the model's cumulative decode counters (relaxed
+    /// atomics: a model may decode on several threads). Each
+    /// [`top_n_sampling`] call publishes its counts once, when it
+    /// finishes.
     fn decode_stats(&self) -> DecodeStats {
-        Seq2Seq::decode_stats(self)
+        self.telemetry().stats()
     }
 }
 
-impl TopNDecoder for QuantStudent {
-    const NAME: &'static str = "student-quantized";
+/// One kind of model under the top-n loop: how it encodes a source, steps
+/// stacked rows, and turns a stepped row into tokens. The two epilogues
+/// stay per model, so each decoder keeps its own numerics: the teacher
+/// samples from a log-softmax row, the student from raw logits through the
+/// fused epilogue.
+pub(crate) trait DecodeStep: Sized {
+    /// One candidate's decoder state.
+    type State: Clone + Default;
+    /// Every buffer the model's encoder and step kernel touch.
+    type Arena: Default;
 
-    fn top_n_sampling(
+    /// [`TopNArena::top_n`] on this thread's arena for this kind of model.
+    /// `thread_local!` cannot be generic, so each model declares its own;
+    /// and this non-generic entry compiles the loop around the model's
+    /// step kernel in this crate, not in each caller's.
+    fn top_n(&self, src: &[usize], cfg: TopNSampling, rng: &mut StdRng) -> Vec<Hypothesis>;
+
+    /// The model's shared decode counters.
+    fn telemetry(&self) -> &DecodeTelemetry;
+
+    /// Maximum target length this model decodes.
+    fn max_tgt_len(&self) -> usize;
+
+    /// Encodes `src` into `arena` and resets `template` to a fresh state
+    /// for it, in place.
+    fn reset(&self, src: &[usize], arena: &mut Self::Arena, template: &mut Self::State);
+
+    /// A fresh state for the arena's source, with room for a full-length
+    /// decode so that forking into it never regrows it.
+    fn new_state(&self, arena: &Self::Arena) -> Self::State;
+
+    /// Drops what `state` shares with the last source, before the next
+    /// [`Self::reset`]; it must be re-forked before it steps.
+    fn release(_state: &mut Self::State) {}
+
+    /// Advances every row one step as one stacked call, leaving row `r`'s
+    /// output in `arena` for the epilogues. Returns the step's decode
+    /// counts; the caller publishes them once per call.
+    fn step_rows(
         &self,
-        src: &[usize],
-        cfg: TopNSampling,
+        rows: &mut impl DecodeRows<Self::State>,
+        arena: &mut Self::Arena,
+    ) -> DecodeStats;
+
+    /// The first step's epilogue: row 0's `k` most likely distinct tokens,
+    /// EOS excluded (so no candidate is empty), into `pool` as
+    /// `(log_prob, token)` best-first.
+    fn first_tokens(&self, arena: &Self::Arena, k: usize, pool: &mut Vec<(f32, usize)>);
+
+    /// A later step's epilogue: row `r`'s next token, sampled among its
+    /// `n` most likely, and its log-prob.
+    fn sample(
+        &self,
+        arena: &Self::Arena,
+        r: usize,
+        n: usize,
         rng: &mut StdRng,
-    ) -> Vec<Hypothesis> {
-        QuantStudent::top_n_sampling(self, src, cfg, rng)
-    }
-
-    fn decode_stats(&self) -> DecodeStats {
-        QuantStudent::decode_stats(self)
-    }
+        pool: &mut Vec<(f32, usize)>,
+    ) -> FusedStep;
 }
 
-/// The first step's one row: the template state consumes BOS.
-struct FirstRow<'a> {
-    memory: &'a Tensor,
-    first: &'a mut DecodeState,
-}
-
-impl DecodeRows for FirstRow<'_> {
-    fn rows(&self) -> usize {
-        1
-    }
-
-    fn row(&mut self, _: usize) -> (&Tensor, &mut DecodeState, &[usize]) {
-        (self.memory, self.first, &[BOS])
-    }
-}
-
-/// A later step's rows: the live candidates, in candidate order.
-struct LiveRows<'a> {
-    memory: &'a Tensor,
-    cands: &'a mut [Candidate],
-    /// The candidate behind each row.
-    live: &'a [usize],
-}
-
-impl DecodeRows for LiveRows<'_> {
-    fn rows(&self) -> usize {
-        self.live.len()
-    }
-
-    fn row(&mut self, r: usize) -> (&Tensor, &mut DecodeState, &[usize]) {
-        let cand = &mut self.cands[self.live[r]];
-        (self.memory, &mut cand.state, &cand.prefix)
-    }
-}
-
-/// The per-thread state behind the teacher's decoders: the step arena
-/// (encoder and layer temporaries, hidden rows, log-probs), the source's
-/// memory and first-step template, the candidates (prefixes and states
-/// re-forked from the template through `clone_from`), the live rows and
-/// the sampling pool. Every buffer is reused call after call, so once
-/// warm (a decode of the same shape has run on this thread) a top-n
+/// The per-thread state behind [`top_n_sampling`] for one kind of model:
+/// the model's arena, the template state that every candidate forks, the
+/// candidate slots (prefixes and states re-forked from the template
+/// through `clone_from`), the live rows and the sampling pool. Every
+/// buffer is reused call after call, whatever the candidate count, so
+/// once warm (a decode of the same shape has run on this thread) a top-n
 /// decode allocates only the hypotheses it returns.
-pub(crate) struct TeacherArena {
-    step: StepArena,
-    /// The source's encoder memory.
-    memory: Tensor,
-    /// The decoder state after the first (BOS) step, which every
-    /// candidate forks.
-    first: DecodeState,
-    cands: Vec<Candidate>,
-    /// How many of `cands` the last decode filled.
-    filled: usize,
+pub(crate) struct TopNArena<M: DecodeStep> {
+    pub(crate) step: M::Arena,
+    /// The decoder state after the first (BOS) step.
+    template: M::State,
+    /// Every candidate slot made so far on this thread; a decode fills
+    /// the first `k`, and keeps the rest for later requests.
+    cands: Vec<Candidate<M::State>>,
     live: Vec<usize>,
     pool: Vec<(f32, usize)>,
 }
 
-impl Default for TeacherArena {
+impl<M: DecodeStep> Default for TopNArena<M> {
     fn default() -> Self {
-        TeacherArena {
-            step: StepArena::default(),
-            memory: Tensor::default(),
-            first: DecodeState::Stateless,
+        TopNArena {
+            step: M::Arena::default(),
+            template: M::State::default(),
             cands: Vec::new(),
-            filled: 0,
             live: Vec::new(),
             pool: Vec::new(),
         }
     }
 }
 
-thread_local! {
-    static ARENA: RefCell<TeacherArena> = RefCell::new(TeacherArena::default());
-}
-
-/// Runs `f` on this thread's step arena (the single-step entry points).
-pub(crate) fn with_step_arena<R>(f: impl FnOnce(&mut StepArena) -> R) -> R {
-    ARENA.with_borrow_mut(|arena| f(&mut arena.step))
-}
-
-impl TeacherArena {
-    /// Top-n decodes `src`, leaving its candidates in `cands[..filled]`,
-    /// and publishes the decode counts once.
-    fn decode(&mut self, model: &Seq2Seq, src: &[usize], cfg: TopNSampling, rng: &mut StdRng) {
+impl<M: DecodeStep> TopNArena<M> {
+    /// Top-n decodes `src`, publishes the decode counts once, and returns
+    /// the hypotheses best-first.
+    pub(crate) fn top_n(
+        &mut self,
+        model: &M,
+        src: &[usize],
+        cfg: TopNSampling,
+        rng: &mut StdRng,
+    ) -> Vec<Hypothesis> {
         // `k == 0` yields no hypotheses and `n` is clamped to 1 when
         // sampling: degenerate configs degrade instead of panicking, since
         // this decoder sits on the online serving path.
-        let TeacherArena { step, memory, first, cands, filled, live, pool } = self;
+        let TopNArena { step, template, cands, live, pool } = self;
         // Re-initialise everything this decode reads before reading it, so
-        // a decode that panicked midway leaves nothing behind. Candidates
-        // first give back their shares of the last source's cross K/V, so
-        // the template re-projects into its own buffers.
-        *filled = 0;
+        // a decode that panicked midway, or a model of another shape on
+        // this thread, leaves nothing behind.
         for cand in cands.iter_mut() {
-            cand.state.release_shared();
+            M::release(&mut cand.state);
         }
-        model.encode_into(src, memory, step);
-        model.reset_state(memory, first);
-        let memory = &*memory;
-        let mut counts: DecodeStats = model.step_rows(&mut FirstRow { memory, first }, step);
+        model.reset(src, step, template);
+        let mut counts = model.step_rows(&mut OneRow { state: template, prefix: &[BOS] }, step);
 
-        // The k most likely distinct first tokens (EOS excluded so no
-        // candidate is empty). The template already consumed BOS; forking
-        // it avoids re-running the first step per candidate (recurrent
-        // hidden state and KV cache alike carry the advanced position).
-        top_pool(step.log_probs.row_slice(0), cfg.k, &[EOS], pool);
+        // The template already consumed BOS; forking it avoids re-running
+        // the first step per candidate.
+        model.first_tokens(step, cfg.k, pool);
         for (n, &(log_prob, tok)) in pool.iter().enumerate() {
             if n == cands.len() {
-                // A fresh state has room for a full-length decode, so the
-                // fork below never regrows it.
                 cands.push(Candidate {
                     prefix: Vec::with_capacity(model.max_tgt_len() + 2),
-                    state: model.start_state(memory),
+                    state: model.new_state(step),
                     log_prob: 0.0,
                     finished: false,
                 });
@@ -359,40 +412,35 @@ impl TeacherArena {
             let cand = &mut cands[n];
             cand.prefix.clear();
             cand.prefix.extend([BOS, tok]);
-            cand.state.clone_from(first);
+            cand.state.clone_from(template);
             cand.log_prob = log_prob;
             cand.finished = false;
         }
-        *filled = pool.len();
 
-        let cands = &mut cands[..*filled];
-        for _ in 0..model.max_tgt_len() {
-            // Every live candidate, stacked into one step.
+        // Each round steps every live candidate in one stacked step, then
+        // samples their next tokens in candidate order: the RNG draws in
+        // the order of stepping them one by one.
+        let cands = &mut cands[..pool.len()];
+        loop {
             live.clear();
             live.extend((0..cands.len()).filter(|&i| !cands[i].finished));
             if live.is_empty() {
                 break;
             }
-            counts += model.step_rows(&mut LiveRows { memory, cands, live }, step);
+            counts += model.step_rows(&mut LiveRows { cands, live }, step);
             for (r, &i) in live.iter().enumerate() {
-                let lp = step.log_probs.row_slice(r);
+                let next = model.sample(step, r, cfg.n, rng, pool);
                 let cand = &mut cands[i];
-                let tok = sample_top_n(lp, cfg.n, rng, pool);
-                cand.log_prob += lp[tok];
-                if tok == EOS || cand.prefix.len() > model.max_tgt_len() {
+                cand.log_prob += next.log_prob;
+                if next.token == EOS || cand.prefix.len() > model.max_tgt_len() {
                     cand.finished = true;
                 } else {
-                    cand.prefix.push(tok);
+                    cand.prefix.push(next.token);
                 }
             }
         }
-        model.record_decode(counts);
-    }
-
-    /// The last decode's hypotheses, best-first.
-    fn hypotheses(&self) -> Vec<Hypothesis> {
-        let mut hyps: Vec<Hypothesis> =
-            self.cands[..self.filled].iter().map(Candidate::hypothesis).collect();
+        model.telemetry().record_decode(counts);
+        let mut hyps: Vec<Hypothesis> = cands.iter().map(Candidate::hypothesis).collect();
         hyps.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
         hyps
     }
@@ -416,8 +464,9 @@ pub fn diverse_beam_search(
         log_prob: 0.0,
         finished: false,
     };
-    let mut group_live: Vec<Vec<Candidate>> = (0..groups).map(|_| vec![new_candidate()]).collect();
-    let mut done: Vec<Candidate> = Vec::new();
+    let mut group_live: Vec<Vec<Candidate<DecodeState>>> =
+        (0..groups).map(|_| vec![new_candidate()]).collect();
+    let mut done: Vec<Candidate<DecodeState>> = Vec::new();
 
     for _ in 0..=model.max_tgt_len() {
         let mut step_counts: Vec<(usize, usize)> = Vec::new(); // (token, count)

@@ -5,7 +5,7 @@
 //! pure transformer (the main models), attention-RNN (Figure 8 baseline),
 //! GRU (Table V), and the §III-G hybrid (transformer encoder + RNN decoder).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qrw_tensor::rng::StdRng;
@@ -15,7 +15,10 @@ use qrw_tensor::{ParamSet, Tape, Tensor, Var};
 use qrw_text::{BOS, EOS, PAD, UNK};
 
 use crate::config::{ComponentKind, ModelConfig};
-use crate::decode::with_step_arena;
+use crate::decode::{
+    sample_top_n, top_pool, DecodeRows, DecodeStep, FusedStep, Hypothesis, TopNArena, TopNDecoder,
+    TopNSampling,
+};
 use crate::layers::{Linear, Scratch, TrainCtx};
 use crate::rnn::{AttnRnnDecoder, RnnEncoder};
 use crate::transformer::{CacheRows, KvCache, TransformerDecoder, TransformerEncoder};
@@ -73,13 +76,10 @@ impl Clone for DecodeState {
     }
 }
 
-impl DecodeState {
-    /// Drops this state's share of its source's cross-attention K/V (a
-    /// no-op for the other kinds); it must be re-forked before it steps.
-    pub(crate) fn release_shared(&mut self) {
-        if let DecodeState::Transformer(cache) = self {
-            cache.release_cross();
-        }
+/// A placeholder until [`Seq2Seq::start_state`] or a fork fills it.
+impl Default for DecodeState {
+    fn default() -> Self {
+        DecodeState::Stateless
     }
 }
 
@@ -98,9 +98,10 @@ pub enum TransformerDecodeMode {
 }
 
 /// Cumulative decode telemetry counters (relaxed atomics: decoding may be
-/// driven from multiple serving threads over a shared model).
+/// driven from multiple serving threads over a shared model), one set per
+/// model, teacher or student.
 #[derive(Debug, Default)]
-struct DecodeTelemetry {
+pub(crate) struct DecodeTelemetry {
     steps: AtomicU64,
     tokens: AtomicU64,
     cache_hits: AtomicU64,
@@ -155,39 +156,25 @@ pub fn thread_decode_stats() -> DecodeStats {
     THREAD_DECODES.get()
 }
 
-/// Adds one decode's counts to the calling thread's counters.
-pub(crate) fn count_thread_decode(steps: u64, tokens: u64, cache_hits: u64) {
-    let t = THREAD_DECODES.get();
-    THREAD_DECODES.set(DecodeStats {
-        steps: t.steps + steps,
-        tokens: t.tokens + tokens,
-        cache_hits: t.cache_hits + cache_hits,
-    });
-}
-
-/// The rows of one decode step: row `r` advances its state by the prefix
-/// tokens it has not consumed, against its own encoder memory.
-pub(crate) trait DecodeRows {
-    fn rows(&self) -> usize;
-    /// Row `r`'s encoder memory, decoder state and decoded prefix (BOS
-    /// first).
-    fn row(&mut self, r: usize) -> (&Tensor, &mut DecodeState, &[usize]);
-}
-
-/// The caller-owned rows of [`Seq2Seq::next_log_probs_multi`].
-struct Rows<'a, 's, 'b> {
-    memories: &'a [&'b Tensor],
-    states: &'a mut [&'s mut DecodeState],
-    prefixes: &'a [&'b [usize]],
-}
-
-impl DecodeRows for Rows<'_, '_, '_> {
-    fn rows(&self) -> usize {
-        self.states.len()
+impl DecodeTelemetry {
+    /// Publishes one call's decode counts, once, to the model's shared
+    /// counters and the calling thread's.
+    pub(crate) fn record_decode(&self, counts: DecodeStats) {
+        let mut thread = THREAD_DECODES.get();
+        thread += counts;
+        THREAD_DECODES.set(thread);
+        self.steps.fetch_add(counts.steps, Ordering::Relaxed);
+        self.tokens.fetch_add(counts.tokens, Ordering::Relaxed);
+        self.cache_hits.fetch_add(counts.cache_hits, Ordering::Relaxed);
     }
 
-    fn row(&mut self, r: usize) -> (&Tensor, &mut DecodeState, &[usize]) {
-        (self.memories[r], &mut *self.states[r], self.prefixes[r])
+    /// Snapshot of the counters.
+    pub(crate) fn stats(&self) -> DecodeStats {
+        DecodeStats {
+            steps: self.steps.load(Ordering::Relaxed),
+            tokens: self.tokens.load(Ordering::Relaxed),
+            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -195,13 +182,13 @@ impl DecodeRows for Rows<'_, '_, '_> {
 /// seen as one stacked decoder step: each consumes its prefix's last token.
 struct NextTokens<'r, R>(&'r mut R);
 
-impl<R: DecodeRows> CacheRows for NextTokens<'_, R> {
+impl<R: DecodeRows<DecodeState>> CacheRows for NextTokens<'_, R> {
     fn rows(&self) -> usize {
         self.0.rows()
     }
 
     fn row(&mut self, r: usize) -> (&mut KvCache, usize) {
-        let (_, state, prefix) = self.0.row(r);
+        let (state, prefix) = self.0.row_mut(r);
         let DecodeState::Transformer(cache) = state else {
             unreachable!("a stacked step holds only KV caches")
         };
@@ -226,21 +213,31 @@ impl CacheRows for OneToken<'_> {
 }
 
 /// Every buffer a teacher decode step and its encoder touch, reused call
-/// after call (one per thread, inside the decode arena): the layer
-/// temporaries, the prepared source ids, the rows' newest hidden states
-/// and their masked next-token log-probs.
+/// after call (one per thread, inside the top-n arena): the layer
+/// temporaries, the prepared source ids and its encoder memory, the rows'
+/// newest hidden states and their masked next-token log-probs.
 #[derive(Default)]
 pub(crate) struct StepArena {
     layers: Scratch,
     /// The prepared source (truncated, EOS appended).
     ids: Vec<usize>,
+    /// The source's encoder memory.
+    memory: Tensor,
     /// Row `r`'s newest decoder hidden state.
     hidden: Tensor,
     /// One row's hidden state while it advances alone.
     row: Tensor,
-    /// After [`Seq2Seq::step_rows`]: row `r`'s masked next-token
-    /// log-probs.
-    pub(crate) log_probs: Tensor,
+    /// After a step: row `r`'s masked next-token log-probs.
+    log_probs: Tensor,
+}
+
+thread_local! {
+    static ARENA: RefCell<TopNArena<Seq2Seq>> = RefCell::new(TopNArena::default());
+}
+
+/// Runs `f` on this thread's step arena (the single-step entry points).
+fn with_step_arena<R>(f: impl FnOnce(&mut StepArena) -> R) -> R {
+    ARENA.with_borrow_mut(|arena| f(&mut arena.step))
 }
 
 /// An encoder-decoder translation model with an output vocabulary
@@ -324,24 +321,6 @@ impl Seq2Seq {
     /// equivalence tests and the bench harness flip this.
     pub fn set_decode_mode(&mut self, mode: TransformerDecodeMode) {
         self.decode_mode = mode;
-    }
-
-    /// Snapshot of the cumulative decode counters.
-    pub fn decode_stats(&self) -> DecodeStats {
-        DecodeStats {
-            steps: self.telemetry.steps.load(Ordering::Relaxed),
-            tokens: self.telemetry.tokens.load(Ordering::Relaxed),
-            cache_hits: self.telemetry.cache_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Publishes one call's decode counts, once, to the model's shared
-    /// counters and the calling thread's.
-    pub(crate) fn record_decode(&self, counts: DecodeStats) {
-        count_thread_decode(counts.steps, counts.tokens, counts.cache_hits);
-        self.telemetry.steps.fetch_add(counts.steps, Ordering::Relaxed);
-        self.telemetry.tokens.fetch_add(counts.tokens, Ordering::Relaxed);
-        self.telemetry.cache_hits.fetch_add(counts.cache_hits, Ordering::Relaxed);
     }
 
     pub fn config(&self) -> &ModelConfig {
@@ -475,16 +454,20 @@ impl Seq2Seq {
 
     /// Encodes `src` into a plain memory tensor for iterative decoding.
     pub fn encode(&self, src: &[usize]) -> Tensor {
-        let mut memory = Tensor::default();
-        with_step_arena(|a| self.encode_into(src, &mut memory, a));
-        memory
+        // Into a fresh tensor: the arena keeps the top-n loop's memory.
+        with_step_arena(|a| {
+            let loop_memory = std::mem::take(&mut a.memory);
+            self.encode_into(src, a);
+            std::mem::replace(&mut a.memory, loop_memory)
+        })
     }
 
-    /// [`Self::encode`] into `memory`, reusing its buffer. A transformer
-    /// encoder runs its tape-free twin (bitwise the tape's memory, no
-    /// allocation once warm); a recurrent one still runs on a tape.
-    pub(crate) fn encode_into(&self, src: &[usize], memory: &mut Tensor, a: &mut StepArena) {
-        let StepArena { layers, ids, .. } = a;
+    /// [`Self::encode`] into the arena's memory, reusing its buffer. A
+    /// transformer encoder runs its tape-free twin (bitwise the tape's
+    /// memory, no allocation once warm); a recurrent one still runs on a
+    /// tape.
+    fn encode_into(&self, src: &[usize], a: &mut StepArena) {
+        let StepArena { layers, ids, memory, .. } = a;
         self.prep_src_into(src, ids);
         match &self.enc {
             Encoder::Transformer(e) => e.forward_inference(ids, memory, layers),
@@ -501,7 +484,7 @@ impl Seq2Seq {
 
     /// [`Self::start_state`] into an existing state, reusing a KV cache's
     /// buffers.
-    pub(crate) fn reset_state(&self, memory: &Tensor, state: &mut DecodeState) {
+    fn reset_state(&self, memory: &Tensor, state: &mut DecodeState) {
         match (&self.dec, self.decode_mode) {
             (Decoder::Transformer(d), TransformerDecodeMode::KvCache) => match state {
                 DecodeState::Transformer(cache) => d.reset_cache(memory, cache),
@@ -561,9 +544,10 @@ impl Seq2Seq {
         }
     }
 
-    /// Advances every row of `rows` one decode step and leaves row `r`'s
-    /// masked next-token log-probs in row `r` of `a.log_probs`: the one
-    /// step kernel behind every decoder of this model. Returns the step's
+    /// Advances every row of `rows` (all of one source, whose encoder
+    /// memory is `memory`) one decode step and leaves row `r`'s masked
+    /// next-token log-probs in row `r` of `a.log_probs`: the one step
+    /// kernel behind every decoder of this model. Returns the step's
     /// decode counts; the caller publishes them once per call.
     ///
     /// When every row is a KV cache exactly one token behind its prefix,
@@ -580,20 +564,25 @@ impl Seq2Seq {
     ///
     /// The epilogue is the log-softmax of each logits row in place, then
     /// PAD / BOS / UNK masked to `-inf` so decoders never emit them.
-    pub(crate) fn step_rows(&self, rows: &mut impl DecodeRows, a: &mut StepArena) -> DecodeStats {
+    fn step(
+        &self,
+        memory: &Tensor,
+        rows: &mut impl DecodeRows<DecodeState>,
+        a: &mut StepArena,
+    ) -> DecodeStats {
         let n = rows.rows();
         let mut counts = DecodeStats::default();
         for r in 0..n {
-            assert_eq!(rows.row(r).2.first(), Some(&BOS), "prefix must start with BOS");
+            assert_eq!(rows.row(r).1.first(), Some(&BOS), "prefix must start with BOS");
         }
         let batchable = (0..n).all(|r| match rows.row(r) {
-            (_, DecodeState::Transformer(cache), prefix) => cache.pos() + 1 == prefix.len(),
+            (DecodeState::Transformer(cache), prefix) => cache.pos() + 1 == prefix.len(),
             _ => false,
         });
         match &self.dec {
             Decoder::Transformer(d) if batchable => {
                 for r in 0..n {
-                    if let (_, DecodeState::Transformer(cache), _) = rows.row(r) {
+                    if let (DecodeState::Transformer(cache), _) = rows.row(r) {
                         let cache_hits = cache.pos() as u64;
                         counts += DecodeStats { steps: 1, tokens: 1, cache_hits };
                     }
@@ -603,7 +592,7 @@ impl Seq2Seq {
             _ => {
                 a.hidden.resize_zeroed(n, self.config.d_model);
                 for r in 0..n {
-                    let (memory, state, prefix) = rows.row(r);
+                    let (state, prefix) = rows.row_mut(r);
                     self.advance_row(memory, state, prefix, a, &mut counts);
                     a.hidden.row_slice_mut(r).copy_from_slice(a.row.row_slice(0));
                 }
@@ -630,43 +619,26 @@ impl Seq2Seq {
         state: &mut DecodeState,
         prefix: &[usize],
     ) -> Vec<f32> {
-        self.next_log_probs_multi(&[memory], &mut [state], &[prefix])
+        self.next_log_probs_batch(memory, &mut [state], &[prefix])
             .pop()
             .expect("one row in, one row out")
     }
 
-    /// Batched [`Self::next_log_probs`]: advances every candidate by one
-    /// step through a single stacked forward (`step_rows`).
+    /// Batched [`Self::next_log_probs`]: advances every candidate of one
+    /// source by one step through a single stacked forward.
     pub fn next_log_probs_batch(
         &self,
         memory: &Tensor,
         states: &mut [&mut DecodeState],
         prefixes: &[&[usize]],
     ) -> Vec<Vec<f32>> {
-        let memories: Vec<&Tensor> = vec![memory; states.len()];
-        self.next_log_probs_multi(&memories, states, prefixes)
-    }
-
-    /// [`Self::next_log_probs_batch`] across *independent* sources: each
-    /// candidate carries its own encoder memory, so rows can come from
-    /// different requests, not just from one beam. KV caches already hold
-    /// their source's cross-attention K/V; the other kinds advance each row
-    /// against its own memory.
-    pub fn next_log_probs_multi(
-        &self,
-        memories: &[&Tensor],
-        states: &mut [&mut DecodeState],
-        prefixes: &[&[usize]],
-    ) -> Vec<Vec<f32>> {
         assert_eq!(states.len(), prefixes.len(), "one prefix per state");
-        assert_eq!(memories.len(), prefixes.len(), "one memory per state");
         if states.is_empty() {
             return Vec::new();
         }
-        let mut rows = Rows { memories, states, prefixes };
         with_step_arena(|a| {
-            let counts = self.step_rows(&mut rows, a);
-            self.record_decode(counts);
+            let counts = self.step(memory, &mut (states, prefixes), a);
+            self.telemetry.record_decode(counts);
             (0..prefixes.len()).map(|r| a.log_probs.row_slice(r).to_vec()).collect()
         })
     }
@@ -695,6 +667,70 @@ impl Seq2Seq {
     pub fn max_tgt_len(&self) -> usize {
         self.config.max_tgt_len
     }
+}
+
+impl DecodeStep for Seq2Seq {
+    type State = DecodeState;
+    type Arena = StepArena;
+
+    fn top_n(&self, src: &[usize], cfg: TopNSampling, rng: &mut StdRng) -> Vec<Hypothesis> {
+        ARENA.with_borrow_mut(|arena| arena.top_n(self, src, cfg, rng))
+    }
+
+    fn telemetry(&self) -> &DecodeTelemetry {
+        &self.telemetry
+    }
+
+    fn max_tgt_len(&self) -> usize {
+        self.config.max_tgt_len
+    }
+
+    fn reset(&self, src: &[usize], a: &mut StepArena, template: &mut DecodeState) {
+        self.encode_into(src, a);
+        self.reset_state(&a.memory, template);
+    }
+
+    fn new_state(&self, a: &StepArena) -> DecodeState {
+        self.start_state(&a.memory)
+    }
+
+    /// Drops a KV cache's share of its source's cross-attention K/V, so
+    /// the template re-projects the next source into its own buffers.
+    fn release(state: &mut DecodeState) {
+        if let DecodeState::Transformer(cache) = state {
+            cache.release_cross();
+        }
+    }
+
+    fn step_rows(&self, rows: &mut impl DecodeRows<DecodeState>, a: &mut StepArena) -> DecodeStats {
+        // Lend the source's memory out, so the kernel can borrow it beside
+        // the arena's buffers.
+        let memory = std::mem::take(&mut a.memory);
+        let counts = self.step(&memory, rows, a);
+        a.memory = memory;
+        counts
+    }
+
+    fn first_tokens(&self, a: &StepArena, k: usize, pool: &mut Vec<(f32, usize)>) {
+        top_pool(a.log_probs.row_slice(0), k, &[EOS], pool);
+    }
+
+    fn sample(
+        &self,
+        a: &StepArena,
+        r: usize,
+        n: usize,
+        rng: &mut StdRng,
+        pool: &mut Vec<(f32, usize)>,
+    ) -> FusedStep {
+        let lp = a.log_probs.row_slice(r);
+        let token = sample_top_n(lp, n, rng, pool);
+        FusedStep { token, log_prob: lp[token] }
+    }
+}
+
+impl TopNDecoder for Seq2Seq {
+    const NAME: &'static str = "q2q-direct";
 }
 
 #[cfg(test)]

@@ -407,11 +407,11 @@ fn arena_top_n_is_bitwise_the_frozen_teacher_path() {
     }
 }
 
-/// `next_log_probs_multi` rows at mixed lags (a fresh cache catching up
-/// over several tokens beside caches one token behind), for every decoder
-/// kind, equal the frozen path's bitwise, step after step.
+/// `next_log_probs_batch` rows of one source at mixed lags (a fresh cache
+/// catching up over several tokens beside forks one token behind), for
+/// every decoder kind, equal the frozen path's bitwise, step after step.
 #[test]
-fn next_log_probs_multi_is_bitwise_the_frozen_path() {
+fn next_log_probs_batch_is_bitwise_the_frozen_path() {
     use ComponentKind::{Gru, Rnn, Transformer as T};
     let kinds = [
         (T, T, TransformerDecodeMode::KvCache),
@@ -422,18 +422,22 @@ fn next_log_probs_multi_is_bitwise_the_frozen_path() {
     ];
     for (e, d, mode) in kinds {
         let m = model(e, d, mode, 21);
-        let srcs: [&[usize]; 3] = [&[5, 9, 14, 22], &[7], &[30, EOS, 31, 32, 33]];
-        let mems: Vec<Tensor> = srcs.iter().map(|s| m.encode(s)).collect();
-        let mut got: Vec<DecodeState> = mems.iter().map(|mem| m.start_state(mem)).collect();
-        let mut want: Vec<State> = mems.iter().map(|mem| start_state(&m, mem)).collect();
-        let mut prefixes = [vec![BOS], vec![BOS, 7, 12], vec![BOS]];
+        let memory = m.encode(&[30, EOS, 31, 32, 33]);
+        // A template one step in, forked twice, beside a fresh state.
+        let mut got_template = m.start_state(&memory);
+        let mut want_template = start_state(&m, &memory);
+        let g = m.next_log_probs(&memory, &mut got_template, &[BOS]);
+        let w = next_log_probs_multi(&m, &[&memory], &mut [&mut want_template], &[&[BOS]]);
+        assert_eq!(bits(&g), bits(&w[0]), "{e}/{d}/{mode:?} template step");
+        let mut got = [got_template.clone(), got_template, m.start_state(&memory)];
+        let mut want = [want_template.clone(), want_template, start_state(&m, &memory)];
+        let mut prefixes = [vec![BOS, 9], vec![BOS, 14], vec![BOS, 7, 12]];
         for step in 0..5 {
-            let mem_refs: Vec<&Tensor> = mems.iter().collect();
             let prefix_refs: Vec<&[usize]> = prefixes.iter().map(Vec::as_slice).collect();
             let mut got_refs: Vec<&mut DecodeState> = got.iter_mut().collect();
             let mut want_refs: Vec<&mut State> = want.iter_mut().collect();
-            let g = m.next_log_probs_multi(&mem_refs, &mut got_refs, &prefix_refs);
-            let w = next_log_probs_multi(&m, &mem_refs, &mut want_refs, &prefix_refs);
+            let g = m.next_log_probs_batch(&memory, &mut got_refs, &prefix_refs);
+            let w = next_log_probs_multi(&m, &[&memory; 3], &mut want_refs, &prefix_refs);
             for (r, (g, w)) in g.iter().zip(&w).enumerate() {
                 assert_eq!(bits(g), bits(w), "{e}/{d}/{mode:?} step {step} row {r}");
             }

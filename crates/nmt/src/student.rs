@@ -25,24 +25,27 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use qrw_tensor::quant::{quantize_row_into, QuantizedMatrix, QuantizedRows};
 use qrw_tensor::rng::StdRng;
 use qrw_tensor::serialize;
 use qrw_tensor::tensor::softmax_in_place;
 use qrw_tensor::{ParamSet, Tensor};
-use qrw_text::{BOS, EOS};
+use qrw_text::EOS;
 
 use crate::config::{ComponentKind, ModelConfig};
 use crate::decode::{
-    fused_top_n_from_logits, top_k_first_tokens_from_logits, Hypothesis, TopNSampling,
+    fused_top_n_from_logits, top_k_first_tokens_from_logits, DecodeRows, DecodeStep, FusedStep,
+    Hypothesis, OneRow, TopNArena, TopNDecoder, TopNSampling,
 };
 use crate::layers::positional_encoding;
-use crate::seq2seq::{count_thread_decode, DecodeStats, Seq2Seq};
+use crate::seq2seq::{DecodeStats, DecodeTelemetry, Seq2Seq};
 
 #[cfg(test)]
 mod oracle;
+// The frozen oracle and the tests name this through `use super::*`.
+#[cfg(test)]
+use qrw_text::BOS;
 
 /// A dense layer with an i8-quantized weight and an f32 bias.
 struct QuantLinear {
@@ -335,8 +338,8 @@ struct CrossKv {
 /// per candidate. Once warm (a request of the same shape and candidate
 /// count has run through it), [`QuantStudent::encode`],
 /// [`QuantStudent::start_cache`] and [`QuantStudent::step_into`]
-/// allocate nothing. [`QuantStudent::top_n_sampling`] keeps one per
-/// thread.
+/// allocate nothing. [`top_n_sampling`](crate::top_n_sampling) keeps one
+/// per thread.
 #[derive(Default)]
 pub struct DecodeArena {
     memory: Tensor,
@@ -390,87 +393,8 @@ impl DecodeArena {
     }
 }
 
-/// The candidates one stacked decode step advances, in step order: each
-/// row's cache and the token it consumes.
-trait StepRows {
-    fn len(&self) -> usize;
-    fn token(&self, r: usize) -> usize;
-    fn cache(&self, r: usize) -> &StudentKvCache;
-    fn cache_mut(&mut self, r: usize) -> &mut StudentKvCache;
-}
-
-/// A single cache and its token: [`QuantStudent::step_into`].
-struct OneRow<'a> {
-    cache: &'a mut StudentKvCache,
-    token: usize,
-}
-
-impl StepRows for OneRow<'_> {
-    fn len(&self) -> usize {
-        1
-    }
-
-    fn token(&self, _: usize) -> usize {
-        self.token
-    }
-
-    fn cache(&self, _: usize) -> &StudentKvCache {
-        self.cache
-    }
-
-    fn cache_mut(&mut self, _: usize) -> &mut StudentKvCache {
-        self.cache
-    }
-}
-
-/// The live candidates `cands[live[r]]` of a request, each consuming the
-/// last token of its prefix.
-struct LiveRows<'a> {
-    cands: &'a mut [Cand],
-    live: &'a [usize],
-}
-
-impl StepRows for LiveRows<'_> {
-    fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    fn token(&self, r: usize) -> usize {
-        *self.cands[self.live[r]].prefix.last().expect("non-empty prefix")
-    }
-
-    fn cache(&self, r: usize) -> &StudentKvCache {
-        &self.cands[self.live[r]].cache
-    }
-
-    fn cache_mut(&mut self, r: usize) -> &mut StudentKvCache {
-        &mut self.cands[self.live[r]].cache
-    }
-}
-
-/// One top-n candidate: its prefix (BOS first), cache and running score.
-struct Cand {
-    prefix: Vec<usize>,
-    cache: StudentKvCache,
-    log_prob: f32,
-    finished: bool,
-}
-
-/// The per-thread state behind [`QuantStudent::top_n_sampling`]: the
-/// step arena, the first-step cache, the candidates (their prefixes and
-/// caches re-forked through `clone_from`), the indices of the ones still
-/// live and the sampling pool.
-#[derive(Default)]
-struct RequestArena {
-    step: DecodeArena,
-    first: StudentKvCache,
-    cands: Vec<Cand>,
-    live: Vec<usize>,
-    pool: Vec<(f32, usize)>,
-}
-
 thread_local! {
-    static ARENA: RefCell<RequestArena> = RefCell::new(RequestArena::default());
+    static ARENA: RefCell<TopNArena<QuantStudent>> = RefCell::new(TopNArena::default());
 }
 
 /// The weight names [`QuantStudent`] quantizes; everything else stays f32.
@@ -492,9 +416,7 @@ pub struct QuantStudent {
     enc: Vec<QuantEncoderLayer>,
     dec: Vec<QuantDecoderLayer>,
     out: QuantLinear,
-    steps: AtomicU64,
-    tokens: AtomicU64,
-    cache_hits: AtomicU64,
+    telemetry: DecodeTelemetry,
 }
 
 impl QuantStudent {
@@ -636,9 +558,7 @@ impl QuantStudent {
             enc,
             dec,
             out,
-            steps: AtomicU64::new(0),
-            tokens: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
+            telemetry: DecodeTelemetry::default(),
         })
     }
 
@@ -754,18 +674,6 @@ impl QuantStudent {
         self.config.max_tgt_len
     }
 
-    /// Snapshot of the cumulative decode counters (relaxed atomics: the
-    /// student may serve from multiple threads). Each
-    /// [`QuantStudent::top_n_sampling`] request publishes its counts once,
-    /// when it finishes.
-    pub fn decode_stats(&self) -> DecodeStats {
-        DecodeStats {
-            steps: self.steps.load(Ordering::Relaxed),
-            tokens: self.tokens.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-        }
-    }
-
     /// Encodes raw source ids (truncated to `max_src_len`, EOS appended —
     /// the teacher's `prep_src` discipline) into the arena's
     /// `len x d_model` memory and returns it.
@@ -794,9 +702,7 @@ impl QuantStudent {
     /// every candidate to read, and returns a fresh cache.
     pub fn start_cache(&self, arena: &mut DecodeArena) -> StudentKvCache {
         self.project_cross(arena);
-        let mut cache = StudentKvCache::default();
-        self.reset_cache(&mut cache);
-        cache
+        self.new_state(arena)
     }
 
     fn project_cross(&self, arena: &mut DecodeArena) {
@@ -841,23 +747,62 @@ impl QuantStudent {
         token: usize,
         arena: &'a mut DecodeArena,
     ) -> &'a [f32] {
-        self.step_rows(&mut OneRow { cache, token }, arena)
+        self.step_rows(&mut OneRow { state: cache, prefix: &[token] }, arena);
+        &arena.logits
+    }
+}
+
+/// The quantized fast path of the paper's top-n sampling decoder: one
+/// fused softmax+top-n pass per step per candidate.
+impl DecodeStep for QuantStudent {
+    type State = StudentKvCache;
+    type Arena = DecodeArena;
+
+    fn top_n(&self, src: &[usize], cfg: TopNSampling, rng: &mut StdRng) -> Vec<Hypothesis> {
+        ARENA.with_borrow_mut(|arena| arena.top_n(self, src, cfg, rng))
     }
 
-    /// One stacked decode step over every row of `rows`: each row's token
-    /// in, its logits out as row `r` of the returned `rows.len() x vocab`
-    /// block. Every quantized product runs once over all rows
-    /// ([`QuantizedMatrix::matmul_quantized`]); attention walks each
-    /// row's own cache. Each row's logits are bitwise those of stepping
-    /// it alone.
-    fn step_rows<'a>(&self, rows: &mut impl StepRows, arena: &'a mut DecodeArena) -> &'a [f32] {
+    fn telemetry(&self) -> &DecodeTelemetry {
+        &self.telemetry
+    }
+
+    fn max_tgt_len(&self) -> usize {
+        self.config.max_tgt_len
+    }
+
+    fn reset(&self, src: &[usize], arena: &mut DecodeArena, template: &mut StudentKvCache) {
+        self.encode(src, arena);
+        self.project_cross(arena);
+        self.reset_cache(template);
+    }
+
+    fn new_state(&self, _: &DecodeArena) -> StudentKvCache {
+        let mut cache = StudentKvCache::default();
+        self.reset_cache(&mut cache);
+        cache
+    }
+
+    /// One stacked decode step over every row of `rows`: each row's last
+    /// prefix token in, its logits out as row `r` of the arena's
+    /// `rows x vocab` logits block. Every quantized product runs once over
+    /// all rows ([`QuantizedMatrix::matmul_quantized`]); attention walks
+    /// each row's own cache. Each row's logits are bitwise those of
+    /// stepping it alone.
+    fn step_rows(
+        &self,
+        rows: &mut impl DecodeRows<StudentKvCache>,
+        arena: &mut DecodeArena,
+    ) -> DecodeStats {
         assert_eq!(arena.cross.len(), self.dec.len(), "arena holds no cross K/V for this student");
-        let n = rows.len();
+        let n = rows.rows();
+        let mut counts = DecodeStats::default();
         for r in 0..n {
-            let (cache, token) = (rows.cache(r), rows.token(r));
+            let (cache, prefix) = rows.row(r);
+            let token = *prefix.last().expect("non-empty prefix");
             assert_eq!(cache.layers.len(), self.dec.len(), "cache belongs to a different student");
             assert!(cache.pos < self.dec_pe.rows(), "decode past the positional table");
             assert!(token < self.config.vocab, "token id {token} out of vocabulary");
+            counts += DecodeStats { steps: 1, tokens: 1, cache_hits: cache.pos as u64 };
         }
         let (d, d_ff, d_head) = (self.config.d_model, self.config.d_ff, self.config.d_head());
         let scale = (d as f32).sqrt();
@@ -865,8 +810,10 @@ impl QuantStudent {
         let DecodeArena { cross, xq, xs, hq, hs, attn, x, k_new, v_new, delta, h1, logits, .. } =
             arena;
         for (r, x) in x.chunks_exact_mut(d).enumerate() {
-            let pe = self.dec_pe.row_slice(rows.cache(r).pos);
-            let emb = self.tgt_emb.row_slice(rows.token(r)).iter().zip(pe);
+            let (cache, prefix) = rows.row(r);
+            let pe = self.dec_pe.row_slice(cache.pos);
+            let token = *prefix.last().expect("non-empty prefix");
+            let emb = self.tgt_emb.row_slice(token).iter().zip(pe);
             for (o, (&e, &p)) in x.iter_mut().zip(emb) {
                 *o = e * scale + p;
             }
@@ -878,7 +825,7 @@ impl QuantStudent {
             layer.self_attn.wk.matmul_rows(xq, xs, k_new);
             layer.self_attn.wv.matmul_rows(xq, xs, v_new);
             for (r, (k, v)) in k_new.chunks_exact(d).zip(v_new.chunks_exact(d)).enumerate() {
-                let kv = &mut rows.cache_mut(r).layers[li];
+                let kv = &mut rows.row_mut(r).0.layers[li];
                 for (h, keys) in kv.self_k.iter_mut().enumerate() {
                     keys.push_row(&k[h * d_head..(h + 1) * d_head]);
                 }
@@ -886,7 +833,7 @@ impl QuantStudent {
             }
             let view = &*rows;
             let self_kv = |r| {
-                let kv = &view.cache(r).layers[li];
+                let kv = &view.row(r).0.layers[li];
                 (&kv.self_k[..], &kv.self_v[..])
             };
             layer.self_attn.attend_cached(xq, xs, self_kv, attn, delta);
@@ -907,93 +854,32 @@ impl QuantStudent {
             residual_norm_rows(x, delta, d, &layer.norm3);
         }
         for r in 0..n {
-            rows.cache_mut(r).pos += 1;
+            rows.row_mut(r).0.pos += 1;
         }
         quantize_rows(x, d, xq, xs);
         self.out.matmul_rows(xq, xs, logits);
-        logits
+        counts
     }
 
-    /// The paper's top-n sampling decoder on the quantized fast path:
-    /// `k` distinct most-likely first tokens, then one fused
-    /// softmax+top-n pass per step per candidate. RNG draws happen in
-    /// candidate order per step, mirroring the teacher decoder. Decodes
-    /// through this thread's arena, so a warm request allocates only the
-    /// returned hypotheses.
-    pub fn top_n_sampling(
-        &self,
-        src: &[usize],
-        cfg: TopNSampling,
-        rng: &mut StdRng,
-    ) -> Vec<Hypothesis> {
-        ARENA.with_borrow_mut(|arena| self.decode_request(src, cfg, rng, arena))
+    fn first_tokens(&self, arena: &DecodeArena, k: usize, pool: &mut Vec<(f32, usize)>) {
+        top_k_first_tokens_from_logits(&arena.logits[..self.config.vocab], k, pool);
     }
 
-    fn decode_request(
+    fn sample(
         &self,
-        src: &[usize],
-        cfg: TopNSampling,
+        arena: &DecodeArena,
+        r: usize,
+        n: usize,
         rng: &mut StdRng,
-        arena: &mut RequestArena,
-    ) -> Vec<Hypothesis> {
-        let RequestArena { step, first, cands, live, pool } = arena;
-        // Re-initialise everything this request reads before reading it:
-        // a request that panicked mid-decode leaves nothing behind.
-        self.encode(src, step);
-        self.project_cross(step);
-        self.reset_cache(first);
-        // Counted here, published once: (steps, cache hits).
-        let (mut steps, mut cache_hits) = (1u64, 0u64);
-        let logits = self.step_into(first, BOS, step);
-        top_k_first_tokens_from_logits(logits, cfg.k, pool);
-        cands.truncate(pool.len());
-        while cands.len() < pool.len() {
-            let mut cache = StudentKvCache::default();
-            self.reset_cache(&mut cache);
-            let prefix = Vec::with_capacity(self.config.max_tgt_len + 2);
-            cands.push(Cand { prefix, cache, log_prob: 0.0, finished: false });
-        }
-        for (cand, &(log_prob, tok)) in cands.iter_mut().zip(pool.iter()) {
-            cand.prefix.clear();
-            cand.prefix.extend([BOS, tok]);
-            cand.cache.clone_from(first);
-            cand.log_prob = log_prob;
-            cand.finished = false;
-        }
-        // Each round steps every live candidate in one stacked step, then
-        // samples their next tokens in candidate order: the RNG draws in
-        // the order of stepping them one by one.
-        loop {
-            live.clear();
-            live.extend((0..cands.len()).filter(|&i| !cands[i].finished));
-            if live.is_empty() {
-                break;
-            }
-            steps += live.len() as u64;
-            cache_hits += live.iter().map(|&i| cands[i].cache.pos as u64).sum::<u64>();
-            let logits = self.step_rows(&mut LiveRows { cands, live }, step);
-            for (&i, logits) in live.iter().zip(logits.chunks_exact(self.config.vocab)) {
-                let cand = &mut cands[i];
-                let next = fused_top_n_from_logits(logits, cfg.n, rng, pool);
-                cand.log_prob += next.log_prob;
-                if next.token == EOS || cand.prefix.len() > self.config.max_tgt_len {
-                    cand.finished = true;
-                } else {
-                    cand.prefix.push(next.token);
-                }
-            }
-        }
-        self.steps.fetch_add(steps, Ordering::Relaxed);
-        self.tokens.fetch_add(steps, Ordering::Relaxed);
-        self.cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
-        count_thread_decode(steps, steps, cache_hits);
-        let mut hyps: Vec<Hypothesis> = cands
-            .iter()
-            .map(|c| Hypothesis { tokens: c.prefix[1..].to_vec(), log_prob: c.log_prob })
-            .collect();
-        hyps.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
-        hyps
+        pool: &mut Vec<(f32, usize)>,
+    ) -> FusedStep {
+        let vocab = self.config.vocab;
+        fused_top_n_from_logits(&arena.logits[r * vocab..(r + 1) * vocab], n, rng, pool)
     }
+}
+
+impl TopNDecoder for QuantStudent {
+    const NAME: &'static str = "student-quantized";
 }
 
 #[cfg(test)]
@@ -1095,9 +981,6 @@ mod tests {
             assert!(h.tokens.iter().all(|&t| t >= qrw_text::NUM_SPECIALS));
             assert!(h.log_prob <= 0.0);
         }
-        // Telemetry moved.
-        let stats = s.decode_stats();
-        assert!(stats.steps > 0 && stats.tokens > 0);
     }
 
     /// The per-thread arena is re-initialised by every request: after a

@@ -7,7 +7,10 @@
 //!   the hypotheses it returns;
 //! * the f32 teacher: a warm `top_n_sampling` allocates only its 1 + k
 //!   returned hypotheses, and the per-thread arena re-initialises
-//!   correctly across model shapes and after a panic inside a decode.
+//!   correctly across model shapes and after a panic inside a decode;
+//! * both, through the one top-n loop: requests alternating between
+//!   candidate counts reuse the arena's candidate slots, so each still
+//!   allocates only its returned hypotheses.
 //!
 //! The counter is per thread (a `const` thread-local, which never
 //! allocates on access), so the tests may run in parallel: each counts
@@ -18,7 +21,8 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use qrw_nmt::{
-    top_n_sampling, DecodeArena, Hypothesis, ModelConfig, QuantStudent, Seq2Seq, TopNSampling,
+    top_n_sampling, DecodeArena, Hypothesis, ModelConfig, QuantStudent, Seq2Seq, TopNDecoder,
+    TopNSampling,
 };
 use qrw_tensor::rng::StdRng;
 use qrw_text::{BOS, EOS, NUM_SPECIALS};
@@ -117,7 +121,8 @@ fn warm_student_decode_allocates_only_its_hypotheses() {
     // hypothesis, however many tokens it decoded.
     let cfg = TopNSampling { k: 3, n: 40 };
     for seed in 0..8 {
-        student.top_n_sampling(
+        top_n_sampling(
+            &student,
             &source(max_src + 6, vocab, 1),
             cfg,
             &mut StdRng::seed_from_u64(seed),
@@ -128,7 +133,7 @@ fn warm_student_decode_allocates_only_its_hypotheses() {
         let src = source(1 + seed as usize % max_src, vocab, seed as usize);
         let mut rng = StdRng::seed_from_u64(100 + seed);
         let before = allocations();
-        let hyps = student.top_n_sampling(&src, cfg, &mut rng);
+        let hyps = top_n_sampling(&student, &src, cfg, &mut rng);
         let delta = allocations() - before;
         assert_eq!(hyps.len(), cfg.k);
         assert!(hyps.iter().all(|h| !h.tokens.is_empty()));
@@ -232,4 +237,43 @@ fn warm_teacher_decode_allocates_only_its_hypotheses() {
         let want = on_fresh_thread(&wide, &src, cfg, round);
         assert_eq!(exact(&got), exact(&want), "after panic {round}");
     }
+}
+
+/// Warm requests alternating k = 1 and k = 3 on one thread: the k = 1
+/// requests leave the third candidate slots in the arena, so each request
+/// allocates only its returned Vec and one token Vec per hypothesis.
+fn alternating_k_allocates_only_hypotheses<M: TopNDecoder>(
+    model: &M,
+    vocab: usize,
+    max_src: usize,
+) {
+    let cfg = |round: u64| TopNSampling { k: [1, 3][round as usize % 2], n: 40 };
+    for seed in 0..8 {
+        let src = session(max_src + 6, vocab, seed as usize);
+        top_n_sampling(model, &src, cfg(seed), &mut StdRng::seed_from_u64(seed));
+    }
+    for seed in 0..20u64 {
+        let src = session(1 + seed as usize % max_src, vocab, seed as usize);
+        let mut rng = StdRng::seed_from_u64(100 + seed);
+        let before = allocations();
+        let hyps = top_n_sampling(model, &src, cfg(seed), &mut rng);
+        let delta = allocations() - before;
+        assert_eq!(hyps.len(), cfg(seed).k);
+        assert_eq!(
+            delta,
+            1 + hyps.len() as u64,
+            "{} request {seed} allocated {delta} times",
+            M::NAME
+        );
+    }
+}
+
+#[test]
+fn warm_decode_reuses_candidate_slots_across_candidate_counts() {
+    let vocab = 12;
+    let teacher = Seq2Seq::new(ModelConfig::tiny_transformer(vocab), 7);
+    alternating_k_allocates_only_hypotheses(&teacher, vocab, teacher.config().max_src_len);
+    let student = QuantStudent::from_seq2seq(&Seq2Seq::new(ModelConfig::student(vocab), 7))
+        .expect("pure transformer student");
+    alternating_k_allocates_only_hypotheses(&student, vocab, student.config().max_src_len);
 }

@@ -7,8 +7,8 @@ use qrw_tensor::rng::StdRng;
 
 use qrw_nmt::decode::{top_pool, top_pool_scalar};
 use qrw_nmt::{
-    beam_search, diverse_beam_search, greedy, top_n_sampling, ComponentKind, ModelConfig,
-    Seq2Seq, TopNSampling,
+    beam_search, diverse_beam_search, greedy, thread_decode_stats, top_n_sampling, ComponentKind,
+    ModelConfig, QuantStudent, Seq2Seq, TopNDecoder, TopNSampling,
 };
 use qrw_text::NUM_SPECIALS;
 
@@ -163,6 +163,53 @@ fn regression_seed_28_single_token_source() {
         let g = greedy(&m, &src);
         let b = beam_search(&m, &src, 1);
         assert_eq!(g.tokens, b[0].tokens, "{enc:?}/{dec:?}");
+    }
+}
+
+/// The decode counters of one top-n request, for any model behind the one
+/// top-n loop: the model's counters move by exactly the calling thread's,
+/// one step and one token per generated token plus the first (BOS) step,
+/// and a KV-cache hit per already-decoded position; the request returns
+/// `min(k, ordinary tokens)` hypotheses of ordinary tokens within the
+/// length cap, whatever `n` and however long the source.
+fn check_counter_contract<M: TopNDecoder>(model: &M, config: &ModelConfig, seed: u64) {
+    let ordinary = config.vocab - NUM_SPECIALS;
+    let token = |i: usize| NUM_SPECIALS + (i * 7 + seed as usize) % ordinary;
+    let short: Vec<usize> = (0..3).map(token).collect();
+    let long: Vec<usize> = (0..config.max_src_len + 4).map(token).collect();
+    for k in [0, 1, 3, 200] {
+        for n in [0, 1, 5] {
+            for src in [&short, &long] {
+                let ctx = format!("{} seed {seed} k {k} n {n} source of {}", M::NAME, src.len());
+                let (model_before, thread_before) = (model.decode_stats(), thread_decode_stats());
+                let mut rng = StdRng::seed_from_u64(seed);
+                let hyps = model.top_n_sampling(src, TopNSampling { k, n }, &mut rng);
+                let counts = model.decode_stats().since(&model_before);
+                assert_eq!(counts, thread_decode_stats().since(&thread_before), "{ctx}");
+                let lengths = hyps.iter().map(|h| h.tokens.len() as u64);
+                assert_eq!(counts.steps, 1 + lengths.clone().sum::<u64>(), "{ctx}");
+                assert_eq!(counts.tokens, counts.steps, "{ctx}");
+                let hits: u64 = lengths.map(|l| l * (l + 1) / 2).sum();
+                assert_eq!(counts.cache_hits, hits, "{ctx}");
+                assert_eq!(hyps.len(), k.min(ordinary), "{ctx}");
+                for h in &hyps {
+                    let ordinary_tokens = NUM_SPECIALS..config.vocab;
+                    assert!(h.tokens.iter().all(|t| ordinary_tokens.contains(t)), "{ctx}");
+                    assert!(h.tokens.len() <= config.max_tgt_len, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn top_n_decode_counters_follow_the_hypotheses() {
+    for seed in 0..6 {
+        let teacher = Seq2Seq::new(ModelConfig::tiny_transformer(30), seed);
+        check_counter_contract(&teacher, teacher.config(), seed);
+        let student = QuantStudent::from_seq2seq(&Seq2Seq::new(ModelConfig::student(30), seed))
+            .expect("pure transformer student");
+        check_counter_contract(&student, student.config(), seed);
     }
 }
 

@@ -6,7 +6,7 @@
 
 use qrw_nmt::{
     beam_search_normalized, greedy, thread_decode_stats, top_n_sampling, ComponentKind,
-    ModelConfig, Seq2Seq, TopNSampling, TransformerDecodeMode,
+    ModelConfig, Seq2Seq, TopNDecoder, TopNSampling, TransformerDecodeMode,
 };
 use qrw_tensor::StdRng;
 use qrw_text::BOS;
