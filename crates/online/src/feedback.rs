@@ -221,7 +221,19 @@ mod tests {
     use super::*;
     use qrw_core::QueryRewriter;
     use qrw_data::LogConfig;
-    use qrw_search::{InvertedIndex, SearchEngine, ServingConfig};
+    use qrw_search::{DeadlineBudget, InvertedIndex, RewriteLadder, SearchEngine, ServingConfig};
+
+    /// Serves `query` with `rewriter` as the online rung, down the guarded
+    /// path with no deadline.
+    fn serve(
+        engine: &SearchEngine,
+        query: &[String],
+        rewriter: &dyn QueryRewriter,
+    ) -> SearchResponse {
+        let ladder = RewriteLadder { online: Some(rewriter), ..Default::default() };
+        let budget = DeadlineBudget::unlimited();
+        engine.search_resilient(query, ladder, &ServingConfig::default(), &budget, None)
+    }
 
     /// The A/B tests' oracle: query → the title-register phrasing of its
     /// ground-truth intent, guaranteeing relevant extra candidates.
@@ -278,15 +290,9 @@ mod tests {
         config: &FeedbackConfig,
     ) {
         let oracle = Oracle { log };
-        let serving = ServingConfig::default();
         for session in 0..sessions {
             let qi = (session as usize * 13 + 1) % log.queries.len();
-            let resp = engine.search_with_rewrites(
-                &log.queries[qi].tokens,
-                None,
-                Some(&oracle),
-                &serving,
-            );
+            let resp = serve(engine, &log.queries[qi].tokens, &oracle);
             buffer.observe(log, vocab, session, &[], qi, &resp, config, None);
         }
     }
@@ -332,16 +338,10 @@ mod tests {
         let (log, engine, vocab) = served_world();
         let config = FeedbackConfig::default();
         let oracle = Oracle { log: &log };
-        let serving = ServingConfig::default();
         // Find a session seed that clicks, then replay it with context.
         for session in 0..500u64 {
             let qi = 1;
-            let resp = engine.search_with_rewrites(
-                &log.queries[qi].tokens,
-                None,
-                Some(&oracle),
-                &serving,
-            );
+            let resp = serve(&engine, &log.queries[qi].tokens, &oracle);
             let mut plain = FeedbackBuffer::new(16);
             let out =
                 plain.observe(&log, &vocab, session, &[], qi, &resp, &config, None);
@@ -385,12 +385,7 @@ mod tests {
         let tracer = Tracer::logical();
         let mut buffer = FeedbackBuffer::new(64);
         let oracle = Oracle { log: &log };
-        let resp = engine.search_with_rewrites(
-            &log.queries[1].tokens,
-            None,
-            Some(&oracle),
-            &ServingConfig::default(),
-        );
+        let resp = serve(&engine, &log.queries[1].tokens, &oracle);
         let config = FeedbackConfig::default();
         for session in 0..8u64 {
             buffer.observe(&log, &vocab, session, &[], 1, &resp, &config, Some(&tracer));

@@ -26,8 +26,9 @@ use qrw_tensor::rng::StdRng;
 use qrw_core::QueryRewriter;
 use qrw_data::ClickLog;
 
+use crate::deadline::DeadlineBudget;
 use crate::index::InvertedIndex;
-use crate::serving::{SearchEngine, ServingConfig};
+use crate::serving::{RewriteLadder, SearchEngine, ServingConfig};
 
 /// Simulation parameters.
 #[derive(Clone, Copy, Debug)]
@@ -139,9 +140,15 @@ pub fn run_ab(log: &ClickLog, rewriter: &dyn QueryRewriter, config: &AbConfig) -
             Ok(i) | Err(i) => i.min(log.queries.len() - 1),
         };
         let query = &log.queries[qi];
+        // Both arms take the guarded serving path production runs, with
+        // no deadline.
+        let serve = |ladder| {
+            let budget = DeadlineBudget::unlimited();
+            engine.search_resilient(&query.tokens, ladder, &config.serving, &budget, None)
+        };
 
         // Control arm: original query only.
-        let base = engine.search_baseline(&query.tokens, &config.serving);
+        let base = serve(RewriteLadder::default());
         let control_page = rank_like_production(log, qi, &base.candidates, config.serving.top_k);
         simulate_user(
             log,
@@ -153,12 +160,7 @@ pub fn run_ab(log: &ClickLog, rewriter: &dyn QueryRewriter, config: &AbConfig) -
         );
 
         // Variant arm: with rewrites (same user randomness, same ranker).
-        let resp = engine.search_with_rewrites(
-            &query.tokens,
-            None,
-            Some(rewriter),
-            &config.serving,
-        );
+        let resp = serve(RewriteLadder { online: Some(rewriter), ..Default::default() });
         let variant_page = rank_like_production(log, qi, &resp.candidates, config.serving.top_k);
         simulate_user(
             log,
@@ -315,6 +317,27 @@ mod tests {
         );
         // Something actually improved (not all zero deltas).
         assert!(out.variant.clicks > out.control.clicks);
+    }
+
+    /// Pins the whole outcome of one oracle run, every `f64` by its bits,
+    /// so no change to the serving path both arms take can move Table VIII
+    /// unnoticed.
+    #[test]
+    fn oracle_outcome_is_pinned() {
+        let log = ClickLog::generate(&LogConfig::default());
+        let cfg = AbConfig { sessions: 600, ..Default::default() };
+        let out = run_ab(&log, &OracleRewriter { log: &log }, &cfg);
+        let arm = |m: &ArmMetrics| {
+            (m.sessions, m.conversions, m.gmv.to_bits(), m.reformulations, m.clicks)
+        };
+        let deltas = [out.ucvr_delta_pct(), out.gmv_delta_pct(), out.qrr_delta_pct()];
+        let got = (arm(&out.control), arm(&out.variant), deltas.map(f64::to_bits));
+        let want = (
+            (600, 96, 4677969096942026752, 245, 296),
+            (600, 285, 4684608790042099712, 36, 973),
+            [4641130939819229182, 4640452390939247252, 13859075338499046421],
+        );
+        assert_eq!(got, want, "{out}");
     }
 
     #[test]

@@ -112,8 +112,9 @@ mod tests {
     /// recall for hard queries relative to the bare AND tree.
     #[test]
     fn rewrites_lift_recall_on_hard_queries() {
+        use crate::deadline::DeadlineBudget;
         use crate::index::InvertedIndex;
-        use crate::serving::{SearchEngine, ServingConfig};
+        use crate::serving::{RewriteLadder, SearchEngine, ServingConfig};
         use qrw_baseline_free::FixedRewriter;
 
         // Inline micro-fixture (no qrw-baseline dependency from here).
@@ -140,13 +141,11 @@ mod tests {
         let cfg = ServingConfig::default();
         let q = toks("phone for grandpa");
 
-        let base = engine.search_baseline(&q, &cfg);
-        let with = engine.search_with_rewrites(
-            &q,
-            None,
-            Some(&FixedRewriter(vec![toks("senior smartphone"), toks("senior handset")])),
-            &cfg,
-        );
+        let budget = DeadlineBudget::unlimited();
+        let serve = |ladder| engine.search_resilient(&q, ladder, &cfg, &budget, None);
+        let base = serve(RewriteLadder::default());
+        let rw = FixedRewriter(vec![toks("senior smartphone"), toks("senior handset")]);
+        let with = serve(RewriteLadder { online: Some(&rw), ..Default::default() });
         assert_eq!(recall_at_k(&base.ranked, &relevant, 10), 0.0);
         assert_eq!(recall_at_k(&with.ranked, &relevant, 10), 1.0);
         assert!(reciprocal_rank(&with.ranked, &relevant) > 0.0);

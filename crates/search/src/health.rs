@@ -44,14 +44,10 @@ pub struct HealthCounters {
     rewrite_micros: AtomicU64,
     retrieval_micros: AtomicU64,
     rank_micros: AtomicU64,
-    decode_steps: AtomicU64,
-    decode_tokens: AtomicU64,
-    decode_cache_hits: AtomicU64,
-    decode_micros: AtomicU64,
-    student_steps: AtomicU64,
-    student_tokens: AtomicU64,
-    student_cache_hits: AtomicU64,
-    student_micros: AtomicU64,
+    /// Decode telemetry blocks (steps, tokens, cache hits, µs) of the
+    /// online model and of the student.
+    decode: [AtomicU64; 4],
+    student: [AtomicU64; 4],
 }
 
 impl HealthCounters {
@@ -127,24 +123,20 @@ impl HealthCounters {
         self.latency_us.lock().clone()
     }
 
-    /// Accumulates one online-rewrite call's decode telemetry delta
-    /// (counter differences from the model, plus the wall-clock spent in
-    /// the call).
-    pub fn record_decode(&self, delta: DecodeStats, elapsed: Duration) {
-        self.decode_steps.fetch_add(delta.steps, Ordering::Relaxed);
-        self.decode_tokens.fetch_add(delta.tokens, Ordering::Relaxed);
-        self.decode_cache_hits.fetch_add(delta.cache_hits, Ordering::Relaxed);
-        self.decode_micros.fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Like [`record_decode`](Self::record_decode), but for the quantized
-    /// student rung — kept in a separate counter block so the report can
-    /// compare student vs teacher decode throughput directly.
-    pub fn record_student_decode(&self, delta: DecodeStats, elapsed: Duration) {
-        self.student_steps.fetch_add(delta.steps, Ordering::Relaxed);
-        self.student_tokens.fetch_add(delta.tokens, Ordering::Relaxed);
-        self.student_cache_hits.fetch_add(delta.cache_hits, Ordering::Relaxed);
-        self.student_micros.fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
+    /// Accumulates one model-rung call's decode telemetry delta (counter
+    /// differences from the model, plus the wall-clock spent in the call)
+    /// into the block of the rung that made it: the student's, kept apart
+    /// so the report compares student and teacher throughput directly, or
+    /// the online model's.
+    pub fn record_decode(&self, rung: RewriteSource, delta: DecodeStats, elapsed: Duration) {
+        let [steps, tokens, cache_hits, micros] = match rung {
+            RewriteSource::Student => &self.student,
+            _ => &self.decode,
+        };
+        steps.fetch_add(delta.steps, Ordering::Relaxed);
+        tokens.fetch_add(delta.tokens, Ordering::Relaxed);
+        cache_hits.fetch_add(delta.cache_hits, Ordering::Relaxed);
+        micros.fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
     }
 
     pub fn snapshot(
@@ -161,6 +153,10 @@ impl HealthCounters {
         // pair: the report can never show a depth above the peak that
         // accompanied it, however many workers are shedding concurrently.
         let gauge = self.queue_gauge.load(Ordering::Relaxed);
+        let [decode_steps, decode_tokens, decode_cache_hits, decode_micros] =
+            self.decode.each_ref().map(|c| c.load(Ordering::Relaxed));
+        let [student_steps, student_tokens, student_cache_hits, student_micros] =
+            self.student.each_ref().map(|c| c.load(Ordering::Relaxed));
         HealthReport {
             latency_p50_us,
             latency_p95_us,
@@ -187,14 +183,14 @@ impl HealthCounters {
             rewrite_micros: self.rewrite_micros.load(Ordering::Relaxed),
             retrieval_micros: self.retrieval_micros.load(Ordering::Relaxed),
             rank_micros: self.rank_micros.load(Ordering::Relaxed),
-            decode_steps: self.decode_steps.load(Ordering::Relaxed),
-            decode_tokens: self.decode_tokens.load(Ordering::Relaxed),
-            decode_cache_hits: self.decode_cache_hits.load(Ordering::Relaxed),
-            decode_micros: self.decode_micros.load(Ordering::Relaxed),
-            student_steps: self.student_steps.load(Ordering::Relaxed),
-            student_tokens: self.student_tokens.load(Ordering::Relaxed),
-            student_cache_hits: self.student_cache_hits.load(Ordering::Relaxed),
-            student_micros: self.student_micros.load(Ordering::Relaxed),
+            decode_steps,
+            decode_tokens,
+            decode_cache_hits,
+            decode_micros,
+            student_steps,
+            student_tokens,
+            student_cache_hits,
+            student_micros,
             breaker_state,
             breaker_opens,
             churn,
@@ -447,10 +443,12 @@ mod tests {
     fn decode_deltas_accumulate_and_derive_throughput() {
         let c = HealthCounters::default();
         c.record_decode(
+            RewriteSource::Fallback,
             DecodeStats { steps: 10, tokens: 10, cache_hits: 45 },
             Duration::from_micros(2_000),
         );
         c.record_decode(
+            RewriteSource::Fallback,
             DecodeStats { steps: 5, tokens: 5, cache_hits: 10 },
             Duration::from_micros(1_000),
         );
@@ -491,10 +489,12 @@ mod tests {
         c.record_source(RewriteSource::Student);
         // Teacher: 10 tokens in 2 ms (5k tok/s); student: 15 in 1 ms (15k).
         c.record_decode(
+            RewriteSource::Fallback,
             DecodeStats { steps: 10, tokens: 10, cache_hits: 45 },
             Duration::from_micros(2_000),
         );
-        c.record_student_decode(
+        c.record_decode(
+            RewriteSource::Student,
             DecodeStats { steps: 15, tokens: 15, cache_hits: 105 },
             Duration::from_micros(1_000),
         );

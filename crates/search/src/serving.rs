@@ -3,19 +3,24 @@
 //!
 //! # Serving resilience
 //!
-//! [`SearchEngine::search_resilient`] is the fault-tolerant entry point.
-//! It never panics and always returns a well-formed [`SearchResponse`]:
-//! rewrites are acquired down an explicit degradation ladder
+//! Every request takes one guarded path:
+//! [`SearchEngine::search_resilient`], or its session-aware, traced form
+//! [`SearchEngine::search_session_traced`]. (Offline evaluation and the
+//! A/B simulator call it with [`DeadlineBudget::unlimited`].) It never
+//! panics and always returns a well-formed [`SearchResponse`]: rewrites
+//! are acquired down an explicit degradation ladder
 //!
 //! ```text
 //! KV cache → quantized student → online q2q model → rule-based baseline
 //!          → raw query only
 //! ```
 //!
-//! where each rung is guarded by the per-request [`DeadlineBudget`], the
-//! online rung additionally by a [`CircuitBreaker`], and every rewriter
-//! call by `catch_unwind`. Degradations are recorded on the response
-//! (`degradations`) and aggregated into [`SearchEngine::health_report`].
+//! The three model rungs run through one routine, each under its own
+//! policy: the student and online rungs are gated by the per-request
+//! [`DeadlineBudget`], the online rung alone by a [`CircuitBreaker`] and
+//! injected faults, and every rewriter call by `catch_unwind`.
+//! Degradations are recorded on the response (`degradations`) and
+//! aggregated into [`SearchEngine::health_report`].
 //!
 //! # Sharded scatter-gather
 //!
@@ -194,6 +199,7 @@ pub struct SearchResponse {
 impl SearchResponse {
     /// A well-formed response that retrieved nothing (an empty query, or
     /// the last resort after an engine panic), served against `epoch`.
+    /// Every other response is built on it.
     fn empty(epoch: u64) -> Self {
         SearchResponse {
             ranked: Vec::new(),
@@ -311,18 +317,19 @@ impl<'a> TraceCtx<'a> {
 }
 
 impl SearchEngine {
-    pub fn new(index: InvertedIndex) -> Self {
-        Self::with_breaker(index, BreakerConfig::default())
-    }
-
-    /// An engine with custom circuit-breaker tuning.
-    pub fn with_breaker(index: InvertedIndex, breaker: BreakerConfig) -> Self {
+    /// The one constructor body: default breaker tuning, no tracer.
+    fn with_catalog(catalog: Catalog) -> Self {
         SearchEngine {
-            catalog: Catalog::Frozen(index),
-            breaker: CircuitBreaker::new(breaker),
+            catalog,
+            breaker: CircuitBreaker::new(BreakerConfig::default()),
             health: HealthCounters::default(),
             tracer: None,
         }
+    }
+
+    /// An engine serving a frozen index built before serving.
+    pub fn new(index: InvertedIndex) -> Self {
+        Self::with_catalog(Catalog::Frozen(index))
     }
 
     /// An engine serving an epoch-pinned live catalog: each request pins
@@ -330,12 +337,7 @@ impl SearchEngine {
     /// concurrent [`CatalogWriter`](crate::snapshot::CatalogWriter) never
     /// tears a response.
     pub fn live(store: Arc<SnapshotStore>) -> Self {
-        SearchEngine {
-            catalog: Catalog::Live(store),
-            breaker: CircuitBreaker::new(BreakerConfig::default()),
-            health: HealthCounters::default(),
-            tracer: None,
-        }
+        Self::with_catalog(Catalog::Live(store))
     }
 
     /// An engine serving a frozen index through the `shards`-way
@@ -343,20 +345,9 @@ impl SearchEngine {
     /// responses are byte-identical to the monolithic engine's at every
     /// shard count; per-shard faults degrade to partial results.
     pub fn sharded(index: InvertedIndex, shards: usize) -> Self {
-        Self::sharded_with_breaker(index, shards, BreakerConfig::default())
-    }
-
-    /// [`sharded`](Self::sharded) with custom breaker tuning. `breaker`
-    /// configures both the online-rewriter breaker and every member of
-    /// the per-shard [`BreakerSet`].
-    pub fn sharded_with_breaker(index: InvertedIndex, shards: usize, breaker: BreakerConfig) -> Self {
         let store = SnapshotStore::new(IndexSnapshot::new(0, index));
-        SearchEngine {
-            catalog: Catalog::Sharded(ShardedCatalog::new(store, shards, breaker, false)),
-            breaker: CircuitBreaker::new(breaker),
-            health: HealthCounters::default(),
-            tracer: None,
-        }
+        let cat = ShardedCatalog::new(store, shards, BreakerConfig::default(), false);
+        Self::with_catalog(Catalog::Sharded(cat))
     }
 
     /// An engine serving an epoch-pinned **live** catalog through the
@@ -364,13 +355,19 @@ impl SearchEngine {
     /// set for that epoch is built once and cached until the epoch or the
     /// routing plan changes.
     pub fn sharded_live(store: Arc<SnapshotStore>, shards: usize) -> Self {
-        let breaker = BreakerConfig::default();
-        SearchEngine {
-            catalog: Catalog::Sharded(ShardedCatalog::new(store, shards, breaker, true)),
-            breaker: CircuitBreaker::new(breaker),
-            health: HealthCounters::default(),
-            tracer: None,
+        let cat = ShardedCatalog::new(store, shards, BreakerConfig::default(), true);
+        Self::with_catalog(Catalog::Sharded(cat))
+    }
+
+    /// Custom circuit-breaker tuning: `breaker` configures the online
+    /// rung's breaker and, on a sharded catalog, every member of the
+    /// per-shard [`BreakerSet`]. Both start closed.
+    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
+        self.breaker = CircuitBreaker::new(breaker);
+        if let Catalog::Sharded(cat) = &mut self.catalog {
+            cat.reset_breakers(breaker);
         }
+        self
     }
 
     /// Attaches (or clears) the deterministic shard-fault injector.
@@ -494,15 +491,9 @@ impl SearchEngine {
         report
     }
 
-    /// Baseline retrieval: original query only.
-    pub fn search_baseline(&self, query: &[String], config: &ServingConfig) -> SearchResponse {
-        let pinned = self.pin();
-        self.search_baseline_pinned(query, config, &pinned)
-    }
-
-    /// [`search_baseline`](Self::search_baseline) against an
-    /// already-pinned epoch (the panic-fallback path reuses the request's
-    /// pin rather than re-pinning a possibly newer epoch).
+    /// Raw-query retrieval against the request's already-pinned epoch:
+    /// the last resort when the engine itself panicked (it reuses the
+    /// request's pin rather than re-pinning a possibly newer epoch).
     fn search_baseline_pinned(
         &self,
         query: &[String],
@@ -520,43 +511,11 @@ impl SearchEngine {
         let ranked = rank_at(index, query, &docs, config.top_k);
         SearchResponse {
             base_candidates: docs.len(),
-            extra_candidates: 0,
             ranked,
             candidates: docs,
-            rewrites_used: Vec::new(),
-            rewrite_source: RewriteSource::None,
             cost,
-            degradations: Vec::new(),
-            shards_ok: 1,
-            shards_total: 1,
-            epoch,
-            model_epoch: 0,
+            ..SearchResponse::empty(epoch)
         }
-    }
-
-    /// Full §III-G serving path: cache → fallback rewriter → merged-tree
-    /// retrieval → ranking.
-    pub fn search_with_rewrites(
-        &self,
-        query: &[String],
-        cache: Option<&RewriteCache>,
-        fallback: Option<&dyn QueryRewriter>,
-        config: &ServingConfig,
-    ) -> SearchResponse {
-        let (mut rewrites, source) = match cache.and_then(|c| c.get(query)) {
-            Some(cached) => ((*cached).clone(), RewriteSource::Cache),
-            None => match fallback {
-                Some(rw) => (rw.rewrite(query, config.max_rewrites), RewriteSource::Fallback),
-                None => (Vec::new(), RewriteSource::None),
-            },
-        };
-        rewrites.truncate(config.max_rewrites);
-        rewrites.retain(|r| !r.is_empty() && r != query);
-
-        let budget = DeadlineBudget::unlimited();
-        let mut events = Vec::new();
-        let pinned = self.pin();
-        self.retrieve_and_rank(query, rewrites, source, config, &budget, &mut events, None, &pinned)
     }
 
     /// Fault-tolerant serving entry point. Never panics; always returns a
@@ -697,10 +656,12 @@ impl SearchEngine {
         self.retrieve_and_rank(&query, rewrites, source, config, budget, &mut events, ctx, pinned)
     }
 
-    /// Walks the degradation ladder until a rung yields usable rewrites.
-    /// Each rung *attempted* records a `rung_*` span (named by the rung,
-    /// so the ladder walk is visible in the trace structure) with an
-    /// `outcome` attribute.
+    /// Walks the degradation ladder until a rung yields usable rewrites:
+    /// the KV cache, then the student, online and baseline model rungs
+    /// (one [`model_rung`](Self::model_rung) routine under each rung's
+    /// [`RungPolicy`]), then the raw query. Each rung *attempted* records
+    /// a `rung_*` span (named by the rung, so the ladder walk is visible in
+    /// the trace structure) with an `outcome` attribute.
     #[allow(clippy::too_many_arguments)]
     fn acquire_rewrites(
         &self,
@@ -746,195 +707,104 @@ impl SearchEngine {
             }
         }
 
-        // Rung 2: quantized distilled student. Budget-gated and
-        // panic-isolated like the teacher rung, but NOT breaker-guarded:
-        // a student failure degrades to the teacher below, and only the
-        // teacher's health feeds the breaker. Decode telemetry lands in
-        // the student counter block so the health report can compare
-        // student vs teacher throughput.
-        if let Some(student) = ladder.student {
-            let mut span = ctx.map(|c| c.child("rung_student"));
-            let mut outcome = "empty";
-            if budget.expired() {
-                events.push(ServeError::DeadlineExceeded { stage: Stage::Rewrite });
-                outcome = "deadline";
-            } else {
-                let decode_before = student.decode_stats().map(|_| thread_decode_stats());
-                let t_call = budget.elapsed();
-                let result = self.call_rewriter(student, session.context, query, config, Fault::None);
-                if let Some(before) = decode_before {
-                    self.health.record_student_decode(
-                        thread_decode_stats().since(&before),
-                        budget.elapsed().saturating_sub(t_call),
-                    );
-                }
-                match result {
-                    Ok(cleaned) if !cleaned.is_empty() => {
-                        if let Some(s) = span.as_mut() {
-                            s.attr("outcome", "served");
-                        }
-                        return (cleaned, RewriteSource::Student);
-                    }
-                    Ok(_) => {
-                        events.push(ServeError::EmptyOutput {
-                            rewriter: student.name().to_string(),
-                        });
-                    }
-                    Err(e) => {
-                        outcome = match &e {
-                            ServeError::ModelPanic { .. } => "panic",
-                            _ => "error",
-                        };
-                        events.push(e);
-                    }
-                }
-            }
-            if let Some(s) = span.as_mut() {
-                s.attr("outcome", outcome);
-            }
-        }
-
-        // Rung 3: online q2q model, guarded by budget, breaker and
-        // catch_unwind. A model-pinned session serves this rung from its
-        // pinned epoch's rewriter instead of the ladder's static model —
-        // the pin was taken before the request started, so even if swaps
-        // land mid-request every call below hits the same frozen model.
-        let online_rung: Option<&dyn QueryRewriter> = match session.model {
+        // A model-pinned session serves the online rung from its pinned
+        // epoch's rewriter instead of the ladder's static model — the pin
+        // was taken before the request started, so even if swaps land
+        // mid-request every call below hits the same frozen model.
+        let online: Option<&dyn QueryRewriter> = match session.model {
             Some(pin) => Some(pin.rewriter()),
             None => ladder.online,
         };
-        if let Some(online) = online_rung {
-            let mut span = ctx.map(|c| c.child("rung_online"));
-            let mut outcome = "empty";
-            if budget.expired() {
-                events.push(ServeError::DeadlineExceeded { stage: Stage::Rewrite });
-                outcome = "deadline";
-            } else if !self.breaker.allow() {
-                events.push(ServeError::BreakerOpen);
-                outcome = "breaker_open";
-            } else {
-                let fault = faults.map_or(Fault::None, FaultInjector::draw);
-                if let Fault::Latency(spike) = fault {
-                    budget.charge(spike);
-                }
-                if budget.expired() {
-                    events.push(ServeError::DeadlineExceeded { stage: Stage::Rewrite });
-                    self.breaker.record_failure();
-                    outcome = "deadline";
-                } else {
-                    // Snapshot this thread's decode counters around the
-                    // call so the health report carries throughput next
-                    // to faults.
-                    let decode_before = online.decode_stats().map(|_| thread_decode_stats());
-                    let t_call = budget.elapsed();
-                    let result = self.call_rewriter(online, session.context, query, config, fault);
-                    if let Some(before) = decode_before {
-                        self.health.record_decode(
-                            thread_decode_stats().since(&before),
-                            budget.elapsed().saturating_sub(t_call),
-                        );
-                    }
-                    match result {
-                        Ok(cleaned) if !cleaned.is_empty() => {
-                            self.breaker.record_success();
-                            if let Some(s) = span.as_mut() {
-                                s.attr("outcome", "served");
-                            }
-                            return (cleaned, RewriteSource::Fallback);
-                        }
-                        Ok(_) => {
-                            // Healthy call, nothing usable: not a breaker
-                            // failure.
-                            self.breaker.record_success();
-                            events.push(ServeError::EmptyOutput {
-                                rewriter: online.name().to_string(),
-                            });
-                        }
-                        Err(e) => {
-                            self.breaker.record_failure();
-                            outcome = match &e {
-                                ServeError::ModelPanic { .. } => "panic",
-                                _ => "error",
-                            };
-                            events.push(e);
-                        }
-                    }
-                }
-            }
+        let rungs = [(STUDENT, ladder.student), (ONLINE, online), (BASELINE, ladder.baseline)];
+        for (policy, rewriter) in rungs {
+            let Some(rewriter) = rewriter else { continue };
+            let mut span = ctx.map(|c| c.child(policy.span));
+            let result = self.model_rung(policy, rewriter, session, query, config, budget, faults);
             if let Some(s) = span.as_mut() {
-                s.attr("outcome", outcome);
+                s.attr("outcome", result.as_ref().map_or_else(rung_outcome, |_| "served"));
+            }
+            match result {
+                Ok(cleaned) => return (cleaned, policy.source),
+                Err(e) => events.push(e),
             }
         }
 
-        // Rung 4: rule-based baseline. Deliberately NOT budget-gated: its
-        // cost is bounded (dictionary substitution), and salvaging a
-        // blown-deadline request with cheap rewrites is exactly what the
-        // ladder is for. Panic isolation still applies.
-        if let Some(baseline) = ladder.baseline {
-            let mut span = ctx.map(|c| c.child("rung_baseline"));
-            match self.call_rewriter(baseline, session.context, query, config, Fault::None) {
-                Ok(cleaned) if !cleaned.is_empty() => {
-                    if let Some(s) = span.as_mut() {
-                        s.attr("outcome", "served");
-                    }
-                    return (cleaned, RewriteSource::Baseline);
-                }
-                Ok(_) => {
-                    if let Some(s) = span.as_mut() {
-                        s.attr("outcome", "empty");
-                    }
-                    events.push(ServeError::EmptyOutput {
-                        rewriter: baseline.name().to_string(),
-                    });
-                }
-                Err(e) => {
-                    if let Some(s) = span.as_mut() {
-                        s.attr(
-                            "outcome",
-                            match &e {
-                                ServeError::ModelPanic { .. } => "panic",
-                                _ => "error",
-                            },
-                        );
-                    }
-                    events.push(e);
-                }
-            }
-        }
-
-        // Rung 5: raw query only.
+        // Last rung: raw query only.
         if let Some(c) = ctx {
             c.child("rung_raw").finish();
         }
         (Vec::new(), RewriteSource::None)
     }
 
-    /// Invokes one rewriter behind `catch_unwind`, applying an injected
-    /// fault, and returns its cleaned output. The session context is
-    /// passed through [`QueryRewriter::rewrite_with_context`]: rewriters
-    /// that don't condition on context (the default impl) behave exactly
-    /// as a plain `rewrite` call.
-    fn call_rewriter(
+    /// Runs one model rung under `policy`: the budget gate, then (online
+    /// rung) the breaker consult, the injected fault and its latency
+    /// charge, then the rewriter call behind `catch_unwind` with this
+    /// thread's decode counters snapshotted around it, and (online rung)
+    /// the breaker's verdict. Returns the cleaned rewrites, or the
+    /// degradation to record; a healthy call with no usable rewrite is an
+    /// [`ServeError::EmptyOutput`], which the breaker counts as a success.
+    /// The session context reaches the rewriter through
+    /// [`QueryRewriter::rewrite_with_context`], whose default impl is a
+    /// plain `rewrite` call.
+    #[allow(clippy::too_many_arguments)]
+    fn model_rung(
         &self,
+        policy: RungPolicy,
         rewriter: &dyn QueryRewriter,
-        context: &[Vec<String>],
+        session: SessionState<'_>,
         query: &[String],
         config: &ServingConfig,
-        fault: Fault,
+        budget: &DeadlineBudget,
+        faults: Option<&FaultInjector>,
     ) -> Result<Vec<Vec<String>>, ServeError> {
-        let name = rewriter.name().to_string();
-        let outcome = catch_unwind(AssertUnwindSafe(|| match fault {
+        if policy.budget_gated && budget.expired() {
+            return Err(ServeError::DeadlineExceeded { stage: Stage::Rewrite });
+        }
+        let breaker = policy.breaker.then_some(&self.breaker);
+        let mut fault = Fault::None;
+        if let Some(breaker) = breaker {
+            if !breaker.allow() {
+                return Err(ServeError::BreakerOpen);
+            }
+            fault = faults.map_or(Fault::None, FaultInjector::draw);
+            if let Fault::Latency(spike) = fault {
+                budget.charge(spike);
+            }
+            if budget.expired() {
+                breaker.record_failure();
+                return Err(ServeError::DeadlineExceeded { stage: Stage::Rewrite });
+            }
+        }
+        let before = (policy.decode && rewriter.decode_stats().is_some())
+            .then(|| (thread_decode_stats(), budget.elapsed()));
+        let called = catch_unwind(AssertUnwindSafe(|| match fault {
             Fault::Panic => panic!("injected rewriter panic"),
-            Fault::ModelError => Err(ServeError::ModelError { rewriter: name.clone() }),
+            Fault::ModelError => None,
             Fault::None | Fault::Latency(_) => {
-                Ok(rewriter.rewrite_with_context(context, query, config.max_rewrites))
+                Some(rewriter.rewrite_with_context(session.context, query, config.max_rewrites))
             }
         }));
-        match outcome {
-            Err(_) => Err(ServeError::ModelPanic { rewriter: name }),
-            Ok(Err(e)) => Err(e),
-            Ok(Ok(raw)) => Ok(clean_rewrites(&raw, query, config)),
+        // The rewriter's name is only built for a degradation record.
+        let name = || rewriter.name().to_string();
+        let result = match called {
+            Ok(Some(raw)) => match clean_rewrites(&raw, query, config) {
+                cleaned if cleaned.is_empty() => Err(ServeError::EmptyOutput { rewriter: name() }),
+                cleaned => Ok(cleaned),
+            },
+            Ok(None) => Err(ServeError::ModelError { rewriter: name() }),
+            Err(_) => Err(ServeError::ModelPanic { rewriter: name() }),
+        };
+        if let Some((stats, t_call)) = before {
+            let elapsed = budget.elapsed().saturating_sub(t_call);
+            self.health.record_decode(policy.source, thread_decode_stats().since(&stats), elapsed);
         }
+        if let Some(breaker) = breaker {
+            match &result {
+                Ok(_) | Err(ServeError::EmptyOutput { .. }) => breaker.record_success(),
+                Err(_) => breaker.record_failure(),
+            }
+        }
+        result
     }
 
     /// Records an admission-control event (queue rejection or in-queue
@@ -948,10 +818,10 @@ impl SearchEngine {
         self.health.record_queue_depth(depth as u64);
     }
 
-    /// Retrieval + ranking shared by the legacy and resilient paths. With
-    /// an unlimited budget this is exactly the original §III-G flow; with
-    /// a real budget, rewrite expansion and BM25 ranking each degrade when
-    /// time has run out.
+    /// Retrieval + ranking of the query and its acquired rewrites. With an
+    /// unlimited budget this is exactly the §III-G flow; with a real
+    /// budget, rewrite expansion and BM25 ranking each degrade when time
+    /// has run out.
     #[allow(clippy::too_many_arguments)]
     fn retrieve_and_rank(
         &self,
@@ -1019,10 +889,7 @@ impl SearchEngine {
             rewrite_source: source,
             cost: gathered.cost,
             degradations: std::mem::take(events),
-            shards_ok: 1,
-            shards_total: 1,
-            epoch,
-            model_epoch: 0,
+            ..SearchResponse::empty(epoch)
         }
     }
 
@@ -1362,9 +1229,71 @@ impl SearchEngine {
             degradations: std::mem::take(events),
             shards_ok,
             shards_total: n,
-            epoch,
-            model_epoch: 0,
+            ..SearchResponse::empty(epoch)
         }
+    }
+}
+
+/// How the ladder guards one model rung; [`SearchEngine::model_rung`]
+/// runs all three under their policy.
+#[derive(Clone, Copy)]
+struct RungPolicy {
+    /// The rung's span name.
+    span: &'static str,
+    /// The source stamped on a response the rung serves; it also selects
+    /// the health report's decode block.
+    source: RewriteSource,
+    /// Skipped once the request's budget is spent.
+    budget_gated: bool,
+    /// Consults the online breaker and draws the injected fault.
+    breaker: bool,
+    /// Reports the model's decode work to the health counters.
+    decode: bool,
+}
+
+/// The quantized distilled student: budget-gated and panic-isolated, but
+/// not breaker-guarded — a student failure degrades to the teacher-backed
+/// online rung, and only the teacher's health feeds the breaker. Its
+/// decode work lands in the separate `student_*` block, so the report
+/// compares student and teacher throughput.
+const STUDENT: RungPolicy = RungPolicy {
+    span: "rung_student",
+    source: RewriteSource::Student,
+    budget_gated: true,
+    breaker: false,
+    decode: true,
+};
+
+/// The online q2q model, guarded by the budget, the breaker and
+/// `catch_unwind`; the only rung that draws injected faults.
+const ONLINE: RungPolicy = RungPolicy {
+    span: "rung_online",
+    source: RewriteSource::Fallback,
+    budget_gated: true,
+    breaker: true,
+    decode: true,
+};
+
+/// The rule-based baseline. Deliberately not budget-gated: its cost is
+/// bounded (dictionary substitution), and salvaging a blown-deadline
+/// request with cheap rewrites is exactly what the ladder is for. Panic
+/// isolation still applies.
+const BASELINE: RungPolicy = RungPolicy {
+    span: "rung_baseline",
+    source: RewriteSource::Baseline,
+    budget_gated: false,
+    breaker: false,
+    decode: false,
+};
+
+/// The `outcome` span attribute of a model rung that degraded with `e`.
+fn rung_outcome(e: &ServeError) -> &'static str {
+    match e {
+        ServeError::DeadlineExceeded { .. } => "deadline",
+        ServeError::BreakerOpen => "breaker_open",
+        ServeError::EmptyOutput { .. } => "empty",
+        ServeError::ModelPanic { .. } => "panic",
+        _ => "error",
     }
 }
 
@@ -1551,10 +1480,25 @@ mod tests {
         }
     }
 
+    /// One request down the guarded path with no deadline.
+    fn serve(
+        e: &SearchEngine,
+        q: &[String],
+        ladder: RewriteLadder<'_>,
+        config: &ServingConfig,
+    ) -> SearchResponse {
+        e.search_resilient(q, ladder, config, &DeadlineBudget::unlimited(), None)
+    }
+
+    fn online(rw: &dyn QueryRewriter) -> RewriteLadder<'_> {
+        RewriteLadder { online: Some(rw), ..Default::default() }
+    }
+
     #[test]
     fn baseline_misses_semantic_matches() {
         let e = engine();
-        let resp = e.search_baseline(&toks("phone for grandpa"), &ServingConfig::default());
+        let q = toks("phone for grandpa");
+        let resp = serve(&e, &q, RewriteLadder::default(), &ServingConfig::default());
         assert!(resp.ranked.is_empty(), "term mismatch should retrieve nothing");
     }
 
@@ -1562,12 +1506,7 @@ mod tests {
     fn rewrites_recover_semantic_matches() {
         let e = engine();
         let rw = FixedRewriter(vec![toks("senior smartphone")]);
-        let resp = e.search_with_rewrites(
-            &toks("phone for grandpa"),
-            None,
-            Some(&rw),
-            &ServingConfig::default(),
-        );
+        let resp = serve(&e, &toks("phone for grandpa"), online(&rw), &ServingConfig::default());
         assert_eq!(resp.rewrite_source, RewriteSource::Fallback);
         assert!(resp.ranked.contains(&0), "{resp:?}");
         assert!(resp.extra_candidates > 0);
@@ -1579,12 +1518,8 @@ mod tests {
         let cache = RewriteCache::new();
         cache.insert(&toks("phone for grandpa"), vec![toks("senior handset")]);
         let rw = FixedRewriter(vec![toks("senior smartphone")]);
-        let resp = e.search_with_rewrites(
-            &toks("phone for grandpa"),
-            Some(&cache),
-            Some(&rw),
-            &ServingConfig::default(),
-        );
+        let ladder = RewriteLadder { cache: Some(&cache), ..online(&rw) };
+        let resp = serve(&e, &toks("phone for grandpa"), ladder, &ServingConfig::default());
         assert_eq!(resp.rewrite_source, RewriteSource::Cache);
         assert_eq!(resp.rewrites_used, vec![toks("senior handset")]);
         assert!(resp.ranked.contains(&3));
@@ -1595,18 +1530,10 @@ mod tests {
         let e = engine();
         let rw = FixedRewriter(vec![toks("senior smartphone"), toks("senior handset")]);
         let q = toks("smartphone");
-        let merged = e.search_with_rewrites(
-            &q,
-            None,
-            Some(&rw),
-            &ServingConfig { merged_tree: true, ..Default::default() },
-        );
-        let separate = e.search_with_rewrites(
-            &q,
-            None,
-            Some(&rw),
-            &ServingConfig { merged_tree: false, ..Default::default() },
-        );
+        let merged =
+            serve(&e, &q, online(&rw), &ServingConfig { merged_tree: true, ..Default::default() });
+        let separate =
+            serve(&e, &q, online(&rw), &ServingConfig { merged_tree: false, ..Default::default() });
         let mut a = merged.ranked.clone();
         let mut b = separate.ranked.clone();
         a.sort_unstable();
@@ -1619,7 +1546,7 @@ mod tests {
         let e = engine();
         let q = toks("smartphone");
         let rw = FixedRewriter(vec![toks("smartphone")]);
-        let resp = e.search_with_rewrites(&q, None, Some(&rw), &ServingConfig::default());
+        let resp = serve(&e, &q, online(&rw), &ServingConfig::default());
         assert!(resp.rewrites_used.is_empty());
         assert_eq!(resp.extra_candidates, 0);
     }
@@ -1627,10 +1554,8 @@ mod tests {
     #[test]
     fn top_k_truncates() {
         let e = engine();
-        let resp = e.search_baseline(
-            &toks("smartphone"),
-            &ServingConfig { top_k: 1, ..Default::default() },
-        );
+        let config = ServingConfig { top_k: 1, ..Default::default() };
+        let resp = serve(&e, &toks("smartphone"), RewriteLadder::default(), &config);
         assert_eq!(resp.ranked.len(), 1);
     }
 

@@ -522,6 +522,12 @@ impl ShardedCatalog {
         &self.breakers
     }
 
+    /// Replaces every per-shard breaker with a fresh, closed one tuned by
+    /// `config`.
+    pub(crate) fn reset_breakers(&mut self, config: BreakerConfig) {
+        self.breakers = BreakerSet::new(self.breakers.len(), config);
+    }
+
     pub fn set_injector(&self, injector: Option<Arc<ShardFaultInjector>>) {
         *self.injector.lock() = injector;
     }

@@ -111,7 +111,7 @@ fn poisoned_shard_serves_ranked_partial_results_for_every_query() {
     let cache = prefilled_cache(&queries);
 
     for victim in 0..shards {
-        let engine = SearchEngine::sharded_with_breaker(idx.clone(), shards, never_open());
+        let engine = SearchEngine::sharded(idx.clone(), shards).with_breaker(never_open());
         engine.set_shard_faults(Some(ShardFaultInjector::poison_shard(victim)));
         let oracle = SearchEngine::new(tombstoned(&idx, shards, victim));
 
@@ -149,11 +149,8 @@ fn poisoned_shard_serves_ranked_partial_results_for_every_query() {
 /// monolith fallback — serving one would mask a dead tier as healthy.
 #[test]
 fn fully_failed_tier_serves_an_empty_stamped_response() {
-    let engine = SearchEngine::sharded_with_breaker(
-        InvertedIndex::build(corpus(12)),
-        1,
-        never_open(),
-    );
+    let engine =
+        SearchEngine::sharded(InvertedIndex::build(corpus(12)), 1).with_breaker(never_open());
     engine.set_shard_faults(Some(ShardFaultInjector::poison_shard(0)));
     let cache = prefilled_cache(&[vec![word(0), word(2)]]);
 
@@ -231,7 +228,7 @@ fn hedge_exhaustion_degrades_to_ranked_partial_results() {
     let idx = InvertedIndex::build(corpus(24));
     let queries = query_set();
     let cache = prefilled_cache(&queries);
-    let engine = SearchEngine::sharded_with_breaker(idx.clone(), shards, never_open());
+    let engine = SearchEngine::sharded(idx.clone(), shards).with_breaker(never_open());
     let oracle = SearchEngine::new(tombstoned(&idx, shards, victim));
 
     engine.set_shard_faults(Some(ShardFaultInjector::stall_on_shard(
@@ -274,7 +271,7 @@ fn breaker_trips_fast_excludes_and_recovers_half_open() {
     let idx = InvertedIndex::build(corpus(18));
     let queries = query_set();
     let cache = prefilled_cache(&queries);
-    let engine = SearchEngine::sharded_with_breaker(idx.clone(), 4, cfg);
+    let engine = SearchEngine::sharded(idx.clone(), 4).with_breaker(cfg);
     let mono = SearchEngine::new(idx);
     let injector = ShardFaultInjector::poison_shard(3);
     engine.set_shard_faults(Some(injector.clone()));

@@ -804,12 +804,10 @@ fn feedback_train_tick_and_model_swap_spans_carry_their_attrs() {
     let sessions = 40u64;
     for s in 0..sessions {
         let qi = s as usize % log.queries.len();
-        let resp = engine.search_with_rewrites(
-            &log.queries[qi].tokens,
-            None,
-            Some(&oracle),
-            &serving,
-        );
+        let ladder = RewriteLadder { online: Some(&oracle), ..Default::default() };
+        let budget = DeadlineBudget::unlimited();
+        let resp =
+            engine.search_resilient(&log.queries[qi].tokens, ladder, &serving, &budget, None);
         buffer.observe(&log, &vocab, s, &[], qi, &resp, &fb, Some(&tracer));
     }
     assert!(!buffer.is_empty(), "the oracle must harvest some clicked pairs");

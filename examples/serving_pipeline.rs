@@ -56,13 +56,16 @@ fn main() {
         data.log.catalog.items.iter().map(|i| i.title_tokens.clone()),
     )));
     let serving = ServingConfig::default();
+    // Cache first, then the q2q model, down the guarded serving path.
+    let tiers = RewriteLadder { cache: Some(&*cache), online: Some(&*q2q), ..Default::default() };
+    let unlimited = DeadlineBudget::unlimited;
     let mut cache_ms = (0.0f64, 0u32);
     let mut fallback_ms = (0.0f64, 0u32);
     // Sample head and tail traffic: strided iteration reaches past the
     // precomputed tier so the q2q fallback is exercised too.
     for q in data.log.queries.iter().step_by(6).take(60) {
         let t = Instant::now();
-        let resp = engine.search_with_rewrites(&q.tokens, Some(&*cache), Some(&*q2q), &serving);
+        let resp = engine.search_resilient(&q.tokens, tiers, &serving, &unlimited(), None);
         let ms = t.elapsed().as_secs_f64() * 1000.0;
         match resp.rewrite_source {
             qrw_search::RewriteSource::Cache => {
@@ -143,8 +146,9 @@ fn main() {
 
     // Show one hard query traveling the whole path.
     if let Some(q) = data.log.queries.iter().find(|q| q.kind == QueryKind::HardAudience) {
-        let baseline = engine.search_baseline(&q.tokens, &serving);
-        let with_rw = engine.search_with_rewrites(&q.tokens, Some(&*cache), Some(&*q2q), &serving);
+        let raw = RewriteLadder::default();
+        let baseline = engine.search_resilient(&q.tokens, raw, &serving, &unlimited(), None);
+        let with_rw = engine.search_resilient(&q.tokens, tiers, &serving, &unlimited(), None);
         println!("\nhard query \"{}\":", q.text());
         println!("  baseline retrieved {} candidates", baseline.base_candidates);
         println!(

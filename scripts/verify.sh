@@ -203,6 +203,9 @@ cargo test --release --offline -p qrw-serve --test zero_alloc --test scheduler_i
 # suite and the online loop's unit suite ride along.
 cargo test --release --offline -p qrw-core --lib
 cargo test --release --offline -p cycle-rewrite --test rewriters
+# The degradation ladder on the optimised code: the resilience scenarios
+# and the rung × outcome characterization of the one rung routine.
+cargo test --release --offline -p cycle-rewrite --test resilience --test ladder
 cargo test --release --offline -p qrw-online --lib
 
 echo "== clippy (offline, warnings are errors) =="

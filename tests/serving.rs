@@ -2,7 +2,7 @@
 //! syntax trees over the real synthetic catalog index.
 
 use cycle_rewrite::prelude::*;
-use cycle_rewrite::search::RewriteSource;
+use cycle_rewrite::search::SearchResponse;
 
 fn toks(s: &str) -> Vec<String> {
     s.split_whitespace().map(str::to_string).collect()
@@ -16,6 +16,20 @@ fn engine_and_log() -> (SearchEngine, ClickLog) {
     (engine, log)
 }
 
+/// One request down the guarded serving path, with no deadline.
+fn serve(
+    engine: &SearchEngine,
+    query: &[String],
+    ladder: RewriteLadder<'_>,
+    cfg: &ServingConfig,
+) -> SearchResponse {
+    engine.search_resilient(query, ladder, cfg, &DeadlineBudget::unlimited(), None)
+}
+
+fn online(rw: &dyn QueryRewriter) -> RewriteLadder<'_> {
+    RewriteLadder { online: Some(rw), ..Default::default() }
+}
+
 #[test]
 fn hard_audience_queries_fail_baseline_and_rewrites_recover_some() {
     let (engine, log) = engine_and_log();
@@ -27,13 +41,13 @@ fn hard_audience_queries_fail_baseline_and_rewrites_recover_some() {
         total += 1;
         // The audience phrase ("for grandpa") never appears in titles, so
         // the AND tree over the raw query must retrieve nothing.
-        let baseline = engine.search_baseline(&q.tokens, &cfg);
+        let baseline = serve(&engine, &q.tokens, RewriteLadder::default(), &cfg);
         assert!(
             baseline.ranked.is_empty(),
             "term mismatch should defeat the inverted index for {:?}: {baseline:?}",
             q.tokens
         );
-        let with_rw = engine.search_with_rewrites(&q.tokens, None, Some(&rule), &cfg);
+        let with_rw = serve(&engine, &q.tokens, online(&rule), &cfg);
         if !with_rw.ranked.is_empty() {
             recovered += 1;
         }
@@ -69,9 +83,14 @@ fn cache_precomputation_covers_head_traffic() {
     // exceed 50%.
     let mut weighted_hits = 0u64;
     let mut weighted_total = 0u64;
+    let ladder = RewriteLadder { cache: Some(&cache), ..online(&rule) };
     for q in &log.queries {
-        let resp = engine.search_with_rewrites(&q.tokens, Some(&cache), Some(&rule), &cfg);
-        let hit = resp.rewrite_source == RewriteSource::Cache;
+        // A hit is a lookup the cache answered. The guarded path validates
+        // the entry and falls through when the rules had no rewrite for
+        // the query, so the response's `rewrite_source` does not say it.
+        let hits = cache.hits();
+        serve(&engine, &q.tokens, ladder, &cfg);
+        let hit = cache.hits() > hits;
         weighted_total += u64::from(q.frequency);
         if hit {
             weighted_hits += u64::from(q.frequency);
@@ -86,16 +105,16 @@ fn merged_and_separate_serving_agree_on_retrieved_sets() {
     let (engine, log) = engine_and_log();
     let rule = RuleBasedRewriter::new(SynonymDict::from_catalog(&log.catalog));
     for q in log.queries.iter().take(25) {
-        let merged = engine.search_with_rewrites(
+        let merged = serve(
+            &engine,
             &q.tokens,
-            None,
-            Some(&rule),
+            online(&rule),
             &ServingConfig { merged_tree: true, top_k: 50, ..Default::default() },
         );
-        let separate = engine.search_with_rewrites(
+        let separate = serve(
+            &engine,
             &q.tokens,
-            None,
-            Some(&rule),
+            online(&rule),
             &ServingConfig { merged_tree: false, top_k: 50, ..Default::default() },
         );
         let mut a = merged.ranked.clone();
