@@ -170,6 +170,41 @@ fn fault_sequences_are_reproducible_across_engines() {
     assert_eq!(run(), run(), "same seed must replay the same degradations");
 }
 
+/// Pins the exact per-call fault stream of one seeded schedule: panic
+/// 0.2, error 0.0, latency 0.5, a 10 ms spike, seed 99, 200 calls. The
+/// zero-probability error rule still takes its draw, so dropping it would
+/// shift every later fault. Each call is labelled by its fault's `Debug`
+/// form (`None` for no fault) and the stream keeps the first letter.
+#[test]
+fn rewriter_fault_stream_is_pinned() {
+    let draw = {
+        let injector = FaultInjector::new(
+            99,
+            FaultConfig {
+                panic_prob: 0.2,
+                error_prob: 0.0,
+                latency_spike_prob: 0.5,
+                latency_spike: Duration::from_millis(10),
+            },
+        );
+        move || format!("{:?}", injector.draw())
+    };
+    let labels: Vec<String> = (0..200).map(|_| draw()).collect();
+    for label in &labels {
+        assert!(matches!(label.as_str(), "None" | "Panic" | "Latency(10ms)"), "{label}");
+    }
+    let stream: String = labels.iter().map(|l| l.chars().next().unwrap()).collect();
+    assert_eq!(
+        stream,
+        concat!(
+            "NPPNNLPLNPPLPNLPNNLLNNNNLNNLNNLLLLPLNLPLNLNNLPLNNL",
+            "NPPNNNLLNPLNNNNPNLPNPLNLNNNPLLNNLNNNLLNNNPLPPPNNLP",
+            "LPLNNNLPNNNLLNPPNPLNNLNNLLNNLNNLLLLNPLNNNNPNPLLNPL",
+            "LNLLNNLLLLPNLNLPNNNNNLLPNLNNNLLPNNPPLLPLPPLNPLNLLL",
+        )
+    );
+}
+
 #[test]
 fn poisoned_cache_entry_degrades_to_online_rung() {
     let e = engine();
