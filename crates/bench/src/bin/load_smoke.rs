@@ -42,8 +42,8 @@ use qrw_core::{Q2QRewriter, QueryRewriter};
 use qrw_nmt::{ModelConfig, Seq2Seq};
 use qrw_obs::{taxonomy, SpanRecord, Tracer, MINTED_TRACE_BIT};
 use qrw_search::{
-    DeadlineBudget, InvertedIndex, RewriteCache, RewriteLadder, SearchEngine, ServeError,
-    ServingConfig, ShardFaultInjector,
+    DeadlineBudget, Fault, Faults, InvertedIndex, RewriteCache, RewriteLadder, SearchEngine,
+    ServeError, ServingConfig, Site,
 };
 use qrw_serve::{
     synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, Workload,
@@ -386,7 +386,8 @@ fn shard_scaling(
     // results — never an error, never an empty shard accounting.
     let shards = *counts.last().expect("non-empty sweep");
     let stack = build_sharded_stack(vocab, &tail.head, shards);
-    stack.engine.set_shard_faults(Some(ShardFaultInjector::poison_shard(0)));
+    let poison = Faults::default().always(Site::Shard(0), Fault::Panic);
+    stack.engine.set_faults(Some(Arc::new(poison)));
     let cfg = ServingConfig::default();
     let t0 = Instant::now();
     let mut partial = 0usize;

@@ -30,7 +30,7 @@ use std::time::Instant;
 use qrw_bench::harness::{group, validate_mutate_json, BenchRecord, Sample};
 use qrw_search::segment::replay;
 use qrw_search::{
-    CatalogError, CatalogWriter, ChurnFaultInjector, DeadlineBudget, IndexSnapshot, InvertedIndex,
+    CatalogError, CatalogWriter, DeadlineBudget, Fault, Faults, IndexSnapshot, InvertedIndex,
     MutationBatch, RewriteCache, RewriteLadder, SearchEngine, Segment, ServingConfig,
     SnapshotStore,
 };
@@ -325,7 +325,7 @@ fn recovery_after_kill(
 ) -> Result<Sample, String> {
     let tmp = TempDir::new("qrw-mutate-smoke-kill");
     // Probe: bytes of a full run, to aim the kill mid-stream.
-    let probe = ChurnFaultInjector::none();
+    let probe = Arc::new(Faults::default());
     {
         let probe_tmp = TempDir::new("qrw-mutate-smoke-probe");
         let (_s, mut w) =
@@ -337,7 +337,7 @@ fn recovery_after_kill(
     }
     let kill_at = probe.total_bytes() * 3 / 5;
 
-    let injector = ChurnFaultInjector::kill_at_byte(kill_at);
+    let injector = Arc::new(Faults::default().at_byte(kill_at, Fault::Kill));
     let (_store, mut writer) =
         CatalogWriter::with_injector(docs.to_vec(), tmp.path(), Arc::clone(&injector))
             .map_err(|e| format!("bootstrap before kill point: {e}"))?;
@@ -385,7 +385,7 @@ fn kill_point_sweep(vocab: &Arc<Vocab>) -> Result<u64, String> {
     let fp: Vec<u64> =
         (0..=batches.len()).map(|e| epoch_index(&docs, &batches, e).fingerprint()).collect();
 
-    let probe = ChurnFaultInjector::none();
+    let probe = Arc::new(Faults::default());
     let bootstrap_bytes;
     {
         let tmp = TempDir::new("qrw-mutate-sweep-probe");
@@ -400,7 +400,7 @@ fn kill_point_sweep(vocab: &Arc<Vocab>) -> Result<u64, String> {
 
     for offset in 0..total {
         let tmp = TempDir::new("qrw-mutate-sweep");
-        let injector = ChurnFaultInjector::kill_at_byte(offset);
+        let injector = Arc::new(Faults::default().at_byte(offset, Fault::Kill));
         let boot = CatalogWriter::with_injector(docs.clone(), tmp.path(), Arc::clone(&injector));
         let mut last_ok: Option<u64> = None;
         let mut in_flight = 0u64;

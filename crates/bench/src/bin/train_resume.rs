@@ -18,9 +18,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use qrw_bench::harness::{curve_to_json, validate_curve_json};
-use qrw_core::{
-    CheckpointStore, CyclicTrainer, JointModel, TrainConfig, TrainFaultInjector, TrainMode,
-};
+use qrw_core::{CheckpointStore, CyclicTrainer, Fault, Faults, JointModel, TrainConfig, TrainMode};
 use qrw_data::Pair;
 use qrw_nmt::{ModelConfig, Seq2Seq};
 use qrw_tensor::serialize;
@@ -87,7 +85,7 @@ fn run(out_dir: &Path, work: &Path) -> ExitCode {
     }
     let torn_dir = work.join("torn");
     {
-        let sink = TrainFaultInjector::kill_at_byte(base + 1000);
+        let sink = Faults::default().at_byte(base + 1000, Fault::Kill);
         let model_c = joint(1);
         let mut trainer_c = CyclicTrainer::new(config(6), 32)
             .with_checkpoints(CheckpointStore::with_sink(&torn_dir, Box::new(sink)));

@@ -79,7 +79,7 @@ impl From<CheckpointError> for ResumeError {
 }
 
 /// A directory of versioned training checkpoints plus the sink used to
-/// write them (the sink is swapped for a fault injector in tests).
+/// write them (tests write through a `Faults` schedule instead).
 pub struct CheckpointStore {
     dir: PathBuf,
     sink: Box<dyn WriteSink>,

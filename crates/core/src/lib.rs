@@ -26,7 +26,8 @@
 //!   record.
 //! * [`checkpoint`] — crash-safe full-state training checkpoints
 //!   (versioned directories, manifest commit records, bitwise resume) and
-//!   [`fault`] — the deterministic write-fault injector exercising them.
+//!   [`fault`] — the one seeded fault schedule that exercises them and
+//!   every serving layer's failure paths.
 
 pub mod checkpoint;
 pub mod config;
@@ -49,7 +50,7 @@ pub use cyclic::{
 };
 pub use distill::{distill_pairs, distill_student, DistillConfig, Distilled};
 pub use embed::{cosine, EmbeddingModel, SgnsConfig};
-pub use fault::TrainFaultInjector;
+pub use fault::{Fault, Faults, Site};
 pub use lm_rewriter::{make_lm, train_lm, LmCorpus, LmPoint, LmRewriter, LmTrainConfig};
 pub use persist::{load_joint, load_model, save_joint, save_model, DiskSink, WriteSink};
 pub use pipeline::{hypotheses_to_rewrites, QueryRewriter, RewritePipeline, ScoredRewrite};

@@ -25,9 +25,9 @@ use qrw_tensor::serialize::{self, crc32, fnv1a64};
 use crate::cyclic::JointModel;
 
 /// Destination for checkpoint bytes. The production implementation is
-/// [`DiskSink`]; the train-resilience tests inject
-/// [`TrainFaultInjector`](crate::fault::TrainFaultInjector) to simulate
-/// kills, bit flips and full disks at exact write offsets.
+/// [`DiskSink`]; the resilience tests write through a
+/// [`Faults`](crate::fault::Faults) schedule to simulate kills, bit flips
+/// and full disks at exact write offsets.
 ///
 /// `Send + Sync` so a store owning a boxed sink can move to a dedicated
 /// writer thread (the live-catalog writer does exactly that) and be
@@ -35,6 +35,14 @@ use crate::cyclic::JointModel;
 pub trait WriteSink: Send + Sync {
     /// Atomically replaces `path` with `bytes`.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+}
+
+/// A shared sink: lets a test keep a handle on the sink it hands to a
+/// store.
+impl<T: WriteSink + ?Sized> WriteSink for std::sync::Arc<T> {
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        (**self).write_atomic(path, bytes)
+    }
 }
 
 /// The real filesystem sink: write-to-temp + fsync + rename + dir fsync.

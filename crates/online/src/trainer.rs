@@ -269,7 +269,7 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use qrw_core::{TrainFaultInjector, WriteSink};
+    use qrw_core::{Fault, Faults, Site};
 
     /// Unique temp dir per test invocation.
     fn temp_dir(tag: &str) -> PathBuf {
@@ -364,7 +364,7 @@ mod tests {
         let dir = temp_dir("degrade");
         // Every write fails cleanly: the persist-then-publish discipline
         // must refuse to swap.
-        let sink = Box::new(TrainFaultInjector::disk_full_at_write(0));
+        let sink = Box::new(Faults::default().from_nth(Site::CheckpointWrite, 0, Fault::DiskFull));
         let mut lp = OnlineLoop::new(
             config,
             Arc::clone(&vocab),
@@ -449,20 +449,14 @@ mod tests {
         let pairs = tiny_pairs(&vocab);
 
         // Dry run: measure one tick's checkpoint traffic.
-        let probe = Arc::new(TrainFaultInjector::none());
-        struct Shared(Arc<TrainFaultInjector>);
-        impl WriteSink for Shared {
-            fn write_atomic(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-                self.0.write_atomic(path, bytes)
-            }
-        }
+        let probe = Arc::new(Faults::default());
         let dry = temp_dir("kill_dry");
         let store0 = baseline_store(&vocab, &config);
         let mut lp0 = OnlineLoop::new(
             config.clone(),
             Arc::clone(&vocab),
             Arc::clone(&store0),
-            CheckpointStore::with_sink(&dry, Box::new(Shared(Arc::clone(&probe)))),
+            CheckpointStore::with_sink(&dry, Box::new(Arc::clone(&probe))),
         );
         lp0.train_tick(&pairs, &pairs[..1]);
         let tick_bytes = probe.total_bytes();
@@ -472,12 +466,13 @@ mod tests {
         // checkpoint.
         let dir = temp_dir("kill");
         let store = baseline_store(&vocab, &config);
-        let injector = Arc::new(TrainFaultInjector::kill_at_byte(tick_bytes + tick_bytes / 2));
+        let injector =
+            Arc::new(Faults::default().at_byte(tick_bytes + tick_bytes / 2, Fault::Kill));
         let mut lp = OnlineLoop::new(
             config.clone(),
             Arc::clone(&vocab),
             Arc::clone(&store),
-            CheckpointStore::with_sink(&dir, Box::new(Shared(Arc::clone(&injector)))),
+            CheckpointStore::with_sink(&dir, Box::new(Arc::clone(&injector))),
         );
         let r1 = lp.train_tick(&pairs, &pairs[..1]);
         assert_eq!(r1.published_epoch, Some(2));

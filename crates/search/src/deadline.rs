@@ -11,7 +11,7 @@
 //! explicit [`DeadlineBudget::charge`]s — so shed/expiry tests are
 //! sleep-free and fully deterministic regardless of machine speed or how
 //! long a request actually sat in a queue. Both clocks accept synthetic
-//! charges on top (the fault injector charges simulated latency spikes
+//! charges on top (injected latency faults are charged as spikes
 //! without sleeping).
 
 use std::cell::Cell;

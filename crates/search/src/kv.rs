@@ -244,6 +244,8 @@ impl RewriteCache {
         self.len() == 0
     }
 
+    /// Lookups that found an entry. An entry counts as a hit even when
+    /// it is empty or poisoned and the serving ladder then rejects it.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -252,7 +254,9 @@ impl RewriteCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Fraction of lookups served from the cache.
+    /// Fraction of lookups that found an entry, usable or not: see
+    /// [`hits`](Self::hits). Rewrites actually served from the cache are
+    /// the responses whose source is the cache rung.
     pub fn hit_rate(&self) -> f64 {
         let h = self.hits() as f64;
         let m = self.misses() as f64;
@@ -291,6 +295,15 @@ mod tests {
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);
         assert!((cache.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn poisoned_entry_is_visibly_invalid() {
+        let cache = RewriteCache::new();
+        let q = vec!["phone".to_string()];
+        cache.insert(&q, vec![vec![String::new()]]);
+        let entry = cache.get(&q).unwrap();
+        assert!(entry.iter().any(|r| r.iter().any(|t| t.is_empty())));
     }
 
     #[test]

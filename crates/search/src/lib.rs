@@ -11,19 +11,21 @@
 //!   merged-tree retrieval → ranking),
 //! * [`ab`] — the Table VIII A/B user-behaviour simulator.
 //!
-//! Serving resilience lives in five companion modules: [`error`] (the
+//! Serving resilience lives in four companion modules: [`error`] (the
 //! [`ServeError`] taxonomy), [`deadline`] (per-request budgets),
-//! [`breaker`] (the circuit breaker around the online rewriter),
-//! [`fault`] (seeded deterministic fault injection for tests) and
-//! [`health`] (per-rung / per-stage serving counters).
+//! [`breaker`] (the circuit breaker around the online rewriter) and
+//! [`health`] (per-rung / per-stage serving counters). Failure drills arm
+//! one seeded [`Faults`] schedule (from `qrw_core::fault`, re-exported
+//! here) at the rewriter call, the shard traversals, the rebalance steps
+//! and the catalog writer.
 //!
 //! Live catalog mutation lives in two more: [`segment`] (sealed,
 //! CRC-guarded mutation-batch op logs whose ordered replay *is* the
 //! catalog) and [`snapshot`] (the epoch-pinned [`SnapshotStore`] that
 //! lets a [`CatalogWriter`] add/update/remove documents under traffic —
 //! readers pin one immutable epoch per request, commits persist through
-//! the crash-safe `CheckpointStore` discipline, and churn faults are
-//! injectable via [`ChurnFaultInjector`]).
+//! the crash-safe `CheckpointStore` discipline, and a [`Faults`] schedule
+//! drives its kill, panic and publish-gate drills).
 //!
 //! The sharded scatter-gather serving tier lives in [`shard`]: FNV-routed
 //! document shards rebuilt per epoch, per-shard fault isolation
@@ -44,7 +46,6 @@ pub mod deadline;
 pub mod epoch;
 pub mod error;
 pub mod eval;
-pub mod fault;
 pub mod health;
 pub mod index;
 pub mod kv;
@@ -61,23 +62,17 @@ pub use breaker::{BreakerConfig, BreakerSet, BreakerState, CircuitBreaker};
 pub use deadline::{Clock, DeadlineBudget};
 pub use error::{ServeError, Stage};
 pub use eval::{recall_at_k, reciprocal_rank, QualityAccumulator, RetrievalQuality};
-pub use fault::{Fault, FaultConfig, FaultInjector};
 pub use health::{ChurnStats, HealthReport, ShardStatReport, ShardTierReport};
-pub use shard::{
-    RebalanceError, RebalancePlan, RoutingPlan, ShardFault, ShardFaultInjector, ShardedCatalog,
-    ShardedIndex,
-};
 pub use index::{Bm25Scorer, InvertedIndex};
 pub use kv::{CacheScope, RewriteCache};
 pub use models::{ModelEpoch, ModelStore, PinnedModel, SharedRewriter, SwapStats};
+pub use qrw_core::fault::{Fault, Faults, Site};
 pub use segment::{CatalogOp, MutationBatch, Segment};
 pub use serving::{
     PinnedCatalog, RewriteLadder, RewriteSource, SearchEngine, SearchResponse, ServingConfig,
     SessionState,
 };
-pub use snapshot::{
-    CatalogError, CatalogWriter, ChurnFault, ChurnFaultInjector, IndexSnapshot, PinnedSnapshot,
-    SnapshotStore,
-};
+pub use shard::{RebalanceError, RebalancePlan, RoutingPlan, ShardedCatalog, ShardedIndex};
+pub use snapshot::{CatalogError, CatalogWriter, IndexSnapshot, PinnedSnapshot, SnapshotStore};
 pub use topk::{bm25_topk_exhaustive, bm25_topk_maxscore, ScoredDoc};
 pub use tree::{QueryTree, RetrievalCost};

@@ -39,22 +39,22 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use qrw_core::{thread_decode_stats, QueryRewriter};
+use qrw_core::{thread_decode_stats, Fault, Faults, QueryRewriter, Site};
 use qrw_obs::{Histogram, Tracer};
+use qrw_tensor::sync::Mutex;
 
 use std::sync::Arc;
 
 use crate::breaker::{BreakerConfig, BreakerSet, CircuitBreaker};
 use crate::deadline::DeadlineBudget;
 use crate::error::{ServeError, Stage};
-use crate::fault::{Fault, FaultInjector};
 use crate::health::{ChurnStats, HealthCounters, HealthReport};
 use crate::index::{difference_sorted, idf, union_sorted, InvertedIndex};
 use crate::kv::{CacheScope, RewriteCache};
 use crate::models::PinnedModel;
 use crate::shard::{
-    combine_costs, RebalanceError, RebalancePlan, ShardFaultInjector, ShardOutcome,
-    ShardTraversal, ShardedCatalog, ShardedIndex,
+    combine_costs, RebalanceError, RebalancePlan, ShardOutcome, ShardTraversal, ShardedCatalog,
+    ShardedIndex,
 };
 use crate::snapshot::{IndexSnapshot, PinnedSnapshot, SnapshotStore};
 use crate::topk::select_top_k;
@@ -298,6 +298,9 @@ pub struct SearchEngine {
     breaker: CircuitBreaker,
     health: HealthCounters,
     tracer: Option<Tracer>,
+    /// The armed fault schedule: its shard and rebalance rules fire here,
+    /// and a serving runtime reads its worker and request rules.
+    faults: Mutex<Option<Arc<Faults>>>,
 }
 
 /// Trace context threaded through the resilient path: which tracer to
@@ -324,6 +327,7 @@ impl SearchEngine {
             breaker: CircuitBreaker::new(BreakerConfig::default()),
             health: HealthCounters::default(),
             tracer: None,
+            faults: Mutex::new(None),
         }
     }
 
@@ -370,12 +374,18 @@ impl SearchEngine {
         self
     }
 
-    /// Attaches (or clears) the deterministic shard-fault injector.
-    /// No-op on unsharded engines.
-    pub fn set_shard_faults(&self, injector: Option<Arc<ShardFaultInjector>>) {
-        if let Catalog::Sharded(cat) = &self.catalog {
-            cat.set_injector(injector);
-        }
+    /// Arms (or clears) a fault schedule on the engine: its
+    /// [`Site::Shard`] and [`Site::RebalanceStep`] rules fire in the shard
+    /// tier, and a serving runtime over this engine reads its
+    /// [`Site::WorkerHome`] and [`Site::Request`] rules when a run starts.
+    /// The online rewriter's faults are passed per call instead.
+    pub fn set_faults(&self, faults: Option<Arc<Faults>>) {
+        *self.faults.lock() = faults;
+    }
+
+    /// The armed fault schedule, if any.
+    pub fn faults(&self) -> Option<Arc<Faults>> {
+        self.faults.lock().clone()
     }
 
     /// Number of shards in the scatter-gather tier; `None` for
@@ -402,7 +412,7 @@ impl SearchEngine {
     /// invalid plan leaves the old routing serving untouched.
     pub fn rebalance(&self, plan: &RebalancePlan) -> Result<u64, RebalanceError> {
         match &self.catalog {
-            Catalog::Sharded(cat) => cat.rebalance(plan),
+            Catalog::Sharded(cat) => cat.rebalance(plan, self.faults().as_deref()),
             _ => Err(RebalanceError::NotSharded),
         }
     }
@@ -522,14 +532,15 @@ impl SearchEngine {
     /// well-formed response. Rewrites come from the highest healthy rung
     /// of `ladder`; `budget` is consulted before each stage and the online
     /// model call; `faults` (tests only) deterministically injects latency
-    /// spikes, model errors and panics into the online rung.
+    /// spikes, model errors and panics into the online rung through its
+    /// [`Site::Rewriter`] rules.
     pub fn search_resilient(
         &self,
         query: &[String],
         ladder: RewriteLadder<'_>,
         config: &ServingConfig,
         budget: &DeadlineBudget,
-        faults: Option<&FaultInjector>,
+        faults: Option<&Faults>,
     ) -> SearchResponse {
         let session = SessionState::default();
         self.search_session_traced(query, session, ladder, config, budget, faults, None)
@@ -565,7 +576,7 @@ impl SearchEngine {
         ladder: RewriteLadder<'_>,
         config: &ServingConfig,
         budget: &DeadlineBudget,
-        faults: Option<&FaultInjector>,
+        faults: Option<&Faults>,
         trace: Option<u64>,
     ) -> SearchResponse {
         self.health.record_request();
@@ -638,7 +649,7 @@ impl SearchEngine {
         ladder: RewriteLadder<'_>,
         config: &ServingConfig,
         budget: &DeadlineBudget,
-        faults: Option<&FaultInjector>,
+        faults: Option<&Faults>,
         ctx: Option<TraceCtx<'_>>,
         pinned: &PinnedCatalog<'_>,
     ) -> SearchResponse {
@@ -670,7 +681,7 @@ impl SearchEngine {
         ladder: RewriteLadder<'_>,
         config: &ServingConfig,
         budget: &DeadlineBudget,
-        faults: Option<&FaultInjector>,
+        faults: Option<&Faults>,
         events: &mut Vec<ServeError>,
         ctx: Option<TraceCtx<'_>>,
     ) -> (Vec<Vec<String>>, RewriteSource) {
@@ -755,19 +766,19 @@ impl SearchEngine {
         query: &[String],
         config: &ServingConfig,
         budget: &DeadlineBudget,
-        faults: Option<&FaultInjector>,
+        faults: Option<&Faults>,
     ) -> Result<Vec<Vec<String>>, ServeError> {
         if policy.budget_gated && budget.expired() {
             return Err(ServeError::DeadlineExceeded { stage: Stage::Rewrite });
         }
         let breaker = policy.breaker.then_some(&self.breaker);
-        let mut fault = Fault::None;
+        let mut fault = None;
         if let Some(breaker) = breaker {
             if !breaker.allow() {
                 return Err(ServeError::BreakerOpen);
             }
-            fault = faults.map_or(Fault::None, FaultInjector::draw);
-            if let Fault::Latency(spike) = fault {
+            fault = faults.and_then(|f| f.hit(Site::Rewriter));
+            if let Some(Fault::Latency(spike)) = fault {
                 budget.charge(spike);
             }
             if budget.expired() {
@@ -778,11 +789,9 @@ impl SearchEngine {
         let before = (policy.decode && rewriter.decode_stats().is_some())
             .then(|| (thread_decode_stats(), budget.elapsed()));
         let called = catch_unwind(AssertUnwindSafe(|| match fault {
-            Fault::Panic => panic!("injected rewriter panic"),
-            Fault::ModelError => None,
-            Fault::None | Fault::Latency(_) => {
-                Some(rewriter.rewrite_with_context(session.context, query, config.max_rewrites))
-            }
+            Some(Fault::Panic) => panic!("injected rewriter panic"),
+            Some(Fault::ModelError) => None,
+            _ => Some(rewriter.rewrite_with_context(session.context, query, config.max_rewrites)),
         }));
         // The rewriter's name is only built for a degradation record.
         let name = || rewriter.name().to_string();
@@ -954,7 +963,7 @@ impl SearchEngine {
         let RetrievalPlan { trees, rank_query, .. } = &plan;
 
         // ---- Phase 1: per-shard traversals ---------------------------
-        let injector = cat.injector();
+        let faults = self.faults();
         // One breaker consult per shard per request, in shard order —
         // the cooldown schedule stays deterministic.
         let admitted: Vec<bool> = (0..n).map(|i| cat.breakers().allow(i)).collect();
@@ -970,8 +979,11 @@ impl SearchEngine {
         let traverse_one =
             |shard: usize, slice: &DeadlineBudget| -> Result<ShardTraversal, ShardPhase> {
                 let out = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(inj) = &injector {
-                        inj.on_traverse(shard, slice);
+                    match faults.as_ref().and_then(|f| f.hit(Site::Shard(shard))) {
+                        Some(Fault::Panic) => panic!("injected shard panic (shard {shard})"),
+                        // A simulated straggler: charged, never slept.
+                        Some(Fault::Latency(stall)) => slice.charge(stall),
+                        _ => {}
                     }
                     if slice.expired() {
                         return Err(ShardPhase::Deadline);

@@ -45,28 +45,25 @@
 //! is immutable; churn publishes a new epoch and the next request's pin
 //! rebuilds. [`RebalancePlan`] moves documents between shards through
 //! routing overrides — results are routing-independent, so serving is
-//! byte-identical across the rebalance boundary, and a kill mid-plan
-//! ([`ShardFaultInjector::kill_rebalance`]) simply leaves the old plan
-//! serving.
+//! byte-identical across the rebalance boundary, and a kill mid-plan (a
+//! fault at [`Site::RebalanceStep`]) simply leaves the old plan serving.
 //!
-//! The robustness state also lives here: a per-shard
-//! [`BreakerSet`], a deterministic
-//! [`ShardFaultInjector`] (panic / stall / poison / kill-during-
-//! rebalance), and single-lock shard telemetry whose health snapshot can
-//! never mix epochs or plan versions (the PR-6 torn-read discipline
-//! applied to observability).
+//! The robustness state also lives here: a per-shard [`BreakerSet`] and
+//! single-lock shard telemetry whose health snapshot can never mix
+//! epochs or plan versions (the PR-6 torn-read discipline applied to
+//! observability). Shard faults (panic, stall, poison) are [`Faults`]
+//! rules at [`Site::Shard`], armed on the engine.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Duration;
 
+use qrw_core::fault::{Faults, Site};
 use qrw_obs::Histogram;
 use qrw_tensor::serialize::Fnv1a;
 use qrw_tensor::sync::Mutex;
 
 use crate::breaker::{BreakerConfig, BreakerSet};
-use crate::deadline::DeadlineBudget;
 use crate::health::{ShardStatReport, ShardTierReport};
 use crate::index::InvertedIndex;
 use crate::snapshot::{PinnedSnapshot, SnapshotStore};
@@ -310,117 +307,6 @@ impl ShardedIndex {
     }
 }
 
-/// Deterministic fault plan for the shard tier. One injector drives one
-/// plan; counters make assertions on fire counts possible.
-#[derive(Clone, Debug)]
-pub enum ShardFault {
-    None,
-    /// The first `times` traversals of `shard` panic.
-    PanicOnShard { shard: usize, times: u64 },
-    /// The first `times` traversals of `shard` charge `stall` against
-    /// their deadline slice (a simulated straggler — no sleeping).
-    StallOnShard { shard: usize, stall: Duration, times: u64 },
-    /// Every traversal of `shard` panics, forever (a poisoned shard).
-    PoisonShard { shard: usize },
-    /// The next rebalance is killed at its first move.
-    KillRebalance,
-}
-
-/// Injects [`ShardFault`]s at the scatter executor's per-shard hooks.
-/// Shared `Arc`-style like the churn injector; all hooks are deterministic
-/// (fire counts, not wall time).
-#[derive(Debug)]
-pub struct ShardFaultInjector {
-    plan: ShardFault,
-    fired: AtomicU64,
-    rebalance_kills: AtomicU64,
-}
-
-impl ShardFaultInjector {
-    pub fn new(plan: ShardFault) -> Arc<Self> {
-        Arc::new(ShardFaultInjector {
-            plan,
-            fired: AtomicU64::new(0),
-            rebalance_kills: AtomicU64::new(0),
-        })
-    }
-
-    pub fn none() -> Arc<Self> {
-        Self::new(ShardFault::None)
-    }
-
-    /// Panic exactly once on `shard`'s next traversal.
-    pub fn panic_on_shard(shard: usize) -> Arc<Self> {
-        Self::new(ShardFault::PanicOnShard { shard, times: 1 })
-    }
-
-    /// Charge `stall` against the deadline slice of `shard`'s next
-    /// `times` traversals.
-    pub fn stall_on_shard(shard: usize, stall: Duration, times: u64) -> Arc<Self> {
-        Self::new(ShardFault::StallOnShard { shard, stall, times })
-    }
-
-    /// Panic on every traversal of `shard`, forever.
-    pub fn poison_shard(shard: usize) -> Arc<Self> {
-        Self::new(ShardFault::PoisonShard { shard })
-    }
-
-    /// Kill the next rebalance at its first move.
-    pub fn kill_rebalance() -> Arc<Self> {
-        Self::new(ShardFault::KillRebalance)
-    }
-
-    /// Scatter hook, called at the start of every per-shard traversal
-    /// (hedged retries included). May panic (panic/poison faults) or
-    /// charge the shard's deadline slice (stall faults).
-    pub fn on_traverse(&self, shard: usize, slice: &DeadlineBudget) {
-        match &self.plan {
-            ShardFault::PanicOnShard { shard: s, times }
-                if *s == shard && self.take_one(*times) =>
-            {
-                panic!("injected shard panic (shard {shard})");
-            }
-            ShardFault::StallOnShard { shard: s, stall, times }
-                if *s == shard && self.take_one(*times) =>
-            {
-                slice.charge(*stall);
-            }
-            ShardFault::PoisonShard { shard: s } if *s == shard => {
-                self.fired.fetch_add(1, SeqCst);
-                panic!("injected poisoned shard (shard {shard})");
-            }
-            _ => {}
-        }
-    }
-
-    /// Rebalance hook, called before each move is applied. Returns true
-    /// when the plan application must die on the spot.
-    pub fn on_rebalance_step(&self) -> bool {
-        if matches!(self.plan, ShardFault::KillRebalance) {
-            self.rebalance_kills.fetch_add(1, SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Traversal faults fired so far.
-    pub fn fired(&self) -> u64 {
-        self.fired.load(SeqCst)
-    }
-
-    /// Rebalance kills fired so far.
-    pub fn rebalance_kills(&self) -> u64 {
-        self.rebalance_kills.load(SeqCst)
-    }
-
-    fn take_one(&self, times: u64) -> bool {
-        self.fired
-            .fetch_update(SeqCst, SeqCst, |v| if v < times { Some(v + 1) } else { None })
-            .is_ok()
-    }
-}
-
 /// Per-shard telemetry counters, updated only at gather time (one writer
 /// per request) under the single state lock.
 #[derive(Debug)]
@@ -477,14 +363,13 @@ struct ShardedState {
 }
 
 /// The engine-side shard tier: snapshot store + routing plan + per-shard
-/// breakers + telemetry + fault hooks.
+/// breakers + telemetry.
 pub struct ShardedCatalog {
     store: Arc<SnapshotStore>,
     /// False when the store was built internally from a frozen index
     /// (no writer exists; churn stats stay zero in health reports).
     live: bool,
     breakers: BreakerSet,
-    injector: Mutex<Option<Arc<ShardFaultInjector>>>,
     state: Mutex<ShardedState>,
 }
 
@@ -495,7 +380,6 @@ impl ShardedCatalog {
             store,
             live,
             breakers: BreakerSet::new(shards, breaker),
-            injector: Mutex::new(None),
             state: Mutex::new(ShardedState {
                 plan: RoutingPlan::fnv(shards),
                 plan_version: 0,
@@ -528,14 +412,6 @@ impl ShardedCatalog {
         self.breakers = BreakerSet::new(self.breakers.len(), config);
     }
 
-    pub fn set_injector(&self, injector: Option<Arc<ShardFaultInjector>>) {
-        *self.injector.lock() = injector;
-    }
-
-    pub fn injector(&self) -> Option<Arc<ShardFaultInjector>> {
-        self.injector.lock().clone()
-    }
-
     pub fn plan_version(&self) -> u64 {
         self.state.lock().plan_version
     }
@@ -562,20 +438,21 @@ impl ShardedCatalog {
         built
     }
 
-    /// Applies a rebalance plan move by move (the kill hook fires before
-    /// each move), then atomically installs the new plan and invalidates
-    /// the cached shard set. On a kill, nothing is installed — the old
-    /// plan keeps serving, byte-identically. Returns the new plan
-    /// version.
-    pub fn rebalance(&self, plan: &RebalancePlan) -> Result<u64, RebalanceError> {
-        let injector = self.injector();
+    /// Applies a rebalance plan move by move (`faults` is hit at
+    /// [`Site::RebalanceStep`] before each move), then atomically installs
+    /// the new plan and invalidates the cached shard set. On a kill (any
+    /// fault there), nothing is installed — the old plan keeps serving,
+    /// byte-identically. Returns the new plan version.
+    pub fn rebalance(
+        &self,
+        plan: &RebalancePlan,
+        faults: Option<&Faults>,
+    ) -> Result<u64, RebalanceError> {
         let mut st = self.state.lock();
         let mut scratch = st.plan.clone();
         for &(doc, target) in &plan.moves {
-            if let Some(inj) = &injector {
-                if inj.on_rebalance_step() {
-                    return Err(RebalanceError::Killed);
-                }
+            if faults.and_then(|f| f.hit(Site::RebalanceStep)).is_some() {
+                return Err(RebalanceError::Killed);
             }
             if target >= scratch.shard_count() {
                 return Err(RebalanceError::BadTarget {
@@ -650,6 +527,7 @@ impl ShardedCatalog {
 mod tests {
     use super::*;
     use crate::segment::{replay, MutationBatch, Segment};
+    use qrw_core::fault::Fault;
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -776,36 +654,13 @@ mod tests {
     }
 
     #[test]
-    fn injector_counts_and_exhausts() {
-        let inj = ShardFaultInjector::stall_on_shard(2, Duration::from_millis(50), 2);
-        let slice = DeadlineBudget::synthetic(Duration::from_millis(200));
-        inj.on_traverse(0, &slice); // wrong shard: no-op
-        assert_eq!(inj.fired(), 0);
-        inj.on_traverse(2, &slice);
-        inj.on_traverse(2, &slice);
-        inj.on_traverse(2, &slice); // exhausted
-        assert_eq!(inj.fired(), 2);
-        assert_eq!(slice.synthetic_spent(), Duration::from_millis(100));
-
-        let p = ShardFaultInjector::panic_on_shard(1);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.on_traverse(1, &DeadlineBudget::unlimited());
-        }));
-        assert!(caught.is_err());
-        assert_eq!(p.fired(), 1);
-        // Once fired, the shard is healthy again.
-        p.on_traverse(1, &DeadlineBudget::unlimited());
-        assert_eq!(p.fired(), 1);
-    }
-
-    #[test]
     fn rebalance_applies_atomically_and_kill_keeps_old_plan() {
         use crate::snapshot::{IndexSnapshot, SnapshotStore};
         let store = SnapshotStore::new(IndexSnapshot::new(0, InvertedIndex::build(corpus())));
         let cat = ShardedCatalog::new(store, 4, BreakerConfig::default(), false);
         assert_eq!(cat.plan_version(), 0);
 
-        let v = cat.rebalance(&RebalancePlan::new(vec![(0, 1), (3, 2)])).unwrap();
+        let v = cat.rebalance(&RebalancePlan::new(vec![(0, 1), (3, 2)]), None).unwrap();
         assert_eq!(v, 1);
         let pin = cat.store().pin();
         let sharded = cat.pin_shards(&pin);
@@ -814,16 +669,15 @@ mod tests {
         assert_eq!(sharded.plan_version(), 1);
 
         // A killed rebalance leaves plan and version untouched.
-        cat.set_injector(Some(ShardFaultInjector::kill_rebalance()));
-        let err = cat.rebalance(&RebalancePlan::new(vec![(0, 3)])).unwrap_err();
+        let kill = Faults::default().always(Site::RebalanceStep, Fault::Kill);
+        let err = cat.rebalance(&RebalancePlan::new(vec![(0, 3)]), Some(&kill)).unwrap_err();
         assert_eq!(err, RebalanceError::Killed);
         assert_eq!(cat.plan_version(), 1);
         let again = cat.pin_shards(&cat.store().pin());
         assert_eq!(again.route(0), 1, "old plan keeps serving after a kill");
 
         // Bad targets are rejected without installing anything.
-        cat.set_injector(None);
-        let err = cat.rebalance(&RebalancePlan::new(vec![(2, 9)])).unwrap_err();
+        let err = cat.rebalance(&RebalancePlan::new(vec![(2, 9)]), None).unwrap_err();
         assert!(matches!(err, RebalanceError::BadTarget { target: 9, .. }));
         assert_eq!(cat.plan_version(), 1);
     }
@@ -837,7 +691,7 @@ mod tests {
         let a = cat.pin_shards(&pin);
         let b = cat.pin_shards(&pin);
         assert!(Arc::ptr_eq(&a, &b), "same epoch + plan must share one build");
-        cat.rebalance(&RebalancePlan::new(vec![(0, 1)])).unwrap();
+        cat.rebalance(&RebalancePlan::new(vec![(0, 1)]), None).unwrap();
         let c = cat.pin_shards(&pin);
         assert!(!Arc::ptr_eq(&a, &c), "plan bump must rebuild");
         assert_eq!(c.plan_version(), 1);

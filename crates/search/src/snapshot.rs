@@ -33,17 +33,16 @@
 //!   surface through `health_report()` and the writer records `publish`
 //!   obs spans (readers record `pin`).
 //!
-//! [`ChurnFaultInjector`] drives the failure paths deterministically:
-//! kill-at-byte during a segment commit, writer panic at a chosen batch,
-//! and a publish gate for reclaim/publish race schedules.
+//! A [`Faults`] schedule drives the failure paths deterministically:
+//! kill-at-byte during a segment commit ([`Site::CheckpointWrite`]),
+//! writer panic at a chosen batch ([`Site::WriterBatch`]), and a publish
+//! gate held for reclaim/publish race schedules ([`Site::PublishGate`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use qrw_core::fault::FaultPlan;
-use qrw_core::{CheckpointStore, ResumeError, TrainFaultInjector, WriteSink};
+use qrw_core::{CheckpointStore, Fault, Faults, ResumeError, Site};
 use qrw_obs::Tracer;
 
 use crate::epoch::{EpochStore, Pinned};
@@ -150,117 +149,6 @@ impl std::fmt::Display for CatalogError {
 
 impl std::error::Error for CatalogError {}
 
-/// Deterministic fault plan for the churn paths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChurnFault {
-    /// No injected fault.
-    None,
-    /// Kill the process (torn write at the final path, all later writes
-    /// fail) once the commit stream reaches this cumulative byte offset.
-    KillAtByte(u64),
-    /// Panic inside the writer while applying this batch (0-based count
-    /// of `apply` calls).
-    PanicAtBatch(u64),
-    /// Gate the publish of this batch: `apply` blocks after persisting,
-    /// just before publication, until [`ChurnFaultInjector::release`] —
-    /// lets tests schedule pins across the publish/reclaim boundary.
-    StallPublishAtBatch(u64),
-}
-
-/// Injects deterministic churn faults into a [`CatalogWriter`]: the
-/// catalog analogue of `qrw_core::TrainFaultInjector` (which it reuses
-/// for the byte-exact kill semantics).
-pub struct ChurnFaultInjector {
-    plan: ChurnFault,
-    sink: TrainFaultInjector,
-    batches_seen: AtomicU64,
-    gate_open: AtomicBool,
-    stalled: AtomicBool,
-}
-
-impl ChurnFaultInjector {
-    pub fn new(plan: ChurnFault) -> Arc<Self> {
-        let sink_plan = match plan {
-            ChurnFault::KillAtByte(off) => FaultPlan::KillAtByte(off),
-            _ => FaultPlan::None,
-        };
-        Arc::new(ChurnFaultInjector {
-            plan,
-            sink: TrainFaultInjector::new(sink_plan),
-            batches_seen: AtomicU64::new(0),
-            gate_open: AtomicBool::new(false),
-            stalled: AtomicBool::new(false),
-        })
-    }
-
-    pub fn none() -> Arc<Self> {
-        Self::new(ChurnFault::None)
-    }
-
-    pub fn kill_at_byte(offset: u64) -> Arc<Self> {
-        Self::new(ChurnFault::KillAtByte(offset))
-    }
-
-    pub fn panic_at_batch(batch: u64) -> Arc<Self> {
-        Self::new(ChurnFault::PanicAtBatch(batch))
-    }
-
-    pub fn stall_publish_at_batch(batch: u64) -> Arc<Self> {
-        Self::new(ChurnFault::StallPublishAtBatch(batch))
-    }
-
-    /// Cumulative bytes the commit stream has written (for sizing
-    /// kill-point sweeps).
-    pub fn total_bytes(&self) -> u64 {
-        self.sink.total_bytes()
-    }
-
-    /// True once a `KillAtByte` fault has fired.
-    pub fn killed(&self) -> bool {
-        self.sink.killed()
-    }
-
-    /// True while a `StallPublishAtBatch` fault holds the writer at the
-    /// publish gate.
-    pub fn stalled(&self) -> bool {
-        self.stalled.load(SeqCst)
-    }
-
-    /// Opens the publish gate of a stalled writer.
-    pub fn release(&self) {
-        self.gate_open.store(true, SeqCst);
-    }
-
-    /// Writer hook: start of `apply` for batch `n` (may panic).
-    fn on_batch_start(&self) -> u64 {
-        let n = self.batches_seen.fetch_add(1, SeqCst);
-        if self.plan == ChurnFault::PanicAtBatch(n) {
-            panic!("injected writer panic at batch {n}");
-        }
-        n
-    }
-
-    /// Writer hook: after persistence, before publication (may block).
-    fn before_publish(&self, batch: u64) {
-        if self.plan == ChurnFault::StallPublishAtBatch(batch) {
-            self.stalled.store(true, SeqCst);
-            while !self.gate_open.load(SeqCst) {
-                std::thread::yield_now();
-            }
-            self.stalled.store(false, SeqCst);
-        }
-    }
-}
-
-/// Adapter handing the injector to `CheckpointStore` as its write sink.
-struct ChurnSink(Arc<ChurnFaultInjector>);
-
-impl WriteSink for ChurnSink {
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        self.0.sink.write_atomic(path, bytes)
-    }
-}
-
 /// The single writer of a live catalog: applies mutation batches
 /// copy-on-write, persists the sealed segment set (commit point), then
 /// publishes the new epoch.
@@ -269,7 +157,7 @@ pub struct CatalogWriter {
     ckpt: Option<CheckpointStore>,
     segments: Vec<Segment>,
     next_epoch: u64,
-    faults: Option<Arc<ChurnFaultInjector>>,
+    faults: Option<Arc<Faults>>,
     tracer: Option<Tracer>,
 }
 
@@ -300,23 +188,24 @@ impl CatalogWriter {
         Self::bootstrap_inner(docs, Some(CheckpointStore::new(dir)), None)
     }
 
-    /// A persistent catalog whose commit stream runs through `faults`.
+    /// A persistent catalog whose commit stream writes through `faults`
+    /// and whose batches and publishes visit its writer sites.
     pub fn with_injector<I>(
         docs: I,
         dir: &Path,
-        faults: Arc<ChurnFaultInjector>,
+        faults: Arc<Faults>,
     ) -> Result<(Arc<SnapshotStore>, CatalogWriter), CatalogError>
     where
         I: IntoIterator<Item = Vec<String>>,
     {
-        let ckpt = CheckpointStore::with_sink(dir, Box::new(ChurnSink(Arc::clone(&faults))));
+        let ckpt = CheckpointStore::with_sink(dir, Box::new(Arc::clone(&faults)));
         Self::bootstrap_inner(docs, Some(ckpt), Some(faults))
     }
 
     fn bootstrap_inner<I>(
         docs: I,
         ckpt: Option<CheckpointStore>,
-        faults: Option<Arc<ChurnFaultInjector>>,
+        faults: Option<Arc<Faults>>,
     ) -> Result<(Arc<SnapshotStore>, CatalogWriter), CatalogError>
     where
         I: IntoIterator<Item = Vec<String>>,
@@ -393,14 +282,14 @@ impl CatalogWriter {
     /// point) → publish. On error the store still serves the last good
     /// epoch and `publish_failures` is bumped.
     ///
-    /// May panic if a `PanicAtBatch` fault fires (or the engine has a
-    /// genuine bug); use [`apply_resilient`](Self::apply_resilient) to
-    /// contain that.
+    /// May panic if a [`Fault::Panic`] fires at [`Site::WriterBatch`] (or
+    /// the engine has a genuine bug); use
+    /// [`apply_resilient`](Self::apply_resilient) to contain that.
     pub fn apply(&mut self, batch: MutationBatch) -> Result<u64, CatalogError> {
-        let batch_no = match &self.faults {
-            Some(f) => f.on_batch_start(),
-            None => 0,
-        };
+        let faults = self.faults.as_deref();
+        if faults.and_then(|f| f.hit(Site::WriterBatch)) == Some(Fault::Panic) {
+            panic!("injected writer panic");
+        }
         let epoch = self.next_epoch;
         let seg = Segment::seal(batch);
         let ops = seg.ops().len();
@@ -420,8 +309,9 @@ impl CatalogWriter {
             return Err(e);
         }
 
-        if let Some(f) = &self.faults {
-            f.before_publish(batch_no);
+        // A held publish gate blocks here, persisted but unpublished.
+        if let Some(f) = faults {
+            f.hit(Site::PublishGate);
         }
 
         let mut span = self.tracer.as_ref().map(|t| {
@@ -518,6 +408,8 @@ impl CatalogWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+    use std::time::{Duration, Instant};
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -626,7 +518,7 @@ mod tests {
         let dir = TempDir::new("kill");
         // Measure a clean run to find the commit byte range of epoch 2.
         let clean = TempDir::new("kill_clean");
-        let probe = ChurnFaultInjector::none();
+        let probe = Arc::new(Faults::default());
         let (store, mut writer) =
             CatalogWriter::with_injector(docs(), clean.path(), Arc::clone(&probe)).unwrap();
         writer.apply(MutationBatch::new().add_doc(toks("blue hat"))).unwrap();
@@ -640,7 +532,7 @@ mod tests {
         drop(store);
 
         // Kill in the middle of epoch 2's commit.
-        let kill = ChurnFaultInjector::kill_at_byte(before + 10);
+        let kill = Arc::new(Faults::default().at_byte(before + 10, Fault::Kill));
         let (store, mut writer) =
             CatalogWriter::with_injector(docs(), dir.path(), Arc::clone(&kill)).unwrap();
         writer.apply(MutationBatch::new().add_doc(toks("blue hat"))).unwrap();
@@ -661,7 +553,7 @@ mod tests {
     #[test]
     fn panicking_writer_leaves_last_good_epoch() {
         let dir = TempDir::new("panic");
-        let faults = ChurnFaultInjector::panic_at_batch(1);
+        let faults = Arc::new(Faults::default().nth(Site::WriterBatch, 1, Fault::Panic));
         let (store, mut writer) =
             CatalogWriter::with_injector(docs(), dir.path(), faults).unwrap();
         writer.apply_resilient(MutationBatch::new().add_doc(toks("blue hat"))).unwrap();
@@ -678,14 +570,19 @@ mod tests {
     #[test]
     fn stall_gate_schedules_a_pin_across_the_publish() {
         let dir = TempDir::new("stall");
-        let faults = ChurnFaultInjector::stall_publish_at_batch(0);
+        let faults = Arc::new(Faults::default().nth(Site::PublishGate, 0, Fault::Hold));
         let (store, mut writer) =
             CatalogWriter::with_injector(docs(), dir.path(), Arc::clone(&faults)).unwrap();
         let handle = std::thread::spawn(move || {
             writer.apply(MutationBatch::new().add_doc(toks("blue hat"))).unwrap();
             writer
         });
-        while !faults.stalled() {
+        let watchdog = Instant::now();
+        while !faults.held() {
+            assert!(
+                watchdog.elapsed() < Duration::from_secs(60),
+                "the writer never reached the held publish gate within 60 s"
+            );
             std::thread::yield_now();
         }
         // The batch is persisted but not published: readers still pin 0.
@@ -728,7 +625,7 @@ mod tests {
     #[test]
     fn failed_persist_keeps_segment_chain_consistent() {
         let dir = TempDir::new("failpersist");
-        let kill = ChurnFaultInjector::kill_at_byte(0);
+        let kill = Arc::new(Faults::default().at_byte(0, Fault::Kill));
         // Bootstrap itself commits epoch 0 through the dead sink.
         let err = CatalogWriter::with_injector(docs(), dir.path(), kill);
         assert!(err.is_err(), "epoch-0 commit through a dead sink must fail");

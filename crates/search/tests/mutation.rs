@@ -10,11 +10,12 @@
 //! form of the snapshot layer's torn-read invariant.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use qrw_search::segment::replay;
 use qrw_search::{
-    CatalogError, CatalogWriter, ChurnFaultInjector, DeadlineBudget, IndexSnapshot, InvertedIndex,
-    MutationBatch, RewriteCache, RewriteLadder, SearchEngine, Segment, ServingConfig,
+    CatalogError, CatalogWriter, DeadlineBudget, Fault, Faults, IndexSnapshot, InvertedIndex,
+    MutationBatch, RewriteCache, RewriteLadder, SearchEngine, Segment, ServingConfig, Site,
     SnapshotStore,
 };
 use qrw_tensor::rng::StdRng;
@@ -215,7 +216,7 @@ fn kill_at_every_commit_byte_recovers_the_last_sealed_epoch() {
 
     // Probe run: total bytes of the whole commit stream, plus the byte
     // offset where the bootstrap commit ends.
-    let probe = ChurnFaultInjector::none();
+    let probe = Arc::new(Faults::default());
     let (bootstrap_bytes, total_bytes) = {
         let tmp = TempDir::new("qrw-mutation-probe");
         let (_store, mut w) = CatalogWriter::with_injector(docs.clone(), tmp.path(), Arc::clone(&probe))
@@ -230,7 +231,7 @@ fn kill_at_every_commit_byte_recovers_the_last_sealed_epoch() {
 
     for offset in 0..total_bytes {
         let tmp = TempDir::new("qrw-mutation-kill");
-        let injector = ChurnFaultInjector::kill_at_byte(offset);
+        let injector = Arc::new(Faults::default().at_byte(offset, Fault::Kill));
         let boot = CatalogWriter::with_injector(docs.clone(), tmp.path(), Arc::clone(&injector));
         // The epoch the kill interrupted: its commit *may* still be
         // durable — a kill during the `LATEST` pointer write lands after
@@ -329,7 +330,7 @@ fn writer_panic_leaves_serving_on_the_last_good_epoch() {
     let docs = corpus(6);
     let stream = batches(docs.len(), 3, 0x5EED);
     let tmp = TempDir::new("qrw-mutation-panic");
-    let injector = ChurnFaultInjector::panic_at_batch(1);
+    let injector = Arc::new(Faults::default().nth(Site::WriterBatch, 1, Fault::Panic));
     let (store, mut writer) =
         CatalogWriter::with_injector(docs.clone(), tmp.path(), injector).expect("bootstrap");
     let engine = SearchEngine::live(Arc::clone(&store));
@@ -369,7 +370,7 @@ fn pin_held_across_a_gated_publish_keeps_its_epoch() {
     let docs = corpus(4);
     let stream = batches(docs.len(), 1, 0xFACE);
     let tmp = TempDir::new("qrw-mutation-stall");
-    let injector = ChurnFaultInjector::stall_publish_at_batch(0);
+    let injector = Arc::new(Faults::default().nth(Site::PublishGate, 0, Fault::Hold));
     let (store, writer) =
         CatalogWriter::with_injector(docs.clone(), tmp.path(), Arc::clone(&injector))
             .expect("bootstrap");
@@ -381,7 +382,12 @@ fn pin_held_across_a_gated_publish_keeps_its_epoch() {
         writer.apply(batch).expect("gated apply publishes after release");
         writer
     });
-    while !injector.stalled() {
+    let watchdog = Instant::now();
+    while !injector.held() {
+        assert!(
+            watchdog.elapsed() < Duration::from_secs(60),
+            "the writer never reached the held publish gate within 60 s"
+        );
         std::thread::yield_now();
     }
     // The batch is already durable but NOT published: readers still pin

@@ -15,9 +15,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qrw_search::{
-    BreakerConfig, BreakerState, CatalogWriter, DeadlineBudget, InvertedIndex, RebalancePlan,
-    RewriteCache, RewriteLadder, RoutingPlan, SearchEngine, SearchResponse, ServeError,
-    ServingConfig, ShardFaultInjector,
+    BreakerConfig, BreakerState, CatalogWriter, DeadlineBudget, Fault, Faults, InvertedIndex,
+    RebalancePlan, RewriteCache, RewriteLadder, RoutingPlan, SearchEngine, SearchResponse,
+    ServeError, ServingConfig, Site,
 };
 
 // ---------------------------------------------------------------- fixtures
@@ -112,7 +112,8 @@ fn poisoned_shard_serves_ranked_partial_results_for_every_query() {
 
     for victim in 0..shards {
         let engine = SearchEngine::sharded(idx.clone(), shards).with_breaker(never_open());
-        engine.set_shard_faults(Some(ShardFaultInjector::poison_shard(victim)));
+        let poison = Faults::default().always(Site::Shard(victim), Fault::Panic);
+        engine.set_faults(Some(Arc::new(poison)));
         let oracle = SearchEngine::new(tombstoned(&idx, shards, victim));
 
         let mut any_ranked = false;
@@ -151,7 +152,7 @@ fn poisoned_shard_serves_ranked_partial_results_for_every_query() {
 fn fully_failed_tier_serves_an_empty_stamped_response() {
     let engine =
         SearchEngine::sharded(InvertedIndex::build(corpus(12)), 1).with_breaker(never_open());
-    engine.set_shard_faults(Some(ShardFaultInjector::poison_shard(0)));
+    engine.set_faults(Some(Arc::new(Faults::default().always(Site::Shard(0), Fault::Panic))));
     let cache = prefilled_cache(&[vec![word(0), word(2)]]);
 
     let resp = serve_resp(&engine, &cache, &[word(0), word(2)], &DeadlineBudget::unlimited());
@@ -173,7 +174,7 @@ fn shard_panic_degrades_one_request_then_recovers() {
     let engine = SearchEngine::sharded(idx.clone(), 4);
     let mono = SearchEngine::new(idx);
 
-    engine.set_shard_faults(Some(ShardFaultInjector::panic_on_shard(2)));
+    engine.set_faults(Some(Arc::new(Faults::default().first_n(Site::Shard(2), 1, Fault::Panic))));
     let first = serve_resp(&engine, &cache, &queries[0], &DeadlineBudget::unlimited());
     assert_eq!((first.shards_ok, first.shards_total), (3, 4));
     assert!(has_partial(&first, 3, 4));
@@ -201,11 +202,8 @@ fn stalled_shard_is_hedged_to_a_full_response() {
 
     // First attempts get half of 100ms; a 60ms stall blows the 50ms
     // slice, the hedge retries with the injector already exhausted.
-    engine.set_shard_faults(Some(ShardFaultInjector::stall_on_shard(
-        1,
-        Duration::from_millis(60),
-        1,
-    )));
+    let stall = Fault::Latency(Duration::from_millis(60));
+    engine.set_faults(Some(Arc::new(Faults::default().first_n(Site::Shard(1), 1, stall))));
     let budget = DeadlineBudget::synthetic(Duration::from_millis(100));
     let got = serve_resp(&engine, &cache, &queries[0], &budget);
     let want = serve_resp(&mono, &cache, &queries[0], &DeadlineBudget::unlimited());
@@ -231,11 +229,8 @@ fn hedge_exhaustion_degrades_to_ranked_partial_results() {
     let engine = SearchEngine::sharded(idx.clone(), shards).with_breaker(never_open());
     let oracle = SearchEngine::new(tombstoned(&idx, shards, victim));
 
-    engine.set_shard_faults(Some(ShardFaultInjector::stall_on_shard(
-        victim,
-        Duration::from_millis(60),
-        2,
-    )));
+    let stall = Fault::Latency(Duration::from_millis(60));
+    engine.set_faults(Some(Arc::new(Faults::default().first_n(Site::Shard(victim), 2, stall))));
     // Pick a query whose results survive the victim's loss, so "still
     // ranked" is meaningful rather than a fixture coincidence.
     let query = queries
@@ -273,8 +268,8 @@ fn breaker_trips_fast_excludes_and_recovers_half_open() {
     let cache = prefilled_cache(&queries);
     let engine = SearchEngine::sharded(idx.clone(), 4).with_breaker(cfg);
     let mono = SearchEngine::new(idx);
-    let injector = ShardFaultInjector::poison_shard(3);
-    engine.set_shard_faults(Some(injector.clone()));
+    let injector = Arc::new(Faults::default().always(Site::Shard(3), Fault::Panic));
+    engine.set_faults(Some(injector.clone()));
 
     let one = |i: usize| {
         serve_resp(&engine, &cache, &queries[i % queries.len()], &DeadlineBudget::unlimited())
@@ -307,7 +302,7 @@ fn breaker_trips_fast_excludes_and_recovers_half_open() {
 
     // Fault clears; cooldown (requests 9-12 excluded), then trial
     // requests 13-14 succeed and close the breaker.
-    engine.set_shard_faults(None);
+    engine.set_faults(None);
     for r in 8..12 {
         assert_eq!(one(r).shards_ok, 3, "request {}", r + 1);
     }
@@ -342,11 +337,11 @@ fn killed_rebalance_is_atomic() {
     let before: Vec<String> = queries.iter().map(|q| serve(&engine, &cache, q)).collect();
     let v0 = engine.health_report().shard_tier.expect("tier").plan_version;
 
-    let injector = ShardFaultInjector::kill_rebalance();
-    engine.set_shard_faults(Some(injector.clone()));
+    let injector = Arc::new(Faults::default().always(Site::RebalanceStep, Fault::Kill));
+    engine.set_faults(Some(injector.clone()));
     let err = engine.rebalance(&RebalancePlan::new(vec![(0, 2), (5, 1)]));
     assert!(err.is_err(), "killed rebalance must surface as an error");
-    assert_eq!(injector.rebalance_kills(), 1);
+    assert_eq!(injector.fired(), 1);
     assert_eq!(engine.health_report().shard_tier.expect("tier").plan_version, v0);
 
     for (q, want) in queries.iter().zip(&before) {
@@ -355,7 +350,7 @@ fn killed_rebalance_is_atomic() {
 
     // Clearing the fault lets the same plan apply — still byte-identical
     // to the monolith (routing independence).
-    engine.set_shard_faults(None);
+    engine.set_faults(None);
     engine.rebalance(&RebalancePlan::new(vec![(0, 2), (5, 1)])).expect("clean rebalance");
     for q in &queries {
         assert_eq!(serve(&engine, &cache, q), serve(&mono, &cache, q), "rebalanced: {q:?}");

@@ -59,7 +59,7 @@ pub mod workload;
 
 pub use batch::{fnv1a_tokens, BatchedQ2Q, StudentOnline};
 pub use queue::{AdmissionQueue, BatchBuf, Pending, ResponseSlot};
-pub use runtime::{Outcome, Runtime, RuntimeConfig, SchedFaults, ServeStack, ServedRecord};
+pub use runtime::{Outcome, Runtime, RuntimeConfig, ServeStack, ServedRecord};
 pub use workload::{
     mutation_batches, skewed_shard_plan, synthetic_docs, ChurnMix, MixConfig, SessionMix, SkewMix,
     Workload,

@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use qrw_core::{Q2QRewriter, QueryRewriter};
+use qrw_core::{Fault, Faults, Q2QRewriter, QueryRewriter, Site};
 use qrw_nmt::{QuantStudent, Seq2Seq};
 use qrw_obs::taxonomy::{BATCH_FORM, MAILBOX_ENQUEUE, STEAL};
 use qrw_search::{
@@ -105,20 +105,6 @@ impl Default for RuntimeConfig {
             serving: ServingConfig::default(),
         }
     }
-}
-
-/// Deterministic scheduler-level fault drills. Default: none. Tests aim
-/// these at specific shards/requests to prove containment and rescue.
-#[derive(Clone, Debug, Default)]
-pub struct SchedFaults {
-    /// Workers homed to these shards take no work (a wedged core): their
-    /// FIFO backlog must be rescued by sibling stealers. The stalled
-    /// worker still exits cleanly once the queue is closed and drained.
-    pub stall_shards: Vec<usize>,
-    /// Request ids whose serve call panics *inside the worker*, past the
-    /// engine's own guards — the panic must be contained to the in-flight
-    /// batch (the request fails, the worker and its shard live on).
-    pub panic_on_ids: Vec<u64>,
 }
 
 /// Everything a worker needs to serve a request, shared read-only.
@@ -189,7 +175,6 @@ pub struct Runtime {
     queue: AdmissionQueue,
     results: Mutex<Vec<ServedRecord>>,
     next_id: AtomicU64,
-    faults: Mutex<SchedFaults>,
 }
 
 impl Runtime {
@@ -201,7 +186,6 @@ impl Runtime {
             queue,
             results: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
-            faults: Mutex::new(SchedFaults::default()),
         }
     }
 
@@ -211,11 +195,6 @@ impl Runtime {
 
     pub fn stack(&self) -> &ServeStack {
         &self.stack
-    }
-
-    /// Arms deterministic scheduler fault drills for the next run.
-    pub fn set_sched_faults(&self, faults: SchedFaults) {
-        *self.faults.lock() = faults;
     }
 
     /// Pre-reserves result storage. Steady-state publishes then never
@@ -351,16 +330,19 @@ impl Runtime {
 
         self.queue.reopen();
         let shards = self.queue.shards();
-        // Faults are armed before a run and read once here, not per request.
-        let faults = self.faults.lock().clone();
-        let panic_ids = faults.panic_on_ids.as_slice();
+        // The engine's fault schedule is read once here, not per request:
+        // its worker rules wedge homes now, its request rules fire per
+        // serve.
+        let faults = self.stack.engine.faults();
+        let faults = faults.as_deref();
         let workers = self.config.workers.max(1);
         let ready = &Barrier::new(workers + 1);
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let home = w % shards;
-                let stalled = faults.stall_shards.contains(&home);
-                scope.spawn(move || self.worker(w, home, stalled, panic_ids, ready));
+                let wedged =
+                    faults.and_then(|f| f.hit(Site::WorkerHome(home))) == Some(Fault::Wedge);
+                scope.spawn(move || self.worker(w, home, wedged, faults, ready));
             }
             let _close = CloseOnDrop(&self.queue);
             ready.wait();
@@ -383,9 +365,16 @@ impl Runtime {
 
     /// One worker's loop. Waits on `ready` once its start-up allocations
     /// are done, releasing `run`'s driver when every worker has.
-    /// `panic_ids` are the fault drill's doomed request ids.
-    fn worker(&self, index: usize, home: usize, stalled: bool, panic_ids: &[u64], ready: &Barrier) {
-        if stalled {
+    /// `faults` is the run's fault schedule, hit once per served request.
+    fn worker(
+        &self,
+        index: usize,
+        home: usize,
+        wedged: bool,
+        faults: Option<&Faults>,
+        ready: &Barrier,
+    ) {
+        if wedged {
             ready.wait();
             // Fault drill: a wedged core never takes work. It still
             // heartbeats the queue so it exits once everything (stolen by
@@ -405,7 +394,7 @@ impl Runtime {
             self.config.tick,
             &mut buf,
         ) {
-            self.process_batch(index, home, panic_ids, &mut buf, &mut live);
+            self.process_batch(index, home, faults, &mut buf, &mut live);
         }
     }
 
@@ -413,7 +402,7 @@ impl Runtime {
         &self,
         worker: usize,
         home: usize,
-        panic_ids: &[u64],
+        faults: Option<&Faults>,
         buf: &mut BatchBuf,
         live: &mut Vec<Pending>,
     ) {
@@ -488,7 +477,7 @@ impl Runtime {
                     rest.as_slice().iter().any(|q| q.query == p.query && q.context == p.context);
                 memo.expect_repeat(repeat);
             }
-            self.serve_one(p, panic_ids, student, online);
+            self.serve_one(p, faults, student, online);
         }
     }
 
@@ -502,12 +491,12 @@ impl Runtime {
     fn serve_one(
         &self,
         p: Pending,
-        panic_ids: &[u64],
+        faults: Option<&Faults>,
         student: Option<&dyn QueryRewriter>,
         online: Option<&dyn QueryRewriter>,
     ) {
         let served = catch_unwind(AssertUnwindSafe(|| {
-            if panic_ids.contains(&p.id) {
+            if faults.and_then(|f| f.hit(Site::Request(p.id))) == Some(Fault::Panic) {
                 panic!("injected scheduler fault: request {}", p.id);
             }
             let pin = self.stack.models.as_ref().map(|m| m.pin());

@@ -25,11 +25,10 @@ use std::time::Duration;
 
 use qrw_core::{Q2QRewriter, QueryRewriter};
 use qrw_nmt::{ModelConfig, Seq2Seq};
-use qrw_search::{DeadlineBudget, InvertedIndex, RewriteCache, SearchEngine, ServeError};
-use qrw_serve::{
-    synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, SchedFaults, ServeStack,
-    Workload,
+use qrw_search::{
+    DeadlineBudget, Fault, Faults, InvertedIndex, RewriteCache, SearchEngine, ServeError, Site,
 };
+use qrw_serve::{synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, Workload};
 use qrw_text::Vocab;
 
 const VOCAB_WORDS: usize = 24;
@@ -114,6 +113,11 @@ fn mixed_requests(w: &Workload) -> Vec<(Vec<String>, DeadlineBudget)> {
         .collect()
 }
 
+/// A fault schedule that wedges the workers homed to `homes`.
+fn wedged(homes: &[usize]) -> Faults {
+    homes.iter().fold(Faults::default(), |f, &h| f.always(Site::WorkerHome(h), Fault::Wedge))
+}
+
 /// One run's canonical rendering: per request id, its outcome's `Debug`
 /// bytes (the byte-transparency oracle — served responses include every
 /// document id, score, degradation event and rung attribution).
@@ -121,12 +125,12 @@ fn render(
     vocab: &Arc<Vocab>,
     w: &Workload,
     config: RuntimeConfig,
-    faults: SchedFaults,
+    faults: Faults,
     requests: Vec<(Vec<String>, DeadlineBudget)>,
 ) -> Vec<(u64, String)> {
     let submitted = requests.len();
     let runtime = Runtime::new(fresh_stack(vocab, &w.head), config);
-    runtime.set_sched_faults(faults);
+    runtime.stack().engine.set_faults(Some(Arc::new(faults)));
     let records = runtime.execute(requests);
     // Exactly-once termination: one record per submission, ids 0..n,
     // no duplicates, no losses.
@@ -150,9 +154,9 @@ fn outcomes_are_deterministic_across_the_shard_worker_matrix() {
         let capacity = 16usize;
         let mut baseline: Option<Vec<(u64, String)>> = None;
         for (shards, workers) in MATRIX {
-            let config = RuntimeConfig { queue_capacity: capacity, ..sched_config(shards, workers) };
-            let rendered =
-                render(&vocab, &w, config, SchedFaults::default(), mixed_requests(&w));
+            let config =
+                RuntimeConfig { queue_capacity: capacity, ..sched_config(shards, workers) };
+            let rendered = render(&vocab, &w, config, Faults::default(), mixed_requests(&w));
             // The outcome mix is as constructed: overflow rejected, every
             // third admitted request shed, the rest served.
             for (id, bytes) in &rendered {
@@ -184,20 +188,8 @@ fn outcomes_are_deterministic_across_the_shard_worker_matrix() {
 fn stolen_responses_are_byte_identical_to_home_shard_execution() {
     let vocab = vocab();
     let w = workload(&vocab, 5);
-    let all_home = render(
-        &vocab,
-        &w,
-        sched_config(1, 1),
-        SchedFaults::default(),
-        mixed_requests(&w),
-    );
-    let stalled = render(
-        &vocab,
-        &w,
-        sched_config(4, 4),
-        SchedFaults { stall_shards: vec![1, 2, 3], ..SchedFaults::default() },
-        mixed_requests(&w),
-    );
+    let all_home = render(&vocab, &w, sched_config(1, 1), Faults::default(), mixed_requests(&w));
+    let stalled = render(&vocab, &w, sched_config(4, 4), wedged(&[1, 2, 3]), mixed_requests(&w));
     assert_eq!(all_home, stalled, "steal-path responses must match home-shard bytes");
 }
 
@@ -250,7 +242,7 @@ fn closed_loop_call_returns_each_record_exactly_once() {
     let runtime = Runtime::new(fresh_stack(&vocab, &w.head), sched_config(4, 4));
     // Stall all but shard 0 so closed-loop calls routed elsewhere can only
     // complete via steals.
-    runtime.set_sched_faults(SchedFaults { stall_shards: vec![1, 2, 3], ..SchedFaults::default() });
+    runtime.stack().engine.set_faults(Some(Arc::new(wedged(&[1, 2, 3]))));
 
     let mut returned: Vec<(u64, String)> = Vec::new();
     let records = runtime.run(|rt| {
@@ -276,10 +268,9 @@ fn injected_panics_on_stolen_requests_fail_only_those_requests() {
     let w = workload(&vocab, 5);
     let doomed = [2u64, 9];
     let runtime = Runtime::new(fresh_stack(&vocab, &w.head), sched_config(4, 4));
-    runtime.set_sched_faults(SchedFaults {
-        stall_shards: vec![1, 2, 3],
-        panic_on_ids: doomed.to_vec(),
-    });
+    let faults =
+        doomed.iter().fold(wedged(&[1, 2, 3]), |f, &id| f.always(Site::Request(id), Fault::Panic));
+    runtime.stack().engine.set_faults(Some(Arc::new(faults)));
     let records = runtime
         .execute(w.requests.iter().map(|q| (q.clone(), DeadlineBudget::unlimited())).collect());
     assert_eq!(records.len(), w.requests.len());

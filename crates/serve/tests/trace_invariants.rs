@@ -28,13 +28,11 @@ use qrw_nmt::{ModelConfig, QuantStudent, Seq2Seq};
 use qrw_obs::{canonical_structure, taxonomy, SpanRecord, Tracer, MINTED_TRACE_BIT};
 use qrw_online::{FeedbackBuffer, FeedbackConfig, OnlineConfig, OnlineLoop, ONLINE_MODEL_NAME};
 use qrw_search::{
-    DeadlineBudget, Fault, FaultConfig, FaultInjector, InvertedIndex, ModelStore, RewriteCache,
-    RewriteLadder, SearchEngine, ServeError, ServingConfig, SessionState, ShardFaultInjector,
-    SharedRewriter,
+    DeadlineBudget, Fault, Faults, InvertedIndex, ModelStore, RewriteCache, RewriteLadder,
+    SearchEngine, ServeError, ServingConfig, SessionState, SharedRewriter, Site,
 };
 use qrw_serve::{
-    synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, SchedFaults, ServeStack,
-    SessionMix, Workload,
+    synthetic_docs, MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, SessionMix, Workload,
 };
 use qrw_text::Vocab;
 
@@ -446,11 +444,8 @@ fn hedged_retries_and_failures_are_tagged_per_gather_span() {
     let victim = 2usize;
 
     // One-shot stall past the phase-1 slice: the hedge recovers it.
-    engine.set_shard_faults(Some(ShardFaultInjector::stall_on_shard(
-        victim,
-        Duration::from_millis(60),
-        1,
-    )));
+    let stall = Fault::Latency(Duration::from_millis(60));
+    engine.set_faults(Some(Arc::new(Faults::default().first_n(Site::Shard(victim), 1, stall))));
     engine.search_session_traced(
         &query,
         SessionState::default(),
@@ -474,7 +469,7 @@ fn hedged_retries_and_failures_are_tagged_per_gather_span() {
     // A poisoned shard: outcome panic, scatter partial, not hedged
     // (panics get no retry).
     tracer.clear();
-    engine.set_shard_faults(Some(ShardFaultInjector::poison_shard(victim)));
+    engine.set_faults(Some(Arc::new(Faults::default().always(Site::Shard(victim), Fault::Panic))));
     engine.search_session_traced(
         &query,
         SessionState::default(),
@@ -537,7 +532,7 @@ fn injected_q2q_faults_appear_as_rung_outcomes_in_well_formed_traces() {
         (0u64, Fault::Panic, "rung_online", "panic"),
         (1, Fault::ModelError, "rung_online", "error"),
     ] {
-        let faults = FaultInjector::new(3, FaultConfig::always(fault));
+        let faults = Faults::new(3).always(Site::Rewriter, fault);
         let ladder = RewriteLadder {
             cache: None,
             student: None,
@@ -578,8 +573,7 @@ fn injected_q2q_faults_appear_as_rung_outcomes_in_well_formed_traces() {
     // way: rung_cache reports "poisoned" and the ladder falls through.
     tracer.clear();
     let cache = RewriteCache::new();
-    let faults = FaultInjector::new(3, FaultConfig::default());
-    faults.poison_cache(&cache, &query);
+    cache.insert(&query, vec![vec![String::new()]]);
     let ladder = RewriteLadder {
         cache: Some(&cache),
         student: None,
@@ -878,17 +872,17 @@ fn feedback_train_tick_and_model_swap_spans_carry_their_attrs() {
 
 // ------------------------------------------------ scheduler taxonomy (minted traces)
 
-/// Like [`run_traced`], but arms [`SchedFaults`] before the run.
+/// Like [`run_traced`], but arms `faults` on the engine before the run.
 fn run_traced_with_faults(
     config: RuntimeConfig,
-    faults: SchedFaults,
+    faults: Faults,
     requests: Vec<(Vec<String>, DeadlineBudget)>,
 ) -> (Vec<qrw_serve::ServedRecord>, Vec<SpanRecord>) {
     let vocab = vocab();
     let w = workload(&vocab);
     let (stack, tracer) = traced_stack(&vocab, &w.head);
     let runtime = Runtime::new(stack, config);
-    runtime.set_sched_faults(faults);
+    runtime.stack().engine.set_faults(Some(Arc::new(faults)));
     let records = runtime.execute(requests);
     assert_eq!(tracer.dropped(), 0, "ring must not evict during these runs");
     (records, tracer.snapshot())
@@ -975,7 +969,7 @@ fn stalled_shard_backlog_is_rescued_by_steal_spans() {
     let vocab = vocab();
     let w = workload(&vocab);
     let config = RuntimeConfig { shards: 2, workers: 2, ..RuntimeConfig::default() };
-    let faults = SchedFaults { stall_shards: vec![0], ..SchedFaults::default() };
+    let faults = Faults::default().always(Site::WorkerHome(0), Fault::Wedge);
     let (records, spans) = run_traced_with_faults(config, faults, unlimited(&w.requests));
     assert!(records.iter().all(|r| matches!(r.outcome, Outcome::Served(_))));
 
@@ -1038,7 +1032,8 @@ fn injected_worker_panic_is_contained_to_the_request() {
     let w = workload(&vocab);
     let doomed = [3u64, 11];
     let config = RuntimeConfig { shards: 2, workers: 2, ..RuntimeConfig::default() };
-    let faults = SchedFaults { panic_on_ids: doomed.to_vec(), ..SchedFaults::default() };
+    let faults =
+        doomed.iter().fold(Faults::default(), |f, &id| f.always(Site::Request(id), Fault::Panic));
     let (records, spans) = run_traced_with_faults(config, faults, unlimited(&w.requests));
 
     assert_eq!(records.len(), w.requests.len(), "no request lost to the panic");

@@ -78,7 +78,7 @@ fn main() {
             }
         }
     }
-    println!("KV cache hit rate: {:.0}%", 100.0 * cache.hit_rate());
+    println!("KV cache lookups that found an entry: {:.0}%", 100.0 * cache.hit_rate());
     if cache_ms.1 > 0 {
         println!(
             "cache-tier serving:    {:>8.2} ms/query over {} queries",
@@ -95,7 +95,7 @@ fn main() {
     }
 
     // Resilience tier: serve through the degradation ladder while the q2q
-    // model "goes down" mid-run. The seeded injector makes every online
+    // model "goes down" mid-run. The seeded fault schedule makes every online
     // call fail from request 4 on; requests degrade to the rule-based rung
     // (or the cache, when it hits) instead of erroring out.
     println!("\nresilience demo: q2q model starts faulting mid-run");
@@ -106,7 +106,7 @@ fn main() {
         online: Some(&*q2q),
         baseline: Some(&rules),
     };
-    let outage = FaultInjector::new(42, FaultConfig::always(Fault::ModelError));
+    let outage = Faults::new(42).always(Site::Rewriter, Fault::ModelError);
     let budget = std::time::Duration::from_millis(250);
     for (i, q) in data.log.queries.iter().step_by(9).take(12).enumerate() {
         let faults = if i >= 4 { Some(&outage) } else { None };

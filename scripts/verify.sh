@@ -85,9 +85,10 @@
 # qrw-search unit suites (the interned index against its string-scan
 # oracle, BM25 bit-equality, fingerprint golden values) with the
 # live-catalog mutation suite, the serve runtime's zero_alloc,
-# scheduler_invariants, runtime and trace_invariants suites and the
-# qrw-online unit suite (session-rewriter golden hashes) a second time in
-# release mode, on the optimised code the benchmarks execute.
+# scheduler_invariants, runtime and trace_invariants suites, the root
+# train_resilience crash sweeps and the qrw-online unit suite
+# (session-rewriter golden hashes) a second time in release mode, on the
+# optimised code the benchmarks execute.
 #
 # Always runs clippy and rustdoc with warnings as errors.
 #
@@ -206,6 +207,10 @@ cargo test --release --offline -p cycle-rewrite --test rewriters
 # The degradation ladder on the optimised code: the resilience scenarios
 # and the rung × outcome characterization of the one rung routine.
 cargo test --release --offline -p cycle-rewrite --test resilience --test ladder
+# The checkpoint write site of the one fault schedule on the optimised
+# code: the kill-at-every-byte and bit-flip sweeps over Algorithm 1's
+# commits, as shard_resilience and mutation already run.
+cargo test --release --offline -p cycle-rewrite --test train_resilience
 cargo test --release --offline -p qrw-online --lib
 
 echo "== clippy (offline, warnings are errors) =="

@@ -76,9 +76,9 @@ pub use qrw_text as text;
 pub mod prelude {
     pub use qrw_baseline::{RuleBasedRewriter, SimRankRewriter};
     pub use qrw_core::{
-        CheckpointStore, CurvePoint, CyclicTrainer, EmbeddingModel, JointModel, Q2QRewriter,
-        QueryRewriter, ResumeError, RewritePipeline, SgnsConfig, SpikeDetector, SpikeVerdict,
-        TrainConfig, TrainFaultInjector, TrainHealthReport, TrainMode, TrainingCurve,
+        CheckpointStore, CurvePoint, CyclicTrainer, EmbeddingModel, Fault, Faults, JointModel,
+        Q2QRewriter, QueryRewriter, ResumeError, RewritePipeline, SgnsConfig, Site, SpikeDetector,
+        SpikeVerdict, TrainConfig, TrainHealthReport, TrainMode, TrainingCurve,
     };
     pub use qrw_data::{
         Catalog, CatalogConfig, ClickLog, DataStats, Dataset, DatasetConfig, LogConfig,
@@ -92,9 +92,9 @@ pub mod prelude {
     pub use qrw_obs::{canonical_structure, Histogram, ObsClock, SpanRecord, Tracer};
     pub use qrw_online::{FeedbackBuffer, FeedbackConfig, OnlineConfig, OnlineLoop, TickReport};
     pub use qrw_search::{
-        run_ab, AbConfig, BreakerConfig, BreakerState, Clock, DeadlineBudget, Fault, FaultConfig,
-        FaultInjector, HealthReport, InvertedIndex, ModelStore, QueryTree, RewriteCache,
-        RewriteLadder, SearchEngine, ServeError, ServingConfig,
+        run_ab, AbConfig, BreakerConfig, BreakerState, Clock, DeadlineBudget, HealthReport,
+        InvertedIndex, ModelStore, QueryTree, RewriteCache, RewriteLadder, SearchEngine,
+        ServeError, ServingConfig,
     };
     pub use qrw_serve::{
         MixConfig, Outcome, Runtime, RuntimeConfig, ServeStack, ServedRecord, SessionMix, Workload,

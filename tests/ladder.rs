@@ -220,11 +220,11 @@ fn run(case: Case) {
 
     let synthetic = |total: Option<Duration>| DeadlineBudget::with_clock(Clock::synthetic(), total);
     let injector = match case.setup {
-        Setup::Fault(f) => Some(FaultInjector::new(11, FaultConfig::always(f))),
+        Setup::Fault(f) => Some(Faults::new(11).always(Site::Rewriter, f)),
         _ => None,
     };
     if let Setup::BreakerOpened = case.setup {
-        let broken = FaultInjector::new(7, FaultConfig::always(Fault::ModelError));
+        let broken = Faults::new(7).always(Site::Rewriter, Fault::ModelError);
         let only_online = RewriteLadder { online: Some(&probe), ..Default::default() };
         for _ in 0..3 {
             e.search_resilient(&query, only_online, &cfg, &synthetic(None), Some(&broken));

@@ -1,6 +1,6 @@
 //! Fault-tolerance tests for the serving path: the degradation ladder,
 //! deadline budgets, circuit breaker, panic isolation and the seeded
-//! fault injector. Every test is deterministic — faults come from a fixed
+//! fault schedule. Every test is deterministic — faults come from a fixed
 //! seed and latency spikes are charged synthetically, never slept.
 
 use std::sync::Arc;
@@ -71,7 +71,7 @@ fn every_online_fault_still_yields_ranked_responses() {
         Fault::Latency(Duration::from_secs(10)),
     ] {
         let e = engine();
-        let injector = FaultInjector::new(42, FaultConfig::always(fault));
+        let injector = Faults::new(42).always(Site::Rewriter, fault);
         let ladder =
             RewriteLadder { student: None, cache: None, online: Some(&online), baseline: Some(&baseline) };
         for _ in 0..10 {
@@ -95,7 +95,7 @@ fn every_online_fault_still_yields_ranked_responses() {
             Fault::Panic => assert!(report.panics_caught > 0, "{report:?}"),
             Fault::ModelError => assert!(report.model_errors > 0, "{report:?}"),
             Fault::Latency(_) => assert!(report.deadline_exceeded > 0, "{report:?}"),
-            Fault::None => unreachable!(),
+            _ => unreachable!(),
         }
     }
 }
@@ -110,7 +110,7 @@ fn breaker_opens_and_recovers_deterministically() {
     let query = toks("phone");
 
     // Phase 1: every online call errors. Failures 1..3 close->open.
-    let broken = FaultInjector::new(7, FaultConfig::always(Fault::ModelError));
+    let broken = Faults::new(7).always(Site::Rewriter, Fault::ModelError);
     let ladder = RewriteLadder { student: None, cache: None, online: Some(&online), baseline: None };
     for _ in 0..3 {
         let budget = DeadlineBudget::unlimited();
@@ -148,15 +148,15 @@ fn breaker_opens_and_recovers_deterministically() {
 fn fault_sequences_are_reproducible_across_engines() {
     let cfg = ServingConfig::default();
     let online = FixedRewriter(vec![toks("senior smartphone")]);
-    let mixed = FaultConfig {
-        panic_prob: 0.2,
-        error_prob: 0.2,
-        latency_spike_prob: 0.2,
-        latency_spike: Duration::from_secs(10),
+    let mixed = || {
+        Faults::new(99)
+            .prob(Site::Rewriter, 0.2, Fault::Panic)
+            .prob(Site::Rewriter, 0.2, Fault::ModelError)
+            .prob(Site::Rewriter, 0.2, Fault::Latency(Duration::from_secs(10)))
     };
     let run = || {
         let e = engine();
-        let injector = FaultInjector::new(99, mixed);
+        let injector = mixed();
         let ladder = RewriteLadder { student: None, cache: None, online: Some(&online), baseline: None };
         (0..20)
             .map(|_| {
@@ -178,16 +178,11 @@ fn fault_sequences_are_reproducible_across_engines() {
 #[test]
 fn rewriter_fault_stream_is_pinned() {
     let draw = {
-        let injector = FaultInjector::new(
-            99,
-            FaultConfig {
-                panic_prob: 0.2,
-                error_prob: 0.0,
-                latency_spike_prob: 0.5,
-                latency_spike: Duration::from_millis(10),
-            },
-        );
-        move || format!("{:?}", injector.draw())
+        let injector = Faults::new(99)
+            .prob(Site::Rewriter, 0.2, Fault::Panic)
+            .prob(Site::Rewriter, 0.0, Fault::ModelError)
+            .prob(Site::Rewriter, 0.5, Fault::Latency(Duration::from_millis(10)));
+        move || injector.hit(Site::Rewriter).map_or("None".to_string(), |f| format!("{f:?}"))
     };
     let labels: Vec<String> = (0..200).map(|_| draw()).collect();
     for label in &labels {
@@ -210,8 +205,7 @@ fn poisoned_cache_entry_degrades_to_online_rung() {
     let e = engine();
     let cache = RewriteCache::new();
     let query = toks("phone for grandpa");
-    let injector = FaultInjector::new(5, FaultConfig::default());
-    injector.poison_cache(&cache, &query);
+    cache.insert(&query, vec![vec![String::new()]]);
 
     let online = FixedRewriter(vec![toks("senior smartphone")]);
     let ladder = RewriteLadder { student: None, cache: Some(&cache), online: Some(&online), baseline: None };

@@ -1,8 +1,8 @@
 //! Crash-safety of Algorithm 1's checkpoint/resume machinery, end to end:
 //! bitwise resume equivalence, a kill-point sweep over every region of a
 //! checkpoint commit, silent bit flips, disk-full degradation, and the
-//! spike-rollback sentinel — all driven through the deterministic
-//! [`TrainFaultInjector`].
+//! spike-rollback sentinel — all driven through a deterministic
+//! [`Faults`] schedule on the checkpoint write site.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -99,8 +99,12 @@ fn committed_members(dir: &Path) -> (Members, Members) {
 /// Replays a clean commit of `m1` at step 3, then a commit of `m2` at
 /// step 6 through the given faulty sink. The member lists include the
 /// manifest; `CheckpointStore::save` writes its own, byte-identical one.
-fn replay(dir: &Path, sink: TrainFaultInjector, m1: &[(String, Vec<u8>)], m2: &[(String, Vec<u8>)])
--> std::io::Result<()> {
+fn replay(
+    dir: &Path,
+    sink: Faults,
+    m1: &[(String, Vec<u8>)],
+    m2: &[(String, Vec<u8>)],
+) -> std::io::Result<()> {
     let store = CheckpointStore::with_sink(dir, Box::new(sink));
     fn as_refs(m: &[(String, Vec<u8>)]) -> Vec<(&str, Vec<u8>)> {
         m.iter()
@@ -214,7 +218,7 @@ fn kill_point_sweep_never_resumes_torn_state() {
 
     for rel in offsets {
         let dir = TestDir::new("kill-sweep");
-        let err = replay(dir.path(), TrainFaultInjector::kill_at_byte(base + rel), &m1, &m2);
+        let err = replay(dir.path(), Faults::default().at_byte(base + rel, Fault::Kill), &m1, &m2);
         assert!(err.is_err(), "kill at relative offset {rel} did not fire");
         let expected = if rel < members_and_manifest { 3 } else { 6 };
         assert_clean_resume(dir.path(), expected, &m1, &m2, &format!("kill at +{rel}"));
@@ -231,8 +235,9 @@ fn bit_flips_in_any_write_fall_back_to_a_committed_checkpoint() {
     for write_index in 5..10u64 {
         for bit in [0u64, 777, 123_456] {
             let dir = TestDir::new("flip");
-            replay(dir.path(), TrainFaultInjector::bit_flip(write_index, bit), &m1, &m2)
-                .unwrap(); // flips are silent: every write "succeeds"
+            let flip =
+                Faults::default().nth(Site::CheckpointWrite, write_index, Fault::BitFlip(bit));
+            replay(dir.path(), flip, &m1, &m2).unwrap(); // flips are silent: every write "succeeds"
             let context = format!("flip write {write_index} bit {bit}");
             if write_index < 9 {
                 // A flipped member or manifest fails verification; the
@@ -252,7 +257,7 @@ fn disk_full_degrades_to_last_committed_checkpoint() {
     let dir = TestDir::new("disk-full");
     // The 6th write (index 5) and everything after fail: the step-3
     // checkpoint commits, the step-6 one never does.
-    let sink = TrainFaultInjector::disk_full_at_write(5);
+    let sink = Faults::default().from_nth(Site::CheckpointWrite, 5, Fault::DiskFull);
     let store = CheckpointStore::with_sink(dir.path(), Box::new(sink));
     let model = tiny_joint(1);
     let mut trainer = CyclicTrainer::new(base_cfg(), 32).with_checkpoints(store);
